@@ -45,11 +45,29 @@ def _complex_flag(text: str, flag: str) -> complex:
         raise ConfigurationError(f"invalid complex number for {flag}: '{text}'")
 
 
-def _m_list(text: str) -> list[float]:
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1 (argparse names the flag on failure)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        value = int(text)
     except ValueError:
-        raise ConfigurationError(f"invalid --m list '{text}'")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
+    return value
+
+
+def _list_of(kind):
+    """argparse type: a non-empty comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {kind.__name__}s, got '{text}'")
+        return values
+    return parse
 
 
 def _add_space_flags(p: argparse.ArgumentParser, with_n: bool = True):
@@ -72,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--out", help="optional CSV of r, Q(r), equilibrium potential")
     p.add_argument("--r-max", type=float, default=0.0)
-    p.add_argument("--n-grid", type=int, default=200)
+    p.add_argument("--n-grid", type=_count, default=200)
 
     p = sub.add_parser("energy", help="weighted logarithmic energy of the "
                        "equilibrium measure")
@@ -85,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w0", default="0", help="fixed second argument (complex)")
     p.add_argument("--center", default="0", help="grid centre (complex)")
     p.add_argument("--grid-radius", type=float, default=1.0)
-    p.add_argument("--grid-n", type=int, default=17)
+    p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("berezin", help="normalized squared weighted kernel "
@@ -93,13 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--z0", default="0", help="centre (complex)")
     p.add_argument("--grid-radius", type=float, default=1.0)
-    p.add_argument("--grid-n", type=int, default=33)
+    p.add_argument("--grid-n", type=_count, default=33)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("intensity", help="radial profile of the one-point intensity")
     _add_space_flags(p)
     p.add_argument("--r-max", type=float, default=0.0)
-    p.add_argument("--n-grid", type=int, default=200)
+    p.add_argument("--n-grid", type=_count, default=200)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("blowup", help="rescaled bulk kernel against the "
@@ -107,10 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--z0", default="0")
-    p.add_argument("--m", required=True, help="comma-separated m ladder")
-    p.add_argument("--n", default="", help="optional comma-separated n per m (default n=m)")
+    p.add_argument("--m", type=_list_of(float), required=True,
+                   help="comma-separated m ladder")
+    p.add_argument("--n", type=_list_of(int),
+                   help="optional comma-separated n per m (default n=m)")
     p.add_argument("--grid-radius", type=float, default=2.5)
-    p.add_argument("--grid-n", type=int, default=17)
+    p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-prefix", default="", help="optional per-m error-grid CSVs")
 
@@ -119,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--z0", default="0")
-    p.add_argument("--m", required=True)
-    p.add_argument("--directions", type=int, default=4)
+    p.add_argument("--m", type=_list_of(float), required=True)
+    p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=int, default=12)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("offdroplet", help="outside-droplet decay margins along a ray")
     _add_space_flags(p)
-    p.add_argument("--ratios", default="1.1,1.2,1.35,1.5,1.75,2.0",
+    p.add_argument("--ratios", type=_list_of(float), default="1.1,1.2,1.35,1.5,1.75,2.0",
                    help="radii as multiples of the droplet radius")
     p.add_argument("--direction", default="1")
     p.add_argument("--out", required=True)
@@ -138,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", default="0.5")
     p.add_argument("--terms", type=int, default=2)
     p.add_argument("--grid-radius", type=float, default=0.2)
-    p.add_argument("--grid-n", type=int, default=17)
+    p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sample", help="exact determinantal configurations, "
                        "CSV per configuration plus JSON sidecar")
     _add_space_flags(p)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
 
@@ -225,14 +245,10 @@ def cmd_intensity(args) -> int:
 
 def cmd_blowup(args) -> int:
     weight = parse_weight(args.weight)
-    ms = _m_list(args.m)
-    if args.n:
-        ns = [int(tok) for tok in args.n.split(",")]
-        if len(ns) != len(ms):
-            raise ConfigurationError("--n list must match --m list length")
-        n_of_m = lambda mm: ns[ms.index(mm)]
-    else:
-        n_of_m = None
+    ms, ns = args.m, args.n
+    if ns and len(ns) != len(ms):
+        raise ConfigurationError("--n list must match --m list length")
+    n_of_m = (lambda mm: ns[ms.index(mm)]) if ns else None
     report = asym.blowup_ladder(weight, args.q, _complex_flag(args.z0, "--z0"),
                                 ms, n_of_m=n_of_m, grid_radius=args.grid_radius,
                                 grid_n=args.grid_n)
@@ -251,7 +267,7 @@ def cmd_blowup(args) -> int:
 def cmd_decay(args) -> int:
     weight = parse_weight(args.weight)
     report = asym.decay_ladder(weight, args.q, _complex_flag(args.z0, "--z0"),
-                               _m_list(args.m), n_directions=args.directions,
+                               args.m, n_directions=args.directions,
                                n_separations=args.separations)
     atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
     ratios = ", ".join(format_float(s.beta_over_sqrt_m) for s in report.scans)
@@ -262,15 +278,12 @@ def cmd_decay(args) -> int:
 def cmd_offdroplet(args) -> int:
     weight, spec = _resolve_space(args)
     K = build_space(weight, spec)
-    R = K.equilibrium.droplet_radius
-    try:
-        ratios = [float(tok) for tok in args.ratios.split(",") if tok]
-    except ValueError:
-        raise ConfigurationError(f"invalid --ratios list '{args.ratios}'")
-    radii = np.array(ratios) * R
-    margins = asym.offdroplet_margins(K, _complex_flag(args.direction, "--direction"),
-                                      radii)
-    write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, ratios, margins))
+    direction = _complex_flag(args.direction, "--direction")
+    if direction == 0:
+        raise ConfigurationError("--direction must be nonzero")
+    radii = np.array(args.ratios) * K.equilibrium.droplet_radius
+    margins = asym.offdroplet_margins(K, direction, radii)
+    write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))
     print(f"max margin = {margins.max():.6f}")
     return 0
 
@@ -302,8 +315,6 @@ def cmd_local(args) -> int:
 
 def cmd_sample(args) -> int:
     weight, spec = _resolve_space(args)
-    if args.count < 1:
-        raise ConfigurationError(f"--count must be >= 1, got {args.count}")
     K = build_space(weight, spec)
     configs = sample_batch(K, args.count, args.seed, workers=_threads())
     os.makedirs(args.outdir, exist_ok=True)

@@ -9,11 +9,14 @@ D^{-1/2} G D^{-1/2}, whose entries are moment ratios near 1, and Cholesky
 factored; an nq-dimensional ill-conditioned problem becomes at most n+q-1
 tiny well-conditioned ones, which keeps m ~ 200 inside double precision.
 
-Evaluation never exponentiates a large log: the monomials of block d share
-the phase e^{i d arg z}, so each block reduces to a real vector t of scaled
-log-magnitudes, shifted by its running maximum before exponentiation.  Block
-contributions recombine under a global running scale, and the weight factors
-e^{-mQ/2} fold into the per-monomial logs, never applied afterwards.
+Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
+an orthonormal basis e_a: the correlation kernel is sum_a Phi_a(z) conj(Phi_a(w)).
+The map never exponentiates a large log: the monomials of block d share the
+phase e^{i d arg z}, so each block reduces to a real vector of scaled
+log-magnitudes, shifted by its maximum before exponentiation, and all blocks
+are solved at once by forward substitution on identity-padded Cholesky
+factors.  Pair evaluation recombines the blocks under a global running scale;
+the weight factors e^{-mQ/2} fold into the per-monomial logs.
 
 A KernelEvaluator is immutable after construction and safe for concurrent
 evaluation from many threads.
@@ -26,16 +29,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .quadrature import log_moment_table, integrate_polar_grid
+from .reporting import write_csv
 from .weights import RadialEquilibrium, WeightModel
 
 CONDITION_ESCALATION_LIMIT = 1e12
 NEGATIVE_DET_CLAMP = 1e-10
 LOG_FLOOR = -745.0  # double underflow boundary for logged magnitudes
+PAIR_CHUNK = 1 << 17  # about 1 MB per float64 working array
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,6 @@ class _Block:
     r_values: np.ndarray      # basis rows (r, j=r+d) present in this block
     p_values: np.ndarray      # magnitude exponents 2r + d
     chol: np.ndarray          # lower Cholesky factor of the scaled block
-    condition: float
 
 
 class GramFactorization:
@@ -95,7 +98,7 @@ class GramFactorization:
                 except np.linalg.LinAlgError:
                     chol, cond = self._escalated_cholesky(d, r)
             self.condition_report[d] = cond
-            self.blocks.append(_Block(d, r, p, chol, cond))
+            self.blocks.append(_Block(d, r, p, chol))
             total += r.size
         if total != spec.dim:
             raise NumericalDegeneracyError(
@@ -145,6 +148,68 @@ class GramFactorization:
         return chol, float(np.linalg.cond(scaled))
 
 
+class _FeatureMap:
+    """Weighted orthonormal features of every Gram block, batched over points.
+
+    The feature of basis row r in block d at z is
+    Phi(z) = e^{shift} * mantissa * e^{i d arg z}, with one real log shift per
+    (block, point).  The lower Cholesky factors are padded with the identity
+    to an (n+q-1, q, q) tensor and the exponents p = 2r + d to an (n+q-1, q)
+    array; padded rows carry an infinite half log-moment, so they
+    exponentiate to zero.  One forward substitution over the q rows, each
+    step vectorized over blocks x points, then solves every block at once.
+    """
+
+    def __init__(self, factorization: GramFactorization):
+        blocks = factorization.blocks
+        q, nb = factorization.spec.q, len(blocks)
+        self.weight, self.m = factorization.weight, factorization.spec.m
+        self.d = np.array([blk.d for blk in blocks])
+        self.chol = np.tile(np.eye(q), (nb, 1, 1))
+        self.p = np.zeros((nb, q), dtype=int)
+        self.mask = np.zeros((nb, q), dtype=bool)
+        for i, blk in enumerate(blocks):
+            size = blk.p_values.size
+            self.chol[i, :size, :size] = blk.chol
+            self.p[i, :size] = blk.p_values
+            self.mask[i, :size] = True
+        self.half_logm = np.where(self.mask, 0.5 * factorization.log_moments[self.p],
+                                  np.inf)
+
+    def __call__(self, z: np.ndarray, weight_power: float):
+        """(shift, mantissa, angles) at flat points z, weighted by e^{-power mQ}.
+
+        Each block's log-magnitudes are shifted by their maximum over the
+        block's rows before exponentiation; a block that vanishes at z has
+        shift -inf and a zero mantissa.
+        """
+        with np.errstate(divide="ignore"):
+            logr = np.log(np.abs(z))
+        p = self.p[:, :, None]
+        lt = np.zeros(p.shape[:2] + z.shape)
+        np.multiply(p, logr, out=lt, where=p > 0)  # z^0 stays 1 at the origin
+        lt -= self.half_logm[:, :, None]
+        if weight_power:
+            lt -= weight_power * self.m * self.weight.eval_weight(z)
+        shift = np.max(lt, axis=1)
+        lt -= np.where(np.isfinite(shift), shift, 0.0)[:, None, :]
+        x = np.exp(lt, out=lt)
+        for k in range(self.chol.shape[1]):
+            x[:, k] /= self.chol[:, k, k, None]
+            x[:, k + 1:] -= self.chol[:, k + 1:, k, None] * x[:, k, None]
+        return shift, x, np.angle(z)
+
+    def weighted(self, z) -> np.ndarray:
+        """(dim, N) correlation-kernel features Phi(z), rows in block order.
+
+        A scaled monomial has unit norm, so every e^{shift} is at most
+        sqrt(one-point intensity) and the dense form cannot overflow.
+        """
+        shift, x, ang = self(np.asarray(z, dtype=complex).ravel(), 0.5)
+        phase = np.exp(shift + 1j * self.d[:, None] * ang[None, :])
+        return (x * phase[:, None, :])[self.mask]
+
+
 class KernelEvaluator:
     """Evaluates the reproducing kernel and derived statistical quantities.
 
@@ -158,56 +223,35 @@ class KernelEvaluator:
         self.weight = factorization.weight
         self.spec = factorization.spec
         self.equilibrium = RadialEquilibrium.solve(self.weight)
-
-    # -- low-level block machinery ----------------------------------------
-
-    def _side(self, z: np.ndarray, weight_power: float):
-        """Per-block solved vectors with per-point log shifts for one side."""
-        z = np.asarray(z, dtype=complex)
-        absz = np.abs(z)
-        with np.errstate(divide="ignore"):
-            logr = np.log(absz)
-        at_origin = ~np.isfinite(logr)
-        logr_safe = np.where(at_origin, 0.0, logr)
-        damp = -weight_power * self.spec.m * self.weight.eval_weight(z) \
-            if weight_power else np.zeros_like(absz)
-        ang = np.angle(z)
-        logm = self.factorization.log_moments
-        sides = []
-        for blk in self.factorization.blocks:
-            p = blk.p_values
-            lt = p[:, None] * logr_safe[None, :]
-            lt = np.where(at_origin[None, :] & (p[:, None] > 0), -np.inf, lt)
-            lt = lt - 0.5 * logm[p][:, None] + damp[None, :]
-            shift = np.max(lt, axis=0)
-            safe = np.isfinite(shift)
-            u = np.where(safe[None, :], np.exp(lt - np.where(safe, shift, 0.0)[None, :]), 0.0)
-            a = solve_triangular(blk.chol, u, lower=True, check_finite=False)
-            sides.append((a, np.where(safe, shift, -np.inf)))
-        return sides, ang
+        self._features = _FeatureMap(factorization)
 
     def _pair_eval(self, z, w, zw_power: float, ww_power: float):
-        """Pairwise kernel values as (log_scale, complex mantissa) arrays."""
+        """Pairwise kernel values as (log_scale, complex mantissa) arrays.
+
+        Points are taken in chunks of about PAIR_CHUNK (block, row, point)
+        entries, so that the working arrays stay in cache; on the diagonal
+        (z is w, equal powers) the features are computed once.
+        """
+        same = z is w and zw_power == ww_power
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
         z, w = np.broadcast_arrays(z, w)
         shape = z.shape
-        z, w = np.atleast_1d(z), np.atleast_1d(w)
         zf, wf = z.ravel(), w.ravel()
-        sides_z, ang_z = self._side(zf, zw_power)
-        sides_w, ang_w = self._side(wf, ww_power)
-        nb, npts = len(sides_z), zf.size
-        logs = np.full((nb, npts), -np.inf)
-        vals = np.zeros((nb, npts), dtype=complex)
-        for i, blk in enumerate(self.factorization.blocks):
-            az, sz = sides_z[i]
-            aw, sw = sides_w[i]
-            inner = np.sum(az * aw, axis=0)
-            logs[i] = sz + sw
-            vals[i] = inner * np.exp(1j * blk.d * (ang_z - ang_w))
-        top = np.max(logs, axis=0)
-        top = np.where(np.isfinite(top), top, 0.0)
-        mant = np.sum(vals * np.exp(logs - top[None, :]), axis=0)
+        top = np.empty(zf.size)
+        mant = np.empty(zf.size, dtype=complex)
+        step = max(1, PAIR_CHUNK // self._features.p.size)
+        for lo in range(0, zf.size, step):
+            part = slice(lo, lo + step)
+            sz, az, ang_z = self._features(zf[part], zw_power)
+            sw, aw, ang_w = (sz, az, ang_z) if same else self._features(wf[part], ww_power)
+            logs = sz + sw
+            vals = np.einsum("bri,bri->bi", az, aw) \
+                * np.exp(1j * self._features.d[:, None] * (ang_z - ang_w)[None, :])
+            t = np.max(logs, axis=0)
+            t = np.where(np.isfinite(t), t, 0.0)
+            top[part] = t
+            mant[part] = np.sum(vals * np.exp(logs - t[None, :]), axis=0)
         return top.reshape(shape), mant.reshape(shape)
 
     # -- public evaluation --------------------------------------------------
@@ -244,10 +288,9 @@ class KernelEvaluator:
         return out if out.shape else float(out)
 
     def _weighted_matrix(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex).ravel()
-        zz, ww = np.meshgrid(pts, pts, indexing="ij")
-        scale, mant = self._pair_eval(zz, ww, 0.5, 0.5)
-        return mant * np.exp(scale)
+        """All pairwise weighted kernel values, Phi^T conj(Phi)."""
+        phi = self._features.weighted(points)
+        return phi.T @ phi.conj()
 
     def k_point_intensity(self, points) -> float:
         """Determinant of the weighted kernel matrix at the given points."""
@@ -346,13 +389,5 @@ def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
     z, w = np.broadcast_arrays(z, w)
     plain = np.atleast_1d(evaluator.kernel(z, w))
     wabs = np.exp(np.atleast_1d(evaluator.log_abs_weighted_kernel(z, w)))
-    g = lambda x: format(float(x), ".17g")
-    lines = ["re_z,im_z,re_w,im_w,re_K,im_K,weighted_abs"]
-    for i in range(z.size):
-        lines.append(",".join([
-            g(z[i].real), g(z[i].imag), g(w[i].real), g(w[i].imag),
-            g(plain[i].real), g(plain[i].imag), g(wabs[i]),
-        ]))
-    from .reporting import atomic_write_text
-
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["re_z", "im_z", "re_w", "im_w", "re_K", "im_K", "weighted_abs"],
+              zip(z.real, z.imag, w.real, w.imag, plain.real, plain.imag, wabs))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .weights import WeightModel
+from .weights import WeightModel, _bisect_increasing
 
 # 15-point Kronrod nodes with embedded 7-point Gauss rule (QUADPACK constants).
 _XGK = np.array([
@@ -77,27 +77,9 @@ class LogMoment:
 def _moment_mode(w: WeightModel, m: float, p: int) -> float:
     """Root of m r Q'(r) = 2p + 1; unique since r Q'(r) is increasing."""
     target = 2.0 * p + 1.0
-    g = lambda r: m * r * w.q_prime(r) - target
-    lo, hi = 1.0, 1.0
-    grow = 0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 600:
-            raise ConfigurationError("moment mode search found no upper bracket")
-    while g(lo) > 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ConfigurationError("moment mode search found no lower bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect_increasing(lambda r: m * r * w.q_prime(r) - target, 1.0, 1.0,
+                              lambda lo, hi: hi - lo < 1e-14 * hi,
+                              "moment mode search")
 
 
 def radial_log_moment(w: WeightModel, m: float, p: int) -> LogMoment:

@@ -3,14 +3,15 @@
 The correlation kernel is a projection onto an nq-dimensional space, so the
 process can be sampled exactly by sequential peeling: draw a point from the
 current normalized diagonal, orthogonally project the frame against the
-drawn point's feature vector, repeat nq times.  The feature map
+drawn point's feature vector, repeat nq times.  The features
 
     Phi_a(z) = e_a(z) e^{-mQ(z)/2}
 
-(stacked over Gram blocks through the scaled Cholesky factors) satisfies
-||Phi(z)||^2 = one-point intensity, and after t draws the current diagonal is
-||Phi(z)||^2 - sum_i |<u_i, Phi(z)>|^2 with u_i the orthonormalized features
-of the accepted points.
+are the evaluator's own feature map (the weighted orthonormal basis, solved
+through the scaled Cholesky factors of all Gram blocks at once), so
+||Phi(z)||^2 is the one-point intensity and after t draws the current
+diagonal is ||Phi(z)||^2 - sum_i |<u_i, Phi(z)>|^2 with u_i the
+orthonormalized features of the accepted points.
 
 Each draw uses rejection sampling: a radially binned envelope of the current
 diagonal (the diagonal stays smooth and nearly radial at every step) with a
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigurationError, SamplerError
 from .kernel import KernelEvaluator
@@ -62,50 +62,6 @@ class PointConfiguration:
             )
 
 
-def _feature_map(K: KernelEvaluator):
-    """Return f(z_array) -> (dim, N) matrix of weighted orthonormal features.
-
-    Per-block triangular inverses are precomputed; the blocks are tiny and
-    well conditioned so the explicit inverse costs no meaningful accuracy
-    and removes per-call solver overhead from the sampler's hot loop.
-    """
-    blocks = K.factorization.blocks
-    logm = K.factorization.log_moments
-    m = K.spec.m
-    weight = K.weight
-    inverses = [
-        solve_triangular(blk.chol, np.eye(blk.chol.shape[0]), lower=True,
-                         check_finite=False)
-        for blk in blocks
-    ]
-    p_all = np.concatenate([blk.p_values for blk in blocks])
-    d_all = np.concatenate([np.full(blk.p_values.size, blk.d) for blk in blocks])
-    half_logm = 0.5 * logm[p_all]
-
-    def features(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).ravel()
-        absz = np.abs(z)
-        with np.errstate(divide="ignore"):
-            logr = np.log(absz)
-        at_origin = ~np.isfinite(logr)
-        logr_safe = np.where(at_origin, 0.0, logr)
-        damp = -0.5 * m * weight.eval_weight(z)
-        ang = np.angle(z)
-        lt = p_all[:, None] * logr_safe[None, :]
-        lt = np.where(at_origin[None, :] & (p_all[:, None] > 0), -np.inf, lt)
-        t = np.exp(lt - half_logm[:, None] + damp[None, :])
-        out = np.empty((p_all.size, z.size), dtype=complex)
-        row = 0
-        for blk, inv in zip(blocks, inverses):
-            size = blk.p_values.size
-            out[row:row + size] = inv @ t[row:row + size]
-            row += size
-        out *= np.exp(1j * d_all[:, None] * ang[None, :])
-        return out
-
-    return features
-
-
 def seed_for_index(master_seed: int, index: int) -> int:
     """Documented per-configuration split of a master seed."""
     ss = np.random.SeedSequence([int(master_seed), int(index)])
@@ -119,7 +75,7 @@ def sample_configuration(K: KernelEvaluator, eq: RadialEquilibrium | None,
     spec = K.spec
     nq = spec.dim
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    features = _feature_map(K)
+    features = K._features.weighted
     r_max = eq.droplet_radius + 6.0 / math.sqrt(spec.m) + 0.5
 
     edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)

@@ -339,6 +339,32 @@ def _parse_params(rest: str, full: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
+def _bisect_increasing(g, lo: float, hi: float, close_enough, what: str) -> float:
+    """Root of an increasing g: widen [lo, hi] to a sign bracket, then bisect.
+
+    ``close_enough(lo, hi)`` is the caller's stopping rule.
+    """
+    grow = 0
+    while g(hi) < 0.0:
+        hi *= 2.0
+        grow += 1
+        if grow > 600:
+            raise ConfigurationError(f"{what} found no upper bracket")
+    while g(lo) > 0.0:
+        lo *= 0.5
+        if lo < 1e-300:
+            raise ConfigurationError(f"{what} found no lower bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if close_enough(lo, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
 def droplet_radius(w: WeightModel, tol: float = 1e-14) -> float:
     """Radius R of the droplet disk, solving R Q'(R) = 2 by bisection.
 
@@ -346,29 +372,9 @@ def droplet_radius(w: WeightModel, tol: float = 1e-14) -> float:
     so the root is unique.  Equivalent statement: the equilibrium measure
     dQ 1_{|z|<=R} dA has total mass R Q'(R) / 2 = 1.
     """
-    f = lambda r: r * w.q_prime(r) - 2.0
-    lo, hi = 1e-12, 1.0
-    grow = 0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 600:
-            raise ConfigurationError(
-                "droplet radius bisection found no bracket; weight grows too slowly"
-            )
-    while f(lo) > 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ConfigurationError("droplet radius bisection found no lower bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _bisect_increasing(lambda r: r * w.q_prime(r) - 2.0, 1e-12, 1.0,
+                              lambda lo, hi: hi - lo < tol * max(1.0, hi),
+                              "droplet radius bisection")
 
 
 @dataclass(frozen=True)

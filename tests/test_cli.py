@@ -32,9 +32,22 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     assert "gaussian" in err
 
 
-def test_bad_flag_exit_code(capsys):
-    assert run(["kernel", "--weight", "ginibre", "--q", "0", "--n", "4",
-                "--m", "1", "--out", "/tmp/x.csv"]) == 1
+@pytest.mark.parametrize("argv, flag", [
+    (["kernel", "--weight", "ginibre", "--q", "0", "--n", "4", "--m", "1"], "--q"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10,x"], "--n"),
+    (["decay", "--weight", "ginibre", "--m", ","], "--m"),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "1", "--grid-n", "-1"],
+     "--grid-n"),
+    (["intensity", "--weight", "ginibre", "--n", "4", "--m", "1", "--n-grid", "-2"],
+     "--n-grid"),
+    (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "1", "--direction", "0"],
+     "--direction"),
+], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
+        "intensity-n-grid", "offdroplet-direction"])
+def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
+    assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and flag in err
 
 
 def test_numerical_degeneracy_exit_code(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 import polykernel as pk
@@ -63,6 +64,45 @@ def test_escalated_cholesky_matches_double_path(spaces):
     chol_mp, cond = fact._escalated_cholesky(blk.d, blk.r_values)
     assert np.max(np.abs(chol_mp - blk.chol)) < 1e-12
     assert cond < 1e3
+
+
+@pytest.mark.parametrize("weight, q, n", [("ginibre", 4, 3), ("power:p=3", 8, 20)])
+def test_feature_map_padding_matches_per_block_solve(spaces, weight, q, n):
+    # mixed block sizes (1,2,3,3,2,1 for q=4, n=3) and, for power:p=3 at q=8,
+    # a block refactored at 40 digits: the padded batched solve must match a
+    # per-block triangular solve and leave the padded rows at zero
+    K = spaces(weight, q, n, float(n))
+    fact = K.factorization
+    if q == 4:
+        assert [blk.p_values.size for blk in fact.blocks] == [1, 2, 3, 3, 2, 1]
+    else:
+        assert max(fact.condition_report.values()) > 1e12
+    rng = np.random.default_rng(41)
+    R = K.equilibrium.droplet_radius
+    z = np.concatenate([[0.0, 0.5 * R, -1.5j * R], disk_points(rng, 40, 1.3 * R)])
+    shift, mant, ang = K._features(z, 0.5)
+    assert np.array_equal(ang, np.angle(z))
+    logr = np.log(np.where(z == 0, 1.0, np.abs(z)))
+    damp = -0.5 * K.spec.m * K.weight.eval_weight(z)
+    for i, blk in enumerate(fact.blocks):
+        p = blk.p_values
+        lt = p[:, None] * logr[None, :] - 0.5 * fact.log_moments[p][:, None] + damp
+        lt[(p[:, None] > 0) & (z == 0)[None, :]] = -np.inf
+        top = lt.max(axis=0)
+        ref = solve_triangular(blk.chol, np.exp(lt - np.where(np.isfinite(top), top, 0.0)),
+                               lower=True)
+        np.testing.assert_allclose(shift[i], top, rtol=1e-14, atol=1e-14)
+        # rounding differs by ~3e-11 in the escalated block (condition 6e14)
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(mant[i, :p.size] - ref) <= 1e-9 * scale)
+        assert not np.any(mant[i, p.size:])
+    # the dense Phi^T conj(Phi) matrix against pairwise kernel evaluations
+    pts = z[:12]
+    zz, ww = np.meshgrid(pts, pts, indexing="ij")
+    pairwise = K.weighted_kernel(zz, ww)
+    gamma = np.sqrt(K.one_point_intensity(pts))
+    err = np.abs(K._weighted_matrix(pts) - pairwise) / np.outer(gamma, gamma)
+    assert np.max(err) < 1e-12
 
 
 # ---------------------------------------------------------------------------

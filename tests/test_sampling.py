@@ -9,6 +9,8 @@ import polykernel as pk
 from polykernel.errors import ConfigurationError
 from polykernel.sampling import seed_for_index
 
+from conftest import disk_points
+
 
 def test_point_count_and_determinism(spaces):
     K = spaces("ginibre", 2, 8, 8.0)
@@ -18,6 +20,25 @@ def test_point_count_and_determinism(spaces):
     assert a.points.size == 16
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
+
+
+@pytest.mark.parametrize("weight, q, n", [("ginibre", 2, 20), ("power:p=2", 3, 12)])
+def test_sampler_features_reproduce_the_kernel(spaces, weight, q, n):
+    # the sampler peels directions off the evaluator's feature map, so
+    # ||Phi(z)||^2 is the one-point intensity and Phi(z)^T conj(Phi(w)) is
+    # the correlation kernel, relative to sqrt(gamma(z) gamma(w))
+    K = spaces(weight, q, n, float(n))
+    rng = np.random.default_rng(12)
+    R = K.equilibrium.droplet_radius
+    z = np.concatenate([[0.0], disk_points(rng, 30, 1.4 * R)])
+    w = disk_points(rng, 31, 1.4 * R)
+    phi_z, phi_w = K._features.weighted(z), K._features.weighted(w)
+    assert phi_z.shape == (K.spec.dim, z.size)
+    gz, gw = K.one_point_intensity(z), K.one_point_intensity(w)
+    np.testing.assert_allclose(np.sum(np.abs(phi_z) ** 2, axis=0), gz, rtol=1e-12)
+    cross = np.sum(phi_z * phi_w.conj(), axis=0)
+    err = np.abs(cross - K.weighted_kernel(z, w)) / np.sqrt(gz * gw)
+    assert np.max(err) < 1e-12
 
 
 def test_seed_split_documented_and_stable():
