@@ -189,9 +189,7 @@ def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
     targets = z0 + seps[None, :] * dirs[:, None]
     if np.any(np.abs(targets) > R * (1.0 + 1e-12)):
         raise ConfigurationError("a scan point z0 + s*dir leaves the droplet")
-    logs = 2.0 * np.asarray(
-        K.log_abs_weighted_kernel(np.full(targets.shape, z0), targets)
-    )
+    logs = 2.0 * np.asarray(K.log_abs_weighted_kernel(z0, targets))
     floored = ~np.isfinite(logs) | (logs < LOG_FLOOR)
     logs = np.where(floored, LOG_FLOOR, logs)
     mean_logs = np.mean(logs, axis=0)

@@ -1,23 +1,24 @@
 """Exact sampling of the determinantal process and empirical statistics.
 
 The correlation kernel is a projection onto an nq-dimensional space, so the
-process can be sampled exactly by sequential peeling: draw a point from the
-current normalized diagonal, orthogonally project the frame against the
-drawn point's feature vector, repeat nq times.  The features
+process is sampled exactly by sequential peeling (Hough, Krishnapur, Peres,
+Virag, Probab. Surveys 3 (2006), Alg. 18): draw a point from the current
+normalized diagonal, orthogonally project the frame against the drawn
+point's feature vector, repeat nq times.  The features
 
     Phi_a(z) = e_a(z) e^{-mQ(z)/2}
 
-are the evaluator's own feature map (the weighted orthonormal basis, solved
-through the scaled Cholesky factors of all Gram blocks at once), so
-||Phi(z)||^2 is the one-point intensity and after t draws the current
-diagonal is ||Phi(z)||^2 - sum_i |<u_i, Phi(z)>|^2 with u_i the
-orthonormalized features of the accepted points.
-
-Each draw uses rejection sampling: a radially binned envelope of the current
-diagonal (the diagonal stays smooth and nearly radial at every step) with a
-uniform-on-annulus proposal.  The sampling disk has radius R + 6 m^{-1/2} +
-0.5; the mass outside it decays exponentially and is far below 1e-8 at desk
-scale.
+are the evaluator's own feature map, so gamma(z) = ||Phi(z)||^2 is the
+one-point intensity and after t draws the diagonal is
+gamma(z) - sum_i |<u_i, Phi(z)>|^2, with u_i the orthonormalized features of
+the accepted points.  By Bessel's inequality that never exceeds gamma, and
+gamma is exactly radial for every catalog weight, so one envelope serves
+every draw: gamma at both edges and the midpoint of ENVELOPE_BINS radial
+bins, times ENVELOPE_MARGIN.  Proposals are uniform on a bin's annulus, bins
+drawn in proportion to their envelope mass, and accepted with probability
+diagonal / envelope.  A proposal whose gamma exceeds its bin's envelope
+raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
+mass outside it decays exponentially and is far below 1e-8 at desk scale.
 
 Randomness comes from numpy's Philox counter-based generator.  A batch of
 configurations derives one 64-bit child seed per configuration index through
@@ -34,12 +35,9 @@ import numpy as np
 
 from .errors import ConfigurationError, SamplerError
 from .kernel import KernelEvaluator
-from .weights import RadialEquilibrium
 
 ENVELOPE_BINS = 256
-ENVELOPE_ANGLES = 8
-ENVELOPE_SAFETY = 1.5
-PROPOSAL_BATCH = 64
+ENVELOPE_MARGIN = 1.02
 MAX_PROPOSALS = 10**6
 
 
@@ -68,85 +66,83 @@ def seed_for_index(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_configuration(K: KernelEvaluator, eq: RadialEquilibrium | None,
-                         seed: int) -> PointConfiguration:
+def _radial_envelope(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges of the sampling disk and a per-bin bound on gamma."""
+    r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(K.spec.m) + 0.5
+    edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
+    probes = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
+    gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
+    at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
+    per_bin = np.maximum(np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
+    return edges, ENVELOPE_MARGIN * per_bin
+
+
+def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
     """Draw one exact configuration of the nq-point process."""
-    eq = eq or K.equilibrium
     spec = K.spec
     nq = spec.dim
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    features = K._features.weighted
-    r_max = eq.droplet_radius + 6.0 / math.sqrt(spec.m) + 0.5
+    edges, envelope = _radial_envelope(K)
+    area = edges[1:] ** 2 - edges[:-1] ** 2
+    cdf = np.cumsum(envelope * area)
+    mass = cdf[-1]  # integral of the envelope against dA = d^2z / pi
+    cdf /= mass
 
-    edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
-    probe_r = np.concatenate([
-        edges[:-1] + (edges[1:] - edges[:-1]) * frac for frac in (0.25, 0.5, 0.75)
-    ])
-    probe_ang = np.exp(2j * np.pi * np.arange(ENVELOPE_ANGLES) / ENVELOPE_ANGLES)
-    probes = (probe_r[:, None] * probe_ang[None, :]).ravel()
-
-    phi_probes = features(probes)
-    diag_probes = np.sum(np.abs(phi_probes) ** 2, axis=0)
-
-    frame = np.zeros((0, nq), dtype=complex)
+    frame = np.zeros((nq, nq), dtype=complex)  # conjugated orthonormal rows
     points = np.empty(nq, dtype=complex)
     proposals = 0
+    space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
 
-    def current_diagonal(z: np.ndarray) -> np.ndarray:
-        phi = features(z)
-        diag = np.sum(np.abs(phi) ** 2, axis=0)
-        if frame.shape[0]:
-            proj = frame.conj() @ phi
-            diag = diag - np.sum(np.abs(proj) ** 2, axis=0)
-        return np.maximum(diag, 0.0)
-
+    # Proposal k of a configuration uses row k of the uniforms drawn from
+    # the Philox stream; proposals left in a batch after an acceptance carry
+    # over to the next draw, so the points do not depend on the batch size.
+    taken = size = 0  # proposals of the current batch consumed, and drawn
     for t in range(nq):
-        diag_grid = np.maximum(diag_probes, 0.0).reshape(3 * ENVELOPE_BINS,
-                                                         ENVELOPE_ANGLES)
-        per_bin = diag_grid.max(axis=1).reshape(3, ENVELOPE_BINS).max(axis=0)
-        envelope = ENVELOPE_SAFETY * np.maximum(per_bin, 1e-300)
-        bin_mass = envelope * (edges[1:] ** 2 - edges[:-1] ** 2)
-        bin_prob = bin_mass / bin_mass.sum()
-
-        accepted = None
-        draw_proposals = 0
-        while accepted is None:
-            idx = rng.choice(ENVELOPE_BINS, size=PROPOSAL_BATCH, p=bin_prob)
-            u1 = rng.random(PROPOSAL_BATCH)
-            radii = np.sqrt(edges[idx] ** 2 + u1 * (edges[idx + 1] ** 2 - edges[idx] ** 2))
-            angles = 2.0 * np.pi * rng.random(PROPOSAL_BATCH)
-            cand = radii * np.exp(1j * angles)
-            dvals = current_diagonal(cand)
-            ratio = dvals / envelope[idx]
-            # a rare envelope violation is accepted outright and the bin raised
-            hits = rng.random(PROPOSAL_BATCH) < ratio
-            draw_proposals += PROPOSAL_BATCH
-            proposals += PROPOSAL_BATCH
-            over = ratio > 1.0
-            if np.any(over):
-                envelope[idx[over]] = ENVELOPE_SAFETY * dvals[over]
-            if np.any(hits):
-                accepted = cand[int(np.argmax(hits))]
-            elif draw_proposals > MAX_PROPOSALS:
+        draw_start = proposals
+        while True:
+            if taken == size:
+                # proposals per acceptance is mass / (nq - t) on average
+                size, taken = math.ceil(mass / (nq - t)), 0
+                u = rng.random((size, 4))
+                idx = np.searchsorted(cdf, u[:, 0], side="right")
+                cand = np.sqrt(edges[idx] ** 2 + u[:, 1] * area[idx]) \
+                    * np.exp(2j * np.pi * u[:, 2])
+                phi = K._features.weighted(cand)
+                gamma = np.sum(np.abs(phi) ** 2, axis=0)
+                bound = envelope[idx]
+                worst = int(np.argmax(gamma / bound))
+                if gamma[worst] > bound[worst]:
+                    b = int(idx[worst])
+                    raise SamplerError(
+                        f"envelope violated at draw {t + 1}/{nq}: gamma/envelope = "
+                        f"{gamma[worst] / bound[worst]:.4f} in radial bin {b} "
+                        f"[{edges[b]:.6g}, {edges[b + 1]:.6g}] ({space})"
+                    )
+                threshold = u[:, 3] * bound
+            rest = slice(taken, size)
+            diag = gamma[rest] - np.sum(np.abs(frame[:t] @ phi[:, rest]) ** 2, axis=0)
+            hits = np.flatnonzero(threshold[rest] < diag)
+            consumed = int(hits[0]) + 1 if hits.size else size - taken
+            taken += consumed
+            proposals += consumed
+            if hits.size:
+                break
+            if proposals - draw_start > MAX_PROPOSALS:
                 raise SamplerError(
                     f"rejection sampling stalled at draw {t + 1}/{nq}: "
-                    f"{draw_proposals} proposals without acceptance "
-                    f"(weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m})"
+                    f"{proposals - draw_start} proposals without acceptance ({space})"
                 )
 
-        points[t] = accepted
-        g = features(np.array([accepted]))[:, 0]
-        if frame.shape[0]:
-            g = g - (frame.conj() @ g) @ frame
-            # second orthogonalization pass controls roundoff growth
-            g = g - (frame.conj() @ g) @ frame
+        hit = taken - 1
+        points[t] = cand[hit]
+        g = phi[:, hit]
+        # two passes of g -= sum_i <u_i, g> u_i; the second controls roundoff
+        for _ in range(2):
+            g = g - ((frame[:t] @ g).conj() @ frame[:t]).conj()
         norm = np.linalg.norm(g)
         if norm <= 0.0:
             raise SamplerError(f"degenerate frame update at draw {t + 1}/{nq}")
-        u_new = g / norm
-        frame = np.vstack([frame, u_new])
-        # fold the new direction into the cached probe diagonal
-        diag_probes = diag_probes - np.abs(u_new.conj() @ phi_probes) ** 2
+        frame[t] = g.conj() / norm
 
     return PointConfiguration(points=points, seed=int(seed), q=spec.q, n=spec.n,
                               m=spec.m, weight=K.weight.spec_string(),
@@ -154,17 +150,15 @@ def sample_configuration(K: KernelEvaluator, eq: RadialEquilibrium | None,
 
 
 def sample_batch(K: KernelEvaluator, count: int, master_seed: int,
-                 eq: RadialEquilibrium | None = None,
                  workers: int = 1) -> list[PointConfiguration]:
     """Sample independent configurations with documented seed splitting."""
-    eq = eq or K.equilibrium
     seeds = [seed_for_index(master_seed, i) for i in range(count)]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda s: sample_configuration(K, eq, s), seeds))
-    return [sample_configuration(K, eq, s) for s in seeds]
+            return list(pool.map(lambda s: sample_configuration(K, s), seeds))
+    return [sample_configuration(K, s) for s in seeds]
 
 
 @dataclass

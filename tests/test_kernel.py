@@ -155,6 +155,12 @@ def test_weighted_kernel_cauchy_schwarz(spaces):
     lhs = np.abs(K.weighted_kernel(z, v))
     rhs = np.sqrt(K.one_point_intensity(z) * K.one_point_intensity(v))
     assert np.all(lhs <= rhs * (1.0 + 1e-10))
+    # a scalar side has its features computed once and broadcast
+    full = np.full(v.shape, z[0])
+    np.testing.assert_allclose(K.weighted_kernel(z[0], v), K.weighted_kernel(full, v),
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(K.log_abs_weighted_kernel(v, z[0]),
+                               K.log_abs_weighted_kernel(v, full), rtol=1e-14, atol=0.0)
 
 
 def test_one_point_intensity_examples(spaces):
