@@ -2,7 +2,7 @@
 
 Two failure categories matter operationally: configuration problems
 (bad flags, weight strings, preconditions) and numerical degeneracy
-(Cholesky breakdown, vanishing denominators, sampler stalls).  The CLI
+(a singular Gram block, vanishing denominators, sampler stalls).  The CLI
 maps them to exit codes 1 and 2 respectively.
 """
 

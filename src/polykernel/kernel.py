@@ -4,10 +4,16 @@ The space span{conj(z)^r z^j : 0 <= r < q, 0 <= j < n} carries the inner
 product of L^2(e^{-mQ} dA).  For a radial weight the monomial Gram matrix is
 block diagonal: <conj(z)^s z^k, conj(z)^r z^j> vanishes unless j - r = k - s,
 and within the degree-offset-d block the entry is the radial moment
-M_{r+s+d}.  Each block (size at most q) is scaled to unit diagonal by
-D^{-1/2} G D^{-1/2}, whose entries are moment ratios near 1, and Cholesky
-factored; an nq-dimensional ill-conditioned problem becomes at most n+q-1
-tiny well-conditioned ones, which keeps m ~ 200 inside double precision.
+M_{r+s+d}.  Scaled to unit diagonal by D^{-1/2} G D^{-1/2}, with D from the
+log-moment table, the nq-dimensional ill-conditioned problem becomes at most
+n+q-1 blocks of size at most q.  A block is factored without being formed:
+its monomials |z|^p e^{-mQ/2}, sampled on one trapezoid grid in
+u = log |z|^2 (quadrature.MomentRule) and normalized to unit norm, are the
+columns of a node matrix whose Gram matrix is the scaled block, and the R of
+its QR factorization gives the lower factor R^T.  Orthogonal factorization
+does not square the block's condition number, so blocks of condition 1e15
+(q = 10) need no extended precision, and the log domain keeps m ~ 200
+inside double range.
 
 Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
 an orthonormal basis e_a: the correlation kernel is sum_a Phi_a(z) conj(Phi_a(w)).
@@ -18,8 +24,9 @@ are solved at once by forward substitution on identity-padded Cholesky
 factors.  Pair evaluation recombines the blocks under a global running scale;
 the weight factors e^{-mQ/2} fold into the per-monomial logs.
 
-A KernelEvaluator is immutable after construction and safe for concurrent
-evaluation from many threads.
+A KernelEvaluator is immutable after construction, apart from tables derived
+from the space on first use (concurrent first uses compute the same table),
+and safe for concurrent evaluation from many threads.
 """
 
 from __future__ import annotations
@@ -32,11 +39,15 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .quadrature import log_moment_table, integrate_polar_grid
+from .quadrature import RULE_STEP, MomentRule, integrate_polar_grid, log_moment_table
 from .reporting import write_csv
 from .weights import RadialEquilibrium, WeightModel
 
-CONDITION_ESCALATION_LIMIT = 1e12
+# Least log-drop of the integrand of a block's lowest row at the left end of
+# the block's node grid.  Far left only that row survives, and the inverse
+# factor amplifies its truncated tail by up to the block's condition number
+# (1e15 at q = 10), so the grid reaches twice as far down as a moment rule.
+GRAM_LEFT_TAIL = 80.0
 NEGATIVE_DET_CLAMP = 1e-10
 LOG_FLOOR = -745.0  # double underflow boundary for logged magnitudes
 PAIR_CHUNK = 1 << 17  # about 1 MB per float64 working array
@@ -74,13 +85,14 @@ class _Block:
 
 
 class GramFactorization:
-    """Log-moment table plus per-offset scaled Cholesky factors."""
+    """Log-moment table plus per-offset factors of the scaled Gram blocks."""
 
     def __init__(self, weight: WeightModel, spec: SpaceSpec):
         self.weight = weight
         self.spec = spec
         q, n, m = spec.q, spec.n, spec.m
-        self.log_moments = log_moment_table(weight, m, n + q - 2)
+        rule = MomentRule(weight, m, np.arange(n + q - 1))
+        self.log_moments = log_moment_table(weight, m, n + q - 2, rule)
         self.blocks: list[_Block] = []
         self.condition_report: dict[int, float] = {}
         total = 0
@@ -88,16 +100,7 @@ class GramFactorization:
             r_lo, r_hi = max(0, -d), min(q - 1, n - 1 - d)
             r = np.arange(r_lo, r_hi + 1)
             p = 2 * r + d
-            scaled = self._scaled_block(d, r)
-            cond = float(np.linalg.cond(scaled))
-            if cond > CONDITION_ESCALATION_LIMIT or not np.isfinite(cond):
-                chol, cond = self._escalated_cholesky(d, r)
-            else:
-                try:
-                    chol = np.linalg.cholesky(scaled)
-                except np.linalg.LinAlgError:
-                    chol, cond = self._escalated_cholesky(d, r)
-            self.condition_report[d] = cond
+            chol, self.condition_report[d] = self._factor(d, rule, p)
             self.blocks.append(_Block(d, r, p, chol))
             total += r.size
         if total != spec.dim:
@@ -105,47 +108,42 @@ class GramFactorization:
                 f"block index sets cover {total} basis elements, expected {spec.dim}"
             )
 
-    def _scaled_block(self, d: int, r: np.ndarray) -> np.ndarray:
-        logm = self.log_moments
-        p = 2 * r + d
-        cross = logm[r[:, None] + r[None, :] + d]
-        return np.exp(cross - 0.5 * logm[p][:, None] - 0.5 * logm[p][None, :])
+    def _factor(self, d: int, rule: MomentRule, p: np.ndarray) -> tuple[np.ndarray, float]:
+        """Lower factor of block d and the condition number of the scaled block.
 
-    def _escalated_cholesky(self, d: int, r: np.ndarray) -> tuple[np.ndarray, float]:
-        """Recompute one block's moments and Cholesky in 40-digit arithmetic."""
-        import mpmath as mp
+        ``rule`` holds the exponents 0..n+q-2 in order, so the rows of the
+        block's exponents ``p`` are ``p`` themselves.  The node matrix holds one column per scaled monomial
+        |z|^p e^{-mQ/2}, sampled on one trapezoid grid in u that covers the
+        rules of every row, so its Gram matrix is the block's, up to the
+        column scales.  With unit columns, R of its QR factorization has
+        R^T R equal to the scaled block, so chol = R^T is found without
+        forming the block and squaring its condition number.
+        """
+        step = RULE_STEP * np.min(rule.width[p])
+        left, right = rule.reach(p, GRAM_LEFT_TAIL)
+        lo, hi = np.min(left), np.max(right)
+        u = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+        nodes = np.exp(0.5 * rule.log_integrand(p[None, :], u[:, None]))
+        nodes /= np.linalg.norm(nodes, axis=0)
+        r_fac = np.linalg.qr(nodes, mode="r")
+        r_fac *= np.where(np.diagonal(r_fac) < 0.0, -1.0, 1.0)[:, None]
+        diag = np.diagonal(r_fac)
+        if not (np.all(np.isfinite(r_fac)) and np.all(diag > 0.0)):
+            raise NumericalDegeneracyError(
+                f"Gram block d={d} is numerically degenerate: its QR factor has "
+                f"diagonal {np.array2string(diag, precision=3)} (condition "
+                f"{self._condition(r_fac):.3e}; weight {self.weight.spec_string()}, "
+                f"q={self.spec.q}, n={self.spec.n}, m={self.spec.m})"
+            )
+        return np.ascontiguousarray(r_fac.T), self._condition(r_fac)
 
-        w, m = self.weight, self.spec.m
-        with mp.workdps(40):
-            def moment(p: int):
-                from .quadrature import _moment_mode
-
-                r_star = _moment_mode(w, m, p)
-                integrand = lambda t: t ** (2 * p + 1) * mp.e ** (
-                    -m * sum(c * t ** (2 * (k + 1)) for k, c in enumerate(w.coeffs))
-                )
-                pts = [0, r_star, 2 * r_star, 4 * r_star, mp.inf]
-                return 2 * mp.quad(integrand, pts)
-
-            needed = sorted({int(a + b + d) for a in r for b in r} | {int(2 * a + d) for a in r})
-            mom = {p: moment(p) for p in needed}
-            size = r.size
-            g = mp.matrix(size, size)
-            for i, a in enumerate(r):
-                for j, b in enumerate(r):
-                    g[i, j] = mom[int(a + b + d)] / mp.sqrt(
-                        mom[int(2 * a + d)] * mom[int(2 * b + d)]
-                    )
-            try:
-                low = mp.cholesky(g)
-            except Exception as exc:
-                raise NumericalDegeneracyError(
-                    f"Gram block d={d} is numerically degenerate even at 40 digits "
-                    f"(condition {self.condition_report.get(d, float('nan')):.3e})"
-                ) from exc
-            chol = np.array([[float(low[i, j]) for j in range(size)] for i in range(size)])
-        scaled = chol @ chol.T
-        return chol, float(np.linalg.cond(scaled))
+    @staticmethod
+    def _condition(r_fac: np.ndarray) -> float:
+        """cond(R)^2, the condition number of the scaled block R^T R."""
+        if not np.all(np.isfinite(r_fac)):
+            return math.inf
+        with np.errstate(divide="ignore"):
+            return float(np.linalg.cond(r_fac)) ** 2
 
 
 class _FeatureMap:
@@ -224,6 +222,9 @@ class KernelEvaluator:
         self.spec = factorization.spec
         self.equilibrium = RadialEquilibrium.solve(self.weight)
         self._features = _FeatureMap(factorization)
+        # tables that other modules derive from the space alone (the sampler's
+        # radial profile of gamma), filled on first use
+        self._derived: dict = {}
 
     def _pair_eval(self, z, w, zw_power: float, ww_power: float):
         """Pairwise kernel values as (log_scale, complex mantissa) arrays.
@@ -383,7 +384,7 @@ class KernelEvaluator:
 
 
 def build_space(weight: WeightModel, spec: SpaceSpec) -> KernelEvaluator:
-    """Assemble moments, blocks, and Cholesky factors for one space."""
+    """Assemble moments, blocks, and their factors for one space."""
     return KernelEvaluator(GramFactorization(weight, spec))
 
 

@@ -1,15 +1,27 @@
-"""Log-domain radial moments and polar-grid integration.
+"""Log-domain radial moments on one trapezoid rule, and polar-grid integration.
 
 The Gram matrices of the polynomial spaces are assembled from the radial
 moments
 
-    M_p = int |z|^(2p) e^(-m Q(z)) dA(z) = 2 int_0^inf r^(2p+1) e^(-m Q(r)) dr,
+    M_p = int |z|^(2p) e^(-m Q(z)) dA(z) = int exp(f_p(u)) du,
+    f_p(u) = (p + 1) u - m sum_k c_k e^(k u),     u = log |z|^2,
 
 whose dynamic range for m, p up to a few hundred far exceeds double range, so
-every moment is carried as a natural log.  The integrand mode r* solves
-(2p+1)/r = m Q'(r); panels of adaptive Gauss-Kronrod 15-point quadrature sweep
-outward from the mode on the shifted integrand exp(f(r) - f(r*)) until a panel
-contributes less than 1e-18 of the accumulated total.
+every moment is carried as a natural log.  In u the integrand is smooth and
+unimodal; it decays like e^((p+1) u) on the left and doubly exponentially on
+the right, so the trapezoid rule converges exponentially in the step
+(Trefethen and Weideman, SIAM Review 56 (2014)).  The rule of M_p has nodes
+u*_p + j h_p around the mode u*_p, the root of m sum_k k c_k e^(k u) = p + 1,
+which one safeguarded Newton solve finds for every p at once.  The step is
+RULE_STEP sigma_p, where sigma_p = (m sum_k k^2 c_k e^(k u*_p))^(-1/2) is the
+width of the peak.  The rule reaches RIGHT_TAIL sigma_p to the right, and to
+the left at least as far and until the integrand has fallen by e^(-LEFT_TAIL)
+(a bound from Q >= 0 places that point).  Each p has its own nodes, so a
+moment does not depend on which other moments are computed with it.  An
+integrand still above TAIL_BOUND of its peak at either end of its rule
+raises NumericalDegeneracyError.  Integrands are evaluated relative to the
+peak as (p+1) x - sum_k a_k expm1(k x), with x = u - u*_p and
+a_k = m c_k e^(k u*_p), so no large logs cancel.
 """
 
 from __future__ import annotations
@@ -20,49 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .weights import WeightModel, _bisect_increasing
+from .weights import WeightModel
 
-# 15-point Kronrod nodes with embedded 7-point Gauss rule (QUADPACK constants).
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-_KRONROD_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
-_KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_GAUSS_WEIGHTS = np.zeros(15)
-_GAUSS_WEIGHTS[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-_GAUSS_WEIGHTS[7] = _WG[3]
-
-
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |K15 - G7| error estimate on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = f(mid + half * _KRONROD_NODES)
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, y))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, y))
-    return k15, abs(k15 - g7)
-
-
-def _adaptive_panel(f, a: float, b: float, rel_tol: float, abs_floor: float,
-                    depth: int = 0) -> float:
-    value, err = _gk15(f, a, b)
-    if err <= rel_tol * abs(value) + abs_floor or depth >= 40:
-        return value
-    mid = 0.5 * (a + b)
-    return (_adaptive_panel(f, a, mid, rel_tol, abs_floor, depth + 1)
-            + _adaptive_panel(f, mid, b, rel_tol, abs_floor, depth + 1))
+RULE_STEP = 1.0 / 8.0   # trapezoid step, in units of the peak width sigma_p
+RIGHT_TAIL = 12.0       # reach of a rule beyond its mode, in units of sigma_p
+LEFT_TAIL = 40.0        # least log-drop of the integrand at the left end
+TAIL_BOUND = 1e-15      # largest integrand at either end, relative to the peak
+NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -74,68 +50,161 @@ class LogMoment:
     m: float
 
 
-def _moment_mode(w: WeightModel, m: float, p: int) -> float:
-    """Root of m r Q'(r) = 2p + 1; unique since r Q'(r) is increasing."""
-    target = 2.0 * p + 1.0
-    return _bisect_increasing(lambda r: m * r * w.q_prime(r) - target, 1.0, 1.0,
-                              lambda lo, hi: hi - lo < 1e-14 * hi,
-                              "moment mode search")
+class MomentRule:
+    """Peaks of the log integrands f_p for the exponents p, and their rules.
+
+    ``mode`` holds u*_p, ``width`` sigma_p and ``terms`` the (p, k) array of
+    a_k = m c_k e^(k u*_p).
+    """
+
+    def __init__(self, w: WeightModel, m: float, p):
+        if not (m > 0.0 and math.isfinite(m)):
+            raise ConfigurationError(f"radial moment needs m > 0, got {m}")
+        self.p = np.atleast_1d(np.asarray(p))
+        if self.p.size and self.p.min() < 0:
+            raise ConfigurationError(f"radial moment needs p >= 0, got {self.p.min()}")
+        self.weight, self.m = w, m
+        self.mode = self._solve_modes()
+        self.terms = self._terms(self.mode)
+        self.width = 1.0 / np.sqrt(self._slopes(self.terms)[1])
+        self.peak_weight = np.zeros(self.p.size)  # m Q at the mode, sum_k a_k
+        for k in range(self.terms.shape[1]):
+            self.peak_weight += self.terms[:, k]
+
+    def _terms(self, u: np.ndarray) -> np.ndarray:
+        """a_k = m c_k e^(k u) as a (points, degree) array."""
+        k = np.arange(1, self.weight.degree + 1)
+        return self.m * np.asarray(self.weight.coeffs) * np.exp(u[:, None] * k)
+
+    def _slopes(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_k k a_k and sum_k k^2 a_k, i.e. (p+1) - f_p'(u) and -f_p''(u).
+
+        Summed term by term, so a row does not depend on the other rows.
+        """
+        s1 = np.zeros(a.shape[0])
+        s2 = np.zeros(a.shape[0])
+        for k in range(1, a.shape[1] + 1):
+            s1 += k * a[:, k - 1]
+            s2 += k * k * a[:, k - 1]
+        return s1, s2
+
+    def _solve_modes(self) -> np.ndarray:
+        """Roots of sum_k k a_k(u) = p + 1 by Newton steps kept in a bracket.
+
+        The left side is increasing in u (its derivative is m t dQ(t) > 0).
+        Each root stops at its own convergence, independently of the others.
+        """
+        target = self.p + 1.0
+        lead = self.weight.degree
+        guess = np.log(target / (self.m * lead * self.weight.coeffs[-1])) / lead
+
+        def excess(u):
+            return self._slopes(self._terms(u))[0] - target
+
+        def bracket(u, move, what):
+            """Step u by doubling moves until move * excess(u) >= 0."""
+            step = np.ones(u.shape)
+            for _ in range(NEWTON_STEPS):
+                out = move * excess(u) < 0.0
+                if not out.any():
+                    return u
+                u = np.where(out, u + move * step, u)
+                step = np.where(out, 2.0 * step, step)
+            raise NumericalDegeneracyError(
+                f"moment mode search found no {what} bracket "
+                f"(weight {self.weight.spec_string()}, m={self.m})")
+
+        hi = bracket(guess, 1.0, "upper")
+        lo = bracket(hi - 1.0, -1.0, "lower")
+        u = hi.copy()
+        active = np.arange(u.size)
+        for _ in range(NEWTON_STEPS):
+            if not active.size:
+                return u
+            ua = u[active]
+            s1, s2 = self._slopes(self._terms(ua))
+            f = s1 - target[active]
+            lo[active] = np.where(f < 0.0, ua, lo[active])
+            hi[active] = np.where(f > 0.0, ua, hi[active])
+            new = ua - f / s2
+            new = np.where((new > lo[active]) & (new < hi[active]), new,
+                           0.5 * (lo[active] + hi[active]))
+            u[active] = new
+            active = active[np.abs(new - ua) > 1e-13 * np.maximum(1.0, np.abs(ua))]
+        raise NumericalDegeneracyError(
+            f"moment mode search did not converge (weight {self.weight.spec_string()}, "
+            f"m={self.m})")
+
+    def reach(self, rows, left_tail: float = LEFT_TAIL) -> tuple[np.ndarray, np.ndarray]:
+        """Ends in u of the rules of ``rows``.
+
+        Q is nonnegative and increasing, so f_p(u* - x) - f_p(u*) is at most
+        m Q(t*) - (p+1) x: the left end lies where the integrand has fallen
+        by at least e^(-left_tail).
+        """
+        p, mode, width = self.p[rows], self.mode[rows], self.width[rows]
+        left = (left_tail + self.peak_weight[rows]) / (p + 1.0)
+        return mode - np.maximum(RIGHT_TAIL * width, left), mode + RIGHT_TAIL * width
+
+    def log_integrand(self, rows, u: np.ndarray) -> np.ndarray:
+        """f_p(u) - f_p(u*_p) for the rule rows ``rows`` (broadcast against u)."""
+        x = u - self.mode[rows]
+        a = self.terms[rows]
+        out = (self.p[rows] + 1.0) * x
+        for k in range(1, a.shape[-1] + 1):
+            out -= a[..., k - 1] * np.expm1(k * x)
+        return out
+
+    def log_moments(self) -> np.ndarray:
+        """log M_p of every row, each by its own trapezoid rule."""
+        h = RULE_STEP * self.width
+        left, right = self.reach(slice(None))
+        below = np.ceil((self.mode - left) / h).astype(int)
+        above = np.ceil((right - self.mode) / h).astype(int)
+        count = below + above + 1
+        rows = np.repeat(np.arange(self.p.size), count)
+        starts = np.concatenate([[0], np.cumsum(count)[:-1]])
+        j = np.arange(rows.size) - starts[rows] - below[rows]
+        u = self.mode[rows] + j * h[rows]
+        vals = np.exp(self.log_integrand(rows, u))
+        sums = np.add.reduceat(vals, starts)
+        ends = np.maximum(vals[starts], vals[starts + count - 1])
+        if np.any(ends > TAIL_BOUND):
+            bad = int(np.argmax(ends))
+            raise NumericalDegeneracyError(
+                f"moment rule p={self.p[bad]}, m={self.m} ends at {ends[bad]:.1e} of its "
+                f"peak (weight {self.weight.spec_string()})")
+        # f_p(u*) is a difference of terms up to ~(p+1) |u*|; summed in extended
+        # precision, log M_p is rounded once
+        mode = self.mode.astype(np.longdouble)
+        peak = (self.p + 1) * mode
+        for k, c in enumerate(self.weight.coeffs, start=1):
+            peak -= np.longdouble(self.m) * np.longdouble(c) * np.exp(k * mode)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (peak + np.log(h * sums)).astype(float)
+        if not np.all(np.isfinite(logs)):
+            bad = int(self.p[np.argmin(np.isfinite(logs))])
+            raise NumericalDegeneracyError(
+                f"degenerate radial moment p={bad}, m={self.m} "
+                f"(weight {self.weight.spec_string()})")
+        return logs
 
 
 def radial_log_moment(w: WeightModel, m: float, p: int) -> LogMoment:
-    """log M_p by mode-centred adaptive Gauss-Kronrod in the log domain."""
-    if m <= 0.0:
-        raise ConfigurationError(f"radial moment needs m > 0, got {m}")
-    if p < 0:
-        raise ConfigurationError(f"radial moment needs p >= 0, got {p}")
-    r_star = _moment_mode(w, m, p)
-    peak_log = (2.0 * p + 1.0) * math.log(r_star) - m * w.eval_weight(r_star)
-
-    def shifted(r):
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, -np.inf)
-        pos = r > 0.0
-        out[pos] = (2.0 * p + 1.0) * np.log(r[pos]) - m * w.eval_weight(r[pos]) - peak_log
-        return np.exp(out)
-
-    # curvature of the log integrand at the mode is -4 m dQ(r*): local width
-    sigma = 1.0 / math.sqrt(4.0 * m * w.delta_q(r_star))
-    total = 0.0
-    for direction in (+1.0, -1.0):
-        edge = r_star
-        width = 2.0 * sigma
-        for _ in range(100000):
-            if direction > 0:
-                a, b = edge, edge + width
-            else:
-                a, b = max(edge - width, 0.0), edge
-            if b <= a:
-                break
-            part = _adaptive_panel(shifted, a, b, 1e-15, 1e-18 * max(total, 1.0))
-            total += part
-            edge = b if direction > 0 else a
-            if direction < 0 and edge <= 0.0:
-                break
-            if abs(part) < 1e-18 * total and total > 0.0:
-                break
-            width *= 2.0
-        else:
-            raise NumericalDegeneracyError(
-                f"moment sweep failed to converge for p={p}, m={m}"
-            )
-    if not (total > 0.0) or not math.isfinite(total):
-        raise NumericalDegeneracyError(f"degenerate radial moment p={p}, m={m}")
-    return LogMoment(log_value=peak_log + math.log(2.0 * total), p=p, m=m)
+    """log M_p by the mode-centred trapezoid rule in u = log |z|^2."""
+    return LogMoment(log_value=float(MomentRule(w, m, [p]).log_moments()[0]), p=p, m=m)
 
 
-def log_moment_table(w: WeightModel, m: float, p_max: int) -> np.ndarray:
+def log_moment_table(w: WeightModel, m: float, p_max: int,
+                     rule: MomentRule | None = None) -> np.ndarray:
     """log M_p for p = 0..p_max, checked for moment log-convexity.
 
+    ``rule``, if given, is the MomentRule of exactly these exponents.
     Moment sequences are log-convex (Cauchy-Schwarz), so the increments of
     log M_p must be nondecreasing; a violation indicates a quadrature failure
     and aborts Gram assembly.
     """
-    logs = np.array([radial_log_moment(w, m, p).log_value for p in range(p_max + 1)])
+    logs = (rule or MomentRule(w, m, np.arange(p_max + 1))).log_moments()
     if p_max >= 2:
         inc = np.diff(logs)
         if np.any(np.diff(inc) < -1e-10):

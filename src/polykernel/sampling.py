@@ -13,8 +13,9 @@ one-point intensity and after t draws the diagonal is
 gamma(z) - sum_i |<u_i, Phi(z)>|^2, with u_i the orthonormalized features of
 the accepted points.  By Bessel's inequality that never exceeds gamma, and
 gamma is exactly radial for every catalog weight, so one envelope serves
-every draw: gamma at both edges and the midpoint of ENVELOPE_BINS radial
-bins, times ENVELOPE_MARGIN.  Proposals are uniform on a bin's annulus, bins
+every draw and every configuration: gamma at both edges and the midpoint of
+ENVELOPE_BINS radial bins, tabulated once per evaluator, times
+ENVELOPE_MARGIN.  Proposals are uniform on a bin's annulus, bins
 drawn in proportion to their envelope mass, and accepted with probability
 diagonal / envelope.  A proposal whose gamma exceeds its bin's envelope
 raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
@@ -66,14 +67,27 @@ def seed_for_index(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _radial_profile(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges of the sampling disk and the per-bin maximum of gamma.
+
+    It depends only on the space, so it is tabulated once per evaluator.
+    Concurrent first calls may tabulate it twice, with identical results.
+    """
+    cached = K._derived.get("radial_profile")
+    if cached is None:
+        r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(K.spec.m) + 0.5
+        edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
+        probes = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
+        gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
+        at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
+        cached = edges, np.maximum(np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
+        K._derived["radial_profile"] = cached
+    return cached
+
+
 def _radial_envelope(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
     """Bin edges of the sampling disk and a per-bin bound on gamma."""
-    r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(K.spec.m) + 0.5
-    edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
-    probes = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
-    gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
-    at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
-    per_bin = np.maximum(np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
+    edges, per_bin = _radial_profile(K)
     return edges, ENVELOPE_MARGIN * per_bin
 
 

@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 import polykernel as pk
+from polykernel.cli import run
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError
 
 from conftest import disk_points
@@ -56,20 +57,52 @@ def test_condition_report_power2(spaces):
     assert all(c < 1e3 for c in K.factorization.condition_report.values())
 
 
-def test_escalated_cholesky_matches_double_path(spaces):
-    # the 40-digit fallback must reproduce the double-precision factor
-    K = spaces("power:p=2", 2, 4, 5.0)
-    fact = K.factorization
-    blk = fact.blocks[2]
-    chol_mp, cond = fact._escalated_cholesky(blk.d, blk.r_values)
-    assert np.max(np.abs(chol_mp - blk.chol)) < 1e-12
-    assert cond < 1e3
+def test_trace_identity_past_1e12_condition(spaces):
+    # power:p=3 at q = 8 has scaled Gram blocks of condition above 1e12;
+    # the QR factors of their node matrices keep criterion 7's trace bound
+    K = spaces("power:p=3", 8, 20, 20.0)
+    assert max(K.factorization.condition_report.values()) > 1e12
+    assert abs(K.total_intensity() - K.spec.dim) <= 1e-8
+
+
+@pytest.mark.parametrize("weight", ["ginibre", "power:p=3"])
+@pytest.mark.parametrize("q", [4, 6, 8, 10])
+def test_high_q_sweep(spaces, weight, q):
+    # n = m = 40: block conditions reach 1e11-1e18 as q grows
+    K = spaces(weight, q, 40, 40.0)
+    probe = 0.3 * K.equilibrium.droplet_radius * np.exp(0.7j)
+    assert K.reproducing_residual(probe) <= 1e-7
+    assert abs(K.total_intensity() - K.spec.dim) <= (1e-8 if q <= 8 else 1e-6)
+
+
+@pytest.mark.parametrize("spoil", [0.0, np.nan])
+def test_degenerate_block_is_refused_by_name(monkeypatch, spoil, tmp_path):
+    # spoil the last diagonal entry of the third block's QR factor (d = 1)
+    real_qr = np.linalg.qr
+    calls = []
+
+    def qr(a, mode="reduced"):
+        r = real_qr(a, mode=mode)
+        calls.append(r.shape)
+        if len(calls) == 3:
+            r[-1, -1] = spoil
+        return r
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"block d=1 .*condition inf; weight ginibre, q=2, n=4, m=4\.0"):
+        pk.build_space(GINIBRE, pk.SpaceSpec(2, 4, 4.0))
+    assert calls[2] == (2, 2)
+    calls.clear()
+    argv = ["intensity", "--weight", "ginibre", "--q", "2", "--n", "4", "--m", "4",
+            "--out", str(tmp_path / "gamma.csv")]
+    assert run(argv) == 2
 
 
 @pytest.mark.parametrize("weight, q, n", [("ginibre", 4, 3), ("power:p=3", 8, 20)])
 def test_feature_map_padding_matches_per_block_solve(spaces, weight, q, n):
     # mixed block sizes (1,2,3,3,2,1 for q=4, n=3) and, for power:p=3 at q=8,
-    # a block refactored at 40 digits: the padded batched solve must match a
+    # blocks of condition above 1e12: the padded batched solve must match a
     # per-block triangular solve and leave the padded rows at zero
     K = spaces(weight, q, n, float(n))
     fact = K.factorization
@@ -92,7 +125,7 @@ def test_feature_map_padding_matches_per_block_solve(spaces, weight, q, n):
         ref = solve_triangular(blk.chol, np.exp(lt - np.where(np.isfinite(top), top, 0.0)),
                                lower=True)
         np.testing.assert_allclose(shift[i], top, rtol=1e-14, atol=1e-14)
-        # rounding differs by ~3e-11 in the escalated block (condition 6e14)
+        # rounding differs by up to ~6e-13 in the blocks of condition up to 1.6e12
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(mant[i, :p.size] - ref) <= 1e-9 * scale)
         assert not np.any(mant[i, p.size:])

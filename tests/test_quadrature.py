@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 import polykernel as pk
 from polykernel.errors import ConfigurationError
-from polykernel.quadrature import log_moment_table
+from polykernel.quadrature import MomentRule, log_moment_table
 
 GINIBRE = pk.parse_weight("ginibre")
 POWER2 = pk.parse_weight("power:p=2")
@@ -16,9 +16,7 @@ POWER2 = pk.parse_weight("power:p=2")
 
 def _trapezoid_moment_oracle(w: pk.WeightModel, m: float, p: int) -> float:
     """Brute-force log moment: 1e6-point trapezoid over a generous range."""
-    from polykernel.quadrature import _moment_mode
-
-    r_star = _moment_mode(w, m, p)
+    r_star = math.exp(0.5 * MomentRule(w, m, [p]).mode[0])
     hi = r_star
     def f_log(r):
         return (2 * p + 1) * np.log(r) - m * w.eval_weight(r)
@@ -44,6 +42,28 @@ def test_ginibre_moments_closed_form_sweep():
             got = pk.radial_log_moment(GINIBRE, m, p).log_value
             expect = float(gammaln(p + 1) - (p + 1) * math.log(m))
             assert abs(got - expect) < 1e-12, (m, p)
+
+
+@pytest.mark.parametrize("text, k", [("ginibre", 1), ("power:p=2", 2), ("power:p=3", 3)])
+def test_moment_table_closed_forms(text, k):
+    # Q = |z|^(2k): M_p = Gamma((p+1)/k) / (k m^((p+1)/k)), for every p <= 400
+    w = pk.parse_weight(text)
+    p = np.arange(401)
+    for m in (1.0, 50.0, 200.0):
+        expect = gammaln((p + 1) / k) - math.log(k) - (p + 1) / k * math.log(m)
+        err = np.abs(log_moment_table(w, m, 400) - expect)
+        assert np.max(err) < 1e-12, (m, int(np.argmax(err)))
+
+
+@pytest.mark.parametrize("text", ["ginibre", "power:p=3", "radialpoly:c=1,0.5"])
+def test_single_moment_matches_table_bits(text):
+    # every moment has its own rule, so it does not depend on the table's size
+    w = pk.parse_weight(text)
+    for m in (1.0, 37.0):
+        table = log_moment_table(w, m, 300)
+        for p in (0, 1, 2, 17, 150, 299, 300):
+            assert pk.radial_log_moment(w, m, p).log_value == table[p], (m, p)
+        assert np.array_equal(log_moment_table(w, m, 40), table[:41])
 
 
 def test_ginibre_moment_ratio():

@@ -150,37 +150,60 @@ def test_short_range_repulsion(spaces):
     assert near_density < 0.2 * ref_density
 
 
+def _anchored_pair_counts(K, anchor_cut, edges, m):
+    """Expected pairs per configuration: anchor |z| < anchor_cut, sqrt(m)|z-w| binned.
+
+    The two-point intensity gamma(z)gamma(w) - |K(z,w)|^2, and also the
+    uncorrelated gamma(z)gamma(w), integrated over w in each annulus around
+    z and over the anchor disk.  The weight is radial, so anchors are taken
+    on the positive axis with area weight 2r dr.
+    """
+    x, v = np.polynomial.legendre.leggauss(24)
+    r = 0.5 * anchor_cut * (x + 1.0)
+    wr = anchor_cut * v * r
+    xs, vs = np.polynomial.legendre.leggauss(6)
+    lo, hi = edges[:-1, None] / math.sqrt(m), edges[1:, None] / math.sqrt(m)
+    s = 0.5 * (hi - lo) * (xs + 1.0) + lo
+    ws = 0.5 * (hi - lo) * vs * s
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    z = np.broadcast_to(r[:, None, None, None].astype(complex), (r.size,) + s.shape + (64,))
+    w = z + s[None, :, :, None] * np.exp(1j * theta)
+    both = K.one_point_intensity(r.astype(complex))[:, None, None, None] \
+        * K.one_point_intensity(w)
+    exact = both - np.abs(K.weighted_kernel(z, w)) ** 2
+    anchors = float(np.sum(wr * K.one_point_intensity(r.astype(complex))))
+    return [np.einsum("i,ijkl,jk->j", wr, f, ws) * (2.0 / 64) for f in (exact, both)], anchors
+
+
 def test_ring_structure_q3(spaces):
-    # around each sampled point the rescaled pair-deficit profile (the
-    # correlation hole) dips at the two Laguerre zeros sqrt(3 -+ sqrt(3)).
-    # Same-configuration pair counts are normalized by cross-configuration
-    # pairs, which share the geometry but carry no correlations.  At 300
-    # configurations the per-bin noise (~0.02) exceeds the ring contrast
-    # (~0.01), so the located dips depend on the master seed: 16 of 40
-    # seeds miss the 0.25 tolerance even with an exact sampler.
+    # Same-configuration pair counts around anchors |z| < 0.6, binned in the
+    # rescaled separation sqrt(m)|z - w|, against the exact two-point
+    # intensity gamma(z)gamma(w) - |K(z,w)|^2, whose profile dips at the
+    # Laguerre zeros sqrt(3 -+ sqrt(3)).  Standard errors come from the
+    # spread across configurations.  Each count has the expected anchor
+    # count subtracted in proportion (a control variate with mean zero),
+    # which removes the shared noise of the number of anchors.
     m = 16.0
     K = spaces("ginibre", 3, 16, m)
+    anchor_cut = 0.6
+    edges = np.linspace(0.0, 3.2, 17)
+    (expect, uncorrelated), anchors = _anchored_pair_counts(K, anchor_cut, edges, m)
     configs = pk.sample_batch(K, 300, 910)
-    anchor_cut, u_max = 0.6, 3.2
-    edges = np.linspace(0.0, u_max, 30)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    same = np.zeros(edges.size - 1)
-    cross = np.zeros(edges.size - 1)
-    pts_list = [c.points for c in configs]
-    for i, pts in enumerate(pts_list):
-        keep = np.abs(pts) < anchor_cut
-        sep = (np.abs(pts[keep][:, None] - pts[None, :]) * math.sqrt(m)).ravel()
-        same += np.histogram(sep[(sep > 1e-9) & (sep < u_max)], bins=edges)[0]
-        other = pts_list[(i + 1) % len(pts_list)]
-        csep = (np.abs(pts[keep][:, None] - other[None, :]) * math.sqrt(m)).ravel()
-        cross += np.histogram(csep[csep < u_max], bins=edges)[0]
-    deficit = (cross - same) / np.maximum(cross, 1.0)
-    smooth = np.convolve(deficit, np.ones(3) / 3.0, mode="same")
-    for lo, hi, target in ((0.85, 1.45, math.sqrt(3.0 - math.sqrt(3.0))),
-                           (1.80, 2.55, math.sqrt(3.0 + math.sqrt(3.0)))):
-        window = (centers >= lo) & (centers <= hi)
-        location = centers[window][np.argmin(smooth[window])]
-        assert abs(location - target) < 0.25, (location, target)
+    counts = np.empty((len(configs), edges.size - 1))
+    held = np.empty(len(configs))
+    for i, cfg in enumerate(configs):
+        keep = np.abs(cfg.points) < anchor_cut
+        sep = (np.abs(cfg.points[keep][:, None] - cfg.points[None, :]) * math.sqrt(m)).ravel()
+        counts[i] = np.histogram(sep[sep > 1e-9], bins=edges)[0]
+        held[i] = np.sum(keep)
+
+    def standardized(prediction):
+        resid = counts - np.outer(held, prediction / anchors)
+        return resid.mean(axis=0) / (resid.std(axis=0, ddof=1) / math.sqrt(len(configs)))
+
+    assert np.max(np.abs(standardized(expect))) < 4.0
+    # the same statistic sees the correlation hole far beyond its noise
+    assert np.max(np.abs(standardized(uncorrelated))) > 20.0
 
 
 def test_empirical_intensity_small_run(spaces):
