@@ -1,7 +1,6 @@
 """Command-line front end: every computation as a subcommand emitting CSV/JSON.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical degeneracy.
-POLYKERNEL_THREADS caps internal parallelism (sampling workers).
 """
 
 from __future__ import annotations
@@ -25,17 +24,6 @@ from .weights import RadialEquilibrium, parse_weight
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); config errors are exit 1
         raise ConfigurationError(message)
-
-
-def _threads() -> int:
-    raw = os.environ.get("POLYKERNEL_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"POLYKERNEL_THREADS must be an integer, got '{raw}'")
-    return max(1, val)
 
 
 def _complex_flag(text: str, flag: str) -> complex:
@@ -316,7 +304,7 @@ def cmd_local(args) -> int:
 def cmd_sample(args) -> int:
     weight, spec = _resolve_space(args)
     K = build_space(weight, spec)
-    configs = sample_batch(K, args.count, args.seed, workers=_threads())
+    configs = sample_batch(K, args.count, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     for i, cfg in enumerate(configs):
         base = os.path.join(args.outdir, f"config-{i:04d}")

@@ -39,7 +39,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .quadrature import RULE_STEP, MomentRule, integrate_polar_grid, log_moment_table
+from .quadrature import (RULE_STEP, MomentRule, gauss_legendre, integrate_polar_grid,
+                         log_moment_table)
 from .reporting import write_csv
 from .weights import RadialEquilibrium, WeightModel
 
@@ -232,7 +233,9 @@ class KernelEvaluator:
         Points are taken in chunks of about PAIR_CHUNK (block, row, point)
         entries, so that the working arrays stay in cache.  The features are
         computed once on the diagonal (z is w, equal powers) and once for a
-        side holding a single point, which is then broadcast.
+        side holding a single point, which is then broadcast.  On the
+        diagonal every block phase is e^0 = 1, so the blocks are summed as
+        reals; the mantissa stays complex with a zero imaginary part.
         """
         same = z is w and zw_power == ww_power
         z = np.asarray(z, dtype=complex)
@@ -251,8 +254,15 @@ class KernelEvaluator:
             sw, aw, ang_w = (sz, az, ang_z) if same \
                 else once_w or self._features(wf[part], ww_power)
             logs = sz + sw
-            vals = np.einsum("bri,bri->bi", az, aw) \
-                * np.exp(1j * self._features.d[:, None] * (ang_z - ang_w)[None, :])
+            vals = np.einsum("bri,bri->bi", az, aw)
+            if not same:
+                vals = vals * np.exp(1j * self._features.d[:, None]
+                                     * (ang_z - ang_w)[None, :])
+            elif vals.shape[1] == 1:
+                # numpy sums a lone column pairwise, grouped differently for
+                # real and complex data; summed as complex it keeps the bits
+                # of the general path
+                vals = vals.astype(complex)
             t = np.max(logs, axis=0)
             t = np.where(np.isfinite(t), t, 0.0)
             top[part] = t
@@ -342,41 +352,73 @@ class KernelEvaluator:
         out = np.exp(2.0 * np.asarray(log_k) - log_gamma)
         return out if out.shape else float(out)
 
-    def reproducing_residual(self, z: complex, n_r: int | None = None,
-                             n_phi: int | None = None) -> float:
+    def _reproduced_monomials(self, z: complex, n_r: int | None = None) -> np.ndarray:
+        """(q, n) table of int conj(w)^r w^j K(z,w) e^{-mQ(w)} dA(w), w on a disk.
+
+        The disk has radius R + 10 m^{-1/2}.  In polar coordinates the block
+        d part of K(z,w) carries the phase e^{i d (arg z - arg w)} and the
+        monomial the phase e^{i (j-r) arg w}, so the angular integral keeps
+        block d = j - r alone and is exact.  A polar grid gives the same
+        numbers: the integrand's Fourier modes in arg w lie in
+        [-(n+q-2), n+q-2], and the trapezoid rule on n_phi > n+q-2 angles
+        integrates each of them exactly (Trefethen and Weideman, SIAM
+        Review 56 (2014)).  What is left is one radial integral per basis
+        monomial, on n_r Gauss-Legendre radii on the positive real axis:
+
+            e^{i d arg z} sum_k 2 w_k rho_k rho_k^{2r+d}
+                          sum_s e_s(z) e_s(rho_k) e^{-mQ(rho_k)},
+
+        contracted in the log domain over the features of block d.
+        """
+        q, n, m = self.spec.q, self.spec.n, self.spec.m
+        fm = self._features
+        n_r = n_r or max(128, 3 * (n + q))
+        r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
+        x, v = gauss_legendre(n_r)
+        rho = 0.5 * r_max * (x + 1.0)
+        w_rho = 0.5 * r_max * v
+        sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0)
+        sr, ar, _ = fm(rho.astype(complex), 1.0)
+        mant = np.einsum("bs,bsk->bk", az[:, :, 0], ar)
+        # log of e^{shifts} * 2 w_k rho_k * rho_k^p, for every (block, row, radius)
+        logs = (sz + sr + np.log(2.0 * w_rho * rho))[:, None, :] \
+            + fm.p[:, :, None] * np.log(rho)
+        t = np.max(logs, axis=2)
+        t = np.where(np.isfinite(t), t, 0.0)
+        vals = np.exp(t) * np.sum(mant[:, None, :] * np.exp(logs - t[:, :, None]), axis=2)
+        vals = vals * np.exp(1j * fm.d * ang_z)[:, None]
+        blocks = self.factorization.blocks
+        r_idx = np.concatenate([blk.r_values for blk in blocks])
+        j_idx = np.concatenate([blk.r_values + blk.d for blk in blocks])
+        table = np.empty((q, n), dtype=complex)
+        table[r_idx, j_idx] = vals[fm.mask]
+        return table
+
+    def reproducing_residual(self, z: complex, n_r: int | None = None) -> float:
         """Worst basis-monomial reproduction defect at the probe point.
 
         max over basis monomials phi of
         | int phi(w) K(z,w) e^{-mQ(w)} dA(w) - phi(z) | / (1 + |phi(z)|),
-        quadrature on the disk of radius R + 10 m^{-1/2}.
+        with the integrals of ``_reproduced_monomials``: exact in the angle,
+        n_r = max(128, 3(n+q)) Gauss-Legendre radii on the disk of radius
+        R + 10 m^{-1/2}.
         """
-        q, n, m = self.spec.q, self.spec.n, self.spec.m
-        deg = n + q
-        n_r = n_r or max(128, 3 * deg)
-        n_phi = n_phi or max(64, 2 * deg + 16)
-        r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
-        x, v = np.polynomial.legendre.leggauss(n_r)
-        r = 0.5 * r_max * (x + 1.0)
-        wr = 0.5 * r_max * v
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        wgrid = (r[:, None] * np.exp(1j * phi[None, :])).ravel()
-        # K(z, w) e^{-mQ(w)}: full damping on the w side keeps magnitudes sane
-        scale, mant = self._pair_eval(z, wgrid, 0.0, 1.0)
-        area = np.repeat(wr * r, n_phi) * (2.0 / n_phi)
-        weights = area * mant * np.exp(scale)
-        # integrals of every basis monomial conj(w)^r w^j as one (q, n) table,
-        # contracted over the grid in chunks of about PAIR_CHUNK entries
-        vals = np.zeros((q, n), dtype=complex)
-        step = max(1, PAIR_CHUNK // n)
-        for lo in range(0, wgrid.size, step):
-            part = slice(lo, lo + step)
-            vals += (np.vander(np.conjugate(wgrid[part]), q, increasing=True).T
-                     * weights[part]) @ np.vander(wgrid[part], n, increasing=True)
+        q, n = self.spec.q, self.spec.n
+        vals = self._reproduced_monomials(z, n_r)
         phi_z = np.outer(np.conjugate(z) ** np.arange(q), z ** np.arange(n))
         return float(np.max(np.abs(vals - phi_z) / (1.0 + np.abs(phi_z))))
 
     def total_intensity(self, n_r: int = 400, n_phi: int = 64) -> float:
-        """Quadrature of the one-point intensity; equals nq by orthonormality."""
+        """Quadrature of the one-point intensity; equals nq by orthonormality.
+
+        gamma is radial, so one angle would give the same integral in exact
+        arithmetic.  But |r e^{i phi}| rounds to a slightly different radius
+        at each angle, so the n_phi angles average the evaluation noise of
+        gamma: at ginibre q=8 n=m=40 the per-angle trace defects scatter
+        with standard deviation 4.0e-11 around a mean of -4.6e-11, while
+        the positive real axis alone reads -8.7e-11.  So the trace keeps its
+        full polar grid.
+        """
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
         return integrate_polar_grid(
             lambda zz: self.one_point_intensity(zz), r_max, n_r, n_phi

@@ -26,6 +26,7 @@ a_k = m c_k e^(k u*_p), so no large logs cancel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -216,6 +217,15 @@ def log_moment_table(w: WeightModel, m: float, p_max: int,
     return logs
 
 
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, v = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    v.flags.writeable = False
+    return x, v
+
+
 def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
     """Integral of f over the plane in the normalized area measure.
 
@@ -227,7 +237,7 @@ def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
         raise ConfigurationError(f"integrate_polar_grid needs r_max > 0, got {r_max}")
     if n_r < 16 or n_phi < 16:
         raise ConfigurationError("integrate_polar_grid needs n_r, n_phi >= 16")
-    x, v = np.polynomial.legendre.leggauss(n_r)
+    x, v = gauss_legendre(n_r)
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * v
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -23,8 +23,8 @@ mass outside it decays exponentially and is far below 1e-8 at desk scale.
 
 Randomness comes from numpy's Philox counter-based generator.  A batch of
 configurations derives one 64-bit child seed per configuration index through
-numpy's SeedSequence(master, index) spawning, so results are reproducible
-regardless of how the batch is split across workers.
+numpy's SeedSequence(master, index) spawning, so a configuration depends
+only on the master seed and its index, not on the batch it is drawn in.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SamplerError
 from .kernel import KernelEvaluator
+from .quadrature import gauss_legendre
 
 ENVELOPE_BINS = 256
 ENVELOPE_MARGIN = 1.02
@@ -163,16 +164,10 @@ def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
                               proposals_used=proposals)
 
 
-def sample_batch(K: KernelEvaluator, count: int, master_seed: int,
-                 workers: int = 1) -> list[PointConfiguration]:
+def sample_batch(K: KernelEvaluator, count: int,
+                 master_seed: int) -> list[PointConfiguration]:
     """Sample independent configurations with documented seed splitting."""
-    seeds = [seed_for_index(master_seed, i) for i in range(count)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda s: sample_configuration(K, s), seeds))
-    return [sample_configuration(K, s) for s in seeds]
+    return [sample_configuration(K, seed_for_index(master_seed, i)) for i in range(count)]
 
 
 @dataclass
@@ -207,7 +202,7 @@ def empirical_intensity(K: KernelEvaluator, samples: list[PointConfiguration],
     ], dtype=float)
     observed = counts.mean(axis=0)
     std = counts.std(axis=0, ddof=1)
-    x, v = np.polynomial.legendre.leggauss(160)
+    x, v = gauss_legendre(160)
     predicted = np.empty(edges.size - 1)
     for i in range(edges.size - 1):
         r = 0.5 * (edges[i + 1] - edges[i]) * (x + 1.0) + edges[i]

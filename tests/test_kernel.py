@@ -324,8 +324,44 @@ def test_reproducing_residual(spaces):
     # the constant monomial alone reproduces as well
     res = []
     for n_r in (64, 128, 256):
-        res.append(K.reproducing_residual(0.3, n_r=n_r, n_phi=32))
+        res.append(K.reproducing_residual(0.3, n_r=n_r))
     assert res[2] <= res[0] + 1e-12  # refinement does not degrade
+
+
+@pytest.mark.parametrize("weight,q,n", [("ginibre", 2, 20), ("power:p=3", 8, 20),
+                                        ("ginibre", 8, 40)])
+def test_reproducing_residual_matches_polar_grid(spaces, weight, q, n):
+    # the radial rule equals the full polar grid: n_phi > n+q-2 angles
+    # integrate every Fourier mode of conj(w)^r w^j K(z,w) exactly
+    K = spaces(weight, q, n, float(n))
+    m = float(n)
+    z = 0.3 * K.equilibrium.droplet_radius * np.exp(0.7j)
+    n_r, n_phi = max(128, 3 * (n + q)), 2 * (n + q) + 16
+    r_max = K.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
+    x, gl_w = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * r_max * (x + 1.0)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    grid = (r[:, None] * np.exp(1j * phi[None, :])).ravel()
+    area = np.repeat(0.5 * r_max * gl_w * r, n_phi) * (2.0 / n_phi)
+    # K(z,w) e^{-mQ(w)} from the correlation kernel K(z,w) e^{-m(Q(z)+Q(w))/2}
+    half = 0.5 * m * (K.weight.eval_weight(np.array([z])) - K.weight.eval_weight(grid))
+    dens = K.weighted_kernel(np.full(grid.shape, z), grid) * np.exp(half) * area
+    ref = (np.vander(np.conj(grid), q, increasing=True).T * dens) \
+        @ np.vander(grid, n, increasing=True)
+    got = K._reproduced_monomials(z)
+    assert got.shape == (q, n)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_diagonal_path_matches_general_path(spaces):
+    # z is w takes the real diagonal path; a copy goes through the phases
+    rng = np.random.default_rng(29)
+    for wtext, q, n in (("ginibre", 2, 20), ("power:p=2", 3, 30)):
+        K = spaces(wtext, q, n, float(n))
+        z = disk_points(rng, 300, 1.2 * K.equilibrium.droplet_radius)
+        diag = K.one_point_intensity(z)
+        general = np.real(K.weighted_kernel(z, z.copy()))
+        assert np.max(np.abs(diag - general) / diag) <= 1e-14
 
 
 def test_diagonal_bound_on_built_q2_spaces(spaces):

@@ -91,14 +91,6 @@ def test_batch_matches_per_index_sampling(spaces):
         assert np.array_equal(cfg.points, solo.points)
 
 
-def test_workers_do_not_change_results(spaces):
-    K = spaces("ginibre", 2, 8, 8.0)
-    serial = pk.sample_batch(K, 4, 5, workers=1)
-    threaded = pk.sample_batch(K, 4, 5, workers=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.points, b.points)
-
-
 def test_points_inside_sampling_disk(spaces):
     K = spaces("ginibre", 2, 12, 12.0)
     r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(12.0) + 0.5
