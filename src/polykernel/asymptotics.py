@@ -180,8 +180,7 @@ class DecayScan:
 
 def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
                      separations) -> DecayScan:
-    dq = _require_bulk(K, z0)
-    del dq
+    _require_bulk(K, z0)
     R = K.equilibrium.droplet_radius
     dirs = np.asarray(directions, dtype=complex).ravel()
     dirs = dirs / np.abs(dirs)

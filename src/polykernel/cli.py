@@ -141,10 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local", help="near-diagonal expansion values on a grid")
     p.add_argument("--weight", required=True)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_count, default=2)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--z0", default="0.5")
-    p.add_argument("--terms", type=int, default=2)
+    p.add_argument("--terms", type=int, default=None,
+                   help="expansion orders: up to 2 for q=1, 3 for q=2, 1 for "
+                   "q>=3 (default: 2, or 1 for q>=3)")
     p.add_argument("--grid-radius", type=float, default=0.2)
     p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--weighted", action="store_true")
@@ -280,16 +282,19 @@ def cmd_local(args) -> int:
     weight = parse_weight(args.weight)
     z0 = _complex_flag(args.z0, "--z0")
     grid = _square_grid(z0, args.grid_radius, args.grid_n).ravel()
+    # expansion orders known per q; the default is 2 where there are two
+    max_terms = {1: 2, 2: 3}.get(args.q, 1)
+    terms = min(2, max_terms) if args.terms is None else args.terms
+    if not 1 <= terms <= max_terms:
+        raise ConfigurationError(
+            f"--terms {terms} is out of range for q={args.q}: at most {max_terms} known terms"
+        )
     if args.q == 1:
-        if args.terms not in (1, 2):
-            raise ConfigurationError("--terms must be 1 or 2 for q=1")
         vals = local_kernel_q1(weight, args.m, np.full_like(grid, z0), grid,
-                               terms=args.terms, weighted=args.weighted)
+                               terms=terms, weighted=args.weighted)
     elif args.q == 2:
-        if args.terms not in (1, 2, 3):
-            raise ConfigurationError("--terms must be 1..3 for q=2")
         vals = local_kernel_q2(weight, args.m, np.full_like(grid, z0), grid,
-                               terms=args.terms, weighted=args.weighted)
+                               terms=terms, weighted=args.weighted)
     else:
         vals = local_kernel_leading(weight, args.q, args.m,
                                     np.full_like(grid, z0), grid,

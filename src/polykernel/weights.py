@@ -11,11 +11,15 @@ to Q on the diagonal.  From it we derive
     b(z, w)      = d_z dbar_w Q(z, w) = sum_k c_k k^2 (z conj(w))^(k-1),
     theta(z, w)  = (Q(w) - Q(z, w)) / (w - z),
 
-with all mixed derivatives of b in closed form (monomial calculus), and the
-removable diagonal singularity of theta handled by a terminating Taylor
-series.  b restricted to the diagonal equals the quarter-Laplacian dQ of Q,
-which must be strictly positive on (0, r_max] for every catalog member: that
-makes the droplet a disk and every radial bisection monotone.
+and every derivative of b, like every coefficient of theta's series below,
+is some d_z^a dbar_w^b Q(z, w), which one routine evaluates in closed form.
+With conj(w) held fixed, Q(., w) is a polynomial of degree K, so theta
+equals its Taylor series in w - z, which stops after K terms: one series,
+exact at every separation, the diagonal included, with no quotient to lose
+digits to cancellation.  b restricted to the diagonal equals the
+quarter-Laplacian dQ of Q, which must be strictly positive on (0, r_max] for
+every catalog member: that makes the droplet a disk and every radial
+bisection monotone.
 
 Droplet geometry: the equilibrium density is dQ restricted to the disk of
 radius R, where R solves R * Q'(R) = 2 (unit total mass).  The equilibrium
@@ -34,25 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-
-# Orders of theta's Taylor series kept in the near-diagonal branch.  For a
-# catalog weight of polynomial degree K the series terminates exactly at
-# order K-1, so 8 is only a cap for unusually long coefficient lists.
-THETA_SERIES_ORDER = 8
-
-# Crossover separation between the series and quotient branches of theta.
-# The quotient loses ~3 digits at separation 1e-3 while the series is exact
-# (or has error far below 1e-16) there.
-def _h_switch(z: complex | np.ndarray) -> float | np.ndarray:
-    return 1e-3 * np.maximum(1.0, np.abs(z))
-
-
-def _falling(k: np.ndarray, d: int) -> np.ndarray:
-    """Falling factorial k(k-1)...(k-d+1), zero when k < d."""
-    out = np.ones_like(k, dtype=float)
-    for i in range(d):
-        out = out * np.maximum(k - i, 0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -156,134 +141,78 @@ class WeightModel:
 
     def polarize(self, z, wc) -> complex | np.ndarray:
         """Q(z, wc) = sum_k c_k (z conj(wc))^k, entire in (z, conj(wc))."""
-        u = np.asarray(z, dtype=complex) * np.conjugate(np.asarray(wc, dtype=complex))
-        out = np.zeros_like(u)
-        for k in range(self.degree, 0, -1):
-            out = out * u + self.coeffs[k - 1]
-        out = out * u
+        out = self._dpolarize(z, wc, 0, 0)
         return out if out.shape else complex(out)
 
-    def _polarize_dz(self, z, wc, order: int) -> np.ndarray:
-        """d_z^order of the polarization (order >= 1)."""
-        z = np.asarray(z, dtype=complex)
-        wb = np.conjugate(np.asarray(wc, dtype=complex))
-        out = np.zeros(np.broadcast(z, wb).shape, dtype=complex)
-        for k in range(order, self.degree + 1):
-            fall = 1.0
-            for i in range(order):
-                fall *= k - i
-            out = out + self.coeffs[k - 1] * fall * z ** (k - order) * wb**k
-        return out
+    def _dpolarize(self, z, wc, dz: int, dw: int) -> np.ndarray:
+        """d_z^dz dbar_w^dw Q(z, wc) = sum_k c_k (k)_dz (k)_dw z^(k-dz) conj(wc)^(k-dw).
 
-    def b_deriv(self, z, wc, dz: int = 0, dw: int = 0) -> complex | np.ndarray:
-        """d_z^dz dbar_w^dw of b(z, wc), closed form.
-
-        The public contract needs orders at most (2, 2); higher orders are
-        valid for the catalog and used internally by the theta series.
+        (k)_d is the falling factorial ``math.perm(k, d)``, zero for k < d.
+        Horner's rule in u = z conj(wc) over k >= lo = max(dz, dw, 1) leaves
+        the factor z^(lo-dz) conj(wc)^(lo-dw): u when dz = dw = 0, else a
+        power of whichever variable was differentiated fewer times.
         """
         z = np.asarray(z, dtype=complex)
         wb = np.conjugate(np.asarray(wc, dtype=complex))
-        out = np.zeros(np.broadcast(z, wb).shape, dtype=complex)
-        for k in range(1, self.degree + 1):
-            e = k - 1
-            if e < dz or e < dw:
-                continue
-            fz = 1.0
-            for i in range(dz):
-                fz *= e - i
-            fw = 1.0
-            for i in range(dw):
-                fw *= e - i
-            out = out + self.coeffs[k - 1] * (k * k) * fz * fw * z ** (e - dz) * wb ** (e - dw)
-        return out if out.shape else complex(out)
+        u = z * wb
+        lo = max(dz, dw, 1)
+        out = np.zeros(u.shape, dtype=complex)
+        for k in range(self.degree, lo - 1, -1):
+            out = out * u + self.coeffs[k - 1] * (math.perm(k, dz) * math.perm(k, dw))
+        if dz > dw:
+            return out * wb ** (dz - dw)
+        if dw > dz:
+            return out * z ** (dw - dz)
+        return out * u if dz == 0 else out
 
     def hermitian_b(self, z, wc, dz: int = 0, dw: int = 0) -> complex | np.ndarray:
+        """d_z^dz dbar_w^dw of b(z, wc) = d_z dbar_w Q(z, wc); orders 0..2."""
         if not (0 <= dz <= 2 and 0 <= dw <= 2):
             raise ConfigurationError(
                 f"hermitian_b supports derivative orders 0..2, got ({dz}, {dw})"
             )
-        return self.b_deriv(z, wc, dz, dw)
+        out = self._dpolarize(z, wc, dz + 1, dw + 1)
+        return out if out.shape else complex(out)
 
     def phase_theta(self, z, wc) -> complex | np.ndarray:
         """theta(z, wc) = (Q(wc) - Q(z, wc)) / (wc - z), diagonal-regular.
 
-        Near the diagonal (separation below the crossover) the terminating
-        Taylor series in (w - z) is used; away from it the literal quotient.
+        Evaluated as theta's terminating Taylor series in wc - z (see
+        ``_theta``), exact at every separation, the diagonal included.
         """
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(wc, dtype=complex)
-        z, w = np.broadcast_arrays(z, w)
-        near = np.abs(w - z) < _h_switch(z)
-        out = np.empty(z.shape, dtype=complex)
-        if np.any(near):
-            out[near] = self._theta_series(z[near], w[near])
-        far = ~near
-        if np.any(far):
-            zf, wf = z[far], w[far]
-            out[far] = (self.eval_weight(wf) - self.polarize(zf, wf)) / (wf - zf)
+        out = self._theta(z, wc, 0)
         return out if out.shape else complex(out)
-
-    def _theta_series(self, z, w) -> np.ndarray:
-        h = w - z
-        jmax = min(THETA_SERIES_ORDER, self.degree - 1)
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        hp = np.ones_like(out)
-        for j in range(jmax + 1):
-            out = out + hp / math.factorial(j + 1) * self._polarize_dz(z, w, j + 1)
-            hp = hp * h
-        return out
 
     def dbar_theta(self, z, wc, order: int = 0) -> complex | np.ndarray:
         """dbar_w^(order+1) theta(z, wc); orders 0..2.
 
-        Near branch: dbar_w^(s) theta = sum_j (w-z)^j / (j+1)! *
-        d_z^j dbar_w^(order) b, the term-by-term anti-holomorphic derivative
-        of theta's Taylor series.  Far branch: exact differentiation of the
-        quotient using (w^k - z^k)/(w - z) = sum_i w^i z^(k-1-i).
+        The term-by-term anti-holomorphic derivative of theta's terminating
+        Taylor series (see ``_theta``); on the diagonal it equals
+        dbar_w^order b(z, z), bit for bit.
         """
         if not (0 <= order <= 2):
             raise ConfigurationError(f"dbar_theta supports orders 0..2, got {order}")
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(wc, dtype=complex)
-        z, w = np.broadcast_arrays(z, w)
-        near = np.abs(w - z) < _h_switch(z)
-        out = np.empty(z.shape, dtype=complex)
-        if np.any(near):
-            zn, wn = z[near], w[near]
-            h = wn - zn
-            jmax = min(THETA_SERIES_ORDER, self.degree - 1)
-            acc = np.zeros_like(zn)
-            hp = np.ones_like(zn)
-            for j in range(jmax + 1):
-                acc = acc + hp / math.factorial(j + 1) * self.b_deriv(zn, wn, j, order)
-                hp = hp * h
-            out[near] = acc
-        far = ~near
-        if np.any(far):
-            out[far] = self._dbar_theta_quotient(z[far], w[far], order + 1)
+        out = self._theta(z, wc, order + 1)
         return out if out.shape else complex(out)
 
-    def _dbar_theta_quotient(self, z, w, s: int) -> np.ndarray:
-        wb = np.conjugate(w)
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for k in range(s, self.degree + 1):
-            fall = 1.0
-            for i in range(s):
-                fall *= k - i
-            gk = np.zeros_like(out)
-            for i in range(k):  # (w^k - z^k)/(w - z)
-                gk = gk + w**i * z ** (k - 1 - i)
-            out = out + self.coeffs[k - 1] * fall * wb ** (k - s) * gk
+    def _theta(self, z, wc, s: int) -> np.ndarray:
+        """dbar_w^s theta(z, wc) = sum_{j<K} h^j / (j+1)! d_z^(j+1) dbar_w^s Q(z, wc).
+
+        With conj(wc) held fixed, Q(., wc) is a polynomial of degree K, so
+        Q(wc, wc) - Q(z, wc) = sum_{j=1..K} h^j / j! d_z^j Q(z, wc) with
+        h = wc - z holds exactly; h is holomorphic in wc, so dbar_w passes
+        onto the coefficients.  Summed by Horner's rule in h.
+        """
+        h = np.asarray(wc, dtype=complex) - np.asarray(z, dtype=complex)
+        out = np.zeros(h.shape, dtype=complex)
+        for j in range(self.degree - 1, -1, -1):
+            out = out * h + self._dpolarize(z, wc, j + 1, s) / math.factorial(j + 1)
         return out
 
     # -- misc ---------------------------------------------------------------
 
     def spec_string(self) -> str:
         return self.label
-
-    def positivity_radius(self) -> float:
-        """Largest r below which dQ may vanish (0 except for power p >= 2)."""
-        return 0.0 if self.delta_q(0.0) > 0.0 else np.inf
 
 
 def parse_weight(text: str) -> WeightModel:
@@ -405,11 +334,6 @@ class RadialEquilibrium:
         r = np.abs(np.asarray(z, dtype=complex))
         gap = self.weight.eval_weight(r) - self.equilibrium_potential(r)
         return np.maximum(gap, 0.0)
-
-    def radial_density(self, r) -> np.ndarray:
-        """Density of the equilibrium measure in the radius variable, 2 r dQ(r)."""
-        r = np.asarray(r, dtype=float)
-        return 2.0 * r * self.weight.delta_q(r) * (r <= self.droplet_radius)
 
     def weighted_energy(self, n_quad: int = 512) -> float:
         """Weighted logarithmic energy of the equilibrium measure.

@@ -42,8 +42,11 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
      "--n-grid"),
     (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "1", "--direction", "0"],
      "--direction"),
+    (["local", "--weight", "ginibre", "--q", "3", "--m", "8", "--terms", "3"],
+     "--terms"),
+    (["local", "--weight", "ginibre", "--q", "0", "--m", "8"], "--q"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
-        "intensity-n-grid", "offdroplet-direction"])
+        "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err

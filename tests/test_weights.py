@@ -144,7 +144,7 @@ def test_phase_theta_diagonal_is_weight_derivative():
     rng = np.random.default_rng(7)
     for w in (GINIBRE, POWER2, RPOLY):
         z = disk_points(rng, 40, 1.5)
-        expected = w._polarize_dz(z, z, 1)
+        expected = w._dpolarize(z, z, 1, 0)
         assert np.max(np.abs(w.phase_theta(z, z) - expected)) < 1e-12
 
 
@@ -160,7 +160,7 @@ def test_theta_branch_agreement():
         h = 1e-3 * np.maximum(1.0, np.abs(z))
         sep = rng.uniform(0.5, 2.0, size=100) * h
         v = z + sep * np.exp(2j * np.pi * rng.uniform(size=100))
-        series = w._theta_series(z, v)
+        series = w._theta(z, v, 0)
         quotient = (w.eval_weight(v) - w.polarize(z, v)) / (v - z)
         rel = np.abs(series - quotient) / np.maximum(np.abs(series), 1e-30)
         assert np.max(rel) < 1e-9
@@ -179,18 +179,51 @@ def test_dbar_theta_power2_both_branches():
     # 4, and the series b + (w-z)(...) collapses to b(1,1) = dQ(1) = 4.
     direct = 2.0 * 1.0 * (1.0 + 1.0)
     series_oracle = sum(
-        (1.0 - 1.0) ** j / math.factorial(j + 1) * POWER2.b_deriv(1.0, 1.0, j, 0)
+        (1.0 - 1.0) ** j / math.factorial(j + 1) * POWER2._dpolarize(1.0, 1.0, j + 1, 1)
         for j in range(2)
     )
     assert direct == pytest.approx(4.0)
     assert series_oracle == pytest.approx(4.0)
     assert POWER2.dbar_theta(1.0, 1.0, 0) == pytest.approx(4.0)
-    # far branch at a separated pair agrees with the series branch
-    far = POWER2._dbar_theta_quotient(np.array([1.0 + 0j]), np.array([1.3 + 0.2j]), 1)[0]
-    h = (1.3 + 0.2j) - 1.0
-    near = sum(h**j / math.factorial(j + 1) * POWER2.b_deriv(1.0, 1.3 + 0.2j, j, 0)
+    # at a separated pair: the closed form, and the series oracle summed by
+    # increasing powers of h
+    z, w = 1.0, 1.3 + 0.2j
+    far = POWER2.dbar_theta(z, w, 0)
+    h = w - z
+    near = sum(h**j / math.factorial(j + 1) * POWER2._dpolarize(z, w, j + 1, 1)
                for j in range(2))
+    assert far == pytest.approx(2.0 * np.conj(w) * (w + z), rel=1e-12)
     assert far == pytest.approx(near, rel=1e-12)
+
+
+def _theta_divided_difference(w, z, v, s):
+    """dbar_w^s theta by exact differentiation of the quotient, using
+    (v^k - z^k) / (v - z) = sum_i v^i z^(k-1-i): no cancellation in h."""
+    out = np.zeros_like(z)
+    for k in range(max(s, 1), w.degree + 1):
+        gk = sum(v**i * z ** (k - 1 - i) for i in range(k))
+        out = out + w.coeffs[k - 1] * math.perm(k, s) * np.conj(v) ** (k - s) * gk
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    "ginibre", "power:p=2", "power:p=3", "radialpoly:c=1,0.5",
+    "radialpoly:c=1,1", "radialpoly:c=0.5,0.2,0.1",
+])
+def test_theta_matches_divided_difference(spec):
+    # pairs within 2R: separated, in the band 0.5..2 x 1e-3 max(1, |z|)
+    # where a near/far branch switch would sit, and on the diagonal
+    w = pk.parse_weight(spec)
+    R = pk.droplet_radius(w)
+    rng = np.random.default_rng(12)
+    z, v = disk_points(rng, 60, 2.0 * R), disk_points(rng, 60, 2.0 * R)
+    sep = 1e-3 * np.maximum(1.0, np.abs(z[:20])) * rng.uniform(0.5, 2.0, size=20)
+    v[:20] = z[:20] + sep * np.exp(2j * np.pi * rng.uniform(size=20))
+    v[20:30] = z[20:30]
+    for s in range(4):
+        got = w.phase_theta(z, v) if s == 0 else w.dbar_theta(z, v, s - 1)
+        ref = _theta_divided_difference(w, z, v, s)
+        assert np.all(np.abs(got - ref) <= 5e-14 * np.maximum(1.0, np.abs(ref))), s
 
 
 def test_dbar_theta_diagonal_equals_b():
