@@ -87,8 +87,8 @@ def rate_fit(ms, sup_errors) -> tuple[float, str]:
     """
     ms = np.asarray(ms, dtype=float)
     errs = np.asarray(sup_errors, dtype=float)
-    if ms.size < 2:
-        raise ConfigurationError("rate_fit needs at least 2 ladder points")
+    if np.unique(ms).size < 2:
+        raise ConfigurationError(f"rate_fit needs at least 2 distinct m, got {ms.tolist()}")
     if np.any(errs == 0.0):
         return float("-inf"), "zero-errors"
     slope = float(np.polyfit(np.log(ms), np.log(errs), 1)[0])

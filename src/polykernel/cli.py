@@ -44,16 +44,16 @@ def _count(text: str) -> int:
     return value
 
 
-def _list_of(kind):
+def _list_of(kind, what: str):
     """argparse type: a non-empty comma-separated list of ``kind`` values."""
     def parse(text: str) -> list:
         try:
             values = [kind(tok) for tok in text.split(",") if tok]
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             values = []
         if not values:
             raise argparse.ArgumentTypeError(
-                f"expected a comma-separated list of {kind.__name__}s, got '{text}'")
+                f"expected a comma-separated list of {what}, got '{text}'")
         return values
     return parse
 
@@ -61,9 +61,9 @@ def _list_of(kind):
 def _add_space_flags(p: argparse.ArgumentParser, with_n: bool = True):
     p.add_argument("--weight", required=True,
                    help="weight string: ginibre | power:p=<int> | radialpoly:c=<floats>")
-    p.add_argument("--q", type=int, default=1, help="polyanalytic order (q >= 1)")
+    p.add_argument("--q", type=_count, default=1, help="polyanalytic order (q >= 1)")
     if with_n:
-        p.add_argument("--n", type=int, required=True, help="analytic degree count")
+        p.add_argument("--n", type=_count, required=True, help="analytic degree count")
         p.add_argument("--m", type=float, required=True, help="scaling parameter")
 
 
@@ -111,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowup", help="rescaled bulk kernel against the "
                        "Laguerre profile over an m ladder, with rate fit")
     p.add_argument("--weight", required=True)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", default="0")
-    p.add_argument("--m", type=_list_of(float), required=True,
+    p.add_argument("--m", type=_list_of(float, "floats"), required=True,
                    help="comma-separated m ladder")
-    p.add_argument("--n", type=_list_of(int),
+    p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
     p.add_argument("--grid-radius", type=float, default=2.5)
     p.add_argument("--grid-n", type=_count, default=17)
@@ -125,16 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay", help="off-diagonal decay scans of the weighted "
                        "kernel over an m ladder")
     p.add_argument("--weight", required=True)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", default="0")
-    p.add_argument("--m", type=_list_of(float), required=True)
+    p.add_argument("--m", type=_list_of(float, "floats"), required=True)
     p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=int, default=12)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("offdroplet", help="outside-droplet decay margins along a ray")
     _add_space_flags(p)
-    p.add_argument("--ratios", type=_list_of(float), default="1.1,1.2,1.35,1.5,1.75,2.0",
+    p.add_argument("--ratios", type=_list_of(float, "floats"),
+                   default="1.1,1.2,1.35,1.5,1.75,2.0",
                    help="radii as multiples of the droplet radius")
     p.add_argument("--direction", default="1")
     p.add_argument("--out", required=True)
@@ -167,11 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_space(args):
-    weight = parse_weight(args.weight)
-    if args.q < 1:
-        raise ConfigurationError(f"--q must be >= 1, got {args.q}")
-    spec = SpaceSpec(args.q, args.n, args.m)
-    return weight, spec
+    return parse_weight(args.weight), SpaceSpec(args.q, args.n, args.m)
 
 
 def cmd_droplet(args) -> int:
@@ -238,6 +235,8 @@ def cmd_blowup(args) -> int:
     ms, ns = args.m, args.n
     if ns and len(ns) != len(ms):
         raise ConfigurationError("--n list must match --m list length")
+    if len(set(ms)) != len(ms):
+        raise ConfigurationError(f"--m lists a value more than once: {args.m}")
     n_of_m = (lambda mm: ns[ms.index(mm)]) if ns else None
     report = asym.blowup_ladder(weight, args.q, _complex_flag(args.z0, "--z0"),
                                 ms, n_of_m=n_of_m, grid_radius=args.grid_radius,

@@ -1,28 +1,24 @@
-"""Gram factorization and evaluation of polyanalytic polynomial kernels.
+"""Orthonormal bases and evaluation of polyanalytic polynomial kernels.
 
 The space span{conj(z)^r z^j : 0 <= r < q, 0 <= j < n} carries the inner
-product of L^2(e^{-mQ} dA).  For a radial weight the monomial Gram matrix is
-block diagonal: <conj(z)^s z^k, conj(z)^r z^j> vanishes unless j - r = k - s,
-and within the degree-offset-d block the entry is the radial moment
-M_{r+s+d}.  Scaled to unit diagonal by D^{-1/2} G D^{-1/2}, with D from the
-log-moment table, the nq-dimensional ill-conditioned problem becomes at most
-n+q-1 blocks of size at most q.  A block is factored without being formed:
-its monomials |z|^p e^{-mQ/2}, sampled on one trapezoid grid in
-u = log |z|^2 (quadrature.MomentRule) and normalized to unit norm, are the
-columns of a node matrix whose Gram matrix is the scaled block, and the R of
-its QR factorization gives the lower factor R^T.  Orthogonal factorization
-does not square the block's condition number, so blocks of condition 1e15
-(q = 10) need no extended precision, and the log domain keeps m ~ 200
-inside double range.
+product of L^2(e^{-mQ} dA).  For a radial weight its monomials split into
+mutually orthogonal blocks by degree offset d = j - r.  With t = |z|^2,
+block d holds |z|^{|d|} t^k e^{i d arg z}, so its orthonormal basis is
+|z|^{|d|} M_{|d|}^{-1/2} pi_k(t) e^{i d arg z}, where pi_k are the
+orthonormal polynomials of the probability measure t^{|d|} e^{-mQ} dt / M_{|d|}
+(for ginibre, Laguerre polynomials L_k^{(|d|)}(mt); Haimi and Hedenmalm,
+J. Stat. Phys. 153 (2013)).  A block is thus the coefficients alpha_k, beta_k
+of their three-term recurrence (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, 2004, section 2.2), found by Lanczos on one
+trapezoid grid in u = log t (quadrature.MomentRule).  The Gram blocks, of
+condition 1e15 and more for q >= 10, are never formed or factored.
 
 Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
-an orthonormal basis e_a: the correlation kernel is sum_a Phi_a(z) conj(Phi_a(w)).
-The map never exponentiates a large log: the monomials of block d share the
-phase e^{i d arg z}, so each block reduces to a real vector of scaled
-log-magnitudes, shifted by its maximum before exponentiation, and all blocks
-are solved at once by forward substitution on identity-padded Cholesky
-factors.  Pair evaluation recombines the blocks under a global running scale;
-the weight factors e^{-mQ/2} fold into the per-monomial logs.
+the orthonormal basis e_a: the correlation kernel is
+sum_a Phi_a(z) conj(Phi_a(w)).  The map never exponentiates a large log: a
+block is a real vector of recurrence values pi_k(t) plus one log shift per
+(block, point).  Pair evaluation recombines the blocks under a global running
+scale, so the log-moment table keeps m ~ 200 inside double range.
 
 A KernelEvaluator is immutable after construction, apart from tables derived
 from the space on first use (concurrent first uses compute the same table),
@@ -39,15 +35,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .quadrature import (RULE_STEP, MomentRule, gauss_legendre, integrate_polar_grid,
+from .quadrature import (RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre,
                          log_moment_table)
 from .reporting import write_csv
 from .weights import RadialEquilibrium, WeightModel
 
-# Least log-drop of the integrand of a block's lowest row at the left end of
-# the block's node grid.  Far left only that row survives, and the inverse
-# factor amplifies its truncated tail by up to the block's condition number
-# (1e15 at q = 10), so the grid reaches twice as far down as a moment rule.
+# Least log-drop of the integrand of a block's lowest row at the first left end
+# of the block's node grid, twice a moment rule's reach: at a moment rule's 40,
+# more grids must grow, and power:p=3 q=16 n=m=40 builds about 20% slower.
 GRAM_LEFT_TAIL = 80.0
 NEGATIVE_DET_CLAMP = 1e-10
 LOG_FLOOR = -745.0  # double underflow boundary for logged magnitudes
@@ -77,16 +72,36 @@ class SpaceSpec:
 
 @dataclass(frozen=True)
 class _Block:
-    """One degree-offset block of the Gram factorization."""
+    """One degree-offset block and the recurrence of its orthonormal basis."""
 
     d: int
     r_values: np.ndarray      # basis rows (r, j=r+d) present in this block
-    p_values: np.ndarray      # magnitude exponents 2r + d
-    chol: np.ndarray          # lower Cholesky factor of the scaled block
+    p_values: np.ndarray      # magnitude exponents 2r + d = |d| + 2k
+    alpha: np.ndarray         # alpha_0 .. alpha_{s-2} for a block of s rows
+    beta: np.ndarray          # beta_1 .. beta_{s-1}
+
+
+def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
+    """alpha_k, beta_{k+1} (k < steps) of sum_i start_i^2 delta(t_i), and the basis.
+
+    Lanczos on diag(t), each new vector orthogonalized twice against all
+    earlier ones (Gragg and Harrod, Numer. Math. 44 (1984)).
+    """
+    basis = np.empty((steps + 1, t.size))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        v = t * basis[k]
+        alpha[k] = basis[k] @ v
+        for _ in range(2):
+            v -= (basis[:k + 1] @ v) @ basis[:k + 1]
+        beta[k] = np.linalg.norm(v)
+        basis[k + 1] = v / beta[k]
+    return alpha, beta, basis
 
 
 class GramFactorization:
-    """Log-moment table plus per-offset factors of the scaled Gram blocks."""
+    """Log-moment table plus the three-term recurrence of every Gram block."""
 
     def __init__(self, weight: WeightModel, spec: SpaceSpec):
         self.weight = weight
@@ -96,67 +111,58 @@ class GramFactorization:
         self.log_moments = log_moment_table(weight, m, n + q - 2, rule)
         self.blocks: list[_Block] = []
         self.condition_report: dict[int, float] = {}
-        total = 0
-        for d in range(-(q - 1), n):
-            r_lo, r_hi = max(0, -d), min(q - 1, n - 1 - d)
-            r = np.arange(r_lo, r_hi + 1)
+        for d in range(-(q - 1), n):  # rows r < q with 0 <= j = r + d < n
+            r = np.arange(max(0, -d), min(q - 1, n - 1 - d) + 1)
             p = 2 * r + d
-            chol, self.condition_report[d] = self._factor(d, rule, p)
-            self.blocks.append(_Block(d, r, p, chol))
-            total += r.size
-        if total != spec.dim:
-            raise NumericalDegeneracyError(
-                f"block index sets cover {total} basis elements, expected {spec.dim}"
-            )
+            alpha, beta, self.condition_report[d] = self._factor(d, rule, p)
+            self.blocks.append(_Block(d, r, p, alpha, beta))
 
-    def _factor(self, d: int, rule: MomentRule, p: np.ndarray) -> tuple[np.ndarray, float]:
-        """Lower factor of block d and the condition number of the scaled block.
+    def _factor(self, d: int, rule: MomentRule, p: np.ndarray):
+        """Recurrence coefficients of block d and the condition of the scaled block.
 
         ``rule`` holds the exponents 0..n+q-2 in order, so the rows of the
-        block's exponents ``p`` are ``p`` themselves.  The node matrix holds one column per scaled monomial
-        |z|^p e^{-mQ/2}, sampled on one trapezoid grid in u that covers the
-        rules of every row, so its Gram matrix is the block's, up to the
-        column scales.  With unit columns, R of its QR factorization has
-        R^T R equal to the scaled block, so chol = R^T is found without
-        forming the block and squaring its condition number.
+        block's exponents ``p`` are ``p`` themselves.  The node matrix holds
+        sqrt(exp(f_p(u))), the scaled monomials, on one trapezoid grid in u
+        that covers the rules of every row; Lanczos starts from its first
+        column, the measure t^{|d|} e^{-mQ} dt = exp(f_{|d|}(u)) du.  While a
+        polynomial keeps more than TAIL_BOUND of its norm at the left end,
+        the grid grows.
         """
         step = RULE_STEP * np.min(rule.width[p])
         left, right = rule.reach(p, GRAM_LEFT_TAIL)
         lo, hi = np.min(left), np.max(right)
-        u = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
-        nodes = np.exp(0.5 * rule.log_integrand(p[None, :], u[:, None]))
-        nodes /= np.linalg.norm(nodes, axis=0)
-        r_fac = np.linalg.qr(nodes, mode="r")
-        r_fac *= np.where(np.diagonal(r_fac) < 0.0, -1.0, 1.0)[:, None]
-        diag = np.diagonal(r_fac)
-        if not (np.all(np.isfinite(r_fac)) and np.all(diag > 0.0)):
+        edge = math.inf
+        while edge > TAIL_BOUND:  # a NaN edge ends the loop; see the check below
+            u = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+            nodes = np.exp(0.5 * rule.log_integrand(p[None, :], u[:, None]))
+            alpha, beta, basis = _lanczos(np.exp(u), nodes[:, 0], p.size - 1)
+            edge = np.max(basis[:, 0] ** 2)
+            lo -= hi - lo
+        # the Lanczos vectors span the unit-norm monomial columns of nodes, so
+        # cond(basis @ nodes)^2 is the condition of the block scaled to unit diagonal
+        cond = math.inf
+        if np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta) & (beta > 0.0)):
+            cond = float(np.linalg.cond(basis @ (nodes / np.linalg.norm(nodes, axis=0)))) ** 2
+        if not math.isfinite(cond):
             raise NumericalDegeneracyError(
-                f"Gram block d={d} is numerically degenerate: its QR factor has "
-                f"diagonal {np.array2string(diag, precision=3)} (condition "
-                f"{self._condition(r_fac):.3e}; weight {self.weight.spec_string()}, "
-                f"q={self.spec.q}, n={self.spec.n}, m={self.spec.m})"
+                f"Gram block d={d} is numerically degenerate: its recurrence has "
+                f"beta {np.array2string(beta, precision=3)} (condition {cond:.3e}; "
+                f"weight {self.weight.spec_string()}, q={self.spec.q}, "
+                f"n={self.spec.n}, m={self.spec.m})"
             )
-        return np.ascontiguousarray(r_fac.T), self._condition(r_fac)
-
-    @staticmethod
-    def _condition(r_fac: np.ndarray) -> float:
-        """cond(R)^2, the condition number of the scaled block R^T R."""
-        if not np.all(np.isfinite(r_fac)):
-            return math.inf
-        with np.errstate(divide="ignore"):
-            return float(np.linalg.cond(r_fac)) ** 2
+        return alpha, beta, cond
 
 
 class _FeatureMap:
     """Weighted orthonormal features of every Gram block, batched over points.
 
-    The feature of basis row r in block d at z is
+    The feature of row k of block d at z is
     Phi(z) = e^{shift} * mantissa * e^{i d arg z}, with one real log shift per
-    (block, point).  The lower Cholesky factors are padded with the identity
-    to an (n+q-1, q, q) tensor and the exponents p = 2r + d to an (n+q-1, q)
-    array; padded rows carry an infinite half log-moment, so they
-    exponentiate to zero.  One forward substitution over the q rows, each
-    step vectorized over blocks x points, then solves every block at once.
+    (block, point) that carries |z|^{|d|} M_{|d|}^{-1/2} e^{-power mQ(z)} and
+    the largest |pi_k(t)| of the block, and the mantissa pi_k(t) divided by
+    it.  The recurrence runs over the q rows, each step vectorized over
+    blocks x points, as beta_{k+1} pi_{k+1} = (t - alpha_k) pi_k - beta_k pi_{k-1}
+    with coefficients that are zero past a block's rows, so those rows are 0.
     """
 
     def __init__(self, factorization: GramFactorization):
@@ -164,45 +170,47 @@ class _FeatureMap:
         q, nb = factorization.spec.q, len(blocks)
         self.weight, self.m = factorization.weight, factorization.spec.m
         self.d = np.array([blk.d for blk in blocks])
-        self.chol = np.tile(np.eye(q), (nb, 1, 1))
         self.p = np.zeros((nb, q), dtype=int)
-        self.mask = np.zeros((nb, q), dtype=bool)
+        self.mask = np.arange(q) < np.array([[blk.p_values.size] for blk in blocks])
+        self.center = np.zeros((nb, q, 1))  # alpha_k
+        self.gain = np.zeros((nb, q, 1))    # 1 / beta_{k+1}
+        self.back = np.zeros((nb, q, 1))    # beta_k / beta_{k+1}
         for i, blk in enumerate(blocks):
             size = blk.p_values.size
-            self.chol[i, :size, :size] = blk.chol
             self.p[i, :size] = blk.p_values
-            self.mask[i, :size] = True
-        self.half_logm = np.where(self.mask, 0.5 * factorization.log_moments[self.p],
-                                  np.inf)
+            self.center[i, :size - 1, 0] = blk.alpha
+            self.gain[i, :size - 1, 0] = 1.0 / blk.beta
+            self.back[i, 1:size - 1, 0] = blk.beta[:-1] / blk.beta[1:]
+        self.low = np.abs(self.d)[:, None]
+        self.half_logm = 0.5 * factorization.log_moments[self.low]
 
     def __call__(self, z: np.ndarray, weight_power: float):
         """(shift, mantissa, angles) at flat points z, weighted by e^{-power mQ}.
 
-        Each block's log-magnitudes are shifted by their maximum over the
-        block's rows before exponentiation; a block that vanishes at z has
-        shift -inf and a zero mantissa.
+        A block that vanishes at z (|d| > 0 at the origin) has shift -inf.
         """
         with np.errstate(divide="ignore"):
             logr = np.log(np.abs(z))
-        p = self.p[:, :, None]
-        lt = np.zeros(p.shape[:2] + z.shape)
-        np.multiply(p, logr, out=lt, where=p > 0)  # z^0 stays 1 at the origin
-        lt -= self.half_logm[:, :, None]
+        t = z.real ** 2 + z.imag ** 2
+        x = np.zeros(self.p.shape + z.shape)
+        x[:, 0] = 1.0
+        for k in range(self.p.shape[1] - 1):  # x[:, -1] is still zero at k = 0
+            x[:, k + 1] = (t - self.center[:, k]) * self.gain[:, k] * x[:, k] \
+                - self.back[:, k] * x[:, k - 1]
+        top = np.max(np.abs(x), axis=1)  # at least |pi_0| = 1
+        x /= top[:, None, :]
+        shift = np.zeros(top.shape)
+        np.multiply(self.low, logr, out=shift, where=self.low > 0)  # |z|^0 = 1 at 0
+        shift += np.log(top) - self.half_logm
         if weight_power:
-            lt -= weight_power * self.m * self.weight.eval_weight(z)
-        shift = np.max(lt, axis=1)
-        lt -= np.where(np.isfinite(shift), shift, 0.0)[:, None, :]
-        x = np.exp(lt, out=lt)
-        for k in range(self.chol.shape[1]):
-            x[:, k] /= self.chol[:, k, k, None]
-            x[:, k + 1:] -= self.chol[:, k + 1:, k, None] * x[:, k, None]
+            shift -= weight_power * self.m * self.weight.eval_weight(z)
         return shift, x, np.angle(z)
 
     def weighted(self, z) -> np.ndarray:
         """(dim, N) correlation-kernel features Phi(z), rows in block order.
 
-        A scaled monomial has unit norm, so every e^{shift} is at most
-        sqrt(one-point intensity) and the dense form cannot overflow.
+        By Bessel's inequality every |Phi_a(z)| is at most sqrt(one-point
+        intensity), so the dense form cannot overflow.
         """
         shift, x, ang = self(np.asarray(z, dtype=complex).ravel(), 0.5)
         phase = np.exp(shift + 1j * self.d[:, None] * ang[None, :])
@@ -235,7 +243,7 @@ class KernelEvaluator:
         computed once on the diagonal (z is w, equal powers) and once for a
         side holding a single point, which is then broadcast.  On the
         diagonal every block phase is e^0 = 1, so the blocks are summed as
-        reals; the mantissa stays complex with a zero imaginary part.
+        reals.
         """
         same = z is w and zw_power == ww_power
         z = np.asarray(z, dtype=complex)
@@ -258,11 +266,6 @@ class KernelEvaluator:
             if not same:
                 vals = vals * np.exp(1j * self._features.d[:, None]
                                      * (ang_z - ang_w)[None, :])
-            elif vals.shape[1] == 1:
-                # numpy sums a lone column pairwise, grouped differently for
-                # real and complex data; summed as complex it keeps the bits
-                # of the general path
-                vals = vals.astype(complex)
             t = np.max(logs, axis=0)
             t = np.where(np.isfinite(t), t, 0.0)
             top[part] = t
@@ -408,25 +411,20 @@ class KernelEvaluator:
         phi_z = np.outer(np.conjugate(z) ** np.arange(q), z ** np.arange(n))
         return float(np.max(np.abs(vals - phi_z) / (1.0 + np.abs(phi_z))))
 
-    def total_intensity(self, n_r: int = 400, n_phi: int = 64) -> float:
+    def total_intensity(self, n_r: int = 400) -> float:
         """Quadrature of the one-point intensity; equals nq by orthonormality.
 
-        gamma is radial, so one angle would give the same integral in exact
-        arithmetic.  But |r e^{i phi}| rounds to a slightly different radius
-        at each angle, so the n_phi angles average the evaluation noise of
-        gamma: at ginibre q=8 n=m=40 the per-angle trace defects scatter
-        with standard deviation 4.0e-11 around a mean of -4.6e-11, while
-        the positive real axis alone reads -8.7e-11.  So the trace keeps its
-        full polar grid.
+        gamma is radial, so this is int 2 rho gamma(rho) d rho on n_r
+        Gauss-Legendre radii in [0, R + 12 m^{-1/2}].
         """
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
-        return integrate_polar_grid(
-            lambda zz: self.one_point_intensity(zz), r_max, n_r, n_phi
-        )
+        x, v = gauss_legendre(n_r)
+        rho = 0.5 * r_max * (x + 1.0)
+        return float(np.sum(r_max * v * rho * self.one_point_intensity(rho.astype(complex))))
 
 
 def build_space(weight: WeightModel, spec: SpaceSpec) -> KernelEvaluator:
-    """Assemble moments, blocks, and their factors for one space."""
+    """Assemble moments, blocks, and their recurrences for one space."""
     return KernelEvaluator(GramFactorization(weight, spec))
 
 

@@ -23,6 +23,8 @@ def test_rate_fit_synthetic():
     assert slope == float("-inf") and flag == "zero-errors"
     with pytest.raises(ConfigurationError):
         pk.rate_fit([40.0], [0.1])
+    with pytest.raises(ConfigurationError, match="distinct m"):
+        pk.rate_fit([40.0, 40.0], [0.1, 0.2])
 
 
 def test_bulk_limit_profile_values():

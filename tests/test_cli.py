@@ -45,8 +45,15 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["local", "--weight", "ginibre", "--q", "3", "--m", "8", "--terms", "3"],
      "--terms"),
     (["local", "--weight", "ginibre", "--q", "0", "--m", "8"], "--q"),
+    (["blowup", "--weight", "ginibre", "--q", "0", "--m", "10,20"], "--q"),
+    (["decay", "--weight", "ginibre", "--q", "0", "--m", "10,20"], "--q"),
+    (["intensity", "--weight", "ginibre", "--n", "0", "--m", "1"], "--n"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "0,5"], "--n"),
+    (["blowup", "--weight", "ginibre", "--m", "10,10", "--n", "5,6"], "--m"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
-        "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero"])
+        "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
+        "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
+        "blowup-repeated-m"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err

@@ -4,8 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 import polykernel as pk
 from polykernel.cli import run
@@ -31,19 +30,31 @@ def test_spacespec_guards():
 
 
 def test_block_structure_q1(spaces):
+    # one row per block: pi_0 = 1 needs no recurrence coefficients
     K = spaces("ginibre", 1, 3, 1.0)
     blocks = K.factorization.blocks
     assert len(blocks) == 3
     for blk in blocks:
-        assert blk.chol.shape == (1, 1)
-        assert blk.chol[0, 0] == pytest.approx(1.0, abs=1e-13)  # scaled diag
+        assert blk.alpha.shape == blk.beta.shape == (0,)
+        assert K.factorization.condition_report[blk.d] == 1.0
 
 
 def test_block_structure_q2_n1(spaces):
     K = spaces("ginibre", 2, 1, 1.0)
     ds = sorted(blk.d for blk in K.factorization.blocks)
     assert ds == [-1, 0]
-    assert all(blk.chol.shape == (1, 1) for blk in K.factorization.blocks)
+    assert all(blk.alpha.shape == blk.beta.shape == (0,) for blk in K.factorization.blocks)
+
+
+def test_block_recurrence_is_laguerre(spaces):
+    # ginibre block d: pi_k(t) is L_k^{(|d|)}(mt) up to normalization, whose
+    # Jacobi matrix has alpha_k = (2k+|d|+1)/m and beta_k = sqrt(k(k+|d|))/m
+    m = 4.0
+    K = spaces("ginibre", 3, 4, m)
+    for blk in K.factorization.blocks:
+        a, k = abs(blk.d), np.arange(blk.alpha.size)
+        np.testing.assert_allclose(blk.alpha, (2 * k + a + 1) / m, rtol=1e-13)
+        np.testing.assert_allclose(blk.beta, np.sqrt((k + 1) * (k + 1 + a)) / m, rtol=1e-13)
 
 
 def test_block_count_covers_dimension(spaces):
@@ -58,84 +69,80 @@ def test_condition_report_power2(spaces):
 
 
 def test_trace_identity_past_1e12_condition(spaces):
-    # power:p=3 at q = 8 has scaled Gram blocks of condition above 1e12;
-    # the QR factors of their node matrices keep criterion 7's trace bound
+    # power:p=3 at q = 8 has scaled Gram blocks of condition above 1e12; the
+    # recurrences never form them, so criterion 7's trace bound holds
     K = spaces("power:p=3", 8, 20, 20.0)
     assert max(K.factorization.condition_report.values()) > 1e12
     assert abs(K.total_intensity() - K.spec.dim) <= 1e-8
 
 
 @pytest.mark.parametrize("weight", ["ginibre", "power:p=3"])
-@pytest.mark.parametrize("q", [4, 6, 8, 10])
+@pytest.mark.parametrize("q", [4, 6, 8, 10, 12, 16])
 def test_high_q_sweep(spaces, weight, q):
-    # n = m = 40: block conditions reach 1e11-1e18 as q grows
+    # n = m = 40: block conditions reach 1e11-1e20 and more as q grows
     K = spaces(weight, q, 40, 40.0)
     probe = 0.3 * K.equilibrium.droplet_radius * np.exp(0.7j)
     assert K.reproducing_residual(probe) <= 1e-7
-    assert abs(K.total_intensity() - K.spec.dim) <= (1e-8 if q <= 8 else 1e-6)
+    assert abs(K.total_intensity() - K.spec.dim) <= 1e-10
+
+
+def test_narrow_blocks_grow_their_grid(spaces):
+    # power:p=3, q = 30, n = m = 100: in the narrow blocks of large |d| the
+    # polynomials of degree 29 have not decayed at the first left end of the
+    # node grid, where the trace would read 1.5e-7; the grid must grow
+    K = spaces("power:p=3", 30, 100, 100.0)
+    assert abs(K.total_intensity() - K.spec.dim) <= 1e-13 * K.spec.dim
+
+
+@pytest.mark.parametrize("q", [2, 8, 10, 12, 16])
+def test_ginibre_laguerre_oracle(spaces, q):
+    # block d of the ginibre space has the orthonormal basis
+    # |z|^{|d|} e^{i d arg z} L_k^{(|d|)}(m|z|^2) sqrt(m^{|d|+1} k! / (k+|d|)!)
+    # (Haimi and Hedenmalm, J. Stat. Phys. 153 (2013))
+    n, m = 40, 40.0
+    K = spaces("ginibre", q, n, m)
+    rho = np.linspace(0.0, 1.3, 27)
+    t = rho ** 2
+    with np.errstate(divide="ignore"):
+        logr = np.log(rho)
+    ref = []
+    for d in range(1 - q, n):
+        a = abs(d)
+        for k in range(min(q - 1, n - 1 - d) - max(0, -d) + 1):
+            log_norm = 0.5 * ((a + 1) * math.log(m) + gammaln(k + 1) - gammaln(k + a + 1)
+                              - m * t) + (a * logr if a else 0.0)
+            ref.append(eval_genlaguerre(k, a, m * t) * np.exp(log_norm))
+    ref = np.array(ref)
+    gamma_ref = np.sum(ref ** 2, axis=0)
+    gamma = K.one_point_intensity(rho.astype(complex))
+    assert np.max(np.abs(gamma - gamma_ref) / gamma_ref) <= 1e-13
+    phi = K._features.weighted(rho)
+    assert phi.shape == ref.shape
+    assert np.max(np.abs(np.abs(phi) - np.abs(ref)) / np.sqrt(gamma_ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("spoil", [0.0, np.nan])
 def test_degenerate_block_is_refused_by_name(monkeypatch, spoil, tmp_path):
-    # spoil the last diagonal entry of the third block's QR factor (d = 1)
-    real_qr = np.linalg.qr
+    # spoil the last beta of the third block's recurrence (d = 1, two rows)
+    real_lanczos = pk.kernel._lanczos
     calls = []
 
-    def qr(a, mode="reduced"):
-        r = real_qr(a, mode=mode)
-        calls.append(r.shape)
+    def lanczos(t, start, steps):
+        alpha, beta, basis = real_lanczos(t, start, steps)
+        calls.append(beta.size)
         if len(calls) == 3:
-            r[-1, -1] = spoil
-        return r
+            beta[-1] = spoil
+        return alpha, beta, basis
 
-    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(pk.kernel, "_lanczos", lanczos)
     with pytest.raises(NumericalDegeneracyError,
                        match=r"block d=1 .*condition inf; weight ginibre, q=2, n=4, m=4\.0"):
         pk.build_space(GINIBRE, pk.SpaceSpec(2, 4, 4.0))
-    assert calls[2] == (2, 2)
+    assert calls[2] == 1
     calls.clear()
     argv = ["intensity", "--weight", "ginibre", "--q", "2", "--n", "4", "--m", "4",
             "--out", str(tmp_path / "gamma.csv")]
     assert run(argv) == 2
-
-
-@pytest.mark.parametrize("weight, q, n", [("ginibre", 4, 3), ("power:p=3", 8, 20)])
-def test_feature_map_padding_matches_per_block_solve(spaces, weight, q, n):
-    # mixed block sizes (1,2,3,3,2,1 for q=4, n=3) and, for power:p=3 at q=8,
-    # blocks of condition above 1e12: the padded batched solve must match a
-    # per-block triangular solve and leave the padded rows at zero
-    K = spaces(weight, q, n, float(n))
-    fact = K.factorization
-    if q == 4:
-        assert [blk.p_values.size for blk in fact.blocks] == [1, 2, 3, 3, 2, 1]
-    else:
-        assert max(fact.condition_report.values()) > 1e12
-    rng = np.random.default_rng(41)
-    R = K.equilibrium.droplet_radius
-    z = np.concatenate([[0.0, 0.5 * R, -1.5j * R], disk_points(rng, 40, 1.3 * R)])
-    shift, mant, ang = K._features(z, 0.5)
-    assert np.array_equal(ang, np.angle(z))
-    logr = np.log(np.where(z == 0, 1.0, np.abs(z)))
-    damp = -0.5 * K.spec.m * K.weight.eval_weight(z)
-    for i, blk in enumerate(fact.blocks):
-        p = blk.p_values
-        lt = p[:, None] * logr[None, :] - 0.5 * fact.log_moments[p][:, None] + damp
-        lt[(p[:, None] > 0) & (z == 0)[None, :]] = -np.inf
-        top = lt.max(axis=0)
-        ref = solve_triangular(blk.chol, np.exp(lt - np.where(np.isfinite(top), top, 0.0)),
-                               lower=True)
-        np.testing.assert_allclose(shift[i], top, rtol=1e-14, atol=1e-14)
-        # rounding differs by up to ~6e-13 in the blocks of condition up to 1.6e12
-        scale = np.max(np.abs(ref), axis=0)
-        assert np.all(np.abs(mant[i, :p.size] - ref) <= 1e-9 * scale)
-        assert not np.any(mant[i, p.size:])
-    # the dense Phi^T conj(Phi) matrix against pairwise kernel evaluations
-    pts = z[:12]
-    zz, ww = np.meshgrid(pts, pts, indexing="ij")
-    pairwise = K.weighted_kernel(zz, ww)
-    gamma = np.sqrt(K.one_point_intensity(pts))
-    err = np.abs(K._weighted_matrix(pts) - pairwise) / np.outer(gamma, gamma)
-    assert np.max(err) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +369,14 @@ def test_diagonal_path_matches_general_path(spaces):
         diag = K.one_point_intensity(z)
         general = np.real(K.weighted_kernel(z, z.copy()))
         assert np.max(np.abs(diag - general) / diag) <= 1e-14
+        # the dense Phi^T conj(Phi) matrix against pairwise kernel values, with
+        # blocks of 1, 2 and 3 rows and the origin, where blocks d != 0 vanish
+        pts = np.concatenate([[0.0], z[:11]])
+        zz, ww = np.meshgrid(pts, pts, indexing="ij")
+        gamma = np.sqrt(K.one_point_intensity(pts))
+        err = np.abs(K._weighted_matrix(pts) - K.weighted_kernel(zz, ww)) \
+            / np.outer(gamma, gamma)
+        assert np.max(err) < 1e-12
 
 
 def test_diagonal_bound_on_built_q2_spaces(spaces):
