@@ -44,6 +44,26 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(strict: bool):
+    """argparse type: a finite float > 0 if ``strict``, else >= 0."""
+    bound = "> 0" if strict else ">= 0"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {bound}, got '{text}'")
+        return value
+    return parse
+
+
+_positive = _finite(strict=True)
+_nonnegative = _finite(strict=False)
+
+
 def _list_of(kind, what: str):
     """argparse type: a non-empty comma-separated list of ``kind`` values."""
     def parse(text: str) -> list:
@@ -64,7 +84,7 @@ def _add_space_flags(p: argparse.ArgumentParser, with_n: bool = True):
     p.add_argument("--q", type=_count, default=1, help="polyanalytic order (q >= 1)")
     if with_n:
         p.add_argument("--n", type=_count, required=True, help="analytic degree count")
-        p.add_argument("--m", type=float, required=True, help="scaling parameter")
+        p.add_argument("--m", type=_positive, required=True, help="scaling parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "R*Q'(R)=2 and the equilibrium-potential profile")
     p.add_argument("--weight", required=True)
     p.add_argument("--out", help="optional CSV of r, Q(r), equilibrium potential")
-    p.add_argument("--r-max", type=float, default=0.0)
+    p.add_argument("--r-max", type=_nonnegative, default=0.0,
+                   help="largest radius (default 0: automatic)")
     p.add_argument("--n-grid", type=_count, default=200)
 
     p = sub.add_parser("energy", help="weighted logarithmic energy of the "
@@ -90,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--w0", default="0", help="fixed second argument (complex)")
     p.add_argument("--center", default="0", help="grid centre (complex)")
-    p.add_argument("--grid-radius", type=float, default=1.0)
+    p.add_argument("--grid-radius", type=_positive, default=1.0)
     p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--out", required=True)
 
@@ -98,13 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "density around a centre")
     _add_space_flags(p)
     p.add_argument("--z0", default="0", help="centre (complex)")
-    p.add_argument("--grid-radius", type=float, default=1.0)
+    p.add_argument("--grid-radius", type=_positive, default=1.0)
     p.add_argument("--grid-n", type=_count, default=33)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("intensity", help="radial profile of the one-point intensity")
     _add_space_flags(p)
-    p.add_argument("--r-max", type=float, default=0.0)
+    p.add_argument("--r-max", type=_nonnegative, default=0.0,
+                   help="largest radius (default 0: automatic)")
     p.add_argument("--n-grid", type=_count, default=200)
     p.add_argument("--out", required=True)
 
@@ -113,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", default="0")
-    p.add_argument("--m", type=_list_of(float, "floats"), required=True,
-                   help="comma-separated m ladder")
+    p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
+                   required=True, help="comma-separated m ladder")
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
-    p.add_argument("--grid-radius", type=float, default=2.5)
+    p.add_argument("--grid-radius", type=_positive, default=2.5)
     p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-prefix", default="", help="optional per-m error-grid CSVs")
@@ -127,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", default="0")
-    p.add_argument("--m", type=_list_of(float, "floats"), required=True)
+    p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
+                   required=True)
     p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=int, default=12)
     p.add_argument("--out", required=True)
@@ -143,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local", help="near-diagonal expansion values on a grid")
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
-    p.add_argument("--m", type=float, required=True)
+    p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--z0", default="0.5")
     p.add_argument("--terms", type=int, default=None,
                    help="expansion orders: up to 2 for q=1, 3 for q=2, 1 for "
                    "q>=3 (default: 2, or 1 for q>=3)")
-    p.add_argument("--grid-radius", type=float, default=0.2)
+    p.add_argument("--grid-radius", type=_positive, default=0.2)
     p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--out", required=True)

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .quadrature import (RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre,
@@ -342,7 +341,7 @@ class KernelEvaluator:
         sign, logabs = np.linalg.slogdet(mat)
         if not np.isfinite(logabs) or np.real(sign) <= 0.0:
             return 0.0
-        return float(np.real(sign) * np.exp(logabs - gammaln(self.spec.dim + 1)))
+        return float(np.real(sign) * np.exp(logabs - math.lgamma(self.spec.dim + 1)))
 
     def berezin_density(self, z, w):
         """Probability density |K(w,z)|^2 e^{-mQ(w)} / K(z,z) centred at z."""
@@ -411,12 +410,16 @@ class KernelEvaluator:
         phi_z = np.outer(np.conjugate(z) ** np.arange(q), z ** np.arange(n))
         return float(np.max(np.abs(vals - phi_z) / (1.0 + np.abs(phi_z))))
 
-    def total_intensity(self, n_r: int = 400) -> float:
+    def total_intensity(self, n_r: int | None = None) -> float:
         """Quadrature of the one-point intensity; equals nq by orthonormality.
 
-        gamma is radial, so this is int 2 rho gamma(rho) d rho on n_r
-        Gauss-Legendre radii in [0, R + 12 m^{-1/2}].
+        gamma is radial, so this is int 2 rho gamma(rho) d rho on
+        n_r = max(400, 3(n+q)) Gauss-Legendre radii in [0, R + 12 m^{-1/2}],
+        scaled like ``reproducing_residual``'s: gamma is e^{-mQ} times a
+        polynomial of degree 2(n+q-2) in rho, which a fixed count
+        under-resolves at large n+q.
         """
+        n_r = n_r or max(400, 3 * (self.spec.n + self.spec.q))
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
         x, v = gauss_legendre(n_r)
         rho = 0.5 * r_max * (x + 1.0)

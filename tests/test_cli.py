@@ -1,6 +1,10 @@
 """CLI: subcommand outputs, exit codes, and byte-identical determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,10 +54,25 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["intensity", "--weight", "ginibre", "--n", "0", "--m", "1"], "--n"),
     (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "0,5"], "--n"),
     (["blowup", "--weight", "ginibre", "--m", "10,10", "--n", "5,6"], "--m"),
+    (["blowup", "--weight", "ginibre", "--m", "inf"], "--m"),
+    (["blowup", "--weight", "ginibre", "--m", "0,40"], "--m"),
+    (["decay", "--weight", "ginibre", "--m", "20,nan"], "--m"),
+    (["intensity", "--weight", "ginibre", "--n", "4", "--m", "0"], "--m"),
+    (["local", "--weight", "ginibre", "--m", "-8"], "--m"),
+    (["droplet", "--weight", "ginibre", "--r-max", "-1"], "--r-max"),
+    (["intensity", "--weight", "ginibre", "--n", "4", "--m", "1", "--r-max", "-2"],
+     "--r-max"),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "1", "--grid-radius", "0"],
+     "--grid-radius"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--grid-radius", "-1"],
+     "--grid-radius"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
         "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
-        "blowup-repeated-m"])
+        "blowup-repeated-m", "blowup-m-inf", "blowup-m-zero", "decay-m-nan",
+        "intensity-m-zero", "local-m-negative", "droplet-r-max-negative",
+        "intensity-r-max-negative", "kernel-grid-radius-zero",
+        "blowup-grid-radius-negative"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err
@@ -148,6 +167,28 @@ def test_sample_determinism(tmp_path):
                     "--m", "6", "--count", "2", "--seed", "11",
                     "--outdir", str(d)]) == 0
     assert (d1 / "config-0001.csv").read_bytes() == (d2 / "config-0001.csv").read_bytes()
+
+
+def test_runtime_imports_neither_scipy_nor_mpmath(tmp_path):
+    # a fresh interpreter: the package and two subcommands load numpy and the
+    # standard library only
+    script = f"""
+import sys
+import polykernel, polykernel.cli
+out = {str(tmp_path)!r}
+assert polykernel.cli.run(["intensity", "--weight", "ginibre", "--q", "2", "--n", "6",
+                           "--m", "6", "--out", out + "/i.csv"]) == 0
+assert polykernel.cli.run(["sample", "--weight", "ginibre", "--n", "4", "--m", "4",
+                           "--outdir", out]) == 0
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("scipy", "mpmath")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_selftest_fast(capsys):

@@ -57,6 +57,19 @@ def test_block_recurrence_is_laguerre(spaces):
         np.testing.assert_allclose(blk.beta, np.sqrt((k + 1) * (k + 1 + a)) / m, rtol=1e-13)
 
 
+@pytest.mark.parametrize("steps", [20, 30, 40])
+def test_lanczos_keeps_its_basis_orthonormal(steps):
+    # Strakos's diagonal (Linear Algebra Appl. 154-156, 1991): eigenvalues
+    # clustered at 0.1 and spread towards 100, where Lanczos that
+    # orthogonalizes only against the two previous vectors reads
+    # max|VV^T - I| = 0.61 and a single reorthogonalization pass 6.9e-10 at
+    # 30 steps
+    i = np.arange(1, 49)
+    t = 0.1 + (i - 1) / 47 * 99.9 * 0.8 ** (48 - i)
+    _, _, basis = pk.kernel._lanczos(t, np.ones(48), steps)
+    assert np.max(np.abs(basis @ basis.T - np.eye(steps + 1))) <= 1e-13
+
+
 def test_block_count_covers_dimension(spaces):
     K = spaces("power:p=2", 2, 4, 5.0)
     total = sum(blk.p_values.size for blk in K.factorization.blocks)
@@ -91,6 +104,14 @@ def test_narrow_blocks_grow_their_grid(spaces):
     # polynomials of degree 29 have not decayed at the first left end of the
     # node grid, where the trace would read 1.5e-7; the grid must grow
     K = spaces("power:p=3", 30, 100, 100.0)
+    assert abs(K.total_intensity() - K.spec.dim) <= 1e-13 * K.spec.dim
+
+
+def test_trace_radii_scale_with_the_space(spaces):
+    # power:p=6, q = 16, n = m = 140: gamma has degree 2(n+q-2) = 308 in rho,
+    # and on a fixed 400 radii the trace reads 1.1e-9 off nq; the default
+    # 3(n+q) = 468 radii read 3e-12
+    K = spaces("power:p=6", 16, 140, 140.0)
     assert abs(K.total_intensity() - K.spec.dim) <= 1e-13 * K.spec.dim
 
 
@@ -310,6 +331,9 @@ def test_joint_density_normalization_q2_n1(spaces):
     det2 = diag[:, None] * diag[None, :] - np.abs(g) ** 2
     total = 0.5 * float(area @ det2 @ area)
     assert total == pytest.approx(1.0, abs=1e-6)
+    # joint_density is the same determinant over (nq)! = 2
+    for a, b in ((100, 130), (250, 290)):
+        assert K.joint_density(pts[[a, b]]) == pytest.approx(0.5 * det2[a, b], rel=1e-12)
 
 
 def test_berezin_density(spaces):
