@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -33,35 +34,38 @@ def _complex_flag(text: str, flag: str) -> complex:
         raise ConfigurationError(f"invalid complex number for {flag}: '{text}'")
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 1 (argparse names the flag on failure)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
-    return value
+def _integer(low: int):
+    """argparse type: an integer >= ``low`` (argparse names the flag on failure)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got '{text}'")
+        return value
+    return parse
 
 
-def _finite(strict: bool):
-    """argparse type: a finite float > 0 if ``strict``, else >= 0."""
-    bound = "> 0" if strict else ">= 0"
+def _finite(low: float, strict: bool):
+    """argparse type: a finite float > ``low`` if ``strict``, else >= ``low``."""
+    bound = f"{'>' if strict else '>='} {low:g}"
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(
                 f"expected a finite number {bound}, got '{text}'")
         return value
     return parse
 
 
-_positive = _finite(strict=True)
-_nonnegative = _finite(strict=False)
+_count = _integer(1)
+_positive = _finite(0.0, strict=True)
+_nonnegative = _finite(0.0, strict=False)
 
 
 def _list_of(kind, what: str):
@@ -152,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
                    required=True)
     p.add_argument("--directions", type=_count, default=4)
-    p.add_argument("--separations", type=int, default=12)
+    p.add_argument("--separations", type=_integer(2), default=12)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("offdroplet", help="outside-droplet decay margins along a ray")
     _add_space_flags(p)
-    p.add_argument("--ratios", type=_list_of(float, "floats"),
+    p.add_argument("--ratios", type=_list_of(_finite(1.0, strict=True), "finite numbers > 1"),
                    default="1.1,1.2,1.35,1.5,1.75,2.0",
                    help="radii as multiples of the droplet radius")
     p.add_argument("--direction", default="1")
@@ -291,8 +295,8 @@ def cmd_offdroplet(args) -> int:
     weight, spec = _resolve_space(args)
     K = build_space(weight, spec)
     direction = _complex_flag(args.direction, "--direction")
-    if direction == 0:
-        raise ConfigurationError("--direction must be nonzero")
+    if direction == 0 or not cmath.isfinite(direction):
+        raise ConfigurationError(f"--direction must be finite and nonzero, got '{args.direction}'")
     radii = np.array(args.ratios) * K.equilibrium.droplet_radius
     margins = asym.offdroplet_margins(K, direction, radii)
     write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))

@@ -9,9 +9,11 @@ orthonormal polynomials of the probability measure t^{|d|} e^{-mQ} dt / M_{|d|}
 (for ginibre, Laguerre polynomials L_k^{(|d|)}(mt); Haimi and Hedenmalm,
 J. Stat. Phys. 153 (2013)).  A block is thus the coefficients alpha_k, beta_k
 of their three-term recurrence (Gautschi, Orthogonal Polynomials:
-Computation and Approximation, 2004, section 2.2), found by Lanczos on one
-trapezoid grid in u = log t (quadrature.MomentRule).  The Gram blocks, of
-condition 1e15 and more for q >= 10, are never formed or factored.
+Computation and Approximation, 2004, section 2.2), found by Lanczos on a
+trapezoid grid in u = log t (quadrature.MomentRule).  All blocks with the
+same number of rows run as one batch, so a build makes one pass per distinct
+row count (at most q), whatever n.  The Gram blocks, of condition 1e15 and
+more for q >= 10, are never formed or factored.
 
 Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
 the orthonormal basis e_a: the correlation kernel is
@@ -46,6 +48,7 @@ GRAM_LEFT_TAIL = 80.0
 NEGATIVE_DET_CLAMP = 1e-10
 LOG_FLOOR = -745.0  # double underflow boundary for logged magnitudes
 PAIR_CHUNK = 1 << 17  # about 1 MB per float64 working array
+GRAM_PAD = 1.5  # most nodes a batch pads a block's grid to, over its own count
 
 
 @dataclass(frozen=True)
@@ -69,38 +72,126 @@ class SpaceSpec:
         return self.q * self.n
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One degree-offset block and the recurrence of its orthonormal basis."""
-
-    d: int
-    r_values: np.ndarray      # basis rows (r, j=r+d) present in this block
-    p_values: np.ndarray      # magnitude exponents 2r + d = |d| + 2k
-    alpha: np.ndarray         # alpha_0 .. alpha_{s-2} for a block of s rows
-    beta: np.ndarray          # beta_1 .. beta_{s-1}
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, summed in long double."""
+    return np.sqrt(np.sum(x * x, axis=-1, dtype=np.longdouble)).astype(float)
 
 
 def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
     """alpha_k, beta_{k+1} (k < steps) of sum_i start_i^2 delta(t_i), and the basis.
 
+    Batched over the rows of t and start, each an independent problem:
     Lanczos on diag(t), each new vector orthogonalized twice against all
-    earlier ones (Gragg and Harrod, Numer. Math. 44 (1984)).
+    earlier ones of its row (Gragg and Harrod, Numer. Math. 44 (1984)).
+    A node where start is 0 stays 0 in every vector, so rows of different
+    lengths may be padded with zeros.  alpha_k, beta_k and the start norm
+    are summed in long double.
     """
-    basis = np.empty((steps + 1, t.size))
-    basis[0] = start / np.linalg.norm(start)
-    alpha, beta = np.empty(steps), np.empty(steps)
+    nb, size = start.shape
+    basis = np.empty((nb, steps + 1, size))
+    basis[:, 0] = start / _norm(start)[:, None]
+    alpha, beta = np.empty((nb, steps)), np.empty((nb, steps))
     for k in range(steps):
-        v = t * basis[k]
-        alpha[k] = basis[k] @ v
-        for _ in range(2):
-            v -= (basis[:k + 1] @ v) @ basis[:k + 1]
-        beta[k] = np.linalg.norm(v)
-        basis[k + 1] = v / beta[k]
+        v = t * basis[:, k]
+        alpha[:, k] = np.sum(basis[:, k] * v, axis=-1, dtype=np.longdouble)
+        done = basis[:, :k + 1]
+        for _ in range(2):  # v -= done^T (done v), row by row
+            v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done)[:, 0]
+        beta[:, k] = _norm(v)
+        basis[:, k + 1] = v / beta[:, k, None]
     return alpha, beta, basis
 
 
+def _recurrences(rule: MomentRule, p: np.ndarray):
+    """Recurrence coefficients of blocks of equal row count, and their conditions.
+
+    ``p`` holds the exponents of one block per row; ``rule`` holds the
+    exponents 0..n+q-2 in order, so its rows are the exponents themselves.
+    Block i runs Lanczos on one trapezoid grid in u that covers the rules of
+    its rows, started from sqrt(exp(f_{p_i0}(u))), the measure
+    t^{|d|} e^{-mQ} dt = exp(f_{|d|}(u)) du.  The blocks run in batches of
+    similar node count (``_chunks``), the node axis innermost and each grid
+    padded with zeros to the longest of its batch.  Only the blocks whose
+    polynomials keep more than TAIL_BOUND of their norm at the left end
+    double their grid's left reach and run again.
+    """
+    nb, size = p.shape
+    step = RULE_STEP * np.min(rule.width[p], axis=1)
+    left, right = rule.reach(p, GRAM_LEFT_TAIL)
+    lo, hi = np.min(left, axis=1), np.max(right, axis=1)
+    alpha, beta = np.empty((nb, size - 1)), np.empty((nb, size - 1))
+    todo = np.arange(nb)
+    while todo.size:
+        count = np.ceil((hi[todo] - lo[todo]) / step[todo]).astype(int) + 1
+        order = np.argsort(count, kind="stable")
+        todo, count = todo[order], count[order]
+        grow = []
+        for part in _chunks(count, size):
+            idx, cnt = todo[part], count[part]
+            j = np.arange(cnt[-1])
+            # padded nodes repeat a grid's last node, so t stays finite, and start
+            # is zero there
+            u = lo[idx, None] + step[idx, None] * np.minimum(j, cnt[:, None] - 1)
+            start = np.exp(0.5 * rule.log_integrand(p[idx, :1], u)) * (j < cnt[:, None])
+            alpha[idx], beta[idx], basis = _lanczos(np.exp(u), start, size - 1)
+            grow.append(idx[np.max(basis[:, :, 0] ** 2, axis=1) > TAIL_BOUND])
+        todo = np.concatenate(grow)  # a NaN edge stops; _conditions refuses it
+        lo[todo] -= hi[todo] - lo[todo]
+    return alpha, beta, _conditions(alpha, beta)
+
+
+def _conditions(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Condition of each block's Gram matrix scaled to unit diagonal.
+
+    On a block's grid the scaled monomial of row r, sqrt(exp(f_{p_0+2r}(u))),
+    is t^r times that of row 0 up to a constant, so in the Lanczos basis it is
+    J^r e_0 up to scale, with J the Jacobi matrix of alpha and beta.  J has
+    positive entries, so these vectors are computed without cancellation; the
+    condition is that of their normalized stack, squared, by one stacked SVD.
+    It is inf where a coefficient is zero or not finite.
+    """
+    nb, size = alpha.shape[0], alpha.shape[1] + 1
+    ok = np.all(np.isfinite(alpha) & np.isfinite(beta) & (beta > 0.0), axis=1)
+    a, b = np.where(ok[:, None], alpha, 1.0), np.where(ok[:, None], beta, 1.0)
+    krylov = np.zeros((nb, size, size))
+    krylov[:, 0, 0] = 1.0
+    for r in range(1, size):
+        prev, row = krylov[:, r - 1], krylov[:, r]
+        row[:, :-1] = a * prev[:, :-1] + b * prev[:, 1:]
+        row[:, 1:] += b * prev[:, :-1]
+        row /= np.linalg.norm(row, axis=1)[:, None]
+    sv = np.linalg.svd(krylov, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = (sv[:, 0] / sv[:, -1]) ** 2
+    cond[~ok] = math.inf
+    return cond
+
+
+def _chunks(count: np.ndarray, size: int):
+    """Consecutive slices of the ascending node counts ``count``, one batch each.
+
+    A batch's padded (block, vector, node) arrays of ``size`` vectors hold at
+    most PAIR_CHUNK entries, and no grid in it is padded past GRAM_PAD times
+    its own node count; a batch holds one block at least.
+    """
+    first = 0
+    while first < count.size:
+        rest = count[first:]
+        fits = (np.arange(rest.size) + 1) * size * rest <= PAIR_CHUNK
+        fits &= rest <= GRAM_PAD * rest[0]
+        last = first + max(1, int(np.sum(fits)))
+        yield slice(first, last)
+        first = last
+
+
 class GramFactorization:
-    """Log-moment table plus the three-term recurrence of every Gram block."""
+    """Log-moment table plus the three-term recurrence of every Gram block.
+
+    Block i has degree offset d[i] and size[i] basis rows r = r0[i] + k,
+    j = r + d[i], of exponents 2r + d = |d| + 2k.  Row i of alpha and beta
+    holds its alpha_0 .. alpha_{s-2} and beta_1 .. beta_{s-1} for s = size[i],
+    zero past them.
+    """
 
     def __init__(self, weight: WeightModel, spec: SpaceSpec):
         self.weight = weight
@@ -108,48 +199,28 @@ class GramFactorization:
         q, n, m = spec.q, spec.n, spec.m
         rule = MomentRule(weight, m, np.arange(n + q - 1))
         self.log_moments = log_moment_table(weight, m, n + q - 2, rule)
-        self.blocks: list[_Block] = []
-        self.condition_report: dict[int, float] = {}
-        for d in range(-(q - 1), n):  # rows r < q with 0 <= j = r + d < n
-            r = np.arange(max(0, -d), min(q - 1, n - 1 - d) + 1)
-            p = 2 * r + d
-            alpha, beta, self.condition_report[d] = self._factor(d, rule, p)
-            self.blocks.append(_Block(d, r, p, alpha, beta))
-
-    def _factor(self, d: int, rule: MomentRule, p: np.ndarray):
-        """Recurrence coefficients of block d and the condition of the scaled block.
-
-        ``rule`` holds the exponents 0..n+q-2 in order, so the rows of the
-        block's exponents ``p`` are ``p`` themselves.  The node matrix holds
-        sqrt(exp(f_p(u))), the scaled monomials, on one trapezoid grid in u
-        that covers the rules of every row; Lanczos starts from its first
-        column, the measure t^{|d|} e^{-mQ} dt = exp(f_{|d|}(u)) du.  While a
-        polynomial keeps more than TAIL_BOUND of its norm at the left end,
-        the grid grows.
-        """
-        step = RULE_STEP * np.min(rule.width[p])
-        left, right = rule.reach(p, GRAM_LEFT_TAIL)
-        lo, hi = np.min(left), np.max(right)
-        edge = math.inf
-        while edge > TAIL_BOUND:  # a NaN edge ends the loop; see the check below
-            u = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
-            nodes = np.exp(0.5 * rule.log_integrand(p[None, :], u[:, None]))
-            alpha, beta, basis = _lanczos(np.exp(u), nodes[:, 0], p.size - 1)
-            edge = np.max(basis[:, 0] ** 2)
-            lo -= hi - lo
-        # the Lanczos vectors span the unit-norm monomial columns of nodes, so
-        # cond(basis @ nodes)^2 is the condition of the block scaled to unit diagonal
-        cond = math.inf
-        if np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta) & (beta > 0.0)):
-            cond = float(np.linalg.cond(basis @ (nodes / np.linalg.norm(nodes, axis=0)))) ** 2
-        if not math.isfinite(cond):
+        # rows r < q with 0 <= j = r + d < n
+        self.d = np.arange(-(q - 1), n)
+        self.r0 = np.maximum(0, -self.d)
+        self.size = np.minimum(q - 1, n - 1 - self.d) - self.r0 + 1
+        self.alpha = np.zeros((self.d.size, q - 1))
+        self.beta = np.zeros((self.d.size, q - 1))
+        cond = np.ones(self.d.size)  # a one-row block scales to the 1 x 1 matrix [1]
+        for rows in np.unique(self.size[self.size > 1]):
+            same = self.size == rows
+            p = np.abs(self.d[same])[:, None] + 2 * np.arange(rows)
+            self.alpha[same, :rows - 1], self.beta[same, :rows - 1], cond[same] = \
+                _recurrences(rule, p)
+        bad = np.flatnonzero(~np.isfinite(cond))
+        if bad.size:
+            i = bad[0]
             raise NumericalDegeneracyError(
-                f"Gram block d={d} is numerically degenerate: its recurrence has "
-                f"beta {np.array2string(beta, precision=3)} (condition {cond:.3e}; "
-                f"weight {self.weight.spec_string()}, q={self.spec.q}, "
-                f"n={self.spec.n}, m={self.spec.m})"
+                f"Gram block d={self.d[i]} is numerically degenerate: its recurrence has "
+                f"beta {np.array2string(self.beta[i, :self.size[i] - 1], precision=3)} "
+                f"(condition {cond[i]:.3e}; weight {self.weight.spec_string()}, "
+                f"q={self.spec.q}, n={self.spec.n}, m={self.spec.m})"
             )
-        return alpha, beta, cond
+        self.condition_report = dict(zip(self.d.tolist(), cond.tolist()))
 
 
 class _FeatureMap:
@@ -165,23 +236,22 @@ class _FeatureMap:
     """
 
     def __init__(self, factorization: GramFactorization):
-        blocks = factorization.blocks
-        q, nb = factorization.spec.q, len(blocks)
-        self.weight, self.m = factorization.weight, factorization.spec.m
-        self.d = np.array([blk.d for blk in blocks])
-        self.p = np.zeros((nb, q), dtype=int)
-        self.mask = np.arange(q) < np.array([[blk.p_values.size] for blk in blocks])
+        f = factorization
+        q, nb = f.spec.q, f.d.size
+        self.weight, self.m = f.weight, f.spec.m
+        self.d = f.d
+        self.mask = np.arange(q) < f.size[:, None]
+        self.p = np.where(self.mask, np.abs(f.d)[:, None] + 2 * np.arange(q), 0)
+        live = f.beta > 0.0  # beta_{k+1} of a row k + 1 of the block
         self.center = np.zeros((nb, q, 1))  # alpha_k
         self.gain = np.zeros((nb, q, 1))    # 1 / beta_{k+1}
         self.back = np.zeros((nb, q, 1))    # beta_k / beta_{k+1}
-        for i, blk in enumerate(blocks):
-            size = blk.p_values.size
-            self.p[i, :size] = blk.p_values
-            self.center[i, :size - 1, 0] = blk.alpha
-            self.gain[i, :size - 1, 0] = 1.0 / blk.beta
-            self.back[i, 1:size - 1, 0] = blk.beta[:-1] / blk.beta[1:]
+        self.center[:, :q - 1, 0] = f.alpha
+        np.divide(1.0, f.beta, out=self.gain[:, :q - 1, 0], where=live)
+        np.divide(f.beta[:, :-1], f.beta[:, 1:], out=self.back[:, 1:q - 1, 0],
+                  where=live[:, 1:])
         self.low = np.abs(self.d)[:, None]
-        self.half_logm = 0.5 * factorization.log_moments[self.low]
+        self.half_logm = 0.5 * f.log_moments[self.low]
 
     def __call__(self, z: np.ndarray, weight_power: float):
         """(shift, mantissa, angles) at flat points z, weighted by e^{-power mQ}.
@@ -389,11 +459,9 @@ class KernelEvaluator:
         t = np.where(np.isfinite(t), t, 0.0)
         vals = np.exp(t) * np.sum(mant[:, None, :] * np.exp(logs - t[:, :, None]), axis=2)
         vals = vals * np.exp(1j * fm.d * ang_z)[:, None]
-        blocks = self.factorization.blocks
-        r_idx = np.concatenate([blk.r_values for blk in blocks])
-        j_idx = np.concatenate([blk.r_values + blk.d for blk in blocks])
+        r = self.factorization.r0[:, None] + np.arange(q)
         table = np.empty((q, n), dtype=complex)
-        table[r_idx, j_idx] = vals[fm.mask]
+        table[r[fm.mask], (r + fm.d[:, None])[fm.mask]] = vals[fm.mask]
         return table
 
     def reproducing_residual(self, z: complex, n_r: int | None = None) -> float:
@@ -413,13 +481,18 @@ class KernelEvaluator:
     def total_intensity(self, n_r: int | None = None) -> float:
         """Quadrature of the one-point intensity; equals nq by orthonormality.
 
-        gamma is radial, so this is int 2 rho gamma(rho) d rho on
-        n_r = max(400, 3(n+q)) Gauss-Legendre radii in [0, R + 12 m^{-1/2}],
-        scaled like ``reproducing_residual``'s: gamma is e^{-mQ} times a
-        polynomial of degree 2(n+q-2) in rho, which a fixed count
-        under-resolves at large n+q.
+        gamma is radial, so this is int 2 rho gamma(rho) d rho on n_r
+        Gauss-Legendre radii in [0, R + 12 m^{-1/2}].  gamma is e^{-mQ} times
+        a polynomial of degree 2(n+q-2) in rho, which needs 3(n+q) radii, as
+        in ``reproducing_residual``.  For a weight of degree K in |z|^2 the
+        edge of gamma also steepens with K and carries more ripples as q
+        grows: over power:p=2..8, q = 2..40 and n = m in {60, 115}, the least
+        count (in steps of 25) for a trace within 1e-12 nq, where above 200,
+        was 20.6 to 29.1 times K + sqrt(K q).  So n_r is by default
+        max(400, 3(n+q), 28(K + sqrt(K q))).
         """
-        n_r = n_r or max(400, 3 * (self.spec.n + self.spec.q))
+        q, k = self.spec.q, self.weight.degree
+        n_r = n_r or max(400, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
         x, v = gauss_legendre(n_r)
         rho = 0.5 * r_max * (x + 1.0)

@@ -133,6 +133,14 @@ def test_decay_ladder_stability_small():
     assert len(d["beta_over_sqrt_m"]) == 2
 
 
+def test_decay_ladder_stability_ginibre_q2():
+    # the ladder workload's decay ladder: for ginibre, beta/sqrt(m) does not
+    # move with m, so its spread is rounding; it reads 6.1e-16, and 1.0e-15
+    # when the block recurrences sum alpha_k and beta_k in double
+    rep = pk.decay_ladder(GINIBRE, 2, 0.0, [40, 80, 160])
+    assert rep.stability <= 1e-15
+
+
 def test_offdroplet_margins_bounded(spaces):
     radii = np.array([1.1, 1.3, 1.6, 2.0])
     cal = pk.offdroplet_margins(spaces("ginibre", 2, 20, 20.0), 1.0, radii).max()

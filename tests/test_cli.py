@@ -66,13 +66,25 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
      "--grid-radius"),
     (["blowup", "--weight", "ginibre", "--m", "10,20", "--grid-radius", "-1"],
      "--grid-radius"),
+    (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "4", "--ratios", "2,inf"],
+     "--ratios"),
+    (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "4", "--ratios", "0.5"],
+     "--ratios"),
+    (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "4", "--direction", "nan"],
+     "--direction"),
+    (["decay", "--weight", "ginibre", "--m", "10,20", "--separations", "-3"],
+     "--separations"),
+    (["decay", "--weight", "ginibre", "--m", "10,20", "--separations", "1"],
+     "--separations"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
         "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
         "blowup-repeated-m", "blowup-m-inf", "blowup-m-zero", "decay-m-nan",
         "intensity-m-zero", "local-m-negative", "droplet-r-max-negative",
         "intensity-r-max-negative", "kernel-grid-radius-zero",
-        "blowup-grid-radius-negative"])
+        "blowup-grid-radius-negative", "offdroplet-ratios-inf",
+        "offdroplet-ratios-below-one", "offdroplet-direction-nan",
+        "decay-separations-negative", "decay-separations-one"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre, gammaln
 import polykernel as pk
 from polykernel.cli import run
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError
+from polykernel.quadrature import MomentRule
 
 from conftest import disk_points
 
@@ -31,30 +32,31 @@ def test_spacespec_guards():
 
 def test_block_structure_q1(spaces):
     # one row per block: pi_0 = 1 needs no recurrence coefficients
-    K = spaces("ginibre", 1, 3, 1.0)
-    blocks = K.factorization.blocks
-    assert len(blocks) == 3
-    for blk in blocks:
-        assert blk.alpha.shape == blk.beta.shape == (0,)
-        assert K.factorization.condition_report[blk.d] == 1.0
+    F = spaces("ginibre", 1, 3, 1.0).factorization
+    assert F.d.tolist() == [0, 1, 2] and F.size.tolist() == [1, 1, 1]
+    assert F.alpha.shape == F.beta.shape == (3, 0)
+    assert all(F.condition_report[d] == 1.0 for d in F.d.tolist())
 
 
 def test_block_structure_q2_n1(spaces):
-    K = spaces("ginibre", 2, 1, 1.0)
-    ds = sorted(blk.d for blk in K.factorization.blocks)
-    assert ds == [-1, 0]
-    assert all(blk.alpha.shape == blk.beta.shape == (0,) for blk in K.factorization.blocks)
+    F = spaces("ginibre", 2, 1, 1.0).factorization
+    assert F.d.tolist() == [-1, 0] and F.size.tolist() == [1, 1]
+    assert not F.alpha.any() and not F.beta.any()
 
 
 def test_block_recurrence_is_laguerre(spaces):
     # ginibre block d: pi_k(t) is L_k^{(|d|)}(mt) up to normalization, whose
-    # Jacobi matrix has alpha_k = (2k+|d|+1)/m and beta_k = sqrt(k(k+|d|))/m
-    m = 4.0
-    K = spaces("ginibre", 3, 4, m)
-    for blk in K.factorization.blocks:
-        a, k = abs(blk.d), np.arange(blk.alpha.size)
-        np.testing.assert_allclose(blk.alpha, (2 * k + a + 1) / m, rtol=1e-13)
-        np.testing.assert_allclose(blk.beta, np.sqrt((k + 1) * (k + 1 + a)) / m, rtol=1e-13)
+    # Jacobi matrix has alpha_k = (2k+|d|+1)/m and beta_k = sqrt(k(k+|d|))/m;
+    # at q = 2, n = m = 160 the batched blocks read 3.3e-16 (alpha) and
+    # 6.7e-16 (beta), the blocks factored one by one 4.4e-16 and 4.4e-16
+    for q, n, m in [(3, 4, 4.0), (2, 160, 160.0)]:
+        F = spaces("ginibre", q, n, m).factorization
+        for d, s, alpha, beta in zip(F.d, F.size, F.alpha, F.beta):
+            a, k = abs(d), np.arange(s - 1)
+            np.testing.assert_allclose(alpha[:s - 1], (2 * k + a + 1) / m, rtol=1e-15)
+            np.testing.assert_allclose(beta[:s - 1], np.sqrt((k + 1) * (k + 1 + a)) / m,
+                                       rtol=1e-15)
+            assert not alpha[s - 1:].any() and not beta[s - 1:].any()
 
 
 @pytest.mark.parametrize("steps", [20, 30, 40])
@@ -63,17 +65,25 @@ def test_lanczos_keeps_its_basis_orthonormal(steps):
     # clustered at 0.1 and spread towards 100, where Lanczos that
     # orthogonalizes only against the two previous vectors reads
     # max|VV^T - I| = 0.61 and a single reorthogonalization pass 6.9e-10 at
-    # 30 steps
+    # 30 steps.  It runs alone and batched with an unrelated problem padded
+    # with zeros past its 44 nodes.
     i = np.arange(1, 49)
     t = 0.1 + (i - 1) / 47 * 99.9 * 0.8 ** (48 - i)
-    _, _, basis = pk.kernel._lanczos(t, np.ones(48), steps)
-    assert np.max(np.abs(basis @ basis.T - np.eye(steps + 1))) <= 1e-13
+    other_t = np.linspace(0.5, 3.0, 48)
+    other = np.where(i <= 44, np.exp(-other_t), 0.0)
+    alone = pk.kernel._lanczos(t[None, :], np.ones((1, 48)), steps)
+    batched = pk.kernel._lanczos(np.stack([t, other_t]), np.stack([np.ones(48), other]), steps)
+    for alpha, beta, basis in (alone, batched):
+        for v in basis:
+            assert np.max(np.abs(v @ v.T - np.eye(steps + 1))) <= 1e-13
+    np.testing.assert_allclose(batched[0][0], alone[0][0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(batched[1][0], alone[1][0], rtol=1e-15, atol=0.0)
+    assert not batched[2][1][:, 44:].any()
 
 
 def test_block_count_covers_dimension(spaces):
     K = spaces("power:p=2", 2, 4, 5.0)
-    total = sum(blk.p_values.size for blk in K.factorization.blocks)
-    assert total == 8
+    assert K.factorization.size.sum() == 8
 
 
 def test_condition_report_power2(spaces):
@@ -115,6 +125,14 @@ def test_trace_radii_scale_with_the_space(spaces):
     assert abs(K.total_intensity() - K.spec.dim) <= 1e-13 * K.spec.dim
 
 
+def test_trace_radii_scale_with_the_weight_degree(spaces):
+    # power:p=8, q = 20, n = m = 10: gamma's edge is steep, and the
+    # max(400, 3(n+q)) = 400 radii of a degree-blind count read 8.0e-12 nq off
+    # nq; the default 28(K + sqrt(Kq)) = 579 radii read 1.6e-14 nq
+    K = spaces("power:p=8", 20, 10, 10.0)
+    assert abs(K.total_intensity() - K.spec.dim) <= 1e-13 * K.spec.dim
+
+
 @pytest.mark.parametrize("q", [2, 8, 10, 12, 16])
 def test_ginibre_laguerre_oracle(spaces, q):
     # block d of the ginibre space has the orthonormal basis
@@ -144,26 +162,49 @@ def test_ginibre_laguerre_oracle(spaces, q):
 
 @pytest.mark.parametrize("spoil", [0.0, np.nan])
 def test_degenerate_block_is_refused_by_name(monkeypatch, spoil, tmp_path):
-    # spoil the last beta of the third block's recurrence (d = 1, two rows)
+    # spoil the last beta of block d = 1 (two rows) inside its batch; of the
+    # two-row blocks d = 0, 1, 2, only d = 1 has beta_1 = sqrt(1 * 2)/m
     real_lanczos = pk.kernel._lanczos
-    calls = []
+    batches = []
 
     def lanczos(t, start, steps):
         alpha, beta, basis = real_lanczos(t, start, steps)
-        calls.append(beta.size)
-        if len(calls) == 3:
-            beta[-1] = spoil
+        hit = np.isclose(beta[:, -1], math.sqrt(2.0) / 4.0, rtol=1e-12, atol=0.0)
+        beta[hit, -1] = spoil
+        batches.extend([beta.shape[0]] * int(hit.sum()))
         return alpha, beta, basis
 
     monkeypatch.setattr(pk.kernel, "_lanczos", lanczos)
     with pytest.raises(NumericalDegeneracyError,
                        match=r"block d=1 .*condition inf; weight ginibre, q=2, n=4, m=4\.0"):
         pk.build_space(GINIBRE, pk.SpaceSpec(2, 4, 4.0))
-    assert calls[2] == 1
-    calls.clear()
+    assert len(batches) == 1 and batches[0] >= 2
     argv = ["intensity", "--weight", "ginibre", "--q", "2", "--n", "4", "--m", "4",
             "--out", str(tmp_path / "gamma.csv")]
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize("weight, q, n", [("power:p=3", 8, 20), ("power:p=3", 30, 100)])
+def test_batched_blocks_match_blocks_alone(monkeypatch, weight, q, n):
+    # every block, factored in a batch padded to its chunk's longest grid
+    # (and, at q = 30, grown with the others), equals the same block factored
+    # alone; a node outside a block's grid stays zero in its Lanczos vectors
+    real_lanczos = pk.kernel._lanczos
+
+    def lanczos(t, start, steps):
+        alpha, beta, basis = real_lanczos(t, start, steps)
+        assert not basis[np.broadcast_to(start[:, None, :] == 0.0, basis.shape)].any()
+        return alpha, beta, basis
+
+    monkeypatch.setattr(pk.kernel, "_lanczos", lanczos)
+    weight = pk.parse_weight(weight)
+    F = pk.GramFactorization(weight, pk.SpaceSpec(q, n, float(n)))
+    rule = MomentRule(weight, float(n), np.arange(n + q - 1))
+    for i in np.flatnonzero(F.size > 1):
+        s = F.size[i]
+        alpha, beta, _ = pk.kernel._recurrences(rule, abs(F.d[i]) + 2 * np.arange(s)[None, :])
+        np.testing.assert_allclose(F.alpha[i, :s - 1], alpha[0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(F.beta[i, :s - 1], beta[0], rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
