@@ -17,6 +17,7 @@ Four measurements, all deterministic given their parameters:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -276,9 +277,13 @@ def offdroplet_margins(K: KernelEvaluator, direction: complex, radii) -> np.ndar
     if n > m:
         raise ConfigurationError(f"outside-droplet bound requires n <= m (n={n}, m={m})")
     radii = np.asarray(radii, dtype=float).ravel()
-    if np.any(radii <= eq.droplet_radius):
-        raise ConfigurationError("all radii must exceed the droplet radius")
+    if not np.all(np.isfinite(radii) & (radii > eq.droplet_radius)):
+        raise ConfigurationError(
+            f"all radii must be finite and exceed the droplet radius {eq.droplet_radius:.6g}"
+        )
     d = complex(direction)
+    if d == 0 or not cmath.isfinite(d):
+        raise ConfigurationError(f"direction must be finite and nonzero, got {direction}")
     d = d / abs(d)
     z = d * radii
     log_gamma = np.asarray(K.log_one_point_intensity(z))

@@ -28,10 +28,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex_flag(text: str, flag: str) -> complex:
+    """A finite complex number, or a ConfigurationError that names the flag."""
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
-        raise ConfigurationError(f"invalid complex number for {flag}: '{text}'")
+        value = complex(math.nan)
+    if not cmath.isfinite(value):
+        raise ConfigurationError(f"invalid complex number for {flag}: '{text}' "
+                                 "(expected a finite value)")
+    return value
 
 
 def _integer(low: int):
@@ -225,10 +230,9 @@ def _square_grid(center: complex, radius: float, n: int) -> np.ndarray:
 
 def cmd_kernel(args) -> int:
     weight, spec = _resolve_space(args)
+    center, w0 = _complex_flag(args.center, "--center"), _complex_flag(args.w0, "--w0")
     K = build_space(weight, spec)
-    z = _square_grid(_complex_flag(args.center, "--center"), args.grid_radius,
-                     args.grid_n).ravel()
-    w0 = _complex_flag(args.w0, "--w0")
+    z = _square_grid(center, args.grid_radius, args.grid_n).ravel()
     export_kernel_grid_csv(args.out, K, z, np.full_like(z, w0))
     print(f"wrote {z.size} kernel rows to {args.out}")
     return 0
@@ -236,8 +240,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_berezin(args) -> int:
     weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
     z0 = _complex_flag(args.z0, "--z0")
+    K = build_space(weight, spec)
     grid = _square_grid(z0, args.grid_radius, args.grid_n).ravel()
     dens = np.atleast_1d(K.berezin_density(z0, grid))
     write_csv(args.out, ["re_w", "im_w", "berezin"],
@@ -293,10 +297,10 @@ def cmd_decay(args) -> int:
 
 def cmd_offdroplet(args) -> int:
     weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
     direction = _complex_flag(args.direction, "--direction")
-    if direction == 0 or not cmath.isfinite(direction):
-        raise ConfigurationError(f"--direction must be finite and nonzero, got '{args.direction}'")
+    if direction == 0:
+        raise ConfigurationError(f"--direction must be nonzero, got '{args.direction}'")
+    K = build_space(weight, spec)
     radii = np.array(args.ratios) * K.equilibrium.droplet_radius
     margins = asym.offdroplet_margins(K, direction, radii)
     write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))

@@ -217,10 +217,31 @@ def log_moment_table(w: WeightModel, m: float, p_max: int,
     return logs
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}."""
+    p, prev = np.ones_like(x), np.zeros_like(x)
+    for j in range(n):
+        p, prev = ((2 * j + 1) * x * p - j * prev) / (j + 1), p
+    return p, n * (prev - x * p) / (1.0 - x * x)
+
+
 @functools.lru_cache(maxsize=16)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    x, v = np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    Four Newton steps on P_n from the ascending guesses
+    x_k = -cos(pi (4k - 1) / (4n + 2)) reach every node to rounding (checked
+    up to n = 1600); the weights are 2 / ((1 - x^2) P_n'(x)^2) at the
+    converged nodes.
+    """
+    k = np.arange(1, n + 1)
+    x = -np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(4):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    dp = _legendre(n, x)[1]
+    v = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, v = 0.5 * (x - x[::-1]), 0.5 * (v + v[::-1])  # exact symmetry
     x.flags.writeable = False
     v.flags.writeable = False
     return x, v

@@ -21,10 +21,21 @@ diagonal / envelope.  A proposal whose gamma exceeds its bin's envelope
 raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
 mass outside it decays exponentially and is far below 1e-8 at desk scale.
 
+Because the envelope does not change from draw to draw, proposals are drawn
+ahead in blocks.  With envelope mass M, draw t takes M / (nq - t) proposals
+on average, so a block drawn at draw t holds M (1/(nq - t) + ... + 1/1), the
+proposals expected for every remaining draw, but at most PAIR_CHUNK feature
+entries and never fewer than M / (nq - t).  The features and the residual
+diagonal of a block are evaluated once; each acceptance then downdates the
+diagonal of the block's pending proposals by |<u_t, Phi>|^2 of the new frame
+vector alone.  A configuration at nq = 40 usually takes one or two blocks.
+
 Randomness comes from numpy's Philox counter-based generator.  A batch of
 configurations derives one 64-bit child seed per configuration index through
 numpy's SeedSequence(master, index) spawning, so a configuration depends
 only on the master seed and its index, not on the batch it is drawn in.
+Proposal k of a configuration uses row k of the uniforms drawn from its
+stream, so the points do not depend on how the proposals are blocked.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SamplerError
-from .kernel import KernelEvaluator
+from .kernel import PAIR_CHUNK, KernelEvaluator
 from .quadrature import gauss_legendre
 
 ENVELOPE_BINS = 256
@@ -108,16 +119,20 @@ def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
     proposals = 0
     space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
 
-    # Proposal k of a configuration uses row k of the uniforms drawn from
-    # the Philox stream; proposals left in a batch after an acceptance carry
-    # over to the next draw, so the points do not depend on the batch size.
-    taken = size = 0  # proposals of the current batch consumed, and drawn
+    # A block's residual diagonal is projected once, against frame[:t], and
+    # then downdated by the one new frame row after each acceptance, so it
+    # always holds the diagonal of the current draw; proposals left in a
+    # block carry over to the next draw.
+    cap = PAIR_CHUNK // K._features.p.size  # proposals per block, by entries
+    taken = size = 0  # proposals of the current block consumed, and drawn
     for t in range(nq):
         draw_start = proposals
         while True:
             if taken == size:
-                # proposals per acceptance is mass / (nq - t) on average
-                size, taken = math.ceil(mass / (nq - t)), 0
+                # proposals per acceptance is mass / (nq - s) on average at draw s
+                expected = mass * sum(1.0 / r for r in range(1, nq - t + 1))
+                size = max(math.ceil(mass / (nq - t)), min(math.ceil(expected), cap))
+                taken = 0
                 u = rng.random((size, 4))
                 idx = np.searchsorted(cdf, u[:, 0], side="right")
                 cand = np.sqrt(edges[idx] ** 2 + u[:, 1] * area[idx]) \
@@ -134,9 +149,8 @@ def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
                         f"[{edges[b]:.6g}, {edges[b + 1]:.6g}] ({space})"
                     )
                 threshold = u[:, 3] * bound
-            rest = slice(taken, size)
-            diag = gamma[rest] - np.sum(np.abs(frame[:t] @ phi[:, rest]) ** 2, axis=0)
-            hits = np.flatnonzero(threshold[rest] < diag)
+                diag = gamma - np.sum(np.abs(frame[:t] @ phi) ** 2, axis=0)
+            hits = np.flatnonzero(threshold[taken:] < diag[taken:])
             consumed = int(hits[0]) + 1 if hits.size else size - taken
             taken += consumed
             proposals += consumed
@@ -158,6 +172,8 @@ def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
         if norm <= 0.0:
             raise SamplerError(f"degenerate frame update at draw {t + 1}/{nq}")
         frame[t] = g.conj() / norm
+        proj = frame[t] @ phi[:, taken:]
+        diag[taken:] -= proj.real ** 2 + proj.imag ** 2
 
     return PointConfiguration(points=points, seed=int(seed), q=spec.q, n=spec.n,
                               m=spec.m, weight=K.weight.spec_string(),

@@ -348,13 +348,15 @@ class RadialEquilibrium:
         """
         if n_quad < 64:
             raise ConfigurationError(f"weighted_energy needs n_quad >= 64, got {n_quad}")
+        from .quadrature import gauss_legendre  # quadrature imports this module
+
         R = self.droplet_radius
-        x, v = np.polynomial.legendre.leggauss(n_quad)
+        x, v = gauss_legendre(n_quad)
         t = 0.5 * R * (x + 1.0)
         vt = 0.5 * R * v
         mu_t = 2.0 * t * self.weight.delta_q(t)
         # inner cumulative mass P(t) = int_0^t mu, one Gauss-Legendre rule per node
-        xi, vi = np.polynomial.legendre.leggauss(min(n_quad, 128))
+        xi, vi = gauss_legendre(min(n_quad, 128))
         s = 0.5 * t[:, None] * (xi[None, :] + 1.0)
         ws = 0.5 * t[:, None] * vi[None, :]
         P = np.sum(ws * 2.0 * s * self.weight.delta_q(s), axis=1)

@@ -160,6 +160,18 @@ def test_offdroplet_preconditions(spaces):
         pk.offdroplet_margins(Kbad, 1.0, [1.5])
 
 
+@pytest.mark.parametrize("direction, radii", [
+    (1.0, [2.0, np.inf]), (1.0, [np.nan, 2.0]), (1.0, [-np.inf]),
+    (0.0, [2.0]), (complex(np.nan, 1.0), [2.0]), (np.inf, [2.0]),
+], ids=["radius-inf", "radius-nan", "radius-minus-inf", "direction-zero",
+        "direction-nan", "direction-inf"])
+def test_offdroplet_refuses_non_finite_input(spaces, direction, radii):
+    # before, [2.0, inf] returned [-1.7365, nan] without an error
+    K = spaces("ginibre", 2, 20, 20.0)
+    with pytest.raises(ConfigurationError, match="radii|direction"):
+        pk.offdroplet_margins(K, direction, radii)
+
+
 def test_diagonal_bound(spaces):
     ratio = pk.diagonal_bound_check(spaces("ginibre", 2, 40, 40.0))
     assert ratio < 1.0

@@ -76,6 +76,15 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
      "--separations"),
     (["decay", "--weight", "ginibre", "--m", "10,20", "--separations", "1"],
      "--separations"),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "4", "--w0", "nan"], "--w0"),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "4", "--center", "nan"],
+     "--center"),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "4", "--center", "1+infj"],
+     "--center"),
+    (["berezin", "--weight", "ginibre", "--n", "4", "--m", "4", "--z0", "nan"], "--z0"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--z0", "nan"], "--z0"),
+    (["decay", "--weight", "ginibre", "--m", "10,20", "--z0", "inf"], "--z0"),
+    (["local", "--weight", "ginibre", "--m", "8", "--z0", "nan"], "--z0"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
         "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
@@ -84,7 +93,9 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "intensity-r-max-negative", "kernel-grid-radius-zero",
         "blowup-grid-radius-negative", "offdroplet-ratios-inf",
         "offdroplet-ratios-below-one", "offdroplet-direction-nan",
-        "decay-separations-negative", "decay-separations-one"])
+        "decay-separations-negative", "decay-separations-one", "kernel-w0-nan",
+        "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
+        "decay-z0-inf", "local-z0-nan"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err

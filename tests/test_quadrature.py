@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 import polykernel as pk
 from polykernel.errors import ConfigurationError
-from polykernel.quadrature import MomentRule, log_moment_table
+from polykernel.quadrature import MomentRule, gauss_legendre, log_moment_table
 
 GINIBRE = pk.parse_weight("ginibre")
 POWER2 = pk.parse_weight("power:p=2")
@@ -133,3 +133,16 @@ def test_polar_grid_guards():
         pk.integrate_polar_grid(lambda z: z, -1.0, 32, 32)
     with pytest.raises(ConfigurationError):
         pk.integrate_polar_grid(lambda z: z, 1.0, 8, 32)
+
+
+@pytest.mark.parametrize("n", [16, 160, 400, 1000, 1600])
+def test_gauss_legendre_is_exact_on_even_powers(n):
+    # an n-point rule integrates x^(2j) exactly for 2j < 2n; the nodes near
+    # +-1 carry the high powers, so only their rounding is left.  numpy's
+    # leggauss misses x^2 alone by 1.5e-13 at n = 1000.
+    x, v = gauss_legendre(n)
+    assert not x.flags.writeable and not v.flags.writeable
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(v, v[::-1])
+    worst = max(abs(math.fsum(v * x ** (2 * j)) - 2.0 / (2 * j + 1)) for j in range(n))
+    assert worst <= 4 * np.finfo(float).eps

@@ -9,6 +9,7 @@ import polykernel as pk
 from polykernel import sampling
 from polykernel.cli import run
 from polykernel.errors import ConfigurationError, SamplerError
+from polykernel.kernel import PAIR_CHUNK
 from polykernel.sampling import seed_for_index
 
 from conftest import disk_points
@@ -89,6 +90,98 @@ def test_batch_matches_per_index_sampling(spaces):
     for i, cfg in enumerate(batch):
         solo = pk.sample_configuration(K, seed_for_index(123, i))
         assert np.array_equal(cfg.points, solo.points)
+
+
+def _reference_configuration(K, seed):
+    """One proposal at a time from the same Philox stream, each diagonal
+    gamma - sum_i |<u_i, Phi>|^2 by a fresh projection on the frame."""
+    nq = K.spec.dim
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    edges, envelope = sampling._radial_envelope(K)
+    area = edges[1:] ** 2 - edges[:-1] ** 2
+    cdf = np.cumsum(envelope * area)
+    cdf /= cdf[-1]
+    frame = np.zeros((nq, nq), dtype=complex)  # conjugated orthonormal rows
+    points = np.empty(nq, dtype=complex)
+    proposals = 0
+    for t in range(nq):
+        while True:
+            u = rng.random((1, 4))
+            proposals += 1
+            idx = np.searchsorted(cdf, u[:, 0], side="right")
+            z = np.sqrt(edges[idx] ** 2 + u[:, 1] * area[idx]) * np.exp(2j * np.pi * u[:, 2])
+            phi = K._features.weighted(z)
+            gamma = np.sum(np.abs(phi) ** 2, axis=0)
+            assert gamma[0] <= envelope[idx[0]]
+            diag = gamma - np.sum(np.abs(frame[:t] @ phi) ** 2, axis=0)
+            if u[0, 3] * envelope[idx[0]] < diag[0]:
+                break
+        points[t] = z[0]
+        g = phi[:, 0]
+        for _ in range(2):
+            g = g - ((frame[:t] @ g).conj() @ frame[:t]).conj()
+        frame[t] = g.conj() / np.linalg.norm(g)
+    return points, proposals
+
+
+@pytest.mark.parametrize("weight, q, n", [("ginibre", 2, 20), ("power:p=2", 3, 30),
+                                           ("ginibre", 1, 60)])
+def test_block_sampler_matches_one_proposal_at_a_time(spaces, weight, q, n):
+    # blocks of proposals and rank-one downdates of their residual diagonal
+    # change neither the points nor the proposal count of any configuration
+    K = spaces(weight, q, n, float(n))
+    for i in range(10):
+        seed = seed_for_index(404, i)
+        cfg = pk.sample_configuration(K, seed)
+        points, proposals = _reference_configuration(K, seed)
+        assert cfg.points.tobytes() == points.tobytes()
+        assert cfg.proposals_used == proposals
+
+
+def _count_feature_calls(K, monkeypatch):
+    sampling._radial_envelope(K)  # the envelope's own probes are not a block
+    sizes = []
+    weighted = K._features.weighted
+
+    def wrapped(z):
+        sizes.append(np.size(z))
+        return weighted(z)
+
+    monkeypatch.setattr(K._features, "weighted", wrapped)
+    return sizes
+
+
+def test_blocks_respect_the_entry_bound(spaces, monkeypatch):
+    # nq = 200: the proposals expected for a whole configuration would exceed
+    # PAIR_CHUNK feature entries, so blocks stop at the bound
+    K = spaces("ginibre", 2, 100, 100.0)
+    nq, entries = K.spec.dim, K._features.p.size
+    edges, envelope = sampling._radial_envelope(K)
+    mass = np.sum(envelope * (edges[1:] ** 2 - edges[:-1] ** 2))
+    assert nq * mass * sum(1.0 / r for r in range(1, nq + 1)) > PAIR_CHUNK
+    assert mass < PAIR_CHUNK // entries  # so no per-draw batch exceeds it
+    sizes = _count_feature_calls(K, monkeypatch)
+    cfgs = pk.sample_batch(K, 2, 8)
+    assert max(sizes) * entries <= PAIR_CHUNK
+    assert max(sizes) == PAIR_CHUNK // entries
+    assert sum(sizes) >= sum(c.proposals_used for c in cfgs)
+    # a block cut at the bound leaves the stream as it was
+    points, proposals = _reference_configuration(K, seed_for_index(8, 0))
+    assert cfgs[0].points.tobytes() == points.tobytes()
+    assert cfgs[0].proposals_used == proposals
+
+
+def test_a_configuration_takes_few_feature_calls(spaces, monkeypatch):
+    # one call per block, not one per accepted point (about 39 at nq = 40)
+    K = spaces("ginibre", 2, 20, 20.0)
+    sizes = _count_feature_calls(K, monkeypatch)
+    calls = []
+    for i in range(20):
+        before = len(sizes)
+        pk.sample_configuration(K, seed_for_index(77, i))
+        calls.append(len(sizes) - before)
+    assert calls[0] <= 3
+    assert np.median(calls) <= 2 and np.mean(calls) <= 3
 
 
 def test_points_inside_sampling_disk(spaces):
