@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import sys
@@ -408,9 +409,15 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _run_parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built once per process: parsing never changes it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _run_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

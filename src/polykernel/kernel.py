@@ -19,17 +19,25 @@ Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
 the orthonormal basis e_a: the correlation kernel is
 sum_a Phi_a(z) conj(Phi_a(w)).  The map never exponentiates a large log: a
 block is a real vector of recurrence values pi_k(t) plus one log shift per
-(block, point).  Pair evaluation recombines the blocks under a global running
-scale, so the log-moment table keeps m ~ 200 inside double range.
+(block, point).  The values are laid out (row, block, point) and computed in
+place, one chunk of points at a time, in buffers that each thread reuses.
+Block d carries the phase e^{i d (arg z - arg w)}; it is one complex product
+of entries from two tables of about sqrt(blocks) exps per point, not one
+complex exp per (block, point).  Pair evaluation recombines the blocks under
+a global running scale, so the log-moment table keeps m ~ 200 inside double
+range.
 
 A KernelEvaluator is immutable after construction, apart from tables derived
-from the space on first use (concurrent first uses compute the same table),
-and safe for concurrent evaluation from many threads.
+from the space on first use (concurrent first uses compute the same table)
+and each thread's working buffers, and safe for concurrent evaluation from
+many threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -223,6 +231,89 @@ class GramFactorization:
         self.condition_report = dict(zip(self.d.tolist(), cond.tolist()))
 
 
+@functools.lru_cache(maxsize=16)
+def _phase_plan(d0: int, nb: int):
+    """How ``_block_phases`` splits the offsets d0, ..., d0 + nb - 1.
+
+    With S = ceil(sqrt(nb)), d = a S + b for 0 <= b < S (floor division),
+    so d = 0 is a = b = 0.  Returns S; the b of d0 and the number of offsets
+    that share its a (``head``); the number of full groups of S offsets after
+    those, and of offsets left over; the table exponents k (the b < S, then
+    a S for every a) and Dekker's splitter for them.
+    """
+    s = math.isqrt(nb - 1) + 1
+    a0, b0 = divmod(d0, s)
+    head = min(nb, s - b0)
+    whole, rest = divmod(nb - head, s)
+    k = np.concatenate([np.arange(s), s * np.arange(a0, a0 + whole + 2)])
+    k.flags.writeable = False
+    split = float(2 ** int(np.max(np.abs(k))).bit_length() + 1)
+    return s, b0, head, whole, rest, k, split
+
+
+def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None):
+    """(block, angle) table of e^{i d theta} for consecutive offsets d.
+
+    With S = ceil(sqrt(blocks)) and d = a S + b for 0 <= b < S, e^{i d theta}
+    is one complex product of e^{i a S theta} and e^{i b theta}: about 2 S
+    table entries per angle, in place of one complex exp per (block, angle),
+    and e^{i 0 theta} = 1 exactly.  An entry e^{i k theta} is
+    e^{i k hi} e^{i k lo} for theta = hi + lo split (Dekker) so that every
+    k hi is exact, with e^{i y} = 1 - y^2/2 + i y (1 - y^2/6) at the tiny
+    y = k lo.  So it is within about an ulp however large k theta is, where
+    np.exp(1j * k * theta) carries the rounding of k theta.  The split is
+    odd in theta, so the table at -theta is exactly the conjugate of the
+    table at theta (an exact zero may differ in sign), and the kernel stays
+    exactly Hermitian.
+    """
+    nb = d.size
+    s, b0, head, whole, rest, k, split = _phase_plan(int(d[0]), nb)
+    c = split * theta
+    hi = c - (c - theta)
+    arg = np.multiply.outer(k, hi)
+    table = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=table.real)
+    np.sin(arg, out=table.imag)
+    y = np.multiply.outer(k, theta - hi)
+    y2 = y * y
+    tail = np.empty_like(table)
+    np.subtract(1.0, 0.5 * y2, out=tail.real)
+    np.multiply(y, 1.0 - y2 / 6.0, out=tail.imag)
+    table *= tail
+    small, big = table[:s], table[s:]
+    if out is None:
+        out = np.empty((nb, theta.size), dtype=complex)
+    np.multiply(big[0], small[b0:b0 + head], out=out[:head])
+    np.multiply(big[1:whole + 1, None], small,
+                out=out[head:head + whole * s].reshape(whole, s, theta.size))
+    if rest:
+        np.multiply(big[whole + 1], small[:rest], out=out[nb - rest:])
+    return out
+
+
+def _buffer(scratch: dict | None, key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array of ``shape``, a view of scratch[key] if that is
+    large enough.  Otherwise it is new, and kept as scratch[key] if it holds
+    at most PAIR_CHUNK entries.  Evaluations thus reuse their working memory
+    rather than fault in fresh pages for every array."""
+    size = math.prod(shape)
+    buf = None if scratch is None else scratch.get(key)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        if scratch is not None and size <= PAIR_CHUNK:
+            scratch[key] = buf
+    return buf[:size].reshape(shape)
+
+
+class _Scratch(threading.local):
+    """One thread's working buffers (``_buffer``): the features of one side
+    of a pair, of the other side, and their pairing.  They hold at most
+    (2 + 9/q) PAIR_CHUNK doubles, 6.8 MB at q = 2 and 11.5 MB at q = 1."""
+
+    def __init__(self):
+        self.z, self.w, self.pair = {}, {}, {}
+
+
 class _FeatureMap:
     """Weighted orthonormal features of every Gram block, batched over points.
 
@@ -230,9 +321,11 @@ class _FeatureMap:
     Phi(z) = e^{shift} * mantissa * e^{i d arg z}, with one real log shift per
     (block, point) that carries |z|^{|d|} M_{|d|}^{-1/2} e^{-power mQ(z)} and
     the largest |pi_k(t)| of the block, and the mantissa pi_k(t) divided by
-    it.  The recurrence runs over the q rows, each step vectorized over
-    blocks x points, as beta_{k+1} pi_{k+1} = (t - alpha_k) pi_k - beta_k pi_{k-1}
-    with coefficients that are zero past a block's rows, so those rows are 0.
+    it.  Mantissas are laid out (row, block, point), so that each step of the
+    recurrence beta_{k+1} pi_{k+1} = (t - alpha_k) pi_k - beta_k pi_{k-1}, the
+    maximum over rows and the division by it run in place on contiguous
+    (block, point) slabs.  The coefficients are zero past a block's rows, so
+    those rows are 0.
     """
 
     def __init__(self, factorization: GramFactorization):
@@ -242,35 +335,68 @@ class _FeatureMap:
         self.d = f.d
         self.mask = np.arange(q) < f.size[:, None]
         self.p = np.where(self.mask, np.abs(f.d)[:, None] + 2 * np.arange(q), 0)
-        live = f.beta > 0.0  # beta_{k+1} of a row k + 1 of the block
-        self.center = np.zeros((nb, q, 1))  # alpha_k
-        self.gain = np.zeros((nb, q, 1))    # 1 / beta_{k+1}
-        self.back = np.zeros((nb, q, 1))    # beta_k / beta_{k+1}
-        self.center[:, :q - 1, 0] = f.alpha
-        np.divide(1.0, f.beta, out=self.gain[:, :q - 1, 0], where=live)
-        np.divide(f.beta[:, :-1], f.beta[:, 1:], out=self.back[:, 1:q - 1, 0],
-                  where=live[:, 1:])
+        beta = f.beta.T
+        live = beta > 0.0  # beta_{k+1} of a row k + 1 of the block
+        self.center = np.zeros((q, nb, 1))  # alpha_k
+        self.gain = np.zeros((q, nb, 1))    # 1 / beta_{k+1}
+        self.back = np.zeros((q, nb, 1))    # beta_k / beta_{k+1}
+        self.center[:q - 1, :, 0] = f.alpha.T
+        np.divide(1.0, beta, out=self.gain[:q - 1, :, 0], where=live)
+        np.divide(beta[:-1], beta[1:], out=self.back[1:q - 1, :, 0], where=live[1:])
         self.low = np.abs(self.d)[:, None]
         self.half_logm = 0.5 * f.log_moments[self.low]
+        self.origin = q - 1  # the block d = 0
+        self.scratch = _Scratch()
+        # Row k of block i is row first[i] + k of ``weighted``.  The blocks of
+        # the most rows are consecutive and fill consecutive rows, written by
+        # one strided product; the others, at most 2(q - 1), by index, one
+        # gather per row k.
+        size = f.size
+        rows = int(size.max())
+        first = np.concatenate([[0], np.cumsum(size)[:-1]])
+        full = np.flatnonzero(size == rows)
+        self.dim = int(size.sum())
+        self.full = (slice(full[0], full[-1] + 1), rows,
+                     slice(first[full[0]], first[full[-1]] + rows))
+        self.ramps = []
+        for k in range(rows - 1):
+            b = np.flatnonzero((size > k) & (size < rows))
+            self.ramps.append((k, b, first[b] + k))
 
-    def __call__(self, z: np.ndarray, weight_power: float):
+    def __call__(self, z: np.ndarray, weight_power: float, scratch: dict | None = None):
         """(shift, mantissa, angles) at flat points z, weighted by e^{-power mQ}.
 
-        A block that vanishes at z (|d| > 0 at the origin) has shift -inf.
+        shift is (block, point) and mantissa (row, block, point).  Both live
+        in ``scratch`` if one is given (``_buffer``), so the next call with
+        that scratch overwrites them.  A block that vanishes at z (|d| > 0 at
+        the origin) has shift -inf.
         """
-        with np.errstate(divide="ignore"):
-            logr = np.log(np.abs(z))
         t = z.real ** 2 + z.imag ** 2
-        x = np.zeros(self.p.shape + z.shape)
-        x[:, 0] = 1.0
-        for k in range(self.p.shape[1] - 1):  # x[:, -1] is still zero at k = 0
-            x[:, k + 1] = (t - self.center[:, k]) * self.gain[:, k] * x[:, k] \
-                - self.back[:, k] * x[:, k - 1]
-        top = np.max(np.abs(x), axis=1)  # at least |pi_0| = 1
-        x /= top[:, None, :]
-        shift = np.zeros(top.shape)
-        np.multiply(self.low, logr, out=shift, where=self.low > 0)  # |z|^0 = 1 at 0
-        shift += np.log(top) - self.half_logm
+        q, nb = self.center.shape[:2]
+        x = _buffer(scratch, "x", (q, nb, z.size))
+        work = _buffer(scratch, "work", (nb, z.size))
+        # pi_0 = 1, so its products are exact and left out, and its row is
+        # written only once normalized
+        for k in range(q - 1):
+            row = x[k + 1]
+            np.subtract(t, self.center[k], out=row)
+            row *= self.gain[k]
+            if k:
+                row *= x[k]
+                row -= self.back[k] if k == 1 else \
+                    np.multiply(self.back[k], x[k - 1], out=work)
+        top = _buffer(scratch, "top", (nb, z.size))
+        top.fill(1.0)
+        for k in range(1, q):
+            np.maximum(top, np.abs(x[k], out=work), out=top)
+        np.divide(1.0, top, out=x[0])
+        x[1:] /= top
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.multiply(self.low, np.log(np.abs(z)), out=work)
+        shift[self.origin] = 0.0  # |z|^0 = 1, also at 0
+        np.log(top, out=top)
+        top -= self.half_logm
+        shift += top
         if weight_power:
             shift -= weight_power * self.m * self.weight.eval_weight(z)
         return shift, x, np.angle(z)
@@ -278,18 +404,29 @@ class _FeatureMap:
     def weighted(self, z) -> np.ndarray:
         """(dim, N) correlation-kernel features Phi(z), rows in block order.
 
-        By Bessel's inequality every |Phi_a(z)| is at most sqrt(one-point
-        intensity), so the dense form cannot overflow.
+        Each row is written once, straight into the result: no complex
+        (row, block, point) array is formed.  By Bessel's inequality every
+        |Phi_a(z)| is at most sqrt(one-point intensity), so the dense form
+        cannot overflow.
         """
-        shift, x, ang = self(np.asarray(z, dtype=complex).ravel(), 0.5)
-        phase = np.exp(shift + 1j * self.d[:, None] * ang[None, :])
-        return (x * phase[:, None, :])[self.mask]
+        shift, x, ang = self(np.asarray(z, dtype=complex).ravel(), 0.5, self.scratch.z)
+        phase = _block_phases(self.d, ang,
+                              _buffer(self.scratch.pair, "phase", shift.shape, complex))
+        phase *= np.exp(shift, out=shift)
+        out = np.empty((self.dim, ang.size), dtype=complex)
+        blocks, rows, dest = self.full
+        np.multiply(x[:rows, blocks].transpose(1, 0, 2), phase[blocks, None],
+                    out=out[dest].reshape(-1, rows, ang.size))
+        for k, b, dest in self.ramps:
+            out[dest] = x[k, b] * phase[b]
+        return out
 
 
 class KernelEvaluator:
     """Evaluates the reproducing kernel and derived statistical quantities.
 
-    Immutable; all evaluation paths stay in the log domain until the final
+    Immutable, apart from derived tables and each thread's working buffers;
+    all evaluation paths stay in the log domain until the final
     recombination, so weighted quantities survive separations where the
     plain kernel would overflow or underflow doubles.
     """
@@ -307,38 +444,51 @@ class KernelEvaluator:
     def _pair_eval(self, z, w, zw_power: float, ww_power: float):
         """Pairwise kernel values as (log_scale, complex mantissa) arrays.
 
-        Points are taken in chunks of about PAIR_CHUNK (block, row, point)
-        entries, so that the working arrays stay in cache.  The features are
-        computed once on the diagonal (z is w, equal powers) and once for a
-        side holding a single point, which is then broadcast.  On the
+        Points are taken in chunks of about PAIR_CHUNK (row, block, point)
+        entries, so that the working arrays stay in cache, and each chunk
+        works in place in the feature map's scratch buffers.  The features
+        are computed once on the diagonal (z is w, equal powers) and once for
+        a side holding a single point, which is then broadcast.  On the
         diagonal every block phase is e^0 = 1, so the blocks are summed as
-        reals.
+        reals; elsewhere the phases e^{i d (arg z - arg w)} come from
+        ``_block_phases``.
         """
+        fm = self._features
         same = z is w and zw_power == ww_power
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        once_z = z.size == 1 and self._features(z.ravel(), zw_power)
-        once_w = w.size == 1 and not same and self._features(w.ravel(), ww_power)
+        once_z = z.size == 1 and fm(z.ravel(), zw_power)
+        once_w = w.size == 1 and not same and fm(w.ravel(), ww_power)
         z, w = np.broadcast_arrays(z, w)
         shape = z.shape
         zf, wf = z.ravel(), w.ravel()
         top = np.empty(zf.size)
         mant = np.empty(zf.size, dtype=complex)
-        step = max(1, PAIR_CHUNK // self._features.p.size)
+        step = max(1, PAIR_CHUNK // fm.p.size)
+        scratch = fm.scratch
         for lo in range(0, zf.size, step):
             part = slice(lo, lo + step)
-            sz, az, ang_z = once_z or self._features(zf[part], zw_power)
+            sz, az, ang_z = once_z or fm(zf[part], zw_power, scratch.z)
             sw, aw, ang_w = (sz, az, ang_z) if same \
-                else once_w or self._features(wf[part], ww_power)
-            logs = sz + sw
-            vals = np.einsum("bri,bri->bi", az, aw)
-            if not same:
-                vals = vals * np.exp(1j * self._features.d[:, None]
-                                     * (ang_z - ang_w)[None, :])
+                else once_w or fm(wf[part], ww_power, scratch.w)
+            slab = np.broadcast_shapes(sz.shape, sw.shape)
+            logs = np.add(sz, sw, out=_buffer(scratch.pair, "logs", slab))
+            vals = np.multiply(az[0], aw[0], out=_buffer(scratch.pair, "vals", slab))
+            work = _buffer(scratch.pair, "work", slab)
+            for r in range(1, len(az)):
+                vals += np.multiply(az[r], aw[r], out=work)
             t = np.max(logs, axis=0)
             t = np.where(np.isfinite(t), t, 0.0)
             top[part] = t
-            mant[part] = np.sum(vals * np.exp(logs - t[None, :]), axis=0)
+            logs -= t
+            np.exp(logs, out=logs)
+            if not same:
+                phase = _block_phases(fm.d, ang_z - ang_w,
+                                      _buffer(scratch.pair, "phase", slab, complex))
+                phase *= vals
+                vals = phase
+            vals *= logs
+            mant[part] = np.sum(vals, axis=0)
         return top.reshape(shape), mant.reshape(shape)
 
     # -- public evaluation --------------------------------------------------
@@ -444,21 +594,24 @@ class KernelEvaluator:
         """
         q, n, m = self.spec.q, self.spec.n, self.spec.m
         fm = self._features
-        n_r = n_r or max(128, 3 * (n + q))
+        n_r = _node_count(n_r, max(128, 3 * (n + q)))
         r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
         x, v = gauss_legendre(n_r)
         rho = 0.5 * r_max * (x + 1.0)
         w_rho = 0.5 * r_max * v
-        sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0)
-        sr, ar, _ = fm(rho.astype(complex), 1.0)
-        mant = np.einsum("bs,bsk->bk", az[:, :, 0], ar)
+        sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, fm.scratch.w)
+        sr, ar, _ = fm(rho.astype(complex), 1.0, fm.scratch.z)
+        mant = np.einsum("sb,sbk->bk", az[:, :, 0], ar)
         # log of e^{shifts} * 2 w_k rho_k * rho_k^p, for every (block, row, radius)
-        logs = (sz + sr + np.log(2.0 * w_rho * rho))[:, None, :] \
-            + fm.p[:, :, None] * np.log(rho)
+        logs = fm.p[:, :, None] * np.log(rho)
+        logs += (sz + sr + np.log(2.0 * w_rho * rho))[:, None, :]
         t = np.max(logs, axis=2)
         t = np.where(np.isfinite(t), t, 0.0)
-        vals = np.exp(t) * np.sum(mant[:, None, :] * np.exp(logs - t[:, :, None]), axis=2)
-        vals = vals * np.exp(1j * fm.d * ang_z)[:, None]
+        logs -= t[:, :, None]
+        np.exp(logs, out=logs)
+        logs *= mant[:, None, :]
+        vals = np.exp(t) * np.sum(logs, axis=2)
+        vals = vals * _block_phases(fm.d, ang_z)
         r = self.factorization.r0[:, None] + np.arange(q)
         table = np.empty((q, n), dtype=complex)
         table[r[fm.mask], (r + fm.d[:, None])[fm.mask]] = vals[fm.mask]
@@ -471,7 +624,7 @@ class KernelEvaluator:
         | int phi(w) K(z,w) e^{-mQ(w)} dA(w) - phi(z) | / (1 + |phi(z)|),
         with the integrals of ``_reproduced_monomials``: exact in the angle,
         n_r = max(128, 3(n+q)) Gauss-Legendre radii on the disk of radius
-        R + 10 m^{-1/2}.
+        R + 10 m^{-1/2}.  A given n_r must be an integer >= 16.
         """
         q, n = self.spec.q, self.spec.n
         vals = self._reproduced_monomials(z, n_r)
@@ -489,14 +642,26 @@ class KernelEvaluator:
         grows: over power:p=2..8, q = 2..40 and n = m in {60, 115}, the least
         count (in steps of 25) for a trace within 1e-12 nq, where above 200,
         was 20.6 to 29.1 times K + sqrt(K q).  So n_r is by default
-        max(400, 3(n+q), 28(K + sqrt(K q))).
+        max(400, 3(n+q), 28(K + sqrt(K q))); a given n_r must be an integer
+        >= 16.
         """
         q, k = self.spec.q, self.weight.degree
-        n_r = n_r or max(400, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
+        n_r = _node_count(n_r, max(400, 3 * (self.spec.n + q),
+                                   math.ceil(28 * (k + math.sqrt(k * q)))))
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
         x, v = gauss_legendre(n_r)
         rho = 0.5 * r_max * (x + 1.0)
         return float(np.sum(r_max * v * rho * self.one_point_intensity(rho.astype(complex))))
+
+
+def _node_count(n_r, default: int) -> int:
+    """A radial node count: ``default`` for None, else an integer >= 16, the
+    floor of ``integrate_polar_grid``."""
+    if n_r is None:
+        return default
+    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 16:
+        raise ConfigurationError(f"n_r must be an integer >= 16, got {n_r!r}")
+    return int(n_r)
 
 
 def build_space(weight: WeightModel, spec: SpaceSpec) -> KernelEvaluator:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from polykernel import cli
 from polykernel.cli import run
 
 
@@ -218,3 +219,8 @@ def test_selftest_fast(capsys):
     assert run(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_run_builds_its_parser_once():
+    assert cli._run_parser() is cli._run_parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,6 +1,9 @@
 """Kernel evaluator against closed-form oracles and structural invariants."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.special import eval_genlaguerre, gammaln
 import polykernel as pk
 from polykernel.cli import run
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError
+from polykernel.kernel import PAIR_CHUNK, _block_phases
 from polykernel.quadrature import MomentRule
 
 from conftest import disk_points
@@ -472,3 +476,112 @@ def test_kernel_csv_export(tmp_path, spaces):
     assert first[0] == 0.1 and first[1] == 0.2
     # K(z, 0) = 1 for the n=2 Ginibre space at m=1
     assert first[4] == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the in-place feature pass and its block phases
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [1, 2, 8, 100])
+@pytest.mark.parametrize("nb", [1, 2, 81, 647, 2561])
+def test_block_phase_tables_match_complex_exp(nb, q):
+    # the offsets of nb blocks from d = -(q - 1), so negative d is covered;
+    # np.exp carries the rounding of d theta, up to |d theta| ulp / 2
+    rng = np.random.default_rng(1000 * nb + q)
+    theta = np.concatenate([rng.uniform(-2 * np.pi, 2 * np.pi, 300),
+                            [0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi]])
+    d = np.arange(nb) - (q - 1)
+    dtheta = d[:, None] * theta[None, :]
+    got = _block_phases(d, theta)
+    assert got.shape == (nb, theta.size)
+    err = np.abs(got - np.exp(1j * dtheta))
+    assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(dtheta)))
+    assert np.all(got[d == 0] == 1.0)
+
+
+@pytest.mark.parametrize("nb,q", [(1, 100), (81, 2), (647, 8), (2561, 100)])
+def test_block_phases_of_negated_angles_are_conjugate(nb, q):
+    # exactly equal; an exact zero, such as the imaginary part at d = 0, may
+    # differ in sign
+    d = np.arange(nb) - (q - 1)
+    theta = np.random.default_rng(nb + q).uniform(-2 * np.pi, 2 * np.pi, 400)
+    theta = np.concatenate([theta, [0.0, np.pi, -np.pi, 2 * np.pi]])
+    assert np.array_equal(_block_phases(d, -theta), np.conj(_block_phases(d, theta)))
+
+
+@pytest.mark.parametrize("weight,q,n", [("ginibre", 2, 80), ("power:p=2", 3, 60),
+                                        ("ginibre", 8, 40)])
+def test_hermitian_symmetry_is_exact(spaces, weight, q, n):
+    K = spaces(weight, q, n, float(n))
+    rng = np.random.default_rng(31)
+    radius = 1.1 * K.equilibrium.droplet_radius
+    a, b = disk_points(rng, 200, radius), disk_points(rng, 200, radius)
+    assert np.array_equal(K.weighted_kernel(a, b), np.conj(K.weighted_kernel(b, a)))
+    # a scalar side has its features computed once and broadcast
+    assert np.array_equal(K.weighted_kernel(a[0], b), np.conj(K.weighted_kernel(b, a[0])))
+
+
+@pytest.mark.parametrize("weight,q,n", [("ginibre", 1, 12), ("ginibre", 3, 2),
+                                        ("power:p=2", 3, 30), ("ginibre", 12, 6)])
+def test_weighted_rows_follow_block_order(spaces, weight, q, n):
+    # row k of block d, in block order, against the features of __call__; the
+    # spaces have blocks of one row count only, and of several
+    K = spaces(weight, q, n, float(n))
+    fm = K._features
+    rng = np.random.default_rng(41)
+    z = np.concatenate([[0.0], disk_points(rng, 60, 1.2 * K.equilibrium.droplet_radius)])
+    shift, x, ang = fm(z, 0.5)
+    phase = np.exp(shift + 1j * fm.d[:, None] * ang[None, :])
+    ref = (x.transpose(1, 0, 2) * phase[:, None, :])[fm.mask]
+    got = fm.weighted(z)
+    assert got.shape == (K.spec.dim, z.size)
+    scale = np.sqrt(K.one_point_intensity(z))
+    assert np.max(np.abs(got - ref) / scale) <= 1e-13
+
+
+def test_weighted_has_no_full_complex_intermediate():
+    # a fresh space, so that the scratch buffers of its first call count too
+    K = pk.build_space(GINIBRE, pk.SpaceSpec(2, 60, 60.0))
+    z = disk_points(np.random.default_rng(37), 700, K.equilibrium.droplet_radius)
+    tracemalloc.start()
+    try:
+        phi = K._features.weighted(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.shape == (120, 700)
+    assert peak < 3 * phi.nbytes
+
+
+@pytest.mark.parametrize("n_r", [-5, 0, 1, 2.5])
+def test_bad_node_counts_are_refused(spaces, n_r):
+    K = spaces("ginibre", 2, 20, 20.0)
+    with pytest.raises(ConfigurationError, match="n_r"):
+        K.total_intensity(n_r)
+    with pytest.raises(ConfigurationError, match="n_r"):
+        K.reproducing_residual(0.1, n_r)
+
+
+def test_concurrent_evaluation_matches_serial(spaces):
+    # every thread works in scratch buffers of its own; shared ones would mix
+    # the chunks of concurrent calls
+    K = spaces("ginibre", 2, 40, 40.0)
+    rng = np.random.default_rng(43)
+    step = PAIR_CHUNK // K._features.p.size
+    jobs = [disk_points(rng, 3 * step, K.equilibrium.droplet_radius) for _ in range(6)]
+
+    def evaluate(z):
+        return (K.one_point_intensity(z), K.weighted_kernel(z, z[::-1].copy()),
+                K._features.weighted(z[:100]))
+
+    expect = [evaluate(z) for z in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(evaluate, z) for z in jobs * 3]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for values, reference in zip(got, expect * 3):
+        assert all(np.array_equal(a, b) for a, b in zip(values, reference))
