@@ -10,7 +10,7 @@ off-diagonal decay, and droplet concentration behaviour.
 from .errors import (ConfigurationError, NumericalDegeneracyError,
                      PolykernelError, SamplerError, SingularExpansionError)
 from .weights import RadialEquilibrium, WeightModel, droplet_radius, parse_weight
-from .quadrature import LogMoment, integrate_polar_grid, radial_log_moment
+from .quadrature import integrate_polar_grid
 from .kernel import (GramFactorization, KernelEvaluator, SpaceSpec, build_space,
                      export_kernel_grid_csv)
 from .localexpansion import (laguerre_assoc1, local_kernel_leading,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowupReport", "ConfigurationError", "DecayReport", "GramFactorization",
-    "KernelEvaluator", "LogMoment", "NumericalDegeneracyError",
+    "KernelEvaluator", "NumericalDegeneracyError",
     "PointConfiguration", "PolykernelError", "RadialEquilibrium", "SamplerError",
     "SingularExpansionError", "SpaceSpec", "WeightModel", "blowup_compare",
     "blowup_ladder", "build_space", "bulk_limit_profile", "decay_ladder",
@@ -34,6 +34,6 @@ __all__ = [
     "export_kernel_grid_csv", "integrate_polar_grid", "laguerre_assoc1",
     "local_kernel_leading", "local_kernel_q1", "local_kernel_q2",
     "offdiagonal_scan", "offdroplet_decay_check", "offdroplet_margins",
-    "parse_weight", "r_qm_density", "radial_log_moment", "rate_fit",
+    "parse_weight", "r_qm_density", "rate_fit",
     "sample_batch", "sample_configuration",
 ]

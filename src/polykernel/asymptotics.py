@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernel import KernelEvaluator, LOG_FLOOR
+from .kernel import LOG_FLOOR, KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import _laguerre1
 from .weights import RadialEquilibrium, WeightModel
+
+DECAY_U_RANGE = (0.3, 1.25)  # microscopic separations sqrt(m) s of a decay scan
 
 
 def _require_bulk(K: KernelEvaluator, z0: complex) -> float:
@@ -125,18 +127,24 @@ class BlowupReport:
         }
 
 
+def _ladder(weight: WeightModel, q: int, ms, n_of_m, space_builder):
+    """(m, n, K) for each m of a ladder.
+
+    n is ``n_of_m(m)``, by default round(m); K is ``space_builder(m, n)``,
+    by default the space of order q, n and m.
+    """
+    build = space_builder or (lambda mm, nn: build_space(weight, SpaceSpec(q, nn, mm)))
+    for m in ms:
+        n = int(n_of_m(m)) if n_of_m else int(round(m))
+        yield m, n, build(m, n)
+
+
 def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, n_of_m=None,
                   grid_radius: float = 2.5, grid_n: int = 17,
                   space_builder=None) -> BlowupReport:
     """Blow-up comparison over an m ladder plus the fitted log-log rate."""
-    from .kernel import SpaceSpec, build_space
-
-    build = space_builder or (lambda mm, nn: build_space(weight, SpaceSpec(q, nn, mm)))
-    n_of_m = n_of_m or (lambda mm: int(round(mm)))
     results, ns = [], []
-    for m in ms:
-        n = int(n_of_m(m))
-        K = build(m, n)
+    for _, n, K in _ladder(weight, q, ms, n_of_m, space_builder):
         results.append(blowup_compare(K, z0, grid_radius, grid_n))
         ns.append(n)
     sup = [r.sup_error for r in results]
@@ -228,32 +236,24 @@ class DecayReport:
 
 def decay_ladder(weight: WeightModel, q: int, z0: complex, ms, n_of_m=None,
                  n_directions: int = 4, n_separations: int = 12,
-                 u_range: tuple[float, float] = (0.3, 1.25),
                  space_builder=None) -> DecayReport:
     """Off-diagonal scans over an m ladder with microscopically scaled steps.
 
-    Separations are u / sqrt(m) for a fixed u grid (capped at the bulk
-    clearance radius), so the fitted slope divided by sqrt(m) measures the
-    decay rate in microscopic units and is comparable across m.
+    Separations are u / sqrt(m) for a fixed u grid in DECAY_U_RANGE (capped
+    at the bulk clearance radius), so the fitted slope divided by sqrt(m)
+    measures the decay rate in microscopic units and is comparable across m.
     """
-    from .kernel import SpaceSpec, build_space
-
-    build = space_builder or (lambda mm, nn: build_space(weight, SpaceSpec(q, nn, mm)))
-    n_of_m = n_of_m or (lambda mm: int(round(mm)))
     eq = RadialEquilibrium.solve(weight)
     r0 = bulk_clearance(eq, z0)
     dirs = np.exp(2j * np.pi * np.arange(n_directions) / n_directions)
     # keep every ray inside the droplet and within the clearance radius for
     # every m on the ladder: one u grid, scaled by m^{-1/2}, never clipped
     s_cap = min(r0, eq.droplet_radius - abs(z0))
-    u_hi = min(u_range[1], 0.95 * s_cap * math.sqrt(min(ms)))
-    u_lo = min(u_range[0], u_hi / 3.0)
+    u_hi = min(DECAY_U_RANGE[1], 0.95 * s_cap * math.sqrt(min(ms)))
+    u_lo = min(DECAY_U_RANGE[0], u_hi / 3.0)
     u = np.linspace(u_lo, u_hi, n_separations)
-    scans = []
-    for m in ms:
-        seps = u / math.sqrt(m)
-        K = build(m, int(n_of_m(m)))
-        scans.append(offdiagonal_scan(K, z0, dirs, seps))
+    scans = [offdiagonal_scan(K, z0, dirs, u / math.sqrt(m))
+             for m, _, K in _ladder(weight, q, ms, n_of_m, space_builder)]
     ratios = np.array([s.beta_over_sqrt_m for s in scans])
     center = np.mean(ratios)
     stability = float(np.max(np.abs(ratios - center)) / max(abs(center), 1e-300))
@@ -292,27 +292,27 @@ def offdroplet_margins(K: KernelEvaluator, direction: complex, radii) -> np.ndar
 
 
 def offdroplet_decay_check(K: KernelEvaluator, direction: complex, radii,
-                           calibration_constant: float,
-                           safety_factor: float = 10.0) -> np.ndarray:
-    """Margins minus the calibrated admissible constant (must be <= 0)."""
-    bound = calibration_constant + math.log(safety_factor)
+                           calibration_constant: float) -> np.ndarray:
+    """Margins minus the admissible constant, the calibrated one plus log 10
+    (must be <= 0)."""
+    bound = calibration_constant + math.log(10.0)
     return offdroplet_margins(K, direction, radii) - bound
 
 
-def droplet_laplacian_sup(eq: RadialEquilibrium, pad: float = 1.0,
-                          n_grid: int = 512) -> float:
-    """sup of the quarter-Laplacian within distance pad of the droplet."""
-    r = np.linspace(0.0, eq.droplet_radius + pad, n_grid)
+def droplet_laplacian_sup(eq: RadialEquilibrium) -> float:
+    """sup of the quarter-Laplacian within distance 1 of the droplet, on 512 radii."""
+    r = np.linspace(0.0, eq.droplet_radius + 1.0, 512)
     return float(np.max(eq.weight.delta_q(r)))
 
 
-def diagonal_bound_check(K: KernelEvaluator, n_grid: int = 64) -> float:
-    """Worst ratio of the intensity to m (8 + 48 A^2) e^A over the droplet."""
+def diagonal_bound_check(K: KernelEvaluator) -> float:
+    """Worst ratio of the intensity to m (8 + 48 A^2) e^A over the droplet,
+    on 64 radii."""
     if K.spec.q != 2:
         raise ConfigurationError("diagonal bound check applies to q = 2 only")
     eq = K.equilibrium
     a_sup = droplet_laplacian_sup(eq)
     bound = K.spec.m * (8.0 + 48.0 * a_sup**2) * math.exp(a_sup)
-    r = np.linspace(0.0, eq.droplet_radius, n_grid)
+    r = np.linspace(0.0, eq.droplet_radius, 64)
     gamma = np.asarray(K.one_point_intensity(r.astype(complex)))
     return float(np.max(gamma) / bound)

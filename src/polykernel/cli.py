@@ -28,18 +28,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _complex_flag(text: str, flag: str) -> complex:
-    """A finite complex number, or a ConfigurationError that names the flag."""
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError:
-        value = complex(math.nan)
-    if not cmath.isfinite(value):
-        raise ConfigurationError(f"invalid complex number for {flag}: '{text}' "
-                                 "(expected a finite value)")
-    return value
-
-
 def _integer(low: int):
     """argparse type: an integer >= ``low`` (argparse names the flag on failure)."""
     def parse(text: str) -> int:
@@ -69,9 +57,26 @@ def _finite(low: float, strict: bool):
     return parse
 
 
+def _complex(nonzero: bool):
+    """argparse type: a finite complex number, nonzero if ``nonzero``."""
+    what = "a finite nonzero" if nonzero else "a finite"
+
+    def parse(text: str) -> complex:
+        try:
+            value = complex(text.replace(" ", ""))
+        except ValueError:
+            value = complex(math.nan)
+        if not cmath.isfinite(value) or (nonzero and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"expected {what} complex number, got '{text}'")
+        return value
+    return parse
+
+
 _count = _integer(1)
 _positive = _finite(0.0, strict=True)
 _nonnegative = _finite(0.0, strict=False)
+_point = _complex(nonzero=False)
 
 
 def _list_of(kind, what: str):
@@ -88,13 +93,12 @@ def _list_of(kind, what: str):
     return parse
 
 
-def _add_space_flags(p: argparse.ArgumentParser, with_n: bool = True):
+def _add_space_flags(p: argparse.ArgumentParser):
     p.add_argument("--weight", required=True,
                    help="weight string: ginibre | power:p=<int> | radialpoly:c=<floats>")
     p.add_argument("--q", type=_count, default=1, help="polyanalytic order (q >= 1)")
-    if with_n:
-        p.add_argument("--n", type=_count, required=True, help="analytic degree count")
-        p.add_argument("--m", type=_positive, required=True, help="scaling parameter")
+    p.add_argument("--n", type=_count, required=True, help="analytic degree count")
+    p.add_argument("--m", type=_positive, required=True, help="scaling parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="weighted logarithmic energy of the "
                        "equilibrium measure")
     p.add_argument("--weight", required=True)
-    p.add_argument("--n-quad", type=int, default=512)
+    p.add_argument("--n-quad", type=_integer(64), default=512)
 
     p = sub.add_parser("kernel", help="grid of kernel values around a centre, "
                        "CSV with plain and weighted magnitudes")
     _add_space_flags(p)
-    p.add_argument("--w0", default="0", help="fixed second argument (complex)")
-    p.add_argument("--center", default="0", help="grid centre (complex)")
+    p.add_argument("--w0", type=_point, default="0", help="fixed second argument (complex)")
+    p.add_argument("--center", type=_point, default="0", help="grid centre (complex)")
     p.add_argument("--grid-radius", type=_positive, default=1.0)
     p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--out", required=True)
@@ -128,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("berezin", help="normalized squared weighted kernel "
                        "density around a centre")
     _add_space_flags(p)
-    p.add_argument("--z0", default="0", help="centre (complex)")
+    p.add_argument("--z0", type=_point, default="0", help="centre (complex)")
     p.add_argument("--grid-radius", type=_positive, default=1.0)
     p.add_argument("--grid-n", type=_count, default=33)
     p.add_argument("--out", required=True)
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "Laguerre profile over an m ladder, with rate fit")
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
-    p.add_argument("--z0", default="0")
+    p.add_argument("--z0", type=_point, default="0")
     p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
                    required=True, help="comma-separated m ladder")
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
@@ -158,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "kernel over an m ladder")
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
-    p.add_argument("--z0", default="0")
+    p.add_argument("--z0", type=_point, default="0")
     p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
                    required=True)
     p.add_argument("--directions", type=_count, default=4)
@@ -170,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=_list_of(_finite(1.0, strict=True), "finite numbers > 1"),
                    default="1.1,1.2,1.35,1.5,1.75,2.0",
                    help="radii as multiples of the droplet radius")
-    p.add_argument("--direction", default="1")
+    p.add_argument("--direction", type=_complex(nonzero=True), default="1")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("local", help="near-diagonal expansion values on a grid")
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--z0", default="0.5")
+    p.add_argument("--z0", type=_point, default="0.5")
     p.add_argument("--terms", type=int, default=None,
                    help="expansion orders: up to 2 for q=1, 3 for q=2, 1 for "
                    "q>=3 (default: 2, or 1 for q>=3)")
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "CSV per configuration plus JSON sidecar")
     _add_space_flags(p)
     p.add_argument("--count", type=_count, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--outdir", required=True)
 
     p = sub.add_parser("selftest", help="run the structural invariant suite "
@@ -231,20 +235,18 @@ def _square_grid(center: complex, radius: float, n: int) -> np.ndarray:
 
 def cmd_kernel(args) -> int:
     weight, spec = _resolve_space(args)
-    center, w0 = _complex_flag(args.center, "--center"), _complex_flag(args.w0, "--w0")
     K = build_space(weight, spec)
-    z = _square_grid(center, args.grid_radius, args.grid_n).ravel()
-    export_kernel_grid_csv(args.out, K, z, np.full_like(z, w0))
+    z = _square_grid(args.center, args.grid_radius, args.grid_n).ravel()
+    export_kernel_grid_csv(args.out, K, z, np.full_like(z, args.w0))
     print(f"wrote {z.size} kernel rows to {args.out}")
     return 0
 
 
 def cmd_berezin(args) -> int:
     weight, spec = _resolve_space(args)
-    z0 = _complex_flag(args.z0, "--z0")
     K = build_space(weight, spec)
-    grid = _square_grid(z0, args.grid_radius, args.grid_n).ravel()
-    dens = np.atleast_1d(K.berezin_density(z0, grid))
+    grid = _square_grid(args.z0, args.grid_radius, args.grid_n).ravel()
+    dens = np.atleast_1d(K.berezin_density(args.z0, grid))
     write_csv(args.out, ["re_w", "im_w", "berezin"],
               zip(grid.real, grid.imag, dens))
     print(f"wrote {grid.size} berezin rows to {args.out}")
@@ -270,9 +272,8 @@ def cmd_blowup(args) -> int:
     if len(set(ms)) != len(ms):
         raise ConfigurationError(f"--m lists a value more than once: {args.m}")
     n_of_m = (lambda mm: ns[ms.index(mm)]) if ns else None
-    report = asym.blowup_ladder(weight, args.q, _complex_flag(args.z0, "--z0"),
-                                ms, n_of_m=n_of_m, grid_radius=args.grid_radius,
-                                grid_n=args.grid_n)
+    report = asym.blowup_ladder(weight, args.q, args.z0, ms, n_of_m=n_of_m,
+                                grid_radius=args.grid_radius, grid_n=args.grid_n)
     atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
     if args.csv_prefix:
         for res in report.results:
@@ -287,8 +288,8 @@ def cmd_blowup(args) -> int:
 
 def cmd_decay(args) -> int:
     weight = parse_weight(args.weight)
-    report = asym.decay_ladder(weight, args.q, _complex_flag(args.z0, "--z0"),
-                               args.m, n_directions=args.directions,
+    report = asym.decay_ladder(weight, args.q, args.z0, args.m,
+                               n_directions=args.directions,
                                n_separations=args.separations)
     atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
     ratios = ", ".join(format_float(s.beta_over_sqrt_m) for s in report.scans)
@@ -298,12 +299,9 @@ def cmd_decay(args) -> int:
 
 def cmd_offdroplet(args) -> int:
     weight, spec = _resolve_space(args)
-    direction = _complex_flag(args.direction, "--direction")
-    if direction == 0:
-        raise ConfigurationError(f"--direction must be nonzero, got '{args.direction}'")
     K = build_space(weight, spec)
     radii = np.array(args.ratios) * K.equilibrium.droplet_radius
-    margins = asym.offdroplet_margins(K, direction, radii)
+    margins = asym.offdroplet_margins(K, args.direction, radii)
     write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))
     print(f"max margin = {margins.max():.6f}")
     return 0
@@ -311,7 +309,7 @@ def cmd_offdroplet(args) -> int:
 
 def cmd_local(args) -> int:
     weight = parse_weight(args.weight)
-    z0 = _complex_flag(args.z0, "--z0")
+    z0 = args.z0
     grid = _square_grid(z0, args.grid_radius, args.grid_n).ravel()
     # expansion orders known per q; the default is 2 where there are two
     max_terms = {1: 2, 2: 3}.get(args.q, 1)

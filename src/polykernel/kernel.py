@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .quadrature import (RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre,
-                         log_moment_table)
+from .quadrature import (RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre_on,
+                         log_moment_table, node_count)
 from .reporting import write_csv
 from .weights import RadialEquilibrium, WeightModel
 
@@ -594,11 +594,10 @@ class KernelEvaluator:
         """
         q, n, m = self.spec.q, self.spec.n, self.spec.m
         fm = self._features
-        n_r = _node_count(n_r, max(128, 3 * (n + q)))
+        if n_r is None:
+            n_r = max(128, 3 * (n + q))
         r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
-        x, v = gauss_legendre(n_r)
-        rho = 0.5 * r_max * (x + 1.0)
-        w_rho = 0.5 * r_max * v
+        rho, w_rho = gauss_legendre_on(node_count(n_r, "n_r"), 0.0, r_max)
         sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, fm.scratch.w)
         sr, ar, _ = fm(rho.astype(complex), 1.0, fm.scratch.z)
         mant = np.einsum("sb,sbk->bk", az[:, :, 0], ar)
@@ -646,22 +645,11 @@ class KernelEvaluator:
         >= 16.
         """
         q, k = self.spec.q, self.weight.degree
-        n_r = _node_count(n_r, max(400, 3 * (self.spec.n + q),
-                                   math.ceil(28 * (k + math.sqrt(k * q)))))
+        if n_r is None:
+            n_r = max(400, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
-        x, v = gauss_legendre(n_r)
-        rho = 0.5 * r_max * (x + 1.0)
-        return float(np.sum(r_max * v * rho * self.one_point_intensity(rho.astype(complex))))
-
-
-def _node_count(n_r, default: int) -> int:
-    """A radial node count: ``default`` for None, else an integer >= 16, the
-    floor of ``integrate_polar_grid``."""
-    if n_r is None:
-        return default
-    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 16:
-        raise ConfigurationError(f"n_r must be an integer >= 16, got {n_r!r}")
-    return int(n_r)
+        rho, w_rho = gauss_legendre_on(node_count(n_r, "n_r"), 0.0, r_max)
+        return float(np.sum(2.0 * w_rho * rho * self.one_point_intensity(rho.astype(complex))))
 
 
 def build_space(weight: WeightModel, spec: SpaceSpec) -> KernelEvaluator:

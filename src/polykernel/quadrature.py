@@ -1,4 +1,4 @@
-"""Log-domain radial moments on one trapezoid rule, and polar-grid integration.
+"""Log-domain radial moments on one trapezoid rule, and the package's radial rule.
 
 The Gram matrices of the polynomial spaces are assembled from the radial
 moments
@@ -22,13 +22,20 @@ integrand still above TAIL_BOUND of its peak at either end of its rule
 raises NumericalDegeneracyError.  Integrands are evaluated relative to the
 peak as (p+1) x - sum_k a_k expm1(k x), with x = u - u*_p and
 a_k = m c_k e^(k u*_p), so no large logs cancel.
+
+Every other radial integral of the package (the trace and the reproducing
+residual of a kernel, the binned intensities of the sampler's validation, the
+equilibrium energy, and integrate_polar_grid) is one Gauss-Legendre rule:
+gauss_legendre(n), computed once per n, mapped to its interval by
+gauss_legendre_on.  Every node count a caller may choose passes node_count,
+which refuses anything but an integer at or above a floor and names the
+parameter.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +47,6 @@ RIGHT_TAIL = 12.0       # reach of a rule beyond its mode, in units of sigma_p
 LEFT_TAIL = 40.0        # least log-drop of the integrand at the left end
 TAIL_BOUND = 1e-15      # largest integrand at either end, relative to the peak
 NEWTON_STEPS = 100
-
-
-@dataclass(frozen=True)
-class LogMoment:
-    """Natural log of the radial moment M_p for scaling parameter m."""
-
-    log_value: float
-    p: int
-    m: float
 
 
 class MomentRule:
@@ -191,11 +189,6 @@ class MomentRule:
         return logs
 
 
-def radial_log_moment(w: WeightModel, m: float, p: int) -> LogMoment:
-    """log M_p by the mode-centred trapezoid rule in u = log |z|^2."""
-    return LogMoment(log_value=float(MomentRule(w, m, [p]).log_moments()[0]), p=p, m=m)
-
-
 def log_moment_table(w: WeightModel, m: float, p_max: int,
                      rule: MomentRule | None = None) -> np.ndarray:
     """log M_p for p = 0..p_max, checked for moment log-convexity.
@@ -205,6 +198,9 @@ def log_moment_table(w: WeightModel, m: float, p_max: int,
     log M_p must be nondecreasing; a violation indicates a quadrature failure
     and aborts Gram assembly.
     """
+    if isinstance(p_max, bool) or not isinstance(p_max, (int, np.integer)) or p_max < 0:
+        raise ConfigurationError(
+            f"log_moment_table needs an integer p_max >= 0, got {p_max!r}")
     logs = (rule or MomentRule(w, m, np.arange(p_max + 1))).log_moments()
     if p_max >= 2:
         inc = np.diff(logs)
@@ -247,6 +243,25 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
+def gauss_legendre_on(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``gauss_legendre(n)`` mapped to [a, b].
+
+    a and b may be arrays; the n nodes of each interval run along a new last
+    axis.  The nodes are h (x + 1) + a and the weights h v, with h = (b - a) / 2.
+    """
+    x, v = gauss_legendre(n)
+    half = 0.5 * (np.asarray(b, dtype=float) - a)[..., None]
+    return half * (x + 1.0) + np.asarray(a, dtype=float)[..., None], half * v
+
+
+def node_count(n, name: str, floor: int = 16) -> int:
+    """``n`` as a quadrature node count: an integer >= ``floor``, else a
+    ConfigurationError that names the parameter ``name``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < floor:
+        raise ConfigurationError(f"{name} must be an integer >= {floor}, got {n!r}")
+    return int(n)
+
+
 def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
     """Integral of f over the plane in the normalized area measure.
 
@@ -254,13 +269,10 @@ def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
     spectrally accurate for smooth periodic integrands).  ``f`` must accept a
     complex ndarray.  Truncation beyond r_max is the caller's concern.
     """
-    if r_max <= 0.0:
-        raise ConfigurationError(f"integrate_polar_grid needs r_max > 0, got {r_max}")
-    if n_r < 16 or n_phi < 16:
-        raise ConfigurationError("integrate_polar_grid needs n_r, n_phi >= 16")
-    x, v = gauss_legendre(n_r)
-    r = 0.5 * r_max * (x + 1.0)
-    wr = 0.5 * r_max * v
+    if not (r_max > 0.0 and math.isfinite(r_max)):
+        raise ConfigurationError(f"integrate_polar_grid needs a finite r_max > 0, got {r_max}")
+    n_r, n_phi = node_count(n_r, "n_r"), node_count(n_phi, "n_phi")
+    r, wr = gauss_legendre_on(n_r, 0.0, r_max)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     z = r[:, None] * np.exp(1j * phi[None, :])
     vals = np.asarray(f(z))

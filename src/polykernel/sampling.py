@@ -13,10 +13,11 @@ one-point intensity and after t draws the diagonal is
 gamma(z) - sum_i |<u_i, Phi(z)>|^2, with u_i the orthonormalized features of
 the accepted points.  By Bessel's inequality that never exceeds gamma, and
 gamma is exactly radial for every catalog weight, so one envelope serves
-every draw and every configuration: gamma at both edges and the midpoint of
-ENVELOPE_BINS radial bins, tabulated once per evaluator, times
-ENVELOPE_MARGIN.  Proposals are uniform on a bin's annulus, bins
-drawn in proportion to their envelope mass, and accepted with probability
+every draw and every configuration: per radial bin, ENVELOPE_MARGIN times the
+largest gamma at the bin's two edges and midpoint, over ENVELOPE_BINS bins.
+The maxima are tabulated once per evaluator, and the margin is applied on
+each use.  Proposals are uniform on a bin's annulus, bins drawn in
+proportion to their envelope mass, and accepted with probability
 diagonal / envelope.  A proposal whose gamma exceeds its bin's envelope
 raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
 mass outside it decays exponentially and is far below 1e-8 at desk scale.
@@ -30,9 +31,10 @@ diagonal of a block are evaluated once; each acceptance then downdates the
 diagonal of the block's pending proposals by |<u_t, Phi>|^2 of the new frame
 vector alone.  A configuration at nq = 40 usually takes one or two blocks.
 
-Randomness comes from numpy's Philox counter-based generator.  A batch of
-configurations derives one 64-bit child seed per configuration index through
-numpy's SeedSequence(master, index) spawning, so a configuration depends
+Randomness comes from numpy's Philox counter-based generator, keyed by a
+seed that must be an integer in [0, 2^64).  A batch of configurations
+derives one 64-bit child seed per configuration index through numpy's
+SeedSequence(master, index) spawning, so a configuration depends
 only on the master seed and its index, not on the batch it is drawn in.
 Proposal k of a configuration uses row k of the uniforms drawn from its
 stream, so the points do not depend on how the proposals are blocked.
@@ -47,7 +49,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SamplerError
 from .kernel import PAIR_CHUNK, KernelEvaluator
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre_on
+from .reporting import atomic_write_text, json_dumps, write_csv
 
 ENVELOPE_BINS = 256
 ENVELOPE_MARGIN = 1.02
@@ -79,13 +82,23 @@ def seed_for_index(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _radial_profile(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
-    """Bin edges of the sampling disk and the per-bin maximum of gamma.
+def _seed(seed, name: str) -> int:
+    """``seed`` as an integer in [0, 2^64), else a ConfigurationError naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= int(seed) < 2**64:
+        raise ConfigurationError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
 
-    It depends only on the space, so it is tabulated once per evaluator.
-    Concurrent first calls may tabulate it twice, with identical results.
+
+def _radial_envelope(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges of the sampling disk and a per-bin bound on gamma.
+
+    The bound is ENVELOPE_MARGIN times the largest gamma at the bin's edges
+    and midpoint.  Those maxima depend only on the space, so they are
+    tabulated once per evaluator; the margin is applied on every call.
+    Concurrent first calls may tabulate them twice, with identical results.
     """
-    cached = K._derived.get("radial_profile")
+    cached = K._derived.get("radial_envelope")
     if cached is None:
         r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(K.spec.m) + 0.5
         edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
@@ -93,18 +106,17 @@ def _radial_profile(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
         gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
         at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
         cached = edges, np.maximum(np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
-        K._derived["radial_profile"] = cached
-    return cached
-
-
-def _radial_envelope(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
-    """Bin edges of the sampling disk and a per-bin bound on gamma."""
-    edges, per_bin = _radial_profile(K)
+        K._derived["radial_envelope"] = cached
+    edges, per_bin = cached
     return edges, ENVELOPE_MARGIN * per_bin
 
 
 def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
-    """Draw one exact configuration of the nq-point process."""
+    """Draw one exact configuration of the nq-point process.
+
+    ``seed`` must be an integer in [0, 2^64); it keys the Philox stream.
+    """
+    seed = _seed(seed, "seed")
     spec = K.spec
     nq = spec.dim
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -175,14 +187,20 @@ def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
         proj = frame[t] @ phi[:, taken:]
         diag[taken:] -= proj.real ** 2 + proj.imag ** 2
 
-    return PointConfiguration(points=points, seed=int(seed), q=spec.q, n=spec.n,
+    return PointConfiguration(points=points, seed=seed, q=spec.q, n=spec.n,
                               m=spec.m, weight=K.weight.spec_string(),
                               proposals_used=proposals)
 
 
 def sample_batch(K: KernelEvaluator, count: int,
                  master_seed: int) -> list[PointConfiguration]:
-    """Sample independent configurations with documented seed splitting."""
+    """Sample independent configurations with documented seed splitting.
+
+    ``count`` must be an integer >= 0 and ``master_seed`` one in [0, 2^64).
+    """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ConfigurationError(f"count must be an integer >= 0, got {count!r}")
+    master_seed = _seed(master_seed, "master_seed")
     return [sample_configuration(K, seed_for_index(master_seed, i)) for i in range(count)]
 
 
@@ -218,13 +236,9 @@ def empirical_intensity(K: KernelEvaluator, samples: list[PointConfiguration],
     ], dtype=float)
     observed = counts.mean(axis=0)
     std = counts.std(axis=0, ddof=1)
-    x, v = gauss_legendre(160)
-    predicted = np.empty(edges.size - 1)
-    for i in range(edges.size - 1):
-        r = 0.5 * (edges[i + 1] - edges[i]) * (x + 1.0) + edges[i]
-        wq = 0.5 * (edges[i + 1] - edges[i]) * v
-        gamma = np.asarray(K.one_point_intensity(r.astype(complex)))
-        predicted[i] = 2.0 * np.sum(wq * gamma * r)
+    r, wq = gauss_legendre_on(160, edges[:-1], edges[1:])  # (bins, 160)
+    gamma = K.one_point_intensity(r.astype(complex))
+    predicted = 2.0 * np.sum(wq * gamma * r, axis=1)
     sem = np.maximum(std, 1e-12) / math.sqrt(len(samples))
     standardized = (observed - predicted) / sem
     exterior = float(np.mean([
@@ -239,12 +253,7 @@ def empirical_intensity(K: KernelEvaluator, samples: list[PointConfiguration],
 def export_configuration(path_csv: str, path_json: str,
                          config: PointConfiguration) -> None:
     """CSV of re,im rows plus a JSON sidecar with the run metadata."""
-    from .reporting import atomic_write_text, format_float, json_dumps
-
-    lines = ["re,im"]
-    for z in config.points:
-        lines.append(f"{format_float(float(z.real))},{format_float(float(z.imag))}")
-    atomic_write_text(path_csv, "\n".join(lines) + "\n")
+    write_csv(path_csv, ["re", "im"], zip(config.points.real, config.points.imag))
     sidecar = {
         "seed": config.seed,
         "q": config.q,

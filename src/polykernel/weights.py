@@ -45,15 +45,12 @@ class WeightModel:
     """A catalog weight Q(r) = sum_k coeffs[k-1] * r^(2k).
 
     ``family`` is one of "ginibre", "power", "radialpoly"; ``coeffs`` holds
-    c_1..c_K.  ``growth_epsilon`` records the epsilon of the growth bound
-    Q(z) >= (1+eps) log|z|^2 for large |z|; every catalog weight grows at
-    least quadratically so eps = 1 always works (the corresponding radius C
-    is finite but unused beyond documentation).
+    c_1..c_K.  Every catalog weight grows at least quadratically, so the
+    growth bound Q(z) >= (1 + eps) log|z|^2 for large |z| holds with eps = 1.
     """
 
     family: str
     coeffs: tuple[float, ...]
-    growth_epsilon: float = 1.0
     label: str = field(default="", compare=False)
 
     # -- construction -----------------------------------------------------
@@ -294,7 +291,7 @@ def _bisect_increasing(g, lo: float, hi: float, close_enough, what: str) -> floa
     return 0.5 * (lo + hi)
 
 
-def droplet_radius(w: WeightModel, tol: float = 1e-14) -> float:
+def droplet_radius(w: WeightModel) -> float:
     """Radius R of the droplet disk, solving R Q'(R) = 2 by bisection.
 
     The map r -> r Q'(r) is strictly increasing (its derivative is 4 r dQ),
@@ -302,7 +299,7 @@ def droplet_radius(w: WeightModel, tol: float = 1e-14) -> float:
     dQ 1_{|z|<=R} dA has total mass R Q'(R) / 2 = 1.
     """
     return _bisect_increasing(lambda r: r * w.q_prime(r) - 2.0, 1e-12, 1.0,
-                              lambda lo, hi: hi - lo < tol * max(1.0, hi),
+                              lambda lo, hi: hi - lo < 1e-14 * max(1.0, hi),
                               "droplet radius bisection")
 
 
@@ -344,21 +341,15 @@ class RadialEquilibrium:
             energy = -2 int_0^R mu(t) log t [int_0^t mu(s) ds] dt
                      + int_0^R Q(t) mu(t) dt,        mu(t) = 2 t dQ(t).
 
-        Both levels use Gauss-Legendre rules with n_quad points.
+        The outer rule has n_quad >= 64 points, the inner min(n_quad, 128).
         """
-        if n_quad < 64:
-            raise ConfigurationError(f"weighted_energy needs n_quad >= 64, got {n_quad}")
-        from .quadrature import gauss_legendre  # quadrature imports this module
+        from .quadrature import gauss_legendre_on, node_count  # quadrature imports this module
 
-        R = self.droplet_radius
-        x, v = gauss_legendre(n_quad)
-        t = 0.5 * R * (x + 1.0)
-        vt = 0.5 * R * v
+        n_quad = node_count(n_quad, "n_quad", 64)
+        t, vt = gauss_legendre_on(n_quad, 0.0, self.droplet_radius)
         mu_t = 2.0 * t * self.weight.delta_q(t)
         # inner cumulative mass P(t) = int_0^t mu, one Gauss-Legendre rule per node
-        xi, vi = gauss_legendre(min(n_quad, 128))
-        s = 0.5 * t[:, None] * (xi[None, :] + 1.0)
-        ws = 0.5 * t[:, None] * vi[None, :]
+        s, ws = gauss_legendre_on(min(n_quad, 128), 0.0, t)
         P = np.sum(ws * 2.0 * s * self.weight.delta_q(s), axis=1)
         log_energy = -2.0 * np.sum(vt * mu_t * np.log(t) * P)
         field_energy = np.sum(vt * self.weight.eval_weight(t) * mu_t)

@@ -29,9 +29,9 @@ def _trapezoid_moment_oracle(w: pk.WeightModel, m: float, p: int) -> float:
 
 
 def test_ginibre_moment_examples():
-    assert pk.radial_log_moment(GINIBRE, 1.0, 3).log_value == pytest.approx(
+    assert log_moment_table(GINIBRE, 1.0, 3)[3] == pytest.approx(
         math.log(6.0), abs=1e-13)
-    assert pk.radial_log_moment(GINIBRE, 50.0, 0).log_value == pytest.approx(
+    assert log_moment_table(GINIBRE, 50.0, 0)[0] == pytest.approx(
         math.log(1.0 / 50.0), abs=1e-13)
 
 
@@ -39,7 +39,7 @@ def test_ginibre_moments_closed_form_sweep():
     # log M_p = lgamma(p+1) - (p+1) log m, for p <= 200 and m in {1, 50, 200}
     for m in (1.0, 50.0, 200.0):
         for p in range(0, 201, 10):
-            got = pk.radial_log_moment(GINIBRE, m, p).log_value
+            got = log_moment_table(GINIBRE, m, p)[p]
             expect = float(gammaln(p + 1) - (p + 1) * math.log(m))
             assert abs(got - expect) < 1e-12, (m, p)
 
@@ -62,19 +62,19 @@ def test_single_moment_matches_table_bits(text):
     for m in (1.0, 37.0):
         table = log_moment_table(w, m, 300)
         for p in (0, 1, 2, 17, 150, 299, 300):
-            assert pk.radial_log_moment(w, m, p).log_value == table[p], (m, p)
+            assert log_moment_table(w, m, p)[p] == table[p], (m, p)
         assert np.array_equal(log_moment_table(w, m, 40), table[:41])
 
 
 def test_ginibre_moment_ratio():
     for p in (0, 3, 17):
-        a = pk.radial_log_moment(GINIBRE, 7.0, p).log_value
-        b = pk.radial_log_moment(GINIBRE, 7.0, p + 1).log_value
+        a = log_moment_table(GINIBRE, 7.0, p)[p]
+        b = log_moment_table(GINIBRE, 7.0, p + 1)[p + 1]
         assert math.exp(b - a) == pytest.approx((p + 1) / 7.0, rel=1e-12)
 
 
 def test_power2_moment_vs_trapezoid_oracle():
-    got = pk.radial_log_moment(POWER2, 10.0, 0).log_value
+    got = log_moment_table(POWER2, 10.0, 0)[0]
     oracle = _trapezoid_moment_oracle(POWER2, 10.0, 0)
     assert got == pytest.approx(oracle, abs=5e-9)
     # closed form for this case: M_0 = Gamma(3/2)/(2 ...) via u = r^4:
@@ -85,7 +85,7 @@ def test_power2_moment_vs_trapezoid_oracle():
 def test_radialpoly_moment_vs_trapezoid_oracle():
     w = pk.parse_weight("radialpoly:c=1,0.5")
     for m, p in ((5.0, 0), (20.0, 7)):
-        got = pk.radial_log_moment(w, m, p).log_value
+        got = log_moment_table(w, m, p)[p]
         assert got == pytest.approx(_trapezoid_moment_oracle(w, m, p), abs=5e-9)
 
 
@@ -97,9 +97,9 @@ def test_moment_log_convexity():
 
 def test_moment_guards():
     with pytest.raises(ConfigurationError):
-        pk.radial_log_moment(GINIBRE, 0.0, 1)
-    with pytest.raises(ConfigurationError):
-        pk.radial_log_moment(GINIBRE, 1.0, -1)
+        log_moment_table(GINIBRE, 0.0, 1)
+    with pytest.raises(ConfigurationError, match="p_max"):
+        log_moment_table(GINIBRE, 1.0, -1)
 
 
 def test_polar_grid_gaussian():
@@ -133,6 +133,13 @@ def test_polar_grid_guards():
         pk.integrate_polar_grid(lambda z: z, -1.0, 32, 32)
     with pytest.raises(ConfigurationError):
         pk.integrate_polar_grid(lambda z: z, 1.0, 8, 32)
+    for r_max in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="r_max"):
+            pk.integrate_polar_grid(lambda z: z, r_max, 32, 32)
+    for n_r, n_phi, name in ((20.5, 32, "n_r"), (True, 32, "n_r"), (32, 8, "n_phi"),
+                             (32, 20.5, "n_phi")):
+        with pytest.raises(ConfigurationError, match=name):
+            pk.integrate_polar_grid(lambda z: z, 1.0, n_r, n_phi)
 
 
 @pytest.mark.parametrize("n", [16, 160, 400, 1000, 1600])

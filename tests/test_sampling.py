@@ -77,6 +77,18 @@ def test_broken_envelope_fails_loudly(spaces, monkeypatch, tmp_path):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("count, seed", [(1, -1), (1, 1.5), (1, 2**64), (1, True),
+                                         (-1, 0), (1.5, 0)])
+def test_bad_seeds_and_counts_are_refused(spaces, count, seed):
+    K = spaces("ginibre", 2, 8, 8.0)
+    name = "count" if count != 1 else "seed"
+    with pytest.raises(ConfigurationError, match=name):
+        pk.sample_batch(K, count, seed)
+    if count == 1:
+        with pytest.raises(ConfigurationError, match=name):
+            pk.sample_configuration(K, seed)
+
+
 def test_seed_split_documented_and_stable():
     s0 = seed_for_index(7, 0)
     s1 = seed_for_index(7, 1)

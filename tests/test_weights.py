@@ -84,7 +84,7 @@ def test_growth_bound():
     # Q(z) >= (1 + eps) log |z|^2 for |z| beyond a family radius (here 2)
     r = np.linspace(2.0, 50.0, 200)
     for w in (GINIBRE, POWER2, RPOLY):
-        eps = w.growth_epsilon
+        eps = 1.0
         assert np.all(w.eval_weight(r) >= (1.0 + eps) * np.log(r**2))
 
 
@@ -336,3 +336,5 @@ def test_weighted_energy_finite_all_catalog():
 def test_weighted_energy_nquad_guard():
     with pytest.raises(ConfigurationError):
         pk.RadialEquilibrium.solve(GINIBRE).weighted_energy(32)
+    with pytest.raises(ConfigurationError, match="n_quad"):
+        pk.RadialEquilibrium.solve(GINIBRE).weighted_energy(100.5)
