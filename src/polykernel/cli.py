@@ -28,15 +28,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _integer(low: int):
-    """argparse type: an integer >= ``low`` (argparse names the flag on failure)."""
+def _integer(low: int, high: int | None = None):
+    """argparse type: an integer >= ``low`` and, if given, < ``high`` (argparse
+    names the flag on failure)."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got '{text}'")
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got '{text}'")
         return value
     return parse
 
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "CSV per configuration plus JSON sidecar")
     _add_space_flags(p)
     p.add_argument("--count", type=_count, default=1)
-    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--seed", type=_integer(0, 2**64), default=0)
     p.add_argument("--outdir", required=True)
 
     p = sub.add_parser("selftest", help="run the structural invariant suite "

@@ -10,10 +10,13 @@ orthonormal polynomials of the probability measure t^{|d|} e^{-mQ} dt / M_{|d|}
 J. Stat. Phys. 153 (2013)).  A block is thus the coefficients alpha_k, beta_k
 of their three-term recurrence (Gautschi, Orthogonal Polynomials:
 Computation and Approximation, 2004, section 2.2), found by Lanczos on a
-trapezoid grid in u = log t (quadrature.MomentRule).  All blocks with the
-same number of rows run as one batch, so a build makes one pass per distinct
-row count (at most q), whatever n.  The Gram blocks, of condition 1e15 and
-more for q >= 10, are never formed or factored.
+trapezoid grid in u = log t (quadrature.MomentRule).  Blocks d and -d share
+that measure, and the smaller block's pi_k are the first rows of the larger
+block's, so the recurrence is computed once per |d|, for the larger block's
+rows.  Every measure runs in one batch, so a build makes one batched pass
+(more only where the batch is split by size or a grid grows), whatever q and
+n.  The Gram blocks, of condition 1e15 and more for q >= 10, are never formed
+or factored.
 
 Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
 the orthonormal basis e_a: the correlation kernel is
@@ -111,19 +114,22 @@ def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
 
 
 def _recurrences(rule: MomentRule, p: np.ndarray):
-    """Recurrence coefficients of blocks of equal row count, and their conditions.
+    """Recurrence coefficients of the measures t^{|d|} e^{-mQ} dt, one per row of p.
 
-    ``p`` holds the exponents of one block per row; ``rule`` holds the
-    exponents 0..n+q-2 in order, so its rows are the exponents themselves.
-    Block i runs Lanczos on one trapezoid grid in u that covers the rules of
-    its rows, started from sqrt(exp(f_{p_i0}(u))), the measure
-    t^{|d|} e^{-mQ} dt = exp(f_{|d|}(u)) du.  The blocks run in batches of
-    similar node count (``_chunks``), the node axis innermost and each grid
-    padded with zeros to the longest of its batch.  Only the blocks whose
-    polynomials keep more than TAIL_BOUND of their norm at the left end
-    double their grid's left reach and run again.
+    Row i of ``p`` holds the exponents |d| + 2k of the rows k < need_i that the
+    measure's blocks use, padded to the common width by repeating its last
+    exponent; ``rule`` holds the exponents 0..n+q-2 in order, so its rows are
+    the exponents themselves.  Measure i runs Lanczos on one trapezoid grid in u
+    that covers the rules of its need_i rows, started from
+    sqrt(exp(f_{p_i0}(u))), the measure t^{|d|} e^{-mQ} dt = exp(f_{|d|}(u)) du.
+    Every measure takes p.shape[1] - 1 steps; those past need_i - 1 are unused.
+    The measures run in batches of similar node count (``_chunks``), the node
+    axis innermost and each grid padded with zeros to the longest of its batch.
+    Only the measures whose first need_i polynomials keep more than TAIL_BOUND
+    of their norm at the left end double their grid's left reach and run again.
     """
     nb, size = p.shape
+    live = np.arange(size) < 1 + np.count_nonzero(np.diff(p, axis=1), axis=1)[:, None]
     step = RULE_STEP * np.min(rule.width[p], axis=1)
     left, right = rule.reach(p, GRAM_LEFT_TAIL)
     lo, hi = np.min(left, axis=1), np.max(right, axis=1)
@@ -142,32 +148,40 @@ def _recurrences(rule: MomentRule, p: np.ndarray):
             u = lo[idx, None] + step[idx, None] * np.minimum(j, cnt[:, None] - 1)
             start = np.exp(0.5 * rule.log_integrand(p[idx, :1], u)) * (j < cnt[:, None])
             alpha[idx], beta[idx], basis = _lanczos(np.exp(u), start, size - 1)
-            grow.append(idx[np.max(basis[:, :, 0] ** 2, axis=1) > TAIL_BOUND])
+            edge = np.where(live[idx], basis[:, :, 0] ** 2, 0.0)
+            grow.append(idx[np.max(edge, axis=1) > TAIL_BOUND])
         todo = np.concatenate(grow)  # a NaN edge stops; _conditions refuses it
         lo[todo] -= hi[todo] - lo[todo]
-    return alpha, beta, _conditions(alpha, beta)
+    return alpha, beta
 
 
-def _conditions(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _conditions(alpha: np.ndarray, beta: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Condition of each block's Gram matrix scaled to unit diagonal.
 
-    On a block's grid the scaled monomial of row r, sqrt(exp(f_{p_0+2r}(u))),
-    is t^r times that of row 0 up to a constant, so in the Lanczos basis it is
-    J^r e_0 up to scale, with J the Jacobi matrix of alpha and beta.  J has
-    positive entries, so these vectors are computed without cancellation; the
-    condition is that of their normalized stack, squared, by one stacked SVD.
+    Block i uses the first size[i] - 1 entries of its rows of alpha and beta.
+    On its grid the scaled monomial of row r, sqrt(exp(f_{p_0+2r}(u))), is t^r
+    times that of row 0 up to a constant, so in the Lanczos basis it is J^r e_0
+    up to scale, with J the Jacobi matrix of alpha and beta.  J has positive
+    entries, so these vectors are computed without cancellation; the condition
+    is that of their normalized stack, squared.  Each stack is padded to the
+    widest with identity rows and all run in one stacked SVD: with unit rows,
+    sigma_max >= 1 >= sigma_min, so the padding leaves the condition as it is.
     It is inf where a coefficient is zero or not finite.
     """
-    nb, size = alpha.shape[0], alpha.shape[1] + 1
-    ok = np.all(np.isfinite(alpha) & np.isfinite(beta) & (beta > 0.0), axis=1)
-    a, b = np.where(ok[:, None], alpha, 1.0), np.where(ok[:, None], beta, 1.0)
-    krylov = np.zeros((nb, size, size))
+    nb, width = alpha.shape[0], alpha.shape[1] + 1
+    live = np.arange(width - 1) < size[:, None] - 1
+    ok = np.all(~live | (np.isfinite(alpha) & np.isfinite(beta) & (beta > 0.0)), axis=1)
+    keep = ok[:, None] & live
+    a, b = np.where(keep, alpha, 1.0), np.where(keep, beta, 1.0)
+    krylov = np.zeros((nb, width, width))
     krylov[:, 0, 0] = 1.0
-    for r in range(1, size):
+    for r in range(1, width):
         prev, row = krylov[:, r - 1], krylov[:, r]
         row[:, :-1] = a * prev[:, :-1] + b * prev[:, 1:]
         row[:, 1:] += b * prev[:, :-1]
         row /= np.linalg.norm(row, axis=1)[:, None]
+    pad = np.arange(width) >= size[:, None]
+    krylov[pad] = np.eye(width)[np.nonzero(pad)[1]]
     sv = np.linalg.svd(krylov, compute_uv=False)
     with np.errstate(divide="ignore"):
         cond = (sv[:, 0] / sv[:, -1]) ** 2
@@ -198,7 +212,8 @@ class GramFactorization:
     Block i has degree offset d[i] and size[i] basis rows r = r0[i] + k,
     j = r + d[i], of exponents 2r + d = |d| + 2k.  Row i of alpha and beta
     holds its alpha_0 .. alpha_{s-2} and beta_1 .. beta_{s-1} for s = size[i],
-    zero past them.
+    zero past them.  Blocks d and -d take them from the one recurrence of
+    their measure, so the smaller block's row is a prefix of the larger's.
     """
 
     def __init__(self, weight: WeightModel, spec: SpaceSpec):
@@ -211,14 +226,18 @@ class GramFactorization:
         self.d = np.arange(-(q - 1), n)
         self.r0 = np.maximum(0, -self.d)
         self.size = np.minimum(q - 1, n - 1 - self.d) - self.r0 + 1
-        self.alpha = np.zeros((self.d.size, q - 1))
-        self.beta = np.zeros((self.d.size, q - 1))
-        cond = np.ones(self.d.size)  # a one-row block scales to the 1 x 1 matrix [1]
-        for rows in np.unique(self.size[self.size > 1]):
-            same = self.size == rows
-            p = np.abs(self.d[same])[:, None] + 2 * np.arange(rows)
-            self.alpha[same, :rows - 1], self.beta[same, :rows - 1], cond[same] = \
-                _recurrences(rule, p)
+        # measure |d| serves blocks d and -d, so it needs the larger one's rows
+        a = np.abs(self.d)
+        need = np.zeros(a.max() + 1, dtype=int)
+        np.maximum.at(need, a, self.size)
+        alpha, beta = np.zeros((need.size, q - 1)), np.zeros((need.size, q - 1))
+        many = need > 1
+        k = np.arange(need.max())
+        p = np.flatnonzero(many)[:, None] + 2 * np.minimum(k, need[many, None] - 1)
+        alpha[many, :k.size - 1], beta[many, :k.size - 1] = _recurrences(rule, p)
+        keep = np.arange(q - 1) < self.size[:, None] - 1
+        self.alpha, self.beta = np.where(keep, alpha[a], 0.0), np.where(keep, beta[a], 0.0)
+        cond = _conditions(self.alpha, self.beta, self.size)
         bad = np.flatnonzero(~np.isfinite(cond))
         if bad.size:
             i = bad[0]

@@ -231,6 +231,11 @@ def empirical_intensity(K: KernelEvaluator, samples: list[PointConfiguration],
                 "sample was drawn from a different space than the evaluator"
             )
     edges = np.asarray(bin_edges, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.isfinite(edges))
+            and edges[0] >= 0.0 and np.all(np.diff(edges) > 0.0)):
+        raise ConfigurationError(
+            "bin_edges must be at least 2 finite, nonnegative, strictly increasing "
+            f"radii, got {bin_edges!r}")
     counts = np.array([
         np.histogram(np.abs(s.points), bins=edges)[0] for s in samples
     ], dtype=float)

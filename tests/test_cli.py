@@ -88,6 +88,8 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["local", "--weight", "ginibre", "--m", "8", "--z0", "nan"], "--z0"),
     (["sample", "--weight", "ginibre", "--n", "4", "--m", "4", "--seed", "-1",
       "--outdir", "x"], "--seed"),
+    (["sample", "--weight", "ginibre", "--n", "4", "--m", "4", "--seed",
+      "18446744073709551616", "--outdir", "x"], "--seed"),
     (["energy", "--weight", "ginibre", "--n-quad", "10"], "--n-quad"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
@@ -99,7 +101,8 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "offdroplet-ratios-below-one", "offdroplet-direction-nan",
         "decay-separations-negative", "decay-separations-one", "kernel-w0-nan",
         "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
-        "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "energy-n-quad-small"])
+        "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "sample-seed-2-64",
+        "energy-n-quad-small"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err

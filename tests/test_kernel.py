@@ -190,9 +190,11 @@ def test_degenerate_block_is_refused_by_name(monkeypatch, spoil, tmp_path):
 
 @pytest.mark.parametrize("weight, q, n", [("power:p=3", 8, 20), ("power:p=3", 30, 100)])
 def test_batched_blocks_match_blocks_alone(monkeypatch, weight, q, n):
-    # every block, factored in a batch padded to its chunk's longest grid
-    # (and, at q = 30, grown with the others), equals the same block factored
-    # alone; a node outside a block's grid stays zero in its Lanczos vectors
+    # every block, taken from its measure's recurrence in the one batch of all
+    # measures, padded to its chunk's longest grid (and, at q = 30, grown with
+    # the others), equals that measure run alone on the rows |d| + 2k,
+    # k < need(|d|), that blocks d and -d use; a node outside a measure's grid
+    # stays zero in its Lanczos vectors
     real_lanczos = pk.kernel._lanczos
 
     def lanczos(t, start, steps):
@@ -204,11 +206,72 @@ def test_batched_blocks_match_blocks_alone(monkeypatch, weight, q, n):
     weight = pk.parse_weight(weight)
     F = pk.GramFactorization(weight, pk.SpaceSpec(q, n, float(n)))
     rule = MomentRule(weight, float(n), np.arange(n + q - 1))
+    need = {}
+    for d, s in zip(np.abs(F.d).tolist(), F.size.tolist()):
+        need[d] = max(need.get(d, 0), s)
     for i in np.flatnonzero(F.size > 1):
-        s = F.size[i]
-        alpha, beta, _ = pk.kernel._recurrences(rule, abs(F.d[i]) + 2 * np.arange(s)[None, :])
-        np.testing.assert_allclose(F.alpha[i, :s - 1], alpha[0], rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(F.beta[i, :s - 1], beta[0], rtol=1e-15, atol=0.0)
+        s, a = F.size[i], abs(F.d[i])
+        alpha, beta = pk.kernel._recurrences(rule, a + 2 * np.arange(need[a])[None, :])
+        np.testing.assert_allclose(F.alpha[i, :s - 1], alpha[0, :s - 1], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(F.beta[i, :s - 1], beta[0, :s - 1], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("weight", ["ginibre", "power:p=3"])
+def test_mirror_blocks_share_their_measure(weight):
+    # blocks d and -d hold orthonormal polynomials of one measure t^{|d|} e^{-mQ},
+    # so the smaller block -a (q - a rows when n >= q) is the prefix of block +a
+    F = pk.GramFactorization(pk.parse_weight(weight), pk.SpaceSpec(8, 20, 20.0))
+    row = {d: i for i, d in enumerate(F.d.tolist())}
+    for a in range(1, 8):
+        minus, plus = row[-a], row[a]
+        s = F.size[minus]
+        assert s == 8 - a and F.size[plus] == 8
+        assert np.array_equal(F.alpha[minus, :s - 1], F.alpha[plus, :s - 1])
+        assert np.array_equal(F.beta[minus, :s - 1], F.beta[plus, :s - 1])
+
+
+def test_one_lanczos_batch_per_build(monkeypatch):
+    # ginibre q = 8, n = m = 40 runs its 40 measures as one batch, split only
+    # by _chunks and grown grids: 5 passes (17 with one batch per row count)
+    real_lanczos = pk.kernel._lanczos
+    passes = []
+
+    def lanczos(t, start, steps):
+        passes.append(start.shape[0])
+        return real_lanczos(t, start, steps)
+
+    monkeypatch.setattr(pk.kernel, "_lanczos", lanczos)
+    pk.GramFactorization(GINIBRE, pk.SpaceSpec(8, 40, 40.0))
+    assert 1 <= len(passes) <= 6
+
+
+def _unpadded_condition(alpha, beta, s):
+    # the s x s stack of normalized J^r e_0, r < s, built row by row
+    b = beta[:s - 1]
+    J = np.diag(np.append(alpha[:s - 1], 0.0)) + np.diag(b, 1) + np.diag(b, -1)
+    rows = [np.eye(s)[0]]
+    for _ in range(1, s):
+        v = J @ rows[-1]
+        rows.append(v / np.linalg.norm(v))
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    return (sv[0] / sv[-1]) ** 2
+
+
+@pytest.mark.parametrize("weight, q, n", [("ginibre", 8, 40), ("power:p=3", 8, 20),
+                                          ("ginibre", 12, 5)])
+def test_padded_conditions_match_each_block_alone(weight, q, n):
+    # the stacked SVD pads each block's stack to q x q with identity rows; with
+    # unit rows that leaves sigma_max >= 1 >= sigma_min, so the condition is
+    # each block's own
+    F = pk.GramFactorization(pk.parse_weight(weight), pk.SpaceSpec(q, n, float(n)))
+    checked = 0
+    for i, d in enumerate(F.d.tolist()):
+        cond = F.condition_report[d]
+        if cond < 1e12:
+            alone = _unpadded_condition(F.alpha[i], F.beta[i], F.size[i])
+            assert cond == pytest.approx(alone, rel=1e-12, abs=0.0)
+            checked += 1
+    assert checked >= n
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,17 @@ def test_empirical_intensity_guards(spaces):
         pk.empirical_intensity(K, pk.sample_batch(K, 2, 1), np.linspace(0.0, 1.4, 8))
 
 
+@pytest.mark.parametrize("edges", [[1.0, 0.5, 2.0], [0.0, np.nan, 1.0], [1.0],
+                                   [-0.5, 0.5, 1.0]],
+                         ids=["decreasing", "nan", "single", "negative"])
+def test_empirical_intensity_refuses_bad_bin_edges(spaces, edges):
+    # each list breaks one condition on the radii: order, finiteness, count, sign
+    K = spaces("ginibre", 1, 4, 4.0)
+    samples = pk.sample_batch(K, 100, 3)
+    with pytest.raises(ConfigurationError, match="bin_edges"):
+        pk.empirical_intensity(K, samples, edges)
+
+
 def test_configuration_export(tmp_path, spaces):
     K = spaces("ginibre", 2, 8, 8.0)
     cfg = pk.sample_configuration(K, 77)
