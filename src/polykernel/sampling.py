@@ -26,10 +26,20 @@ Because the envelope does not change from draw to draw, proposals are drawn
 ahead in blocks.  With envelope mass M, draw t takes M / (nq - t) proposals
 on average, so a block drawn at draw t holds M (1/(nq - t) + ... + 1/1), the
 proposals expected for every remaining draw, but at most PAIR_CHUNK feature
-entries and never fewer than M / (nq - t).  The features and the residual
-diagonal of a block are evaluated once; each acceptance then downdates the
-diagonal of the block's pending proposals by |<u_t, Phi>|^2 of the new frame
-vector alone.  A configuration at nq = 40 usually takes one or two blocks.
+entries.  A block's features are evaluated once.  Its residual diagonal is
+projected on the frame when the search first reaches it, in steps of
+PAIR_CHUNK / 8 feature entries, and from then on each acceptance downdates
+it by |<u_t, Phi>|^2 of the new frame vector alone.  A configuration at
+nq = 40 usually takes one or two blocks.
+
+Configurations are drawn in groups, in lockstep: the frames and pending
+blocks of a group are stacked, and the search, the two Gram-Schmidt passes,
+the norm and the downdate of each draw run once for the whole group.  The
+first blocks of a group come from one feature call, so sample_batch groups
+as many consecutive configurations as keep those blocks within PAIR_CHUNK
+feature entries: 17 at ginibre q = 2, n = m = 20 (nq = 40), and one at
+n = m = 60 (nq = 120).  A block that runs out is redrawn for its configuration alone.
+sample_configuration is a group of one.
 
 Randomness comes from numpy's Philox counter-based generator, keyed by a
 seed that must be an integer in [0, 2^64).  A batch of configurations
@@ -37,7 +47,8 @@ derives one 64-bit child seed per configuration index through numpy's
 SeedSequence(master, index) spawning, so a configuration depends
 only on the master seed and its index, not on the batch it is drawn in.
 Proposal k of a configuration uses row k of the uniforms drawn from its
-stream, so the points do not depend on how the proposals are blocked.
+stream, so the points do not depend on how the proposals are blocked or
+grouped.
 """
 
 from __future__ import annotations
@@ -111,85 +122,189 @@ def _radial_envelope(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
     return edges, ENVELOPE_MARGIN * per_bin
 
 
+class _ProposalLaw:
+    """The envelope's proposal law and block sizes, shared by a space's draws."""
+
+    def __init__(self, K: KernelEvaluator):
+        self.edges, self.envelope = _radial_envelope(K)
+        self.area = self.edges[1:] ** 2 - self.edges[:-1] ** 2
+        cdf = np.cumsum(self.envelope * self.area)
+        mass = cdf[-1]  # integral of the envelope against dA = d^2z / pi
+        self.cdf = cdf / mass
+        self.cap = PAIR_CHUNK // K._features.p.size  # proposals per block, by entries
+        # block[r]: the size of a block drawn with r draws to go, the proposals
+        # expected for all of them (draw s takes mass / (nq - s) on average),
+        # at most cap
+        self.block = [1]
+        harmonic = 0.0
+        for r in range(1, K.spec.dim + 1):
+            harmonic += 1.0 / r
+            self.block.append(max(1, min(math.ceil(mass * harmonic), self.cap)))
+
+    @staticmethod
+    def of(K: KernelEvaluator) -> "_ProposalLaw":
+        """K's law at the current ENVELOPE_MARGIN, tabulated once per evaluator."""
+        key = ("proposal_law", ENVELOPE_MARGIN)
+        law = K._derived.get(key)
+        if law is None:
+            law = K._derived[key] = _ProposalLaw(K)
+        return law
+
+
+def _sample_group(K: KernelEvaluator, law: _ProposalLaw,
+                  seeds: list[int]) -> list[PointConfiguration]:
+    """Draw one configuration per seed, all of them together, draw by draw.
+
+    Row g of every stacked array belongs to seeds[g], and its block fills the
+    first columns.  Columns [0, split) are open: their residual diagonal is
+    projected on every frame row so far, and each acceptance downdates it by
+    the new row.  Later columns hold gamma until a search reaches split; then
+    the next columns are projected on the frame at once and opened.  The
+    search reads ``threshold``: +inf at closed and accepted columns and past
+    a block, -inf at the sentinel column ``width``, where a search without an
+    acceptance ends.  A rejected proposal stays rejected, since downdates
+    only lower the diagonal, so every search may start at column 0 and the
+    downdate at the group's smallest next column.
+    """
+    spec = K.spec
+    nq, count = spec.dim, len(seeds)
+    rngs = [np.random.Generator(np.random.Philox(key=np.uint64(s))) for s in seeds]
+    space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
+    # columns opened at a time: PAIR_CHUNK / 8 feature entries across the
+    # group (256 kB), so that a small group opens its blocks whole at once
+    step = max(1, PAIR_CHUNK // 8 // (count * nq))
+
+    def fail(g: int, message: str):
+        raise SamplerError(f"{message} ({space}, seed {seeds[g]})")
+
+    def propose(group, t: int):
+        """Fresh blocks for the configurations in ``group`` at draw t: their
+        points, features (config, dim, size), thresholds and gamma."""
+        u = np.empty((len(group), law.block[nq - t], 4))
+        for i, g in enumerate(group):
+            rngs[g].random(out=u[i])
+        idx = np.searchsorted(law.cdf, u[..., 0], side="right")
+        cand = np.sqrt(law.edges[idx] ** 2 + u[..., 1] * law.area[idx]) \
+            * np.exp(2j * np.pi * u[..., 2])
+        phi = K._features.weighted(cand)
+        gamma = np.sum(np.abs(phi) ** 2, axis=0).reshape(idx.shape)
+        bound = law.envelope[idx]
+        over = gamma > bound
+        if over.any():
+            i = int(over.any(axis=1).argmax())
+            ratio = gamma[i] / bound[i]
+            b = int(idx[i, ratio.argmax()])
+            fail(group[i], f"envelope violated at draw {t + 1}/{nq}: gamma/envelope = "
+                           f"{ratio.max():.4f} in radial bin {b} "
+                           f"[{law.edges[b]:.6g}, {law.edges[b + 1]:.6g}]")
+        return cand, phi.reshape(-1, *idx.shape).transpose(1, 0, 2), u[..., 3] * bound, gamma
+
+    cand, phi, limit, gamma = propose(range(count), 0)  # limit: the blocks' thresholds
+    width = cand.shape[1]
+    diag = np.concatenate([gamma, np.zeros((count, 1))], axis=1)
+    threshold = np.full((count, width + 1), np.inf)
+    threshold[:, width] = -np.inf
+    split = 0
+    size = [width] * count   # proposals in each configuration's block
+    spent = [0] * count      # proposals of its earlier blocks
+    since = [0] * count      # the first draw its block served
+    chosen = np.empty((nq, count), dtype=np.intp)  # accepted column per draw
+    frame = np.zeros((count, nq, nq), dtype=complex)  # conjugated orthonormal rows
+    points = np.empty((count, nq), dtype=complex)
+    at = np.arange(count)
+
+    def keep(g: int, t: int):
+        """Store configuration g's points of draws [since, t) from its block."""
+        points[g, since[g]:t] = cand[g, chosen[since[g]:t, g]]
+        since[g] = t
+
+    def reach(t: int):
+        """Project the next ``step`` columns on frame rows [0, t) and open them."""
+        nonlocal split
+        stop = min(width, split + step)
+        if t:
+            proj = frame[:, :t] @ phi[:, :, split:stop]
+            diag[:, split:stop] -= np.sum(np.abs(proj) ** 2, axis=1)
+        threshold[:, split:stop] = limit[:, split:stop]
+        split = stop
+
+    def refill(g: int, t: int):
+        """A fresh block for configuration g at draw t, its open columns
+        projected on frame rows [0, t)."""
+        keep(g, t)
+        spent[g] += size[g]
+        c, p, lim, gam = propose([g], t)
+        s = size[g] = c.shape[1]
+        near = min(s, split)
+        cand[g, :s], phi[g, :, :s], limit[g, :s], diag[g, :s] = c[0], p[0], lim[0], gam[0]
+        limit[g, s:] = np.inf
+        threshold[g, :near] = lim[0, :near]
+        threshold[g, near:width] = np.inf
+        diag[g, :near] -= np.sum(np.abs(frame[g, :t] @ p[0, :, :near]) ** 2, axis=0)
+
+    def settle(last: list[int], t: int):
+        """Resolve the searches that ended at the sentinel: open more columns,
+        or give a new block to a configuration that has searched all of its
+        own, until every search finds an acceptance.  ``last`` holds each
+        configuration's acceptance at the previous draw."""
+        drawn = {}  # proposals spent at this draw without an acceptance
+        while True:
+            found = (threshold < diag).argmax(axis=1)
+            short = [g for g, f in enumerate(found.tolist()) if f == width]
+            if not short:
+                return found
+            for g in short:
+                if size[g] <= split:
+                    drawn[g] = drawn[g] + size[g] if g in drawn else size[g] - last[g] - 1
+                    if drawn[g] > MAX_PROPOSALS:
+                        fail(g, f"rejection sampling stalled at draw {t + 1}/{nq}: "
+                                f"{drawn[g]} proposals without acceptance")
+                    refill(g, t)
+            if any(size[g] > split for g in short):
+                reach(t)
+
+    reach(0)
+    last = [-1] * count
+    for t in range(nq):
+        found = (threshold < diag).argmax(axis=1)
+        hits = found.tolist()
+        if max(hits) == width:
+            found = settle(last, t)
+            hits = found.tolist()
+        chosen[t] = found
+        threshold[at, found] = np.inf
+        last = hits
+        lo = min(hits) + 1
+
+        g = phi[at, :, found][:, :, None]
+        # two passes of g -= sum_i <u_i, g> u_i; the second controls roundoff
+        earlier = frame[:, :t]
+        for _ in range(2):
+            g -= ((earlier @ g).conj().mT @ earlier).conj().mT
+        norm = np.sqrt(np.vecdot(g, g, axis=1).real)
+        for i, x in enumerate(norm[:, 0].tolist()):
+            if not x > 0.0:
+                fail(i, f"degenerate frame update at draw {t + 1}/{nq}")
+        np.divide(g[:, :, 0].conj(), norm, out=frame[:, t])
+        # the rank-one downdate |<u_t, Phi>|^2 of the open diagonals
+        proj = (frame[:, t, None] @ phi[:, :, lo:split]).view(float)
+        np.square(proj, out=proj)
+        diag[:, lo:split] -= proj[:, 0, 0::2] + proj[:, 0, 1::2]
+
+    for g in range(count):
+        keep(g, nq)
+    return [PointConfiguration(points=points[g], seed=seeds[g], q=spec.q, n=spec.n,
+                               m=spec.m, weight=K.weight.spec_string(),
+                               proposals_used=spent[g] + last[g] + 1)
+            for g in range(count)]
+
+
 def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
     """Draw one exact configuration of the nq-point process.
 
     ``seed`` must be an integer in [0, 2^64); it keys the Philox stream.
     """
-    seed = _seed(seed, "seed")
-    spec = K.spec
-    nq = spec.dim
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    edges, envelope = _radial_envelope(K)
-    area = edges[1:] ** 2 - edges[:-1] ** 2
-    cdf = np.cumsum(envelope * area)
-    mass = cdf[-1]  # integral of the envelope against dA = d^2z / pi
-    cdf /= mass
-
-    frame = np.zeros((nq, nq), dtype=complex)  # conjugated orthonormal rows
-    points = np.empty(nq, dtype=complex)
-    proposals = 0
-    space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
-
-    # A block's residual diagonal is projected once, against frame[:t], and
-    # then downdated by the one new frame row after each acceptance, so it
-    # always holds the diagonal of the current draw; proposals left in a
-    # block carry over to the next draw.
-    cap = PAIR_CHUNK // K._features.p.size  # proposals per block, by entries
-    taken = size = 0  # proposals of the current block consumed, and drawn
-    for t in range(nq):
-        draw_start = proposals
-        while True:
-            if taken == size:
-                # proposals per acceptance is mass / (nq - s) on average at draw s
-                expected = mass * sum(1.0 / r for r in range(1, nq - t + 1))
-                size = max(math.ceil(mass / (nq - t)), min(math.ceil(expected), cap))
-                taken = 0
-                u = rng.random((size, 4))
-                idx = np.searchsorted(cdf, u[:, 0], side="right")
-                cand = np.sqrt(edges[idx] ** 2 + u[:, 1] * area[idx]) \
-                    * np.exp(2j * np.pi * u[:, 2])
-                phi = K._features.weighted(cand)
-                gamma = np.sum(np.abs(phi) ** 2, axis=0)
-                bound = envelope[idx]
-                worst = int(np.argmax(gamma / bound))
-                if gamma[worst] > bound[worst]:
-                    b = int(idx[worst])
-                    raise SamplerError(
-                        f"envelope violated at draw {t + 1}/{nq}: gamma/envelope = "
-                        f"{gamma[worst] / bound[worst]:.4f} in radial bin {b} "
-                        f"[{edges[b]:.6g}, {edges[b + 1]:.6g}] ({space})"
-                    )
-                threshold = u[:, 3] * bound
-                diag = gamma - np.sum(np.abs(frame[:t] @ phi) ** 2, axis=0)
-            hits = np.flatnonzero(threshold[taken:] < diag[taken:])
-            consumed = int(hits[0]) + 1 if hits.size else size - taken
-            taken += consumed
-            proposals += consumed
-            if hits.size:
-                break
-            if proposals - draw_start > MAX_PROPOSALS:
-                raise SamplerError(
-                    f"rejection sampling stalled at draw {t + 1}/{nq}: "
-                    f"{proposals - draw_start} proposals without acceptance ({space})"
-                )
-
-        hit = taken - 1
-        points[t] = cand[hit]
-        g = phi[:, hit]
-        # two passes of g -= sum_i <u_i, g> u_i; the second controls roundoff
-        for _ in range(2):
-            g = g - ((frame[:t] @ g).conj() @ frame[:t]).conj()
-        norm = np.linalg.norm(g)
-        if norm <= 0.0:
-            raise SamplerError(f"degenerate frame update at draw {t + 1}/{nq}")
-        frame[t] = g.conj() / norm
-        proj = frame[t] @ phi[:, taken:]
-        diag[taken:] -= proj.real ** 2 + proj.imag ** 2
-
-    return PointConfiguration(points=points, seed=seed, q=spec.q, n=spec.n,
-                              m=spec.m, weight=K.weight.spec_string(),
-                              proposals_used=proposals)
+    return _sample_group(K, _ProposalLaw.of(K), [_seed(seed, "seed")])[0]
 
 
 def sample_batch(K: KernelEvaluator, count: int,
@@ -197,11 +312,17 @@ def sample_batch(K: KernelEvaluator, count: int,
     """Sample independent configurations with documented seed splitting.
 
     ``count`` must be an integer >= 0 and ``master_seed`` one in [0, 2^64).
+    Consecutive configurations are drawn together, as many as keep their
+    first blocks within PAIR_CHUNK feature entries.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise ConfigurationError(f"count must be an integer >= 0, got {count!r}")
     master_seed = _seed(master_seed, "master_seed")
-    return [sample_configuration(K, seed_for_index(master_seed, i)) for i in range(count)]
+    law = _ProposalLaw.of(K)
+    group = max(1, law.cap // law.block[K.spec.dim])
+    seeds = [seed_for_index(master_seed, i) for i in range(count)]
+    return [cfg for lo in range(0, count, group)
+            for cfg in _sample_group(K, law, seeds[lo:lo + group])]
 
 
 @dataclass

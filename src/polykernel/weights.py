@@ -32,6 +32,7 @@ so concurrent use from multiple threads is safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -303,6 +304,13 @@ def droplet_radius(w: WeightModel) -> float:
                               "droplet radius bisection")
 
 
+@functools.lru_cache(maxsize=64)
+def _droplet_radius_of(w: WeightModel) -> float:
+    """droplet_radius, solved once per weight: equal weights (same family and
+    coefficients) share it, and every build and ladder asks for it."""
+    return droplet_radius(w)
+
+
 @dataclass(frozen=True)
 class RadialEquilibrium:
     """Droplet radius plus the equilibrium potential of a radial weight."""
@@ -312,7 +320,7 @@ class RadialEquilibrium:
 
     @staticmethod
     def solve(w: WeightModel) -> "RadialEquilibrium":
-        return RadialEquilibrium(w, droplet_radius(w))
+        return RadialEquilibrium(w, _droplet_radius_of(w))
 
     def equilibrium_potential(self, z) -> float | np.ndarray:
         """Q(z) inside the droplet, Q(R) + 2 log(|z|/R) outside; C^1 at R."""

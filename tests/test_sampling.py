@@ -67,11 +67,15 @@ def test_envelope_bounds_gamma(spaces, weight, q, n):
 
 
 def test_broken_envelope_fails_loudly(spaces, monkeypatch, tmp_path):
-    # an envelope below gamma must raise, never accept the proposal
+    # an envelope below gamma must raise, never accept the proposal, and name
+    # the seed of the configuration, so that a failure in a batch replays
     K = spaces("ginibre", 2, 8, 8.0)
     monkeypatch.setattr(sampling, "ENVELOPE_MARGIN", 0.5)
-    with pytest.raises(SamplerError, match=r"draw 1/16: gamma/envelope = \d"):
+    with pytest.raises(SamplerError, match=r"draw 1/16: gamma/envelope = \d.*seed 99\)"):
         pk.sample_configuration(K, 99)
+    seed = seed_for_index(7, 0)
+    with pytest.raises(SamplerError, match=rf"draw 1/16: gamma/envelope = \d.*seed {seed}\)"):
+        pk.sample_batch(K, 3, 7)
     argv = ["sample", "--weight", "ginibre", "--q", "2", "--n", "8", "--m", "8",
             "--count", "1", "--seed", "7", "--outdir", str(tmp_path / "out")]
     assert run(argv) == 2
@@ -150,6 +154,36 @@ def test_block_sampler_matches_one_proposal_at_a_time(spaces, weight, q, n):
         assert cfg.proposals_used == proposals
 
 
+def test_stalled_draw_names_its_seed(monkeypatch):
+    # with blocks of one proposal every rejection exhausts a block, so a
+    # limit of 0 proposals per draw stalls at the first rejection
+    K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(2, 8, 8.0))
+    monkeypatch.setattr(sampling, "PAIR_CHUNK", 1)
+    monkeypatch.setattr(sampling, "MAX_PROPOSALS", 0)
+    seed = seed_for_index(5, 0)
+    with pytest.raises(SamplerError, match=rf"stalled at draw \d+/16: 1 proposals .*seed {seed}\)"):
+        pk.sample_batch(K, 2, 5)
+
+
+@pytest.mark.parametrize("weight, q, n, count, group", [
+    ("ginibre", 1, 60, 9, 7), ("power:p=2", 3, 30, 3, 2), ("ginibre", 8, 12, 2, 1),
+    ("ginibre", 1, 1, 5, 65536)])
+def test_batch_groups_match_each_configuration_alone(spaces, weight, q, n, count, group):
+    # sample_batch draws `group` consecutive configurations in lockstep; each
+    # is bitwise the one drawn alone and the one drawn a proposal at a time
+    K = spaces(weight, q, n, float(n))
+    law = sampling._ProposalLaw.of(K)
+    assert max(1, law.cap // law.block[K.spec.dim]) == group
+    assert count > group or K.spec.dim == 1  # two groups, the last one short
+    for i, cfg in enumerate(pk.sample_batch(K, count, 31)):
+        seed = seed_for_index(31, i)
+        solo = pk.sample_configuration(K, seed)
+        points, proposals = _reference_configuration(K, seed)
+        assert cfg.seed == seed
+        assert cfg.points.tobytes() == solo.points.tobytes() == points.tobytes()
+        assert cfg.proposals_used == solo.proposals_used == proposals
+
+
 def _count_feature_calls(K, monkeypatch):
     sampling._radial_envelope(K)  # the envelope's own probes are not a block
     sizes = []
@@ -181,6 +215,20 @@ def test_blocks_respect_the_entry_bound(spaces, monkeypatch):
     points, proposals = _reference_configuration(K, seed_for_index(8, 0))
     assert cfgs[0].points.tobytes() == points.tobytes()
     assert cfgs[0].proposals_used == proposals
+
+
+def test_groups_respect_the_entry_bound(spaces, monkeypatch):
+    # nq = 40: 17 first blocks fit in PAIR_CHUNK feature entries, so 20
+    # configurations are two groups, each with its first blocks in one call
+    K = spaces("ginibre", 2, 20, 20.0)
+    entries, first = K._features.p.size, sampling._ProposalLaw.of(K).block[K.spec.dim]
+    group = PAIR_CHUNK // entries // first
+    assert group == 17
+    sizes = _count_feature_calls(K, monkeypatch)
+    pk.sample_batch(K, 20, 12)
+    assert max(sizes) * entries <= PAIR_CHUNK
+    assert sizes[0] == group * first and (20 - group) * first in sizes
+    assert all(s <= first for s in sizes if s not in (group * first, (20 - group) * first))
 
 
 def test_a_configuration_takes_few_feature_calls(spaces, monkeypatch):

@@ -256,6 +256,22 @@ def test_droplet_radius_defining_equation():
         assert abs(R * w.q_prime(R) - 2.0) < 1e-12
 
 
+def test_equilibrium_solves_each_weight_once(monkeypatch):
+    # every build and ladder asks for its weight's droplet: equal weights
+    # share one bisection, and the radius is bitwise droplet_radius's
+    from polykernel import weights
+
+    solved = []
+    bisect = weights.droplet_radius
+    monkeypatch.setattr(weights, "droplet_radius", lambda w: solved.append(w) or bisect(w))
+    weights._droplet_radius_of.cache_clear()
+    w = pk.parse_weight("radialpoly:c=1,0.0625,0.03125")
+    first = pk.RadialEquilibrium.solve(w)
+    again = pk.RadialEquilibrium.solve(pk.parse_weight(w.spec_string()))
+    assert first.droplet_radius == again.droplet_radius == bisect(w)
+    assert len(solved) == 1
+
+
 def test_droplet_mass_is_one():
     # 2 int_0^R dQ(r) r dr = 1
     x, v = np.polynomial.legendre.leggauss(200)
