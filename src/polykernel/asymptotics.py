@@ -75,7 +75,12 @@ def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = 2.5,
     scale = 1.0 / math.sqrt(m * dq)
     z = z0 + xi * scale
     w = z0 + lam * scale
-    measured = np.exp(K.log_abs_weighted_kernel(z, w)) / (m * dq)
+    # the first half is the (xi, 0) plane, where every w is w[0]: one point,
+    # whose features are computed once
+    half = xi.size // 2
+    log_k = np.concatenate([K.log_abs_weighted_kernel(z[:half], w[0]),
+                            K.log_abs_weighted_kernel(z[half:], w[half:])])
+    measured = np.exp(log_k) / (m * dq)
     target = bulk_limit_profile(K.spec.q, np.abs(xi - lam))
     errors = np.abs(measured - target)
     return BlowupResult(m=m, n=K.spec.n, xi=xi, lam=lam, errors=errors,

@@ -96,6 +96,14 @@ def _list_of(kind, what: str):
     return parse
 
 
+def _ladder(text: str) -> list:
+    """argparse type: an m ladder, distinct finite numbers > 0."""
+    values = _list_of(_positive, "finite numbers > 0")(text)
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"lists a value more than once: '{text}'")
+    return values
+
+
 def _add_space_flags(p: argparse.ArgumentParser):
     p.add_argument("--weight", required=True,
                    help="weight string: ginibre | power:p=<int> | radialpoly:c=<floats>")
@@ -152,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", type=_point, default="0")
-    p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
-                   required=True, help="comma-separated m ladder")
+    p.add_argument("--m", type=_ladder, required=True, help="comma-separated m ladder")
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
     p.add_argument("--grid-radius", type=_positive, default=2.5)
@@ -166,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", type=_point, default="0")
-    p.add_argument("--m", type=_list_of(_positive, "finite numbers > 0"),
-                   required=True)
+    p.add_argument("--m", type=_ladder, required=True)
     p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=_integer(2), default=12)
     p.add_argument("--out", required=True)
@@ -272,8 +278,6 @@ def cmd_blowup(args) -> int:
     ms, ns = args.m, args.n
     if ns and len(ns) != len(ms):
         raise ConfigurationError("--n list must match --m list length")
-    if len(set(ms)) != len(ms):
-        raise ConfigurationError(f"--m lists a value more than once: {args.m}")
     n_of_m = (lambda mm: ns[ms.index(mm)]) if ns else None
     report = asym.blowup_ladder(weight, args.q, args.z0, ms, n_of_m=n_of_m,
                                 grid_radius=args.grid_radius, grid_n=args.grid_n)

@@ -12,7 +12,12 @@ unimodal; it decays like e^((p+1) u) on the left and doubly exponentially on
 the right, so the trapezoid rule converges exponentially in the step
 (Trefethen and Weideman, SIAM Review 56 (2014)).  The rule of M_p has nodes
 u*_p + j h_p around the mode u*_p, the root of m sum_k k c_k e^(k u) = p + 1,
-which one safeguarded Newton solve finds for every p at once.  The step is
+found for every p at once by Newton steps kept in a bracket.  For a weight of
+one term (ginibre, power) the closed-form first guess is already the root, so
+the first step lands on the bracket's edge and each row bisects a unit bracket
+for about 45 steps.  That solve is kept step for step, because the q = 2
+ladders' digits and the ginibre decay stability (bound 1e-15) sit at one or
+two ulps, and an exact root moves them.  The step is
 RULE_STEP sigma_p, where sigma_p = (m sum_k k^2 c_k e^(k u*_p))^(-1/2) is the
 width of the peak.  The rule reaches RIGHT_TAIL sigma_p to the right, and to
 the left at least as far and until the integrand has fallen by e^(-LEFT_TAIL)
@@ -53,7 +58,8 @@ class MomentRule:
     """Peaks of the log integrands f_p for the exponents p, and their rules.
 
     ``mode`` holds u*_p, ``width`` sigma_p and ``terms`` the (p, k) array of
-    a_k = m c_k e^(k u*_p).
+    a_k = m c_k e^(k u*_p).  Only the terms with c_k != 0 are ever summed:
+    adding a zero term is exact, so skipping it changes no finite value.
     """
 
     def __init__(self, w: WeightModel, m: float, p):
@@ -63,48 +69,52 @@ class MomentRule:
         if self.p.size and self.p.min() < 0:
             raise ConfigurationError(f"radial moment needs p >= 0, got {self.p.min()}")
         self.weight, self.m = w, m
+        # (k, m c_k) of the nonzero terms
+        self._mc = [(k, m * c) for k, c in enumerate(w.coeffs, start=1) if c != 0.0]
         self.mode = self._solve_modes()
-        self.terms = self._terms(self.mode)
-        self.width = 1.0 / np.sqrt(self._slopes(self.terms)[1])
+        self.terms = np.zeros((self.p.size, w.degree))
         self.peak_weight = np.zeros(self.p.size)  # m Q at the mode, sum_k a_k
-        for k in range(self.terms.shape[1]):
-            self.peak_weight += self.terms[:, k]
+        for k, mc in self._mc:
+            self.terms[:, k - 1] = mc * np.exp(k * self.mode)
+            self.peak_weight += self.terms[:, k - 1]
+        self.width = 1.0 / np.sqrt(self._slopes(self.mode)[1])
 
-    def _terms(self, u: np.ndarray) -> np.ndarray:
-        """a_k = m c_k e^(k u) as a (points, degree) array."""
-        k = np.arange(1, self.weight.degree + 1)
-        return self.m * np.asarray(self.weight.coeffs) * np.exp(u[:, None] * k)
+    def _slopes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_k k a_k(u) and sum_k k^2 a_k(u), a_k(u) = m c_k e^(k u), i.e.
+        (p+1) - f_p'(u) and -f_p''(u).
 
-    def _slopes(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_k k a_k and sum_k k^2 a_k, i.e. (p+1) - f_p'(u) and -f_p''(u).
-
-        Summed term by term, so a row does not depend on the other rows.
+        Summed term by term, so a point does not depend on the other points.
         """
-        s1 = np.zeros(a.shape[0])
-        s2 = np.zeros(a.shape[0])
-        for k in range(1, a.shape[1] + 1):
-            s1 += k * a[:, k - 1]
-            s2 += k * k * a[:, k - 1]
+        s1 = np.zeros(u.shape)
+        s2 = np.zeros(u.shape)
+        for k, mc in self._mc:
+            a = mc * np.exp(k * u)
+            s1 += k * a
+            s2 += k * k * a
         return s1, s2
 
     def _solve_modes(self) -> np.ndarray:
         """Roots of sum_k k a_k(u) = p + 1 by Newton steps kept in a bracket.
 
         The left side is increasing in u (its derivative is m t dQ(t) > 0).
-        Each root stops at its own convergence, independently of the others.
+        A step that leaves the bracket is replaced by the bracket's midpoint.
+        Each root stops at its own convergence, independently of the others,
+        and only the unconverged rows are carried from step to step.  For a
+        weight of one term the closed-form guess is already the root, so the
+        first step lands on the bracket's edge and the solve bisects a unit
+        bracket, about 45 steps a row.  It is kept step for step:
+        test_decay_ladder_stability_ginibre_q2 and the ladders' digits depend
+        on its last bits.
         """
         target = self.p + 1.0
         lead = self.weight.degree
         guess = np.log(target / (self.m * lead * self.weight.coeffs[-1])) / lead
 
-        def excess(u):
-            return self._slopes(self._terms(u))[0] - target
-
         def bracket(u, move, what):
             """Step u by doubling moves until move * excess(u) >= 0."""
             step = np.ones(u.shape)
             for _ in range(NEWTON_STEPS):
-                out = move * excess(u) < 0.0
+                out = move * (self._slopes(u)[0] - target) < 0.0
                 if not out.any():
                     return u
                 u = np.where(out, u + move * step, u)
@@ -116,20 +126,24 @@ class MomentRule:
         hi = bracket(guess, 1.0, "upper")
         lo = bracket(hi - 1.0, -1.0, "lower")
         u = hi.copy()
-        active = np.arange(u.size)
+        # the unconverged rows: their indices, points, brackets and targets
+        rows, ua, goal = np.arange(u.size), hi, target
         for _ in range(NEWTON_STEPS):
-            if not active.size:
+            if not rows.size:
                 return u
-            ua = u[active]
-            s1, s2 = self._slopes(self._terms(ua))
-            f = s1 - target[active]
-            lo[active] = np.where(f < 0.0, ua, lo[active])
-            hi[active] = np.where(f > 0.0, ua, hi[active])
+            s1, s2 = self._slopes(ua)
+            f = s1 - goal
+            lo = np.where(f < 0.0, ua, lo)
+            hi = np.where(f > 0.0, ua, hi)
             new = ua - f / s2
-            new = np.where((new > lo[active]) & (new < hi[active]), new,
-                           0.5 * (lo[active] + hi[active]))
-            u[active] = new
-            active = active[np.abs(new - ua) > 1e-13 * np.maximum(1.0, np.abs(ua))]
+            new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+            moving = np.abs(new - ua) > 1e-13 * np.maximum(1.0, np.abs(ua))
+            if moving.all():
+                ua = new
+                continue
+            u[rows[~moving]] = new[~moving]
+            rows, ua, lo, hi, goal = (rows[moving], new[moving], lo[moving],
+                                      hi[moving], goal[moving])
         raise NumericalDegeneracyError(
             f"moment mode search did not converge (weight {self.weight.spec_string()}, "
             f"m={self.m})")
@@ -147,11 +161,18 @@ class MomentRule:
 
     def log_integrand(self, rows, u: np.ndarray) -> np.ndarray:
         """f_p(u) - f_p(u*_p) for the rule rows ``rows`` (broadcast against u)."""
-        x = u - self.mode[rows]
-        a = self.terms[rows]
-        out = (self.p[rows] + 1.0) * x
-        for k in range(1, a.shape[-1] + 1):
-            out -= a[..., k - 1] * np.expm1(k * x)
+        return self._relative(u - self.mode[rows], self.p[rows] + 1.0,
+                              [self.terms[rows, k - 1] for k, _ in self._mc])
+
+    def _relative(self, x: np.ndarray, slope: np.ndarray, a: list) -> np.ndarray:
+        """(p+1) x - sum_k a_k expm1(k x), which is f_p(u*_p + x) - f_p(u*_p).
+
+        ``slope`` holds p + 1 and ``a`` the a_k of the nonzero terms, in the
+        order of ``_mc``, each broadcast against x.
+        """
+        out = slope * x
+        for (k, _), ak in zip(self._mc, a):
+            out -= ak * np.expm1(k * x)
         return out
 
     def log_moments(self) -> np.ndarray:
@@ -161,11 +182,14 @@ class MomentRule:
         below = np.ceil((self.mode - left) / h).astype(int)
         above = np.ceil((right - self.mode) / h).astype(int)
         count = below + above + 1
-        rows = np.repeat(np.arange(self.p.size), count)
         starts = np.concatenate([[0], np.cumsum(count)[:-1]])
-        j = np.arange(rows.size) - starts[rows] - below[rows]
-        u = self.mode[rows] + j * h[rows]
-        vals = np.exp(self.log_integrand(rows, u))
+        # every rule's value per node, repeated over the rule's nodes
+        j = np.arange(count.sum()) - np.repeat(starts + below, count)
+        mode = np.repeat(self.mode, count)
+        u = mode + j * np.repeat(h, count)
+        vals = np.exp(self._relative(u - mode, np.repeat(self.p + 1.0, count),
+                                     [np.repeat(self.terms[:, k - 1], count)
+                                      for k, _ in self._mc]))
         sums = np.add.reduceat(vals, starts)
         ends = np.maximum(vals[starts], vals[starts + count - 1])
         if np.any(ends > TAIL_BOUND):
@@ -177,8 +201,9 @@ class MomentRule:
         # precision, log M_p is rounded once
         mode = self.mode.astype(np.longdouble)
         peak = (self.p + 1) * mode
-        for k, c in enumerate(self.weight.coeffs, start=1):
-            peak -= np.longdouble(self.m) * np.longdouble(c) * np.exp(k * mode)
+        for k, _ in self._mc:
+            c = np.longdouble(self.weight.coeffs[k - 1])
+            peak -= np.longdouble(self.m) * c * np.exp(k * mode)
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = (peak + np.log(h * sums)).astype(float)
         if not np.all(np.isfinite(logs)):

@@ -41,6 +41,8 @@ def json_dumps(obj) -> str:
         items = [f"{json_dumps(str(k))}: {json_dumps(v)}" for k, v in obj.items()]
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(format_float, obj)) + "]"
         return "[" + ", ".join(json_dumps(v) for v in obj) + "]"
     if hasattr(obj, "tolist"):
         return json_dumps(obj.tolist())

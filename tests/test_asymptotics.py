@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import polykernel as pk
-from polykernel.asymptotics import blowup_compare, bulk_clearance, bulk_limit_profile
+from polykernel.asymptotics import (blowup_compare, blowup_grid, bulk_clearance,
+                                    bulk_limit_profile)
 from polykernel.errors import ConfigurationError
 
 GINIBRE = pk.parse_weight("ginibre")
@@ -40,6 +41,21 @@ def test_blowup_preconditions(spaces):
     Kp = spaces("power:p=2", 2, 20, 20.0)
     with pytest.raises(ConfigurationError):
         blowup_compare(Kp, 0.0)  # quarter-Laplacian vanishes at the origin
+
+
+@pytest.mark.parametrize("weight, q, n, z0", [("power:p=2", 2, 40, 0.5),
+                                          ("ginibre", 3, 30, 0.2 - 0.3j)])
+def test_blowup_compare_is_one_pair_call(spaces, weight, q, n, z0):
+    # the (xi, 0) plane is evaluated against its one w, the rest pair by pair,
+    # with the errors of one call over all pairs, bit for bit
+    K = spaces(weight, q, n, float(n))
+    dq = K.weight.delta_q(z0)
+    xi, lam = blowup_grid(2.5, 17)
+    scale = 1.0 / math.sqrt(n * dq)
+    measured = np.exp(K.log_abs_weighted_kernel(z0 + xi * scale, z0 + lam * scale))
+    target = bulk_limit_profile(q, np.abs(xi - lam))
+    errors = np.abs(measured / (n * dq) - target)
+    assert np.array_equal(blowup_compare(K, z0).errors, errors)
 
 
 def test_blowup_ginibre_exact_collapse():
@@ -189,3 +205,16 @@ def test_harness_determinism():
     a = pk.blowup_ladder(GINIBRE, 2, 0.3, [20.0, 30.0], grid_radius=1.0, grid_n=5)
     b = pk.blowup_ladder(GINIBRE, 2, 0.3, [20.0, 30.0], grid_radius=1.0, grid_n=5)
     assert json_dumps(a.to_dict()) == json_dumps(b.to_dict())
+
+
+def test_json_float_lists_match_item_by_item():
+    # a list of Python floats is written in one join; every other list item
+    # by item, and both give the same text
+    from polykernel.reporting import format_float, json_dumps
+
+    floats = [0.1, -0.0, 1e300, math.nan, math.inf, -math.inf, 2.0 / 3.0]
+    assert json_dumps(floats) == "[" + ", ".join(format_float(x) for x in floats) + "]"
+    assert json_dumps(np.array(floats)) == json_dumps(floats)
+    assert json_dumps([np.float64(0.1), 0.5]) == "[0.10000000000000001, 0.5]"
+    assert json_dumps([1, 0.5, True, None]) == "[1, 0.5, true, null]"
+    assert json_dumps([]) == "[]"

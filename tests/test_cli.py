@@ -91,6 +91,7 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["sample", "--weight", "ginibre", "--n", "4", "--m", "4", "--seed",
       "18446744073709551616", "--outdir", "x"], "--seed"),
     (["energy", "--weight", "ginibre", "--n-quad", "10"], "--n-quad"),
+    (["decay", "--weight", "ginibre", "--m", "40,40"], "--m"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
         "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
@@ -102,7 +103,7 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "decay-separations-negative", "decay-separations-one", "kernel-w0-nan",
         "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
         "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "sample-seed-2-64",
-        "energy-n-quad-small"])
+        "energy-n-quad-small", "decay-repeated-m"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err

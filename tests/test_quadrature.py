@@ -8,7 +8,8 @@ from scipy.special import gammaln
 
 import polykernel as pk
 from polykernel.errors import ConfigurationError
-from polykernel.quadrature import MomentRule, gauss_legendre, log_moment_table
+from polykernel.quadrature import (NEWTON_STEPS, RULE_STEP, MomentRule, gauss_legendre,
+                                   log_moment_table)
 
 GINIBRE = pk.parse_weight("ginibre")
 POWER2 = pk.parse_weight("power:p=2")
@@ -26,6 +27,106 @@ def _trapezoid_moment_oracle(w: pk.WeightModel, m: float, p: int) -> float:
     r = np.linspace(1e-12, hi, 10**6)
     vals = np.exp(f_log(r) - peak)
     return peak + math.log(2.0 * np.trapezoid(vals, r))
+
+
+class _ReferenceRule:
+    """The mode solve and moment grid of MomentRule as first written: every
+    term of the weight on every row, one (rows, degree) array per Newton
+    step, and the moment grid gathered through a per-node row index."""
+
+    def __init__(self, w, m, p):
+        self.weight, self.m, self.p = w, m, np.asarray(p)
+        self.mode = self._solve_modes()
+        self.terms = self._terms(self.mode)
+        self.width = 1.0 / np.sqrt(self._slopes(self.terms)[1])
+        self.peak_weight = np.zeros(self.p.size)
+        for k in range(self.terms.shape[1]):
+            self.peak_weight += self.terms[:, k]
+
+    def _terms(self, u):
+        k = np.arange(1, self.weight.degree + 1)
+        return self.m * np.asarray(self.weight.coeffs) * np.exp(u[:, None] * k)
+
+    def _slopes(self, a):
+        s1, s2 = np.zeros(a.shape[0]), np.zeros(a.shape[0])
+        for k in range(1, a.shape[1] + 1):
+            s1 += k * a[:, k - 1]
+            s2 += k * k * a[:, k - 1]
+        return s1, s2
+
+    def _solve_modes(self):
+        target = self.p + 1.0
+        lead = self.weight.degree
+        guess = np.log(target / (self.m * lead * self.weight.coeffs[-1])) / lead
+
+        def bracket(u, move):
+            step = np.ones(u.shape)
+            for _ in range(NEWTON_STEPS):
+                out = move * (self._slopes(self._terms(u))[0] - target) < 0.0
+                if not out.any():
+                    return u
+                u = np.where(out, u + move * step, u)
+                step = np.where(out, 2.0 * step, step)
+            raise AssertionError("no bracket")
+
+        hi = bracket(guess, 1.0)
+        lo = bracket(hi - 1.0, -1.0)
+        u = hi.copy()
+        active = np.arange(u.size)
+        for _ in range(NEWTON_STEPS):
+            if not active.size:
+                return u
+            ua = u[active]
+            s1, s2 = self._slopes(self._terms(ua))
+            f = s1 - target[active]
+            lo[active] = np.where(f < 0.0, ua, lo[active])
+            hi[active] = np.where(f > 0.0, ua, hi[active])
+            new = ua - f / s2
+            new = np.where((new > lo[active]) & (new < hi[active]), new,
+                           0.5 * (lo[active] + hi[active]))
+            u[active] = new
+            active = active[np.abs(new - ua) > 1e-13 * np.maximum(1.0, np.abs(ua))]
+        raise AssertionError("no convergence")
+
+    def log_moments(self, rule):
+        """log M_p on the grids of ``rule`` (whose reach this shares)."""
+        h = RULE_STEP * self.width
+        left, right = rule.reach(slice(None))
+        below = np.ceil((self.mode - left) / h).astype(int)
+        above = np.ceil((right - self.mode) / h).astype(int)
+        count = below + above + 1
+        rows = np.repeat(np.arange(self.p.size), count)
+        starts = np.concatenate([[0], np.cumsum(count)[:-1]])
+        j = np.arange(rows.size) - starts[rows] - below[rows]
+        u = self.mode[rows] + j * h[rows]
+        x = u - self.mode[rows]
+        a = self.terms[rows]
+        f = (self.p[rows] + 1.0) * x
+        for k in range(1, a.shape[-1] + 1):
+            f -= a[..., k - 1] * np.expm1(k * x)
+        sums = np.add.reduceat(np.exp(f), starts)
+        mode = self.mode.astype(np.longdouble)
+        peak = (self.p + 1) * mode
+        for k, c in enumerate(self.weight.coeffs, start=1):
+            peak -= np.longdouble(self.m) * np.longdouble(c) * np.exp(k * mode)
+        return (peak + np.log(h * sums)).astype(float)
+
+
+_RULE_WEIGHTS = ["ginibre", "power:p=2", "power:p=3", "radialpoly:c=1,0.5",
+                 "radialpoly:c=0.5,0,0.25"]
+
+
+@pytest.mark.parametrize("text", _RULE_WEIGHTS)
+def test_moment_rule_matches_reference_bits(text):
+    # the compacted solve on the nonzero terms takes the reference's steps
+    # bit for bit, and so does the moment grid built by repetition
+    w = pk.parse_weight(text)
+    p = np.arange(161)
+    for m in (1.0, 40.0, 160.0, 1e4):
+        rule, ref = MomentRule(w, m, p), _ReferenceRule(w, m, p)
+        for name in ("mode", "width", "peak_weight", "terms"):
+            assert np.array_equal(getattr(rule, name), getattr(ref, name)), (m, name)
+        assert np.array_equal(log_moment_table(w, m, 160), ref.log_moments(rule)), m
 
 
 def test_ginibre_moment_examples():
