@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 from .kernel import LOG_FLOOR, KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import _laguerre1
 from .weights import RadialEquilibrium, WeightModel
@@ -42,7 +42,8 @@ def _require_bulk(K: KernelEvaluator, z0: complex) -> float:
 
 
 def bulk_limit_profile(q: int, t):
-    """|L^1_{q-1}(t^2)| e^{-t^2/2}: modulus of the universal bulk kernel."""
+    """|L^1_{q-1}(t^2)| e^{-t^2/2}: modulus of the universal bulk kernel, q >= 1."""
+    q = require_integer(q, "q", 1)
     t = np.asarray(t, dtype=float)
     return np.abs(_laguerre1(q - 1, t * t)) * np.exp(-0.5 * t * t)
 
@@ -68,7 +69,9 @@ def blowup_grid(grid_radius: float, grid_n: int) -> tuple[np.ndarray, np.ndarray
 
 def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = 2.5,
                    grid_n: int = 17) -> BlowupResult:
-    """Rescaled weighted kernel modulus versus the Laguerre bulk profile."""
+    """Rescaled weighted kernel modulus versus the Laguerre bulk profile on
+    ``blowup_grid(grid_radius, grid_n)``, grid_n >= 1."""
+    require_integer(grid_n, "grid_n", 1)
     dq = _require_bulk(K, z0)
     m = K.spec.m
     xi, lam = blowup_grid(grid_radius, grid_n)
@@ -132,35 +135,41 @@ class BlowupReport:
         }
 
 
-def _ladder(weight: WeightModel, q: int, ms, n_of_m, space_builder):
-    """(m, n, K) for each m of a ladder.
+def _ladder(weight: WeightModel, q: int, ms, ns, space_builder):
+    """The rungs (m, K) of an m ladder, each built when it is read.
 
-    n is ``n_of_m(m)``, by default round(m); K is ``space_builder(m, n)``,
-    by default the space of order q, n and m.
+    A ladder needs at least two distinct finite m > 0 and one n per m
+    (``ns``, by default round(m)); anything else raises ConfigurationError
+    here, before any build.  K is ``space_builder(m, n)``, by default the
+    space of order q, n and m, with m as given.
     """
+    if len(set(ms)) < 2 or not all(m > 0 and math.isfinite(m) for m in ms):
+        raise ConfigurationError(
+            f"a ladder needs at least 2 distinct finite m > 0, got {list(ms)}")
+    ns = [int(round(m)) for m in ms] if ns is None else ns
+    if len(ns) != len(ms):
+        raise ConfigurationError(f"a ladder needs one n per m, got {len(ns)} for {len(ms)}")
+    ns = [require_integer(n, "n", 1) for n in ns]
     build = space_builder or (lambda mm, nn: build_space(weight, SpaceSpec(q, nn, mm)))
-    for m in ms:
-        n = int(n_of_m(m)) if n_of_m else int(round(m))
-        yield m, n, build(m, n)
+    return ((m, build(m, n)) for m, n in zip(ms, ns))
 
 
-def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, n_of_m=None,
+def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
                   grid_radius: float = 2.5, grid_n: int = 17,
                   space_builder=None) -> BlowupReport:
-    """Blow-up comparison over an m ladder plus the fitted log-log rate."""
-    results, ns = [], []
-    for _, n, K in _ladder(weight, q, ms, n_of_m, space_builder):
-        results.append(blowup_compare(K, z0, grid_radius, grid_n))
-        ns.append(n)
+    """Blow-up comparison over an m ladder plus the fitted log-log rate.
+
+    ``ms`` holds at least two distinct m and ``ns`` one n per m (by default
+    n = round(m)); ``slope_flag`` is "" or "zero-errors" (see rate_fit).
+    """
+    results = [blowup_compare(K, z0, grid_radius, grid_n)
+               for _, K in _ladder(weight, q, ms, ns, space_builder)]
     sup = [r.sup_error for r in results]
-    if len(results) >= 2:
-        slope, flag = rate_fit(ms, sup)
-    else:
-        slope, flag = float("nan"), "insufficient-ladder"
+    slope, flag = rate_fit(ms, sup)
     return BlowupReport(weight=weight.spec_string(), q=q, z0=complex(z0),
                         grid_radius=grid_radius, grid_n=grid_n,
-                        ms=list(map(float, ms)), ns=ns, sup_errors=sup,
-                        slope=slope, slope_flag=flag, results=results)
+                        ms=list(map(float, ms)), ns=[r.n for r in results],
+                        sup_errors=sup, slope=slope, slope_flag=flag, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +248,30 @@ class DecayReport:
         }
 
 
-def decay_ladder(weight: WeightModel, q: int, z0: complex, ms, n_of_m=None,
+def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
                  n_directions: int = 4, n_separations: int = 12,
                  space_builder=None) -> DecayReport:
     """Off-diagonal scans over an m ladder with microscopically scaled steps.
 
-    Separations are u / sqrt(m) for a fixed u grid in DECAY_U_RANGE (capped
-    at the bulk clearance radius), so the fitted slope divided by sqrt(m)
-    measures the decay rate in microscopic units and is comparable across m.
+    ``ms`` holds at least two distinct m, and n = round(m).  Separations are
+    u / sqrt(m) for a fixed grid of n_separations >= 2 values u in
+    DECAY_U_RANGE (capped at the bulk clearance radius), along
+    n_directions >= 1 rays, so the fitted slope divided by sqrt(m) measures
+    the decay rate in microscopic units and is comparable across m.
     """
+    rungs = _ladder(weight, q, ms, None, space_builder)
+    n_directions = require_integer(n_directions, "n_directions", 1)
+    n_separations = require_integer(n_separations, "n_separations", 2)
     eq = RadialEquilibrium.solve(weight)
     r0 = bulk_clearance(eq, z0)
     dirs = np.exp(2j * np.pi * np.arange(n_directions) / n_directions)
-    # keep every ray inside the droplet and within the clearance radius for
-    # every m on the ladder: one u grid, scaled by m^{-1/2}, never clipped
-    s_cap = min(r0, eq.droplet_radius - abs(z0))
-    u_hi = min(DECAY_U_RANGE[1], 0.95 * s_cap * math.sqrt(min(ms)))
+    # keep every ray within the clearance radius, which lies inside the
+    # droplet, for every m on the ladder: one u grid, scaled by m^{-1/2},
+    # never clipped
+    u_hi = min(DECAY_U_RANGE[1], 0.95 * r0 * math.sqrt(min(ms)))
     u_lo = min(DECAY_U_RANGE[0], u_hi / 3.0)
     u = np.linspace(u_lo, u_hi, n_separations)
-    scans = [offdiagonal_scan(K, z0, dirs, u / math.sqrt(m))
-             for m, _, K in _ladder(weight, q, ms, n_of_m, space_builder)]
+    scans = [offdiagonal_scan(K, z0, dirs, u / math.sqrt(m)) for m, K in rungs]
     ratios = np.array([s.beta_over_sqrt_m for s in scans])
     center = np.mean(ratios)
     stability = float(np.max(np.abs(ratios - center)) / max(abs(center), 1e-300))
@@ -304,19 +317,14 @@ def offdroplet_decay_check(K: KernelEvaluator, direction: complex, radii,
     return offdroplet_margins(K, direction, radii) - bound
 
 
-def droplet_laplacian_sup(eq: RadialEquilibrium) -> float:
-    """sup of the quarter-Laplacian within distance 1 of the droplet, on 512 radii."""
-    r = np.linspace(0.0, eq.droplet_radius + 1.0, 512)
-    return float(np.max(eq.weight.delta_q(r)))
-
-
 def diagonal_bound_check(K: KernelEvaluator) -> float:
     """Worst ratio of the intensity to m (8 + 48 A^2) e^A over the droplet,
-    on 64 radii."""
+    on 64 radii, with A the sup of the quarter-Laplacian within distance 1 of
+    the droplet, on 512 radii."""
     if K.spec.q != 2:
         raise ConfigurationError("diagonal bound check applies to q = 2 only")
     eq = K.equilibrium
-    a_sup = droplet_laplacian_sup(eq)
+    a_sup = float(np.max(eq.weight.delta_q(np.linspace(0.0, eq.droplet_radius + 1.0, 512))))
     bound = K.spec.m * (8.0 + 48.0 * a_sup**2) * math.exp(a_sup)
     r = np.linspace(0.0, eq.droplet_radius, 64)
     gamma = np.asarray(K.one_point_intensity(r.astype(complex)))

@@ -97,10 +97,11 @@ def _list_of(kind, what: str):
 
 
 def _ladder(text: str) -> list:
-    """argparse type: an m ladder, distinct finite numbers > 0."""
+    """argparse type: an m ladder, at least two distinct finite numbers > 0."""
     values = _list_of(_positive, "finite numbers > 0")(text)
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"lists a value more than once: '{text}'")
+    if len(values) < 2 or len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(
+            f"expected at least 2 values, none of them repeated, got '{text}'")
     return values
 
 
@@ -160,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", type=_point, default="0")
-    p.add_argument("--m", type=_ladder, required=True, help="comma-separated m ladder")
+    p.add_argument("--m", type=_ladder, required=True,
+                   help="comma-separated m ladder, at least 2 distinct values")
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
     p.add_argument("--grid-radius", type=_positive, default=2.5)
@@ -173,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", type=_point, default="0")
-    p.add_argument("--m", type=_ladder, required=True)
+    p.add_argument("--m", type=_ladder, required=True,
+                   help="comma-separated m ladder, at least 2 distinct values")
     p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=_integer(2), default=12)
     p.add_argument("--out", required=True)
@@ -275,11 +278,9 @@ def cmd_intensity(args) -> int:
 
 def cmd_blowup(args) -> int:
     weight = parse_weight(args.weight)
-    ms, ns = args.m, args.n
-    if ns and len(ns) != len(ms):
+    if args.n and len(args.n) != len(args.m):
         raise ConfigurationError("--n list must match --m list length")
-    n_of_m = (lambda mm: ns[ms.index(mm)]) if ns else None
-    report = asym.blowup_ladder(weight, args.q, args.z0, ms, n_of_m=n_of_m,
+    report = asym.blowup_ladder(weight, args.q, args.z0, args.m, args.n,
                                 grid_radius=args.grid_radius, grid_n=args.grid_n)
     atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
     if args.csv_prefix:

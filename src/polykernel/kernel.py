@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDegeneracyError
-from .quadrature import (RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre_on,
-                         log_moment_table, node_count)
+from .errors import ConfigurationError, NumericalDegeneracyError, require_integer
+from .quadrature import (MIN_NODES, RULE_STEP, TAIL_BOUND, MomentRule,
+                         gauss_legendre_on, log_moment_table)
 from .reporting import write_csv
 from .weights import RadialEquilibrium, WeightModel
 
@@ -71,10 +71,8 @@ class SpaceSpec:
     m: float
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 1):
-            raise ConfigurationError(f"SpaceSpec needs integer q >= 1, got {self.q!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ConfigurationError(f"SpaceSpec needs integer n >= 1, got {self.n!r}")
+        require_integer(self.q, "q", 1)
+        require_integer(self.n, "n", 1)
         if not (self.m > 0 and math.isfinite(self.m)):
             raise ConfigurationError(f"SpaceSpec needs m > 0, got {self.m!r}")
 
@@ -457,27 +455,28 @@ class KernelEvaluator:
         self.equilibrium = RadialEquilibrium.solve(self.weight)
         self._features = _FeatureMap(factorization)
         # tables that other modules derive from the space alone (the sampler's
-        # radial profile of gamma), filled on first use
+        # proposal law), filled on first use
         self._derived: dict = {}
 
-    def _pair_eval(self, z, w, zw_power: float, ww_power: float):
-        """Pairwise kernel values as (log_scale, complex mantissa) arrays.
+    def _pair_eval(self, z, w, power: float):
+        """Pairwise kernel values as (log_scale, complex mantissa) arrays, each
+        side's features carrying the weight factor e^{-power m Q}.
 
         Points are taken in chunks of about PAIR_CHUNK (row, block, point)
         entries, so that the working arrays stay in cache, and each chunk
         works in place in the feature map's scratch buffers.  The features
-        are computed once on the diagonal (z is w, equal powers) and once for
-        a side holding a single point, which is then broadcast.  On the
-        diagonal every block phase is e^0 = 1, so the blocks are summed as
-        reals; elsewhere the phases e^{i d (arg z - arg w)} come from
+        are computed once on the diagonal (z is w) and once for a side
+        holding a single point, which is then broadcast.  On the diagonal
+        every block phase is e^0 = 1, so the blocks are summed as reals;
+        elsewhere the phases e^{i d (arg z - arg w)} come from
         ``_block_phases``.
         """
         fm = self._features
-        same = z is w and zw_power == ww_power
+        same = z is w
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        once_z = z.size == 1 and fm(z.ravel(), zw_power)
-        once_w = w.size == 1 and not same and fm(w.ravel(), ww_power)
+        once_z = z.size == 1 and fm(z.ravel(), power)
+        once_w = w.size == 1 and not same and fm(w.ravel(), power)
         z, w = np.broadcast_arrays(z, w)
         shape = z.shape
         zf, wf = z.ravel(), w.ravel()
@@ -487,9 +486,9 @@ class KernelEvaluator:
         scratch = fm.scratch
         for lo in range(0, zf.size, step):
             part = slice(lo, lo + step)
-            sz, az, ang_z = once_z or fm(zf[part], zw_power, scratch.z)
+            sz, az, ang_z = once_z or fm(zf[part], power, scratch.z)
             sw, aw, ang_w = (sz, az, ang_z) if same \
-                else once_w or fm(wf[part], ww_power, scratch.w)
+                else once_w or fm(wf[part], power, scratch.w)
             slab = np.broadcast_shapes(sz.shape, sw.shape)
             logs = np.add(sz, sw, out=_buffer(scratch.pair, "logs", slab))
             vals = np.multiply(az[0], aw[0], out=_buffer(scratch.pair, "vals", slab))
@@ -514,31 +513,31 @@ class KernelEvaluator:
 
     def kernel(self, z, w):
         """Plain kernel value; may overflow doubles for large m Q."""
-        scale, mant = self._pair_eval(z, w, 0.0, 0.0)
+        scale, mant = self._pair_eval(z, w, 0.0)
         out = mant * np.exp(scale)
         return out if out.shape else complex(out)
 
     def weighted_kernel(self, z, w):
         """Correlation kernel: weight factors e^{-mQ/2} folded per side."""
-        scale, mant = self._pair_eval(z, w, 0.5, 0.5)
+        scale, mant = self._pair_eval(z, w, 0.5)
         out = mant * np.exp(scale)
         return out if out.shape else complex(out)
 
     def log_abs_weighted_kernel(self, z, w):
         """log |weighted kernel|; -inf where the value is an exact zero."""
-        scale, mant = self._pair_eval(z, w, 0.5, 0.5)
+        scale, mant = self._pair_eval(z, w, 0.5)
         with np.errstate(divide="ignore"):
             out = scale + np.log(np.abs(mant))
         return out if out.shape else float(out)
 
     def one_point_intensity(self, z):
         """Expected point density K(z,z) e^{-mQ(z)} >= 0."""
-        scale, mant = self._pair_eval(z, z, 0.5, 0.5)
+        scale, mant = self._pair_eval(z, z, 0.5)
         out = np.maximum(np.real(mant), 0.0) * np.exp(scale)
         return out if out.shape else float(out)
 
     def log_one_point_intensity(self, z):
-        scale, mant = self._pair_eval(z, z, 0.5, 0.5)
+        scale, mant = self._pair_eval(z, z, 0.5)
         with np.errstate(divide="ignore"):
             out = scale + np.log(np.maximum(np.real(mant), 0.0))
         return out if out.shape else float(out)
@@ -616,7 +615,7 @@ class KernelEvaluator:
         if n_r is None:
             n_r = max(128, 3 * (n + q))
         r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
-        rho, w_rho = gauss_legendre_on(node_count(n_r, "n_r"), 0.0, r_max)
+        rho, w_rho = gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, r_max)
         sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, fm.scratch.w)
         sr, ar, _ = fm(rho.astype(complex), 1.0, fm.scratch.z)
         mant = np.einsum("sb,sbk->bk", az[:, :, 0], ar)
@@ -667,7 +666,7 @@ class KernelEvaluator:
         if n_r is None:
             n_r = max(400, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
         r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
-        rho, w_rho = gauss_legendre_on(node_count(n_r, "n_r"), 0.0, r_max)
+        rho, w_rho = gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, r_max)
         return float(np.sum(2.0 * w_rho * rho * self.one_point_intensity(rho.astype(complex))))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularExpansionError
+from .errors import ConfigurationError, SingularExpansionError, require_integer
 from .weights import WeightModel
 
 LAGUERRE_MAX_DEGREE = 64
@@ -40,11 +40,8 @@ def _laguerre1(degree: int, x):
 
 
 def laguerre_assoc1(degree: int, x):
-    """L^1_degree(x); L^1_k(0) = k + 1."""
-    if not (0 <= degree <= LAGUERRE_MAX_DEGREE):
-        raise ConfigurationError(
-            f"laguerre_assoc1 supports degrees 0..{LAGUERRE_MAX_DEGREE}, got {degree}"
-        )
+    """L^1_degree(x); L^1_k(0) = k + 1, for degrees 0..LAGUERRE_MAX_DEGREE."""
+    degree = require_integer(degree, "degree", 0, LAGUERRE_MAX_DEGREE + 1)
     out = _laguerre1(degree, np.asarray(x, dtype=float))
     return out if out.shape else float(out)
 
@@ -160,11 +157,9 @@ def local_kernel_q2(w: WeightModel, m: float, z, wc, terms: int = 3,
 
 def local_kernel_leading(w: WeightModel, q: int, m: float, z, wc,
                          weighted: bool = False):
-    """Leading term m b L^1_{q-1}(m b |z - wc|^2) e^{mQ(z,wc)}, any q >= 1."""
-    if q < 1:
-        raise ConfigurationError(f"local_kernel_leading needs q >= 1, got {q}")
-    if q - 1 > LAGUERRE_MAX_DEGREE:
-        raise ConfigurationError(f"local_kernel_leading supports q <= {LAGUERRE_MAX_DEGREE + 1}")
+    """Leading term m b L^1_{q-1}(m b |z - wc|^2) e^{mQ(z,wc)}, for
+    q = 1..LAGUERRE_MAX_DEGREE + 1."""
+    q = require_integer(q, "q", 1, LAGUERRE_MAX_DEGREE + 2)
     z = np.asarray(z, dtype=complex)
     wc = np.asarray(wc, dtype=complex)
     b = np.asarray(w.hermitian_b(z, wc, 0, 0), dtype=complex)

@@ -32,9 +32,8 @@ Every other radial integral of the package (the trace and the reproducing
 residual of a kernel, the binned intensities of the sampler's validation, the
 equilibrium energy, and integrate_polar_grid) is one Gauss-Legendre rule:
 gauss_legendre(n), computed once per n, mapped to its interval by
-gauss_legendre_on.  Every node count a caller may choose passes node_count,
-which refuses anything but an integer at or above a floor and names the
-parameter.
+gauss_legendre_on.  Every node count a caller may choose, like p_max, passes
+the package's one integer check, errors.require_integer.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDegeneracyError
+from .errors import ConfigurationError, NumericalDegeneracyError, require_integer
 from .weights import WeightModel
 
 RULE_STEP = 1.0 / 8.0   # trapezoid step, in units of the peak width sigma_p
@@ -52,6 +51,7 @@ RIGHT_TAIL = 12.0       # reach of a rule beyond its mode, in units of sigma_p
 LEFT_TAIL = 40.0        # least log-drop of the integrand at the left end
 TAIL_BOUND = 1e-15      # largest integrand at either end, relative to the peak
 NEWTON_STEPS = 100
+MIN_NODES = 16          # least Gauss-Legendre node count a caller may choose
 
 
 class MomentRule:
@@ -223,9 +223,7 @@ def log_moment_table(w: WeightModel, m: float, p_max: int,
     log M_p must be nondecreasing; a violation indicates a quadrature failure
     and aborts Gram assembly.
     """
-    if isinstance(p_max, bool) or not isinstance(p_max, (int, np.integer)) or p_max < 0:
-        raise ConfigurationError(
-            f"log_moment_table needs an integer p_max >= 0, got {p_max!r}")
+    p_max = require_integer(p_max, "p_max", 0)
     logs = (rule or MomentRule(w, m, np.arange(p_max + 1))).log_moments()
     if p_max >= 2:
         inc = np.diff(logs)
@@ -279,14 +277,6 @@ def gauss_legendre_on(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     return half * (x + 1.0) + np.asarray(a, dtype=float)[..., None], half * v
 
 
-def node_count(n, name: str, floor: int = 16) -> int:
-    """``n`` as a quadrature node count: an integer >= ``floor``, else a
-    ConfigurationError that names the parameter ``name``."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < floor:
-        raise ConfigurationError(f"{name} must be an integer >= {floor}, got {n!r}")
-    return int(n)
-
-
 def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
     """Integral of f over the plane in the normalized area measure.
 
@@ -296,7 +286,8 @@ def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
     """
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise ConfigurationError(f"integrate_polar_grid needs a finite r_max > 0, got {r_max}")
-    n_r, n_phi = node_count(n_r, "n_r"), node_count(n_phi, "n_phi")
+    n_r = require_integer(n_r, "n_r", MIN_NODES)
+    n_phi = require_integer(n_phi, "n_phi", MIN_NODES)
     r, wr = gauss_legendre_on(n_r, 0.0, r_max)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     z = r[:, None] * np.exp(1j * phi[None, :])

@@ -15,11 +15,11 @@ the accepted points.  By Bessel's inequality that never exceeds gamma, and
 gamma is exactly radial for every catalog weight, so one envelope serves
 every draw and every configuration: per radial bin, ENVELOPE_MARGIN times the
 largest gamma at the bin's two edges and midpoint, over ENVELOPE_BINS bins.
-The maxima are tabulated once per evaluator, and the margin is applied on
-each use.  Proposals are uniform on a bin's annulus, bins drawn in
-proportion to their envelope mass, and accepted with probability
-diagonal / envelope.  A proposal whose gamma exceeds its bin's envelope
-raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
+Proposals are uniform on a bin's annulus, bins drawn in proportion to their
+envelope mass, and accepted with probability diagonal / envelope.  The
+envelope, this law and the block sizes below are one table, _ProposalLaw,
+tabulated once per evaluator.  A proposal whose gamma exceeds its bin's
+envelope raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
 mass outside it decays exponentially and is far below 1e-8 at desk scale.
 
 Because the envelope does not change from draw to draw, proposals are drawn
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SamplerError
+from .errors import ConfigurationError, SamplerError, require_integer
 from .kernel import PAIR_CHUNK, KernelEvaluator
 from .quadrature import gauss_legendre_on
 from .reporting import atomic_write_text, json_dumps, write_csv
@@ -93,41 +93,24 @@ def seed_for_index(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _seed(seed, name: str) -> int:
-    """``seed`` as an integer in [0, 2^64), else a ConfigurationError naming it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or not 0 <= int(seed) < 2**64:
-        raise ConfigurationError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
+class _ProposalLaw:
+    """The radial envelope, its proposal law and block sizes, shared by a
+    space's draws.
 
-
-def _radial_envelope(K: KernelEvaluator) -> tuple[np.ndarray, np.ndarray]:
-    """Bin edges of the sampling disk and a per-bin bound on gamma.
-
-    The bound is ENVELOPE_MARGIN times the largest gamma at the bin's edges
-    and midpoint.  Those maxima depend only on the space, so they are
-    tabulated once per evaluator; the margin is applied on every call.
-    Concurrent first calls may tabulate them twice, with identical results.
+    ``edges`` are the bin edges of the sampling disk, and ``envelope`` bounds
+    gamma per bin: ENVELOPE_MARGIN times the largest gamma at the bin's edges
+    and midpoint.
     """
-    cached = K._derived.get("radial_envelope")
-    if cached is None:
+
+    def __init__(self, K: KernelEvaluator):
         r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(K.spec.m) + 0.5
-        edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
+        edges = self.edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
         probes = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
         gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
         at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
-        cached = edges, np.maximum(np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
-        K._derived["radial_envelope"] = cached
-    edges, per_bin = cached
-    return edges, ENVELOPE_MARGIN * per_bin
-
-
-class _ProposalLaw:
-    """The envelope's proposal law and block sizes, shared by a space's draws."""
-
-    def __init__(self, K: KernelEvaluator):
-        self.edges, self.envelope = _radial_envelope(K)
-        self.area = self.edges[1:] ** 2 - self.edges[:-1] ** 2
+        self.envelope = ENVELOPE_MARGIN * np.maximum(
+            np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
+        self.area = edges[1:] ** 2 - edges[:-1] ** 2
         cdf = np.cumsum(self.envelope * self.area)
         mass = cdf[-1]  # integral of the envelope against dA = d^2z / pi
         self.cdf = cdf / mass
@@ -143,11 +126,11 @@ class _ProposalLaw:
 
     @staticmethod
     def of(K: KernelEvaluator) -> "_ProposalLaw":
-        """K's law at the current ENVELOPE_MARGIN, tabulated once per evaluator."""
-        key = ("proposal_law", ENVELOPE_MARGIN)
-        law = K._derived.get(key)
+        """K's law, tabulated once per evaluator.  Concurrent first calls may
+        tabulate it twice, with identical results."""
+        law = K._derived.get("proposal_law")
         if law is None:
-            law = K._derived[key] = _ProposalLaw(K)
+            law = K._derived["proposal_law"] = _ProposalLaw(K)
         return law
 
 
@@ -304,7 +287,7 @@ def sample_configuration(K: KernelEvaluator, seed: int) -> PointConfiguration:
 
     ``seed`` must be an integer in [0, 2^64); it keys the Philox stream.
     """
-    return _sample_group(K, _ProposalLaw.of(K), [_seed(seed, "seed")])[0]
+    return _sample_group(K, _ProposalLaw.of(K), [require_integer(seed, "seed", 0, 2**64)])[0]
 
 
 def sample_batch(K: KernelEvaluator, count: int,
@@ -315,9 +298,8 @@ def sample_batch(K: KernelEvaluator, count: int,
     Consecutive configurations are drawn together, as many as keep their
     first blocks within PAIR_CHUNK feature entries.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ConfigurationError(f"count must be an integer >= 0, got {count!r}")
-    master_seed = _seed(master_seed, "master_seed")
+    count = require_integer(count, "count", 0)
+    master_seed = require_integer(master_seed, "master_seed", 0, 2**64)
     law = _ProposalLaw.of(K)
     group = max(1, law.cap // law.block[K.spec.dim])
     seeds = [seed_for_index(master_seed, i) for i in range(count)]

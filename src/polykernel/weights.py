@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ class WeightModel:
 
     @staticmethod
     def power(p: int) -> "WeightModel":
-        if not (isinstance(p, (int, np.integer)) and p >= 1):
-            raise ConfigurationError(f"power weight needs integer p >= 1, got {p!r}")
+        p = require_integer(p, "power weight p", 1)
         c = [0.0] * p
         c[p - 1] = 1.0
-        return WeightModel("power", tuple(c), label=f"power:p={int(p)}")
+        return WeightModel("power", tuple(c), label=f"power:p={p}")
 
     @staticmethod
     def radialpoly(coeffs) -> "WeightModel":
@@ -266,42 +265,36 @@ def _parse_params(rest: str, full: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_increasing(g, lo: float, hi: float, close_enough, what: str) -> float:
-    """Root of an increasing g: widen [lo, hi] to a sign bracket, then bisect.
+def droplet_radius(w: WeightModel) -> float:
+    """Radius R of the droplet disk, solving R Q'(R) = 2 by bisection.
 
-    ``close_enough(lo, hi)`` is the caller's stopping rule.
+    The map r -> r Q'(r) is strictly increasing (its derivative is 4 r dQ),
+    so the root is unique.  Equivalent statement: the equilibrium measure
+    dQ 1_{|z|<=R} dA has total mass R Q'(R) / 2 = 1.  The bracket [1e-12, 1]
+    is widened until it holds the root, then bisected to a relative width
+    of 1e-14.
     """
-    grow = 0
+    def g(r):
+        return r * w.q_prime(r) - 2.0
+
+    lo, hi = 1e-12, 1.0
     while g(hi) < 0.0:
         hi *= 2.0
-        grow += 1
-        if grow > 600:
-            raise ConfigurationError(f"{what} found no upper bracket")
+        if hi > 2.0**600:
+            raise ConfigurationError("droplet radius bisection found no upper bracket")
     while g(lo) > 0.0:
         lo *= 0.5
         if lo < 1e-300:
-            raise ConfigurationError(f"{what} found no lower bracket")
+            raise ConfigurationError("droplet radius bisection found no lower bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-        if close_enough(lo, hi):
+        if hi - lo < 1e-14 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-def droplet_radius(w: WeightModel) -> float:
-    """Radius R of the droplet disk, solving R Q'(R) = 2 by bisection.
-
-    The map r -> r Q'(r) is strictly increasing (its derivative is 4 r dQ),
-    so the root is unique.  Equivalent statement: the equilibrium measure
-    dQ 1_{|z|<=R} dA has total mass R Q'(R) / 2 = 1.
-    """
-    return _bisect_increasing(lambda r: r * w.q_prime(r) - 2.0, 1e-12, 1.0,
-                              lambda lo, hi: hi - lo < 1e-14 * max(1.0, hi),
-                              "droplet radius bisection")
 
 
 @functools.lru_cache(maxsize=64)
@@ -351,9 +344,9 @@ class RadialEquilibrium:
 
         The outer rule has n_quad >= 64 points, the inner min(n_quad, 128).
         """
-        from .quadrature import gauss_legendre_on, node_count  # quadrature imports this module
+        from .quadrature import gauss_legendre_on  # quadrature imports this module
 
-        n_quad = node_count(n_quad, "n_quad", 64)
+        n_quad = require_integer(n_quad, "n_quad", 64)
         t, vt = gauss_legendre_on(n_quad, 0.0, self.droplet_radius)
         mu_t = 2.0 * t * self.weight.delta_q(t)
         # inner cumulative mass P(t) = int_0^t mu, one Gauss-Legendre rule per node

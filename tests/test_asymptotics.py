@@ -58,6 +58,47 @@ def test_blowup_compare_is_one_pair_call(spaces, weight, q, n, z0):
     assert np.array_equal(blowup_compare(K, z0).errors, errors)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda K: bulk_limit_profile(0, 1.0), "q"),
+    (lambda K: bulk_limit_profile(1.5, 1.0), "q"),
+    (lambda K: blowup_compare(K, 0.3, 2.5, 0), "grid_n"),
+    (lambda K: blowup_compare(K, 0.3, 2.5, 4.0), "grid_n"),
+    (lambda K: pk.decay_ladder(GINIBRE, 2, 0.0, [20.0, 30.0], n_directions=0), "n_directions"),
+    (lambda K: pk.decay_ladder(GINIBRE, 2, 0.0, [20.0, 30.0], n_directions=True),
+     "n_directions"),
+    (lambda K: pk.decay_ladder(GINIBRE, 2, 0.0, [20.0, 30.0], n_separations=1),
+     "n_separations"),
+], ids=["profile-q-zero", "profile-q-float", "blowup-grid-n-zero", "blowup-grid-n-float",
+        "decay-directions-zero", "decay-directions-bool", "decay-separations-one"])
+def test_harness_integer_inputs_are_refused(spaces, call, name):
+    # before, bulk_limit_profile(0, .) returned the q = 2 profile, grid_n = 0
+    # raised IndexError and n_directions = 0 returned NaN with warnings
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        call(spaces("ginibre", 2, 20, 20.0))
+
+
+@pytest.mark.parametrize("ms, ns, match", [
+    ([20.0], None, "2 distinct"), ([20.0, 20.0], None, "2 distinct"),
+    ([-1.0, 20.0], None, "finite m > 0"), ([float("nan"), 20.0], None, "finite m > 0"),
+    ([20.0, 30.0], [20], "one n per m"), ([20.0, 30.0], [20, 0], "n must be an integer"),
+], ids=["one-m", "repeated-m", "negative-m", "nan-m", "short-n", "n-zero"])
+def test_ladders_refuse_before_any_build(spaces, ms, ns, match):
+    # a ladder is checked whole before its first rung is built; before, a
+    # repeated m built every rung and then failed in rate_fit
+    built = []
+
+    def builder(m, n):
+        built.append((m, n))
+        return spaces("ginibre", 2, n, m)
+
+    with pytest.raises(ConfigurationError, match=match):
+        pk.blowup_ladder(GINIBRE, 2, 0.3, ms, ns, grid_n=5, space_builder=builder)
+    if ns is None:
+        with pytest.raises(ConfigurationError, match=match):
+            pk.decay_ladder(GINIBRE, 2, 0.0, ms, space_builder=builder)
+    assert built == []
+
+
 def test_blowup_ginibre_exact_collapse():
     # above the truncation threshold the rescaled comparison is exact
     for q in (1, 2):

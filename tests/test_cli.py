@@ -92,6 +92,9 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
       "18446744073709551616", "--outdir", "x"], "--seed"),
     (["energy", "--weight", "ginibre", "--n-quad", "10"], "--n-quad"),
     (["decay", "--weight", "ginibre", "--m", "40,40"], "--m"),
+    (["decay", "--weight", "ginibre", "--m", "40"], "--m"),
+    (["blowup", "--weight", "ginibre", "--m", "40"], "--m"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10"], "--n"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
         "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
@@ -103,11 +106,25 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "decay-separations-negative", "decay-separations-one", "kernel-w0-nan",
         "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
         "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "sample-seed-2-64",
-        "energy-n-quad-small", "decay-repeated-m"])
+        "energy-n-quad-small", "decay-repeated-m", "decay-single-m", "blowup-single-m",
+        "blowup-n-length"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and flag in err
+
+
+def test_readme_cli_block_parses():
+    # every command of the README's CLI block parses under the current flags,
+    # and the block shows every subcommand; a missing block fails, not passes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line interface", 1)[1].split("```")[1]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("polykernel ")]
+    assert {argv[0] for argv in commands} == set(cli._DISPATCH)
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_numerical_degeneracy_exit_code(tmp_path, capsys):

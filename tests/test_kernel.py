@@ -32,6 +32,15 @@ def test_spacespec_guards():
         pk.SpaceSpec(1, 0, 1.0)
     with pytest.raises(ConfigurationError):
         pk.SpaceSpec(1, 1, -2.0)
+    # a bool or a float is not an order or a degree count, even when it equals one
+    with pytest.raises(ConfigurationError, match="q must be an integer"):
+        pk.SpaceSpec(True, 5, 1.0)
+    with pytest.raises(ConfigurationError, match="q must be an integer"):
+        pk.SpaceSpec(1.5, 5, 1.0)
+    with pytest.raises(ConfigurationError, match="n must be an integer"):
+        pk.SpaceSpec(2, True, 1.0)
+    with pytest.raises(ConfigurationError, match="n must be an integer"):
+        pk.SpaceSpec(2, 4.0, 1.0)
 
 
 def test_block_structure_q1(spaces):

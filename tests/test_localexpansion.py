@@ -68,6 +68,17 @@ def test_laguerre_degree_guard():
         pk.laguerre_assoc1(65, 1.0)
     with pytest.raises(ConfigurationError):
         pk.laguerre_assoc1(-1, 1.0)
+    # before, 1.5 died inside range() with a bare TypeError, and True passed
+    with pytest.raises(ConfigurationError, match="degree"):
+        pk.laguerre_assoc1(1.5, 1.0)
+    with pytest.raises(ConfigurationError, match="degree"):
+        pk.laguerre_assoc1(True, 1.0)
+
+
+@pytest.mark.parametrize("q", [0, 2.5, True, 66])
+def test_leading_term_q_guard(q):
+    with pytest.raises(ConfigurationError, match="q must be an integer"):
+        pk.local_kernel_leading(pk.parse_weight("ginibre"), q, 10.0, 0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ def test_envelope_bounds_gamma(spaces, weight, q, n):
     # radial envelope must bound gamma everywhere on the sampling disk,
     # inside the droplet and far beyond it
     K = spaces(weight, q, n, float(n))
-    edges, envelope = sampling._radial_envelope(K)
+    law = sampling._ProposalLaw.of(K)
+    edges, envelope = law.edges, law.envelope
     r_max = edges[-1]
     assert r_max == pytest.approx(K.equilibrium.droplet_radius + 6.0 / math.sqrt(n) + 0.5)
     rng = np.random.default_rng(61)
@@ -66,11 +67,12 @@ def test_envelope_bounds_gamma(spaces, weight, q, n):
     assert pk.sample_configuration(K, 3).points.size == K.spec.dim
 
 
-def test_broken_envelope_fails_loudly(spaces, monkeypatch, tmp_path):
+def test_broken_envelope_fails_loudly(monkeypatch, tmp_path):
     # an envelope below gamma must raise, never accept the proposal, and name
-    # the seed of the configuration, so that a failure in a batch replays
-    K = spaces("ginibre", 2, 8, 8.0)
+    # the seed of the configuration, so that a failure in a batch replays;
+    # the space is its own, since a space keeps the law of its first draw
     monkeypatch.setattr(sampling, "ENVELOPE_MARGIN", 0.5)
+    K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(2, 8, 8.0))
     with pytest.raises(SamplerError, match=r"draw 1/16: gamma/envelope = \d.*seed 99\)"):
         pk.sample_configuration(K, 99)
     seed = seed_for_index(7, 0)
@@ -113,7 +115,8 @@ def _reference_configuration(K, seed):
     gamma - sum_i |<u_i, Phi>|^2 by a fresh projection on the frame."""
     nq = K.spec.dim
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    edges, envelope = sampling._radial_envelope(K)
+    law = sampling._ProposalLaw.of(K)
+    edges, envelope = law.edges, law.envelope
     area = edges[1:] ** 2 - edges[:-1] ** 2
     cdf = np.cumsum(envelope * area)
     cdf /= cdf[-1]
@@ -185,7 +188,7 @@ def test_batch_groups_match_each_configuration_alone(spaces, weight, q, n, count
 
 
 def _count_feature_calls(K, monkeypatch):
-    sampling._radial_envelope(K)  # the envelope's own probes are not a block
+    sampling._ProposalLaw.of(K)  # the envelope's own probes are not a block
     sizes = []
     weighted = K._features.weighted
 
@@ -202,7 +205,8 @@ def test_blocks_respect_the_entry_bound(spaces, monkeypatch):
     # PAIR_CHUNK feature entries, so blocks stop at the bound
     K = spaces("ginibre", 2, 100, 100.0)
     nq, entries = K.spec.dim, K._features.p.size
-    edges, envelope = sampling._radial_envelope(K)
+    law = sampling._ProposalLaw.of(K)
+    edges, envelope = law.edges, law.envelope
     mass = np.sum(envelope * (edges[1:] ** 2 - edges[:-1] ** 2))
     assert nq * mass * sum(1.0 / r for r in range(1, nq + 1)) > PAIR_CHUNK
     assert mass < PAIR_CHUNK // entries  # so no per-draw batch exceeds it

@@ -39,6 +39,12 @@ def test_parse_rejects_with_token(bad, token):
     assert token.split("=")[0] in str(err.value)
 
 
+@pytest.mark.parametrize("p", [0, True, 1.5, "2"])
+def test_power_weight_needs_an_integer_p(p):
+    with pytest.raises(ConfigurationError, match="power weight p must be an integer"):
+        pk.WeightModel.power(p)
+
+
 def test_radialpoly_rejects_nonsubharmonic():
     # quarter-Laplacian 1 - 4 r^2 + 0.9 r^4 dips negative near r = 1
     with pytest.raises(ConfigurationError):
