@@ -13,6 +13,12 @@ Four measurements, all deterministic given their parameters:
   must stay bounded by a constant calibrated at a reference m;
 * the droplet diagonal bound G(z) <= m (8 + 48 A^2) e^A with
   A = sup of the quarter-Laplacian within distance 1 of the droplet (q = 2).
+
+A ladder checks all its arguments before its first build.  For a weight of
+one term, Q = c |z|^{2K} (ginibre, power), a ladder makes one build: the
+block measures t^{|d|} e^{-mQ} dt are m-free in s = (mc)^{1/K} t, so every
+rung is its top rung's build rescaled and cut to its rows (``_ladder``).
+Other weights build every rung.
 """
 
 from __future__ import annotations
@@ -24,16 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, require_integer
-from .kernel import LOG_FLOOR, KernelEvaluator, SpaceSpec, build_space
+from .kernel import LOG_FLOOR, GramFactorization, KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import _laguerre1
 from .weights import RadialEquilibrium, WeightModel
 
 DECAY_U_RANGE = (0.3, 1.25)  # microscopic separations sqrt(m) s of a decay scan
 
 
-def _require_bulk(K: KernelEvaluator, z0: complex) -> float:
-    R = K.equilibrium.droplet_radius
-    dq = K.weight.delta_q(z0)
+def _require_bulk(eq: RadialEquilibrium, z0: complex) -> float:
+    """The quarter-Laplacian at z0, which must lie in the open droplet with
+    a positive quarter-Laplacian."""
+    R = eq.droplet_radius
+    dq = eq.weight.delta_q(z0)
     if not (abs(z0) < R):
         raise ConfigurationError(f"z0 = {z0} is outside the open droplet (R = {R:.6g})")
     if not (dq > 0.0):
@@ -72,7 +80,7 @@ def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = 2.5,
     """Rescaled weighted kernel modulus versus the Laguerre bulk profile on
     ``blowup_grid(grid_radius, grid_n)``, grid_n >= 1."""
     require_integer(grid_n, "grid_n", 1)
-    dq = _require_bulk(K, z0)
+    dq = _require_bulk(K.equilibrium, z0)
     m = K.spec.m
     xi, lam = blowup_grid(grid_radius, grid_n)
     scale = 1.0 / math.sqrt(m * dq)
@@ -135,13 +143,20 @@ class BlowupReport:
         }
 
 
-def _ladder(weight: WeightModel, q: int, ms, ns, space_builder):
-    """The rungs (m, K) of an m ladder, each built when it is read.
+def _ladder(weight: WeightModel, q: int, z0: complex, ms, ns, space_builder):
+    """The rungs (m, K) of an m ladder at the bulk point z0, in the order of ms.
 
-    A ladder needs at least two distinct finite m > 0 and one n per m
-    (``ns``, by default round(m)); anything else raises ConfigurationError
-    here, before any build.  K is ``space_builder(m, n)``, by default the
-    space of order q, n and m, with m as given.
+    A ladder needs at least two distinct finite m > 0, one n per m (``ns``,
+    by default round(m)), and z0 in the bulk (``_require_bulk``, which does
+    not depend on m); anything else raises ConfigurationError here, before
+    any build.  K is ``space_builder(m, n)``, built when its rung is read.
+    By default K is the space of order q, n and m, with m as given.  For a
+    weight of one term c t^K the block measures t^{|d|} e^{-mQ} dt do not
+    depend on m once t is written as s = (mc)^{1/K} t, so the ladder makes
+    one build, of its top rung (the largest n, ties to the largest m), when
+    it is first read, and re-bases every other rung on it
+    (``GramFactorization._rebased``); nothing is kept past the ladder.
+    Other weights build every rung.
     """
     if len(set(ms)) < 2 or not all(m > 0 and math.isfinite(m) for m in ms):
         raise ConfigurationError(
@@ -150,8 +165,19 @@ def _ladder(weight: WeightModel, q: int, ms, ns, space_builder):
     if len(ns) != len(ms):
         raise ConfigurationError(f"a ladder needs one n per m, got {len(ns)} for {len(ms)}")
     ns = [require_integer(n, "n", 1) for n in ns]
+    _require_bulk(RadialEquilibrium.solve(weight), z0)
+    if space_builder is None and np.count_nonzero(weight.coeffs) == 1:
+        return _shared_rungs(weight, q, ms, ns)
     build = space_builder or (lambda mm, nn: build_space(weight, SpaceSpec(q, nn, mm)))
     return ((m, build(m, n)) for m, n in zip(ms, ns))
+
+
+def _shared_rungs(weight: WeightModel, q: int, ms, ns):
+    """The rungs of ``_ladder`` for a weight of one term, all from one build."""
+    top = max(range(len(ms)), key=lambda i: (ns[i], ms[i]))
+    built = GramFactorization(weight, SpaceSpec(q, ns[top], ms[top]))
+    for i, (m, n) in enumerate(zip(ms, ns)):
+        yield m, KernelEvaluator(built if i == top else built._rebased(SpaceSpec(q, n, m)))
 
 
 def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
@@ -161,9 +187,11 @@ def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
 
     ``ms`` holds at least two distinct m and ``ns`` one n per m (by default
     n = round(m)); ``slope_flag`` is "" or "zero-errors" (see rate_fit).
+    Every argument is checked before the first build.
     """
+    require_integer(grid_n, "grid_n", 1)
     results = [blowup_compare(K, z0, grid_radius, grid_n)
-               for _, K in _ladder(weight, q, ms, ns, space_builder)]
+               for _, K in _ladder(weight, q, z0, ms, ns, space_builder)]
     sup = [r.sup_error for r in results]
     slope, flag = rate_fit(ms, sup)
     return BlowupReport(weight=weight.spec_string(), q=q, z0=complex(z0),
@@ -203,7 +231,7 @@ class DecayScan:
 
 def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
                      separations) -> DecayScan:
-    _require_bulk(K, z0)
+    _require_bulk(K.equilibrium, z0)
     R = K.equilibrium.droplet_radius
     dirs = np.asarray(directions, dtype=complex).ravel()
     dirs = dirs / np.abs(dirs)
@@ -257,11 +285,12 @@ def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
     u / sqrt(m) for a fixed grid of n_separations >= 2 values u in
     DECAY_U_RANGE (capped at the bulk clearance radius), along
     n_directions >= 1 rays, so the fitted slope divided by sqrt(m) measures
-    the decay rate in microscopic units and is comparable across m.
+    the decay rate in microscopic units and is comparable across m.  Every
+    argument is checked before the first build.
     """
-    rungs = _ladder(weight, q, ms, None, space_builder)
     n_directions = require_integer(n_directions, "n_directions", 1)
     n_separations = require_integer(n_separations, "n_separations", 2)
+    rungs = _ladder(weight, q, z0, ms, None, space_builder)
     eq = RadialEquilibrium.solve(weight)
     r0 = bulk_clearance(eq, z0)
     dirs = np.exp(2j * np.pi * np.arange(n_directions) / n_directions)

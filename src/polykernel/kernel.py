@@ -18,6 +18,15 @@ rows.  Every measure runs in one batch, so a build makes one batched pass
 n.  The Gram blocks, of condition 1e15 and more for q >= 10, are never formed
 or factored.
 
+For a weight of one term, Q = c t^K, the measure of block d is
+(mc)^{-(|d|+1)/K} s^{|d|} e^{-s^K} ds in s = (mc)^{1/K} t, which depends on
+m only through its constant factor.  So a build at m serves any m' and any
+n' up to its own (``GramFactorization._rebased``): alpha and beta scale by
+(m/m')^{1/K}, the blocks are cut to n' rows, and log M_p comes from the
+build's own moment rule at shifted modes.  The ladders of ``asymptotics``
+use this to make one build per ladder; every other build is computed at its
+own m.
+
 Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
 the orthonormal basis e_a: the correlation kernel is
 sum_a Phi_a(z) conj(Phi_a(w)).  The map never exponentiates a large log: a
@@ -212,18 +221,17 @@ class GramFactorization:
     holds its alpha_0 .. alpha_{s-2} and beta_1 .. beta_{s-1} for s = size[i],
     zero past them.  Blocks d and -d take them from the one recurrence of
     their measure, so the smaller block's row is a prefix of the larger's.
+    A build of a weight of one term can be re-based (``_rebased``) to any m
+    and any n up to its own.
     """
 
     def __init__(self, weight: WeightModel, spec: SpaceSpec):
         self.weight = weight
         self.spec = spec
         q, n, m = spec.q, spec.n, spec.m
-        rule = MomentRule(weight, m, np.arange(n + q - 1))
-        self.log_moments = log_moment_table(weight, m, n + q - 2, rule)
-        # rows r < q with 0 <= j = r + d < n
-        self.d = np.arange(-(q - 1), n)
-        self.r0 = np.maximum(0, -self.d)
-        self.size = np.minimum(q - 1, n - 1 - self.d) - self.r0 + 1
+        self._rule = MomentRule(weight, m, np.arange(n + q - 1))
+        self.log_moments = log_moment_table(weight, m, n + q - 2, self._rule)
+        self._layout()
         # measure |d| serves blocks d and -d, so it needs the larger one's rows
         a = np.abs(self.d)
         need = np.zeros(a.max() + 1, dtype=int)
@@ -232,9 +240,20 @@ class GramFactorization:
         many = need > 1
         k = np.arange(need.max())
         p = np.flatnonzero(many)[:, None] + 2 * np.minimum(k, need[many, None] - 1)
-        alpha[many, :k.size - 1], beta[many, :k.size - 1] = _recurrences(rule, p)
-        keep = np.arange(q - 1) < self.size[:, None] - 1
-        self.alpha, self.beta = np.where(keep, alpha[a], 0.0), np.where(keep, beta[a], 0.0)
+        alpha[many, :k.size - 1], beta[many, :k.size - 1] = _recurrences(self._rule, p)
+        self._set_blocks(alpha[a], beta[a])
+
+    def _layout(self) -> None:
+        """The blocks: rows r < q with 0 <= j = r + d < n."""
+        q, n = self.spec.q, self.spec.n
+        self.d = np.arange(-(q - 1), n)
+        self.r0 = np.maximum(0, -self.d)
+        self.size = np.minimum(q - 1, n - 1 - self.d) - self.r0 + 1
+
+    def _set_blocks(self, alpha: np.ndarray, beta: np.ndarray) -> None:
+        """Each block's rows of alpha and beta, cut to its size, and its condition."""
+        keep = np.arange(self.spec.q - 1) < self.size[:, None] - 1
+        self.alpha, self.beta = np.where(keep, alpha, 0.0), np.where(keep, beta, 0.0)
         cond = _conditions(self.alpha, self.beta, self.size)
         bad = np.flatnonzero(~np.isfinite(cond))
         if bad.size:
@@ -246,6 +265,34 @@ class GramFactorization:
                 f"q={self.spec.q}, n={self.spec.n}, m={self.spec.m})"
             )
         self.condition_report = dict(zip(self.d.tolist(), cond.tolist()))
+
+    def _rebased(self, spec: SpaceSpec) -> "GramFactorization":
+        """The factorization of ``spec`` (this q, n up to this n, any m) from
+        this build, for a weight of one term c t^K.
+
+        In s = (mc)^{1/K} t the measure t^{|d|} e^{-mQ} dt of block d is
+        (mc)^{-(|d|+1)/K} s^{|d|} e^{-s^K} ds, m-free up to that factor.  So
+        at m' = m e^{-K shift}, every alpha and beta is this build's times
+        rho = e^{shift}, and block d of n' <= n rows is a prefix of this
+        build's block d; log M_p comes from this build's rule
+        (``MomentRule.log_moments``).  The conditions are those of the cut
+        blocks.
+        """
+        terms = self._rule._mc
+        if len(terms) != 1 or spec.q != self.spec.q or spec.n > self.spec.n:
+            raise ConfigurationError(
+                f"cannot re-base q={self.spec.q}, n={self.spec.n} of weight "
+                f"{self.weight.spec_string()} to q={spec.q}, n={spec.n}")
+        shift = np.log(np.longdouble(self.spec.m) / np.longdouble(spec.m)) / terms[0][0]
+        rho = float(np.exp(shift))
+        out = object.__new__(GramFactorization)
+        out.weight, out.spec = self.weight, spec
+        out.log_moments = self._rule.log_moments(shift)[:spec.n + spec.q - 1]
+        out._layout()
+        # both d axes start at -(q - 1), so block i is the same d in both
+        blocks = slice(out.d.size)
+        out._set_blocks(rho * self.alpha[blocks], rho * self.beta[blocks])
+        return out
 
 
 @functools.lru_cache(maxsize=16)

@@ -175,8 +175,10 @@ class MomentRule:
             out -= ak * np.expm1(k * x)
         return out
 
-    def log_moments(self) -> np.ndarray:
-        """log M_p of every row, each by its own trapezoid rule."""
+    @functools.cached_property
+    def _log_sums(self) -> np.ndarray:
+        """log(h_p sum_j e^(f_p(u_j) - f_p(u*_p))) of every row: the trapezoid
+        part of log M_p, computed once per rule."""
         h = RULE_STEP * self.width
         left, right = self.reach(slice(None))
         below = np.ceil((self.mode - left) / h).astype(int)
@@ -197,15 +199,28 @@ class MomentRule:
             raise NumericalDegeneracyError(
                 f"moment rule p={self.p[bad]}, m={self.m} ends at {ends[bad]:.1e} of its "
                 f"peak (weight {self.weight.spec_string()})")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(h * sums)
+
+    def log_moments(self, shift=0) -> np.ndarray:
+        """log M_p of every row, each by its own trapezoid rule.
+
+        For a weight of one term c t^K, f_p at m' = m e^(-K shift) is f_p at m
+        moved right by ``shift``, plus (p+1) shift: the modes move by shift
+        and every rule keeps its shape.  So a long double shift gives the
+        log M_p at m' from this rule: its peak (p+1)(u*_p + shift) - m c e^(K u*_p)
+        plus this rule's trapezoid part.  Re-basing the rounded log M_p instead
+        would carry their rounding, about 1.4e-14 near -167, into every m'.
+        """
         # f_p(u*) is a difference of terms up to ~(p+1) |u*|; summed in extended
         # precision, log M_p is rounded once
         mode = self.mode.astype(np.longdouble)
-        peak = (self.p + 1) * mode
+        peak = (self.p + 1) * (mode + shift)
         for k, _ in self._mc:
             c = np.longdouble(self.weight.coeffs[k - 1])
             peak -= np.longdouble(self.m) * c * np.exp(k * mode)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (peak + np.log(h * sums)).astype(float)
+        with np.errstate(invalid="ignore"):
+            logs = (peak + self._log_sums).astype(float)
         if not np.all(np.isfinite(logs)):
             bad = int(self.p[np.argmin(np.isfinite(logs))])
             raise NumericalDegeneracyError(

@@ -77,26 +77,86 @@ def test_harness_integer_inputs_are_refused(spaces, call, name):
         call(spaces("ginibre", 2, 20, 20.0))
 
 
-@pytest.mark.parametrize("ms, ns, match", [
-    ([20.0], None, "2 distinct"), ([20.0, 20.0], None, "2 distinct"),
-    ([-1.0, 20.0], None, "finite m > 0"), ([float("nan"), 20.0], None, "finite m > 0"),
-    ([20.0, 30.0], [20], "one n per m"), ([20.0, 30.0], [20, 0], "n must be an integer"),
-], ids=["one-m", "repeated-m", "negative-m", "nan-m", "short-n", "n-zero"])
-def test_ladders_refuse_before_any_build(spaces, ms, ns, match):
-    # a ladder is checked whole before its first rung is built; before, a
-    # repeated m built every rung and then failed in rate_fit
+@pytest.mark.parametrize("ms, ns, blowup, decay, match", [
+    ([20.0], None, {}, {}, "2 distinct"), ([20.0, 20.0], None, {}, {}, "2 distinct"),
+    ([-1.0, 20.0], None, {}, {}, "finite m > 0"),
+    ([float("nan"), 20.0], None, {}, {}, "finite m > 0"),
+    ([20.0, 30.0], [20], {}, None, "one n per m"),
+    ([20.0, 30.0], [20, 0], {}, None, "n must be an integer"),
+    ([20.0, 30.0], None, {"grid_n": 0}, None, "grid_n must be an integer"),
+    ([20.0, 30.0], None, None, {"n_directions": 0}, "n_directions must be an integer"),
+    ([20.0, 30.0], None, None, {"n_separations": 1}, "n_separations must be an integer"),
+    ([20.0, 30.0], None, {"z0": 1.5}, {"z0": 1.5}, "outside the open droplet"),
+], ids=["one-m", "repeated-m", "negative-m", "nan-m", "short-n", "n-zero", "grid-n-zero",
+        "directions-zero", "separations-one", "z0-outside"])
+def test_ladders_refuse_before_any_build(spaces, ms, ns, blowup, decay, match):
+    # a ladder is checked whole, with its grid and z0, before its first rung is
+    # built; before, a repeated m built every rung and then failed in rate_fit,
+    # and a bad grid_n or z0 failed only after the first build
     built = []
 
     def builder(m, n):
         built.append((m, n))
         return spaces("ginibre", 2, n, m)
 
-    with pytest.raises(ConfigurationError, match=match):
-        pk.blowup_ladder(GINIBRE, 2, 0.3, ms, ns, grid_n=5, space_builder=builder)
-    if ns is None:
+    if blowup is not None:
         with pytest.raises(ConfigurationError, match=match):
-            pk.decay_ladder(GINIBRE, 2, 0.0, ms, space_builder=builder)
+            pk.blowup_ladder(GINIBRE, 2, ms=ms, ns=ns, space_builder=builder,
+                             **{"z0": 0.3, "grid_n": 5, **blowup})
+    if decay is not None:
+        with pytest.raises(ConfigurationError, match=match):
+            pk.decay_ladder(GINIBRE, 2, ms=ms, space_builder=builder, **{"z0": 0.0, **decay})
     assert built == []
+
+
+@pytest.mark.parametrize("weight, builds", [("ginibre", 1), ("power:p=2", 1),
+                                            ("radialpoly:c=1,0.5", 3)])
+def test_one_term_ladders_make_one_build(monkeypatch, weight, builds):
+    # a one-term weight's ladder builds its top rung and re-bases the others;
+    # any other weight builds every rung
+    real_recurrences = pk.kernel._recurrences
+    calls = []
+
+    def recurrences(rule, p):
+        calls.append(rule.m)
+        return real_recurrences(rule, p)
+
+    monkeypatch.setattr(pk.kernel, "_recurrences", recurrences)
+    w = pk.parse_weight(weight)
+    z0 = 0.5 * pk.droplet_radius(w)
+    pk.blowup_ladder(w, 2, z0, [20.0, 40.0, 30.0], grid_n=5)
+    assert len(calls) == builds
+    del calls[:]
+    pk.decay_ladder(w, 2, z0, [20.0, 40.0, 30.0], n_directions=2, n_separations=4)
+    assert len(calls) == builds
+
+
+def _direct(weight):
+    return lambda m, n: pk.build_space(weight, pk.SpaceSpec(2, n, m))
+
+
+@pytest.mark.parametrize("weight, z0, ms, ns", [
+    ("power:p=2", 0.5, [40.0, 80.0, 160.0], None),
+    ("power:p=2", 0.5, [80.0, 40.0, 20.0], [60, 70, 20]),
+    ("power:p=3", 0.4, [30.0, 20.0], [24, 24])], ids=["readme", "top-first", "tie"])
+def test_shared_blowup_ladders_match_direct_builds(weight, z0, ms, ns):
+    # re-based rungs move the sup errors and the slope by rounding only (ginibre
+    # is left out: its sup errors are rounding themselves)
+    w = pk.parse_weight(weight)
+    shared = pk.blowup_ladder(w, 2, z0, ms, ns)
+    own = pk.blowup_ladder(w, 2, z0, ms, ns, space_builder=_direct(w))
+    assert own.ns == shared.ns
+    np.testing.assert_allclose(shared.sup_errors, own.sup_errors, rtol=1e-14, atol=0.0)
+    assert shared.slope == pytest.approx(own.slope, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("weight, z0", [("ginibre", 0.0), ("power:p=2", 0.5)])
+def test_shared_decay_ladders_match_direct_builds(weight, z0):
+    w = pk.parse_weight(weight)
+    shared = pk.decay_ladder(w, 2, z0, [40, 80, 160])
+    own = pk.decay_ladder(w, 2, z0, [40, 80, 160], space_builder=_direct(w))
+    np.testing.assert_allclose([s.beta_over_sqrt_m for s in shared.scans],
+                               [s.beta_over_sqrt_m for s in own.scans], rtol=1e-14, atol=0.0)
 
 
 def test_blowup_ginibre_exact_collapse():

@@ -283,6 +283,37 @@ def test_padded_conditions_match_each_block_alone(weight, q, n):
     assert checked >= n
 
 
+@pytest.mark.parametrize("weight, q, ns, top", [("ginibre", 2, [40, 80], 160),
+                                                ("power:p=2", 2, [40, 80], 160),
+                                                ("power:p=3", 8, [20], 40)])
+def test_rebased_rung_matches_its_build(spaces, weight, q, ns, top):
+    # a one-term weight's measures are m-free in s = (mc)^{1/K} t, so a rung
+    # re-based on a larger build is the rung's own build up to rounding
+    built = pk.GramFactorization(pk.parse_weight(weight), pk.SpaceSpec(q, top, float(top)))
+    rng = np.random.default_rng(17)
+    for n in ns:
+        K = pk.KernelEvaluator(built._rebased(pk.SpaceSpec(q, n, float(n))))
+        direct = spaces(weight, q, n, float(n))
+        R = direct.equilibrium.droplet_radius
+        z, w = disk_points(rng, 2000, R), disk_points(rng, 2000, R)
+        gamma_z, gamma_w = direct.one_point_intensity(z), direct.one_point_intensity(w)
+        assert np.max(np.abs(K.one_point_intensity(z) / gamma_z - 1.0)) <= 1e-14
+        gap = np.abs(K.weighted_kernel(z, w) - direct.weighted_kernel(z, w))
+        assert np.max(gap / np.sqrt(gamma_z * gamma_w)) <= 1e-14
+        assert abs(K.total_intensity() - q * n) <= 1e-12 * q * n
+        assert K.reproducing_residual(0.3 * R) <= 1e-13
+
+
+def test_rebase_needs_one_term_and_no_more_rows():
+    built = pk.GramFactorization(pk.parse_weight("radialpoly:c=1,0.5"), pk.SpaceSpec(2, 30, 30.0))
+    with pytest.raises(ConfigurationError, match="cannot re-base"):
+        built._rebased(pk.SpaceSpec(2, 20, 20.0))
+    built = pk.GramFactorization(GINIBRE, pk.SpaceSpec(2, 30, 30.0))
+    for spec in (pk.SpaceSpec(2, 31, 30.0), pk.SpaceSpec(3, 20, 20.0)):
+        with pytest.raises(ConfigurationError, match="cannot re-base"):
+            built._rebased(spec)
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernel oracles
 # ---------------------------------------------------------------------------
