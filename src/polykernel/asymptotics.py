@@ -75,11 +75,20 @@ def blowup_grid(grid_radius: float, grid_n: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate([xi, xi]), np.concatenate([np.zeros_like(xi), -xi])
 
 
+def _require_grid(grid_radius: float, grid_n: int) -> None:
+    """The checks of a blow-up grid: grid_radius finite and > 0, grid_n an
+    integer >= 1."""
+    if not (grid_radius > 0 and math.isfinite(grid_radius)):
+        raise ConfigurationError(f"grid_radius must be finite and > 0, got {grid_radius!r}")
+    require_integer(grid_n, "grid_n", 1)
+
+
 def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = 2.5,
                    grid_n: int = 17) -> BlowupResult:
     """Rescaled weighted kernel modulus versus the Laguerre bulk profile on
-    ``blowup_grid(grid_radius, grid_n)``, grid_n >= 1."""
-    require_integer(grid_n, "grid_n", 1)
+    ``blowup_grid(grid_radius, grid_n)``, grid_radius finite and > 0 and
+    grid_n >= 1."""
+    _require_grid(grid_radius, grid_n)
     dq = _require_bulk(K.equilibrium, z0)
     m = K.spec.m
     xi, lam = blowup_grid(grid_radius, grid_n)
@@ -189,7 +198,7 @@ def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
     n = round(m)); ``slope_flag`` is "" or "zero-errors" (see rate_fit).
     Every argument is checked before the first build.
     """
-    require_integer(grid_n, "grid_n", 1)
+    _require_grid(grid_radius, grid_n)
     results = [blowup_compare(K, z0, grid_radius, grid_n)
                for _, K in _ladder(weight, q, z0, ms, ns, space_builder)]
     sup = [r.sup_error for r in results]
@@ -231,11 +240,19 @@ class DecayScan:
 
 def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
                      separations) -> DecayScan:
+    """log |weighted kernel|^2 between z0 and z0 + s dir, for each direction
+    (finite and nonzero, normalized here) and each separation s (finite and
+    >= 0), and the slope beta of its direction average against s."""
     _require_bulk(K.equilibrium, z0)
     R = K.equilibrium.droplet_radius
     dirs = np.asarray(directions, dtype=complex).ravel()
+    if not (dirs.size and np.all(np.isfinite(dirs) & (dirs != 0))):
+        raise ConfigurationError(
+            f"directions must be one or more finite nonzero numbers, got {dirs.tolist()}")
     dirs = dirs / np.abs(dirs)
     seps = np.asarray(separations, dtype=float).ravel()
+    if not np.all(np.isfinite(seps) & (seps >= 0)):
+        raise ConfigurationError(f"separations must be finite and >= 0, got {seps.tolist()}")
     targets = z0 + seps[None, :] * dirs[:, None]
     if np.any(np.abs(targets) > R * (1.0 + 1e-12)):
         raise ConfigurationError("a scan point z0 + s*dir leaves the droplet")

@@ -32,17 +32,19 @@ the orthonormal basis e_a: the correlation kernel is
 sum_a Phi_a(z) conj(Phi_a(w)).  The map never exponentiates a large log: a
 block is a real vector of recurrence values pi_k(t) plus one log shift per
 (block, point).  The values are laid out (row, block, point) and computed in
-place, one chunk of points at a time, in buffers that each thread reuses.
+place, one chunk of points at a time.
 Block d carries the phase e^{i d (arg z - arg w)}; it is one complex product
 of entries from two tables of about sqrt(blocks) exps per point, not one
 complex exp per (block, point).  Pair evaluation recombines the blocks under
 a global running scale, so the log-moment table keeps m ~ 200 inside double
 range.
 
-A KernelEvaluator is immutable after construction, apart from tables derived
-from the space on first use (concurrent first uses compute the same table)
-and each thread's working buffers, and safe for concurrent evaluation from
-many threads.
+Builds and evaluations work in one pool of buffers per thread (``_buffer``),
+shared by every space that the thread builds or evaluates, so a fresh space
+reuses the working memory of the last one and pages none in anew.  A
+KernelEvaluator is immutable after construction, apart from tables derived
+from the space on first use (concurrent first uses compute the same table),
+and safe for concurrent evaluation from many threads.
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ class SpaceSpec:
         return self.q * self.n
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x, summed in long double."""
-    return np.sqrt(np.sum(x * x, axis=-1, dtype=np.longdouble)).astype(float)
+def _norm(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, summed in long double; the squares
+    go to ``work``."""
+    return np.sqrt(np.sum(np.multiply(x, x, out=work), axis=-1,
+                          dtype=np.longdouble)).astype(float)
 
 
 def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
@@ -103,20 +107,27 @@ def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
     earlier ones of its row (Gragg and Harrod, Numer. Math. 44 (1984)).
     A node where start is 0 stays 0 in every vector, so rows of different
     lengths may be padded with zeros.  alpha_k, beta_k and the start norm
-    are summed in long double.
+    are summed in long double.  The basis, the vector v, its products and
+    its projections live in the thread's pool (``_buffer``), so the basis
+    returned is overwritten by the next call.
     """
     nb, size = start.shape
-    basis = np.empty((nb, steps + 1, size))
-    basis[:, 0] = start / _norm(start)[:, None]
+    basis = _buffer("lanczos", "basis", (nb, steps + 1, size))
+    v = _buffer("lanczos", "v", (nb, size))
+    prod = _buffer("lanczos", "prod", (nb, size))
+    proj = _buffer("lanczos", "proj", (nb, 1, size))
+    np.divide(start, _norm(start, prod)[:, None], out=basis[:, 0])
     alpha, beta = np.empty((nb, steps)), np.empty((nb, steps))
     for k in range(steps):
-        v = t * basis[:, k]
-        alpha[:, k] = np.sum(basis[:, k] * v, axis=-1, dtype=np.longdouble)
+        np.multiply(t, basis[:, k], out=v)
+        alpha[:, k] = np.sum(np.multiply(basis[:, k], v, out=prod), axis=-1,
+                             dtype=np.longdouble)
         done = basis[:, :k + 1]
         for _ in range(2):  # v -= done^T (done v), row by row
-            v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done)[:, 0]
-        beta[:, k] = _norm(v)
-        basis[:, k + 1] = v / beta[:, k, None]
+            v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done,
+                           out=proj)[:, 0]
+        beta[:, k] = _norm(v, prod)
+        np.divide(v, beta[:, k, None], out=basis[:, k + 1])
     return alpha, beta, basis
 
 
@@ -355,27 +366,39 @@ def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = Non
     return out
 
 
-def _buffer(scratch: dict | None, key: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An uninitialized array of ``shape``, a view of scratch[key] if that is
-    large enough.  Otherwise it is new, and kept as scratch[key] if it holds
-    at most PAIR_CHUNK entries.  Evaluations thus reuse their working memory
-    rather than fault in fresh pages for every array."""
-    size = math.prod(shape)
-    buf = None if scratch is None else scratch.get(key)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype)
-        if scratch is not None and size <= PAIR_CHUNK:
-            scratch[key] = buf
-    return buf[:size].reshape(shape)
-
-
-class _Scratch(threading.local):
-    """One thread's working buffers (``_buffer``): the features of one side
-    of a pair, of the other side, and their pairing.  They hold at most
-    (2 + 9/q) PAIR_CHUNK doubles, 6.8 MB at q = 2 and 11.5 MB at q = 1."""
+class _Pool(threading.local):
+    """One thread's working arrays (``_buffer``), shared by every build and
+    every evaluator that runs on the thread, so that a fresh space finds its
+    working memory already paged in.  An evaluation keeps the features of
+    one side of a pair ("z"), of the other side ("w") and their pairing
+    ("pair"): at most (2 + 9/q) PAIR_CHUNK doubles, 6.8 MB at q = 2 and
+    11.5 MB at q = 1.  A build's Lanczos batches ("lanczos") keep at most
+    2.5 PAIR_CHUNK doubles more, 2.6 MB."""
 
     def __init__(self):
-        self.z, self.w, self.pair = {}, {}, {}
+        self.arrays = {}
+
+
+_POOL = _Pool()
+
+
+def _buffer(group: str | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array of ``shape`` and ``dtype``.
+
+    With a ``group`` it is a view of this thread's pooled array (group, name,
+    dtype) if that is large enough; otherwise it is new, and pooled if it
+    holds at most PAIR_CHUNK entries.  So the next request of that key in
+    the thread overwrites it.  Without a group it is a new array."""
+    if group is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    key = (group, name, np.dtype(dtype))
+    buf = _POOL.arrays.get(key)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        if size <= PAIR_CHUNK:
+            _POOL.arrays[key] = buf
+    return buf[:size].reshape(shape)
 
 
 class _FeatureMap:
@@ -410,7 +433,6 @@ class _FeatureMap:
         self.low = np.abs(self.d)[:, None]
         self.half_logm = 0.5 * f.log_moments[self.low]
         self.origin = q - 1  # the block d = 0
-        self.scratch = _Scratch()
         # Row k of block i is row first[i] + k of ``weighted``.  The blocks of
         # the most rows are consecutive and fill consecutive rows, written by
         # one strided product; the others, at most 2(q - 1), by index, one
@@ -427,18 +449,18 @@ class _FeatureMap:
             b = np.flatnonzero((size > k) & (size < rows))
             self.ramps.append((k, b, first[b] + k))
 
-    def __call__(self, z: np.ndarray, weight_power: float, scratch: dict | None = None):
+    def __call__(self, z: np.ndarray, weight_power: float, side: str | None = None):
         """(shift, mantissa, angles) at flat points z, weighted by e^{-power mQ}.
 
         shift is (block, point) and mantissa (row, block, point).  Both live
-        in ``scratch`` if one is given (``_buffer``), so the next call with
-        that scratch overwrites them.  A block that vanishes at z (|d| > 0 at
-        the origin) has shift -inf.
+        in the thread's pool under ``side`` if one is given (``_buffer``), so
+        the next call for that side in the thread overwrites them.  A block
+        that vanishes at z (|d| > 0 at the origin) has shift -inf.
         """
         t = z.real ** 2 + z.imag ** 2
         q, nb = self.center.shape[:2]
-        x = _buffer(scratch, "x", (q, nb, z.size))
-        work = _buffer(scratch, "work", (nb, z.size))
+        x = _buffer(side, "x", (q, nb, z.size))
+        work = _buffer(side, "work", (nb, z.size))
         # pi_0 = 1, so its products are exact and left out, and its row is
         # written only once normalized
         for k in range(q - 1):
@@ -449,7 +471,7 @@ class _FeatureMap:
                 row *= x[k]
                 row -= self.back[k] if k == 1 else \
                     np.multiply(self.back[k], x[k - 1], out=work)
-        top = _buffer(scratch, "top", (nb, z.size))
+        top = _buffer(side, "top", (nb, z.size))
         top.fill(1.0)
         for k in range(1, q):
             np.maximum(top, np.abs(x[k], out=work), out=top)
@@ -473,9 +495,8 @@ class _FeatureMap:
         |Phi_a(z)| is at most sqrt(one-point intensity), so the dense form
         cannot overflow.
         """
-        shift, x, ang = self(np.asarray(z, dtype=complex).ravel(), 0.5, self.scratch.z)
-        phase = _block_phases(self.d, ang,
-                              _buffer(self.scratch.pair, "phase", shift.shape, complex))
+        shift, x, ang = self(np.asarray(z, dtype=complex).ravel(), 0.5, "z")
+        phase = _block_phases(self.d, ang, _buffer("pair", "phase", shift.shape, complex))
         phase *= np.exp(shift, out=shift)
         out = np.empty((self.dim, ang.size), dtype=complex)
         blocks, rows, dest = self.full
@@ -489,10 +510,9 @@ class _FeatureMap:
 class KernelEvaluator:
     """Evaluates the reproducing kernel and derived statistical quantities.
 
-    Immutable, apart from derived tables and each thread's working buffers;
-    all evaluation paths stay in the log domain until the final
-    recombination, so weighted quantities survive separations where the
-    plain kernel would overflow or underflow doubles.
+    Immutable, apart from derived tables; all evaluation paths stay in the
+    log domain until the final recombination, so weighted quantities survive
+    separations where the plain kernel would overflow or underflow doubles.
     """
 
     def __init__(self, factorization: GramFactorization):
@@ -511,7 +531,7 @@ class KernelEvaluator:
 
         Points are taken in chunks of about PAIR_CHUNK (row, block, point)
         entries, so that the working arrays stay in cache, and each chunk
-        works in place in the feature map's scratch buffers.  The features
+        works in place in the thread's pooled buffers.  The features
         are computed once on the diagonal (z is w) and once for a side
         holding a single point, which is then broadcast.  On the diagonal
         every block phase is e^0 = 1, so the blocks are summed as reals;
@@ -530,16 +550,14 @@ class KernelEvaluator:
         top = np.empty(zf.size)
         mant = np.empty(zf.size, dtype=complex)
         step = max(1, PAIR_CHUNK // fm.p.size)
-        scratch = fm.scratch
         for lo in range(0, zf.size, step):
             part = slice(lo, lo + step)
-            sz, az, ang_z = once_z or fm(zf[part], power, scratch.z)
-            sw, aw, ang_w = (sz, az, ang_z) if same \
-                else once_w or fm(wf[part], power, scratch.w)
+            sz, az, ang_z = once_z or fm(zf[part], power, "z")
+            sw, aw, ang_w = (sz, az, ang_z) if same else once_w or fm(wf[part], power, "w")
             slab = np.broadcast_shapes(sz.shape, sw.shape)
-            logs = np.add(sz, sw, out=_buffer(scratch.pair, "logs", slab))
-            vals = np.multiply(az[0], aw[0], out=_buffer(scratch.pair, "vals", slab))
-            work = _buffer(scratch.pair, "work", slab)
+            logs = np.add(sz, sw, out=_buffer("pair", "logs", slab))
+            vals = np.multiply(az[0], aw[0], out=_buffer("pair", "vals", slab))
+            work = _buffer("pair", "work", slab)
             for r in range(1, len(az)):
                 vals += np.multiply(az[r], aw[r], out=work)
             t = np.max(logs, axis=0)
@@ -549,7 +567,7 @@ class KernelEvaluator:
             np.exp(logs, out=logs)
             if not same:
                 phase = _block_phases(fm.d, ang_z - ang_w,
-                                      _buffer(scratch.pair, "phase", slab, complex))
+                                      _buffer("pair", "phase", slab, complex))
                 phase *= vals
                 vals = phase
             vals *= logs
@@ -663,8 +681,8 @@ class KernelEvaluator:
             n_r = max(128, 3 * (n + q))
         r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
         rho, w_rho = gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, r_max)
-        sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, fm.scratch.w)
-        sr, ar, _ = fm(rho.astype(complex), 1.0, fm.scratch.z)
+        sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, "w")
+        sr, ar, _ = fm(rho.astype(complex), 1.0, "z")
         mant = np.einsum("sb,sbk->bk", az[:, :, 0], ar)
         # log of e^{shifts} * 2 w_k rho_k * rho_k^p, for every (block, row, radius)
         logs = fm.p[:, :, None] * np.log(rho)

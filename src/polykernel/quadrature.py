@@ -52,6 +52,7 @@ LEFT_TAIL = 40.0        # least log-drop of the integrand at the left end
 TAIL_BOUND = 1e-15      # largest integrand at either end, relative to the peak
 NEWTON_STEPS = 100
 MIN_NODES = 16          # least Gauss-Legendre node count a caller may choose
+SUM_NODES = 1 << 13     # about the most nodes _log_sums evaluates at once: 64 KB arrays
 
 
 class MomentRule:
@@ -178,22 +179,34 @@ class MomentRule:
     @functools.cached_property
     def _log_sums(self) -> np.ndarray:
         """log(h_p sum_j e^(f_p(u_j) - f_p(u*_p))) of every row: the trapezoid
-        part of log M_p, computed once per rule."""
+        part of log M_p, computed once per rule.
+
+        The rules are evaluated in groups, the rules whose first node falls in
+        one block of SUM_NODES nodes of all the rules' nodes in order, so that
+        the node arrays stay small; each rule is still summed on its own nodes
+        alone."""
         h = RULE_STEP * self.width
         left, right = self.reach(slice(None))
         below = np.ceil((self.mode - left) / h).astype(int)
         above = np.ceil((right - self.mode) / h).astype(int)
         count = below + above + 1
-        starts = np.concatenate([[0], np.cumsum(count)[:-1]])
-        # every rule's value per node, repeated over the rule's nodes
-        j = np.arange(count.sum()) - np.repeat(starts + below, count)
-        mode = np.repeat(self.mode, count)
-        u = mode + j * np.repeat(h, count)
-        vals = np.exp(self._relative(u - mode, np.repeat(self.p + 1.0, count),
-                                     [np.repeat(self.terms[:, k - 1], count)
-                                      for k, _ in self._mc]))
-        sums = np.add.reduceat(vals, starts)
-        ends = np.maximum(vals[starts], vals[starts + count - 1])
+        offset = np.concatenate([[0], np.cumsum(count)])
+        cuts = [0, *(np.flatnonzero(np.diff(offset[:-1] // SUM_NODES)) + 1).tolist(),
+                count.size]
+        sums, ends = np.empty(count.size), np.empty(count.size)
+        for first, last in zip(cuts[:-1], cuts[1:]):
+            rows = slice(first, last)
+            starts = offset[rows] - offset[first]
+            cnt = count[rows]
+            # every rule's value per node, repeated over the rule's nodes
+            j = np.arange(cnt.sum()) - np.repeat(starts + below[rows], cnt)
+            mode = np.repeat(self.mode[rows], cnt)
+            u = mode + j * np.repeat(h[rows], cnt)
+            vals = np.exp(self._relative(u - mode, np.repeat(self.p[rows] + 1.0, cnt),
+                                         [np.repeat(self.terms[rows, k - 1], cnt)
+                                          for k, _ in self._mc]))
+            sums[rows] = np.add.reduceat(vals, starts)
+            ends[rows] = np.maximum(vals[starts], vals[starts + cnt - 1])
         if np.any(ends > TAIL_BOUND):
             bad = int(np.argmax(ends))
             raise NumericalDegeneracyError(

@@ -87,8 +87,13 @@ def test_harness_integer_inputs_are_refused(spaces, call, name):
     ([20.0, 30.0], None, None, {"n_directions": 0}, "n_directions must be an integer"),
     ([20.0, 30.0], None, None, {"n_separations": 1}, "n_separations must be an integer"),
     ([20.0, 30.0], None, {"z0": 1.5}, {"z0": 1.5}, "outside the open droplet"),
+    ([20.0, 30.0], None, {"grid_radius": float("nan")}, None, "grid_radius must be finite"),
+    ([20.0, 30.0], None, {"grid_radius": float("inf")}, None, "grid_radius must be finite"),
+    ([20.0, 30.0], None, {"grid_radius": 0.0}, None, "grid_radius must be finite"),
+    ([20.0, 30.0], None, {"grid_radius": -1.0}, None, "grid_radius must be finite"),
 ], ids=["one-m", "repeated-m", "negative-m", "nan-m", "short-n", "n-zero", "grid-n-zero",
-        "directions-zero", "separations-one", "z0-outside"])
+        "directions-zero", "separations-one", "z0-outside", "grid-radius-nan",
+        "grid-radius-inf", "grid-radius-zero", "grid-radius-negative"])
 def test_ladders_refuse_before_any_build(spaces, ms, ns, blowup, decay, match):
     # a ladder is checked whole, with its grid and z0, before its first rung is
     # built; before, a repeated m built every rung and then failed in rate_fit,
@@ -215,6 +220,30 @@ def test_offdiagonal_scan_preconditions(spaces):
     K = spaces("ginibre", 2, 20, 20.0)
     with pytest.raises(ConfigurationError):
         pk.offdiagonal_scan(K, 0.9, [1.0], [0.3])  # ray exits the droplet
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_blowup_compare_refuses_bad_grid_radius(spaces, radius):
+    # before, nan gave a nan sup error and 0 compared one point many times over
+    with pytest.raises(ConfigurationError, match="grid_radius must be finite"):
+        blowup_compare(spaces("ginibre", 2, 20, 20.0), 0.3, radius, 5)
+
+
+@pytest.mark.parametrize("directions, separations, name", [
+    ([1.0], [0.05, float("nan"), 0.1], "separations"),
+    ([1.0], [0.05, float("inf"), 0.1], "separations"),
+    ([1.0], [-0.05, 0.05, 0.1], "separations"),
+    ([0.0], [0.05, 0.1], "directions"),
+    ([1.0, complex("nan")], [0.05, 0.1], "directions"),
+    ([1.0, float("inf")], [0.05, 0.1], "directions"),
+    ([], [0.05, 0.1], "directions"),
+], ids=["separation-nan", "separation-inf", "separation-negative", "direction-zero",
+        "direction-nan", "direction-inf", "no-direction"])
+def test_offdiagonal_scan_refuses_bad_rays(spaces, directions, separations, name):
+    # before, a nan separation was dropped from the fit without a word, and a
+    # zero direction failed as too few unfloored separations
+    with pytest.raises(ConfigurationError, match=f"{name} must be"):
+        pk.offdiagonal_scan(spaces("ginibre", 2, 20, 20.0), 0.0, directions, separations)
 
 
 def test_blowup_slope_band_power2():

@@ -12,7 +12,7 @@ from scipy.special import eval_genlaguerre, gammaln
 import polykernel as pk
 from polykernel.cli import run
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError
-from polykernel.kernel import PAIR_CHUNK, _block_phases
+from polykernel.kernel import PAIR_CHUNK, _block_phases, _buffer
 from polykernel.quadrature import MomentRule
 
 from conftest import disk_points
@@ -642,13 +642,19 @@ def test_weighted_rows_follow_block_order(spaces, weight, q, n):
     assert np.max(np.abs(got - ref) / scale) <= 1e-13
 
 
+def in_fresh_thread(call):
+    """call() in a new thread, whose buffer pool starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(call).result(timeout=120)
+
+
 def test_weighted_has_no_full_complex_intermediate():
-    # a fresh space, so that the scratch buffers of its first call count too
+    # in a fresh thread, so that the pooled buffers of its first call count too
     K = pk.build_space(GINIBRE, pk.SpaceSpec(2, 60, 60.0))
     z = disk_points(np.random.default_rng(37), 700, K.equilibrium.droplet_radius)
     tracemalloc.start()
     try:
-        phi = K._features.weighted(z)
+        phi = in_fresh_thread(lambda: K._features.weighted(z))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -663,6 +669,80 @@ def test_bad_node_counts_are_refused(spaces, n_r):
         K.total_intensity(n_r)
     with pytest.raises(ConfigurationError, match="n_r"):
         K.reproducing_residual(0.1, n_r)
+
+
+def test_pooled_buffers_keep_their_dtype():
+    # a key asked for with another dtype gets an array of its own, not a
+    # view of the other dtype's memory
+    def check():
+        real = _buffer("test", "a", (4, 3))
+        cplx = _buffer("test", "a", (2, 3), complex)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert not np.shares_memory(real, cplx)
+        again = _buffer("test", "a", (3,))
+        assert again.dtype == np.float64 and np.shares_memory(again, real)
+        assert _buffer("test", "a", (1,), complex).base is cplx.base
+        assert not np.shares_memory(_buffer(None, "a", (3,)), real)
+
+    in_fresh_thread(check)
+
+
+def test_a_new_evaluator_reuses_the_pooled_buffers(spaces):
+    # a fresh space finds the working memory of the last one, of its thread
+    def features():
+        z = disk_points(np.random.default_rng(47), 300, 1.0)
+        big, small = spaces("ginibre", 2, 40, 40.0), pk.build_space(
+            POWER2, pk.SpaceSpec(3, 12, 12.0))
+        return big._features(z, 0.5, "z")[1], small._features(z, 0.5, "z")[1]
+
+    first, second = in_fresh_thread(features)
+    assert np.shares_memory(first, second)
+
+
+POOL_SPACES = [("ginibre", 2, 40, 40.0), ("power:p=2", 3, 30, 30.0),
+               ("ginibre", 1, 60, 60.0), ("ginibre", 8, 20, 20.0)]
+
+
+def pool_build(i):
+    weight, q, n, m = POOL_SPACES[i]
+    return pk.build_space(pk.parse_weight(weight), pk.SpaceSpec(q, n, m))
+
+
+def pool_results(K, seed):
+    """Outputs of every path that works in the pool, on points that span
+    several chunks of PAIR_CHUNK entries."""
+    z = disk_points(np.random.default_rng(seed), 3500, 1.1 * K.equilibrium.droplet_radius)
+    f = K.factorization
+    return (f.log_moments, f.alpha, f.beta, K.one_point_intensity(z),
+            K.weighted_kernel(z, z[::-1].copy()), K.weighted_kernel(z, z[0]),
+            K._features.weighted(z[:300]), K._reproduced_monomials(0.1))
+
+
+def pool_job(i, seed):
+    return pool_results(pool_build(i), seed)
+
+
+def test_pooled_evaluators_match_fresh_ones():
+    # evaluators of different shapes, called in turn with builds between
+    # them, in one thread and across threads: every result equals the
+    # result of a fresh build in a fresh thread, whose pool starts empty
+    jobs = [(i, 50 + r) for r in range(2) for i in range(len(POOL_SPACES))]
+    expect = {job: in_fresh_thread(lambda job=job: pool_job(*job)) for job in jobs}
+    spaces = [pool_build(i) for i in range(len(POOL_SPACES))]
+    got = {}
+    for i, seed in jobs:
+        got[i, seed] = pool_results(spaces[i], seed)
+        spaces[(i + 1) % len(spaces)] = pool_build((i + 1) % len(spaces))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [(job, pool.submit(pool_job, *job)) for job in jobs * 2]
+            threaded = [(job, f.result(timeout=120)) for job, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for job, values in [*got.items(), *threaded]:
+        assert all(np.array_equal(a, b) for a, b in zip(values, expect[job])), job
 
 
 def test_concurrent_evaluation_matches_serial(spaces):
