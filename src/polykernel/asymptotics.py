@@ -14,11 +14,11 @@ Four measurements, all deterministic given their parameters:
 * the droplet diagonal bound G(z) <= m (8 + 48 A^2) e^A with
   A = sup of the quarter-Laplacian within distance 1 of the droplet (q = 2).
 
-A ladder checks all its arguments before its first build.  For a weight of
-one term, Q = c |z|^{2K} (ginibre, power), a ladder makes one build: the
-block measures t^{|d|} e^{-mQ} dt are m-free in s = (mc)^{1/K} t, so every
-rung is its top rung's build rescaled and cut to its rows (``_ladder``).
-Other weights build every rung.
+A ladder checks all its arguments before its first build (``_ladder``).  Its
+rungs come from ``kernel._ladder_spaces``: for a weight of one term,
+Q = c |z|^{2K} (ginibre, power), the block measures t^{|d|} e^{-mQ} dt are
+m-free in s = (mc)^{1/K} t, so every rung is its top rung's build rescaled
+and cut to its rows.  Other weights build every rung.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, require_integer
-from .kernel import LOG_FLOOR, GramFactorization, KernelEvaluator, SpaceSpec, build_space
+from .errors import ConfigurationError, require_integer, require_positive
+from .kernel import LOG_FLOOR, KernelEvaluator, _ladder_spaces
 from .localexpansion import _laguerre1
 from .weights import RadialEquilibrium, WeightModel
 
@@ -78,8 +78,7 @@ def blowup_grid(grid_radius: float, grid_n: int) -> tuple[np.ndarray, np.ndarray
 def _require_grid(grid_radius: float, grid_n: int) -> None:
     """The checks of a blow-up grid: grid_radius finite and > 0, grid_n an
     integer >= 1."""
-    if not (grid_radius > 0 and math.isfinite(grid_radius)):
-        raise ConfigurationError(f"grid_radius must be finite and > 0, got {grid_radius!r}")
+    require_positive(grid_radius, "grid_radius")
     require_integer(grid_n, "grid_n", 1)
 
 
@@ -110,13 +109,20 @@ def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = 2.5,
 def rate_fit(ms, sup_errors) -> tuple[float, str]:
     """Least-squares slope of log(sup error) against log(m).
 
-    Returns (-inf, "zero-errors") when any error vanishes exactly, which
-    happens only for degenerate synthetic inputs.
+    Each m must be finite and > 0, with at least two distinct, and each
+    error finite and >= 0, one per m.  Returns (-inf, "zero-errors") when
+    any error vanishes exactly, which happens only for degenerate synthetic
+    inputs.
     """
-    ms = np.asarray(ms, dtype=float)
+    ms = np.asarray([require_positive(m, "m") for m in ms], dtype=float)
     errs = np.asarray(sup_errors, dtype=float)
     if np.unique(ms).size < 2:
         raise ConfigurationError(f"rate_fit needs at least 2 distinct m, got {ms.tolist()}")
+    if errs.shape != ms.shape:
+        raise ConfigurationError(
+            f"rate_fit needs one sup error per m, got {errs.size} for {ms.size}")
+    if not np.all(np.isfinite(errs) & (errs >= 0.0)):
+        raise ConfigurationError(f"sup errors must be finite and >= 0, got {errs.tolist()}")
     if np.any(errs == 0.0):
         return float("-inf"), "zero-errors"
     slope = float(np.polyfit(np.log(ms), np.log(errs), 1)[0])
@@ -152,46 +158,25 @@ class BlowupReport:
         }
 
 
-def _ladder(weight: WeightModel, q: int, z0: complex, ms, ns, space_builder):
+def _ladder(weight: WeightModel, q: int, z0: complex, ms, ns):
     """The rungs (m, K) of an m ladder at the bulk point z0, in the order of ms.
 
-    A ladder needs at least two distinct finite m > 0, one n per m (``ns``,
-    by default round(m)), and z0 in the bulk (``_require_bulk``, which does
-    not depend on m); anything else raises ConfigurationError here, before
-    any build.  K is ``space_builder(m, n)``, built when its rung is read.
-    By default K is the space of order q, n and m, with m as given.  For a
-    weight of one term c t^K the block measures t^{|d|} e^{-mQ} dt do not
-    depend on m once t is written as s = (mc)^{1/K} t, so the ladder makes
-    one build, of its top rung (the largest n, ties to the largest m), when
-    it is first read, and re-bases every other rung on it
-    (``GramFactorization._rebased``); nothing is kept past the ladder.
-    Other weights build every rung.
-    """
-    if len(set(ms)) < 2 or not all(m > 0 and math.isfinite(m) for m in ms):
-        raise ConfigurationError(
-            f"a ladder needs at least 2 distinct finite m > 0, got {list(ms)}")
+    A ladder needs at least two distinct m, each finite and > 0, one n per m
+    (``ns``, by default round(m)) and z0 in the bulk, or raises
+    ConfigurationError before any build.  K is from ``kernel._ladder_spaces``."""
+    ms = [require_positive(m, "m") for m in ms]
+    if len(set(ms)) < 2:
+        raise ConfigurationError(f"a ladder needs at least 2 distinct m, got {ms}")
     ns = [int(round(m)) for m in ms] if ns is None else ns
     if len(ns) != len(ms):
         raise ConfigurationError(f"a ladder needs one n per m, got {len(ns)} for {len(ms)}")
     ns = [require_integer(n, "n", 1) for n in ns]
     _require_bulk(RadialEquilibrium.solve(weight), z0)
-    if space_builder is None and np.count_nonzero(weight.coeffs) == 1:
-        return _shared_rungs(weight, q, ms, ns)
-    build = space_builder or (lambda mm, nn: build_space(weight, SpaceSpec(q, nn, mm)))
-    return ((m, build(m, n)) for m, n in zip(ms, ns))
-
-
-def _shared_rungs(weight: WeightModel, q: int, ms, ns):
-    """The rungs of ``_ladder`` for a weight of one term, all from one build."""
-    top = max(range(len(ms)), key=lambda i: (ns[i], ms[i]))
-    built = GramFactorization(weight, SpaceSpec(q, ns[top], ms[top]))
-    for i, (m, n) in enumerate(zip(ms, ns)):
-        yield m, KernelEvaluator(built if i == top else built._rebased(SpaceSpec(q, n, m)))
+    return _ladder_spaces(weight, q, ms, ns)
 
 
 def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
-                  grid_radius: float = 2.5, grid_n: int = 17,
-                  space_builder=None) -> BlowupReport:
+                  grid_radius: float = 2.5, grid_n: int = 17) -> BlowupReport:
     """Blow-up comparison over an m ladder plus the fitted log-log rate.
 
     ``ms`` holds at least two distinct m and ``ns`` one n per m (by default
@@ -200,7 +185,7 @@ def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
     """
     _require_grid(grid_radius, grid_n)
     results = [blowup_compare(K, z0, grid_radius, grid_n)
-               for _, K in _ladder(weight, q, z0, ms, ns, space_builder)]
+               for _, K in _ladder(weight, q, z0, ms, ns)]
     sup = [r.sup_error for r in results]
     slope, flag = rate_fit(ms, sup)
     return BlowupReport(weight=weight.spec_string(), q=q, z0=complex(z0),
@@ -294,8 +279,7 @@ class DecayReport:
 
 
 def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
-                 n_directions: int = 4, n_separations: int = 12,
-                 space_builder=None) -> DecayReport:
+                 n_directions: int = 4, n_separations: int = 12) -> DecayReport:
     """Off-diagonal scans over an m ladder with microscopically scaled steps.
 
     ``ms`` holds at least two distinct m, and n = round(m).  Separations are
@@ -307,7 +291,7 @@ def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
     """
     n_directions = require_integer(n_directions, "n_directions", 1)
     n_separations = require_integer(n_separations, "n_separations", 2)
-    rungs = _ladder(weight, q, z0, ms, None, space_builder)
+    rungs = _ladder(weight, q, z0, ms, None)
     eq = RadialEquilibrium.solve(weight)
     r0 = bulk_clearance(eq, z0)
     dirs = np.exp(2j * np.pi * np.arange(n_directions) / n_directions)

@@ -18,6 +18,7 @@ from . import asymptotics as asym
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .kernel import SpaceSpec, build_space, export_kernel_grid_csv
 from .localexpansion import local_kernel_leading, local_kernel_q1, local_kernel_q2
+from .quadrature import integrate_polar_grid
 from .reporting import atomic_write_text, format_float, json_dumps, write_csv
 from .sampling import empirical_intensity, export_configuration, sample_batch
 from .weights import RadialEquilibrium, parse_weight
@@ -392,8 +393,6 @@ def _hermitian_ok(K) -> bool:
 
 
 def _berezin_mass_ok(K) -> bool:
-    from .quadrature import integrate_polar_grid
-
     r_max = K.equilibrium.droplet_radius + 12.0 / math.sqrt(K.spec.m)
     mass = integrate_polar_grid(lambda zz: K.berezin_density(0.2 + 0.1j, zz),
                                 r_max, 320, 64)

@@ -23,9 +23,9 @@ For a weight of one term, Q = c t^K, the measure of block d is
 m only through its constant factor.  So a build at m serves any m' and any
 n' up to its own (``GramFactorization._rebased``): alpha and beta scale by
 (m/m')^{1/K}, the blocks are cut to n' rows, and log M_p comes from the
-build's own moment rule at shifted modes.  The ladders of ``asymptotics``
-use this to make one build per ladder; every other build is computed at its
-own m.
+build's own moment rule at shifted modes.  The one ladder path of
+``asymptotics`` (``_ladder_spaces``) uses this to make one build per ladder;
+every other build is computed at its own m.
 
 Every quantity comes from one feature map Phi_a(z) = e_a(z) e^{-mQ(z)/2} over
 the orthonormal basis e_a: the correlation kernel is
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDegeneracyError, require_integer
+from .errors import ConfigurationError, NumericalDegeneracyError, require_integer, require_positive
 from .quadrature import (MIN_NODES, RULE_STEP, TAIL_BOUND, MomentRule,
                          gauss_legendre_on, log_moment_table)
 from .reporting import write_csv
@@ -84,8 +84,7 @@ class SpaceSpec:
     def __post_init__(self):
         require_integer(self.q, "q", 1)
         require_integer(self.n, "n", 1)
-        if not (self.m > 0 and math.isfinite(self.m)):
-            raise ConfigurationError(f"SpaceSpec needs m > 0, got {self.m!r}")
+        require_positive(self.m, "m")
 
     @property
     def dim(self) -> int:
@@ -241,6 +240,7 @@ class GramFactorization:
         self.spec = spec
         q, n, m = spec.q, spec.n, spec.m
         self._rule = MomentRule(weight, m, np.arange(n + q - 1))
+        self._one_term = len(self._rule._mc) == 1  # whether ``_rebased`` applies
         self.log_moments = log_moment_table(weight, m, n + q - 2, self._rule)
         self._layout()
         # measure |d| serves blocks d and -d, so it needs the larger one's rows
@@ -289,12 +289,11 @@ class GramFactorization:
         (``MomentRule.log_moments``).  The conditions are those of the cut
         blocks.
         """
-        terms = self._rule._mc
-        if len(terms) != 1 or spec.q != self.spec.q or spec.n > self.spec.n:
+        if not self._one_term or spec.q != self.spec.q or spec.n > self.spec.n:
             raise ConfigurationError(
                 f"cannot re-base q={self.spec.q}, n={self.spec.n} of weight "
                 f"{self.weight.spec_string()} to q={spec.q}, n={spec.n}")
-        shift = np.log(np.longdouble(self.spec.m) / np.longdouble(spec.m)) / terms[0][0]
+        shift = np.log(np.longdouble(self.spec.m) / np.longdouble(spec.m)) / self._rule._mc[0][0]
         rho = float(np.exp(shift))
         out = object.__new__(GramFactorization)
         out.weight, out.spec = self.weight, spec
@@ -738,6 +737,21 @@ class KernelEvaluator:
 def build_space(weight: WeightModel, spec: SpaceSpec) -> KernelEvaluator:
     """Assemble moments, blocks, and their recurrences for one space."""
     return KernelEvaluator(GramFactorization(weight, spec))
+
+
+def _ladder_spaces(weight: WeightModel, q: int, ms, ns):
+    """The rungs (m, K) of an m ladder in the order of ms.  The top rung (largest
+    n, ties to largest m) is built first, when first read; a one-term weight
+    re-bases it to every other rung (``_rebased``), other weights build each."""
+    top = max(range(len(ms)), key=lambda i: (ns[i], ms[i]))
+    built = GramFactorization(weight, SpaceSpec(q, ns[top], ms[top]))
+    for i, (m, n) in enumerate(zip(ms, ns)):
+        if i == top:
+            yield m, KernelEvaluator(built)
+        elif built._one_term:
+            yield m, KernelEvaluator(built._rebased(SpaceSpec(q, n, m)))
+        else:
+            yield m, build_space(weight, SpaceSpec(q, n, m))
 
 
 def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularExpansionError, require_integer
+from .errors import ConfigurationError, SingularExpansionError, require_integer, require_positive
 from .weights import WeightModel
 
 LAGUERRE_MAX_DEGREE = 64
@@ -52,7 +52,8 @@ def _check_b(b):
 
 
 def r_qm_density(w: WeightModel, q: int, m: float, z, wc):
-    """Reproducing density R_{q,m}(z, wc) for q in {1, 2}."""
+    """Reproducing density R_{q,m}(z, wc) for q in {1, 2} and m finite and > 0."""
+    require_positive(m, "m")
     if q == 1:
         return m * w.dbar_theta(z, wc, 0)
     if q == 2:
@@ -75,7 +76,9 @@ def _exponent(w: WeightModel, m: float, z, wc, weighted: bool):
 
 def local_kernel_q1(w: WeightModel, m: float, z, wc, terms: int = 2,
                     weighted: bool = False):
-    """Two-term analytic local kernel [m b + (1/2) dbar(d b / b)] e^{mQ(z,wc)}."""
+    """Two-term analytic local kernel [m b + (1/2) dbar(d b / b)] e^{mQ(z,wc)},
+    m finite and > 0."""
+    require_positive(m, "m")
     if terms not in (1, 2):
         raise ConfigurationError(f"local_kernel_q1 supports terms in {{1, 2}}, got {terms}")
     z = np.asarray(z, dtype=complex)
@@ -132,8 +135,10 @@ def local_kernel_q2(w: WeightModel, m: float, z, wc, terms: int = 3,
              + |z-w|^2 (-(3/2) dbar d b + d b dbar b / b)
         C2 = 2 dbar d log b + conj(w-z) dbar^2 d log b + (z-w) dbar d^2 log b
              + |z-w|^2 M,
-    with M the nine-term rational correction in b derivatives.
+    with M the nine-term rational correction in b derivatives, for m finite
+    and > 0.
     """
+    require_positive(m, "m")
     if terms not in (1, 2, 3):
         raise ConfigurationError(f"local_kernel_q2 supports terms in 1..3, got {terms}")
     z = np.asarray(z, dtype=complex)
@@ -158,8 +163,9 @@ def local_kernel_q2(w: WeightModel, m: float, z, wc, terms: int = 3,
 def local_kernel_leading(w: WeightModel, q: int, m: float, z, wc,
                          weighted: bool = False):
     """Leading term m b L^1_{q-1}(m b |z - wc|^2) e^{mQ(z,wc)}, for
-    q = 1..LAGUERRE_MAX_DEGREE + 1."""
+    q = 1..LAGUERRE_MAX_DEGREE + 1 and m finite and > 0."""
     q = require_integer(q, "q", 1, LAGUERRE_MAX_DEGREE + 2)
+    require_positive(m, "m")
     z = np.asarray(z, dtype=complex)
     wc = np.asarray(wc, dtype=complex)
     b = np.asarray(w.hermitian_b(z, wc, 0, 0), dtype=complex)

@@ -39,12 +39,10 @@ the package's one integer check, errors.require_integer.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDegeneracyError, require_integer
-from .weights import WeightModel
+from .errors import ConfigurationError, NumericalDegeneracyError, require_integer, require_positive
 
 RULE_STEP = 1.0 / 8.0   # trapezoid step, in units of the peak width sigma_p
 RIGHT_TAIL = 12.0       # reach of a rule beyond its mode, in units of sigma_p
@@ -64,8 +62,7 @@ class MomentRule:
     """
 
     def __init__(self, w: WeightModel, m: float, p):
-        if not (m > 0.0 and math.isfinite(m)):
-            raise ConfigurationError(f"radial moment needs m > 0, got {m}")
+        require_positive(m, "m")
         self.p = np.atleast_1d(np.asarray(p))
         if self.p.size and self.p.min() < 0:
             raise ConfigurationError(f"radial moment needs p >= 0, got {self.p.min()}")
@@ -312,8 +309,7 @@ def integrate_polar_grid(f, r_max: float, n_r: int, n_phi: int) -> float:
     spectrally accurate for smooth periodic integrands).  ``f`` must accept a
     complex ndarray.  Truncation beyond r_max is the caller's concern.
     """
-    if not (r_max > 0.0 and math.isfinite(r_max)):
-        raise ConfigurationError(f"integrate_polar_grid needs a finite r_max > 0, got {r_max}")
+    require_positive(r_max, "r_max")
     n_r = require_integer(n_r, "n_r", MIN_NODES)
     n_phi = require_integer(n_phi, "n_phi", MIN_NODES)
     r, wr = gauss_legendre_on(n_r, 0.0, r_max)

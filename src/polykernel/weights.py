@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, require_integer
+from .quadrature import gauss_legendre_on
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,12 @@ def _parse_params(rest: str, full: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for tok in rest.split(";"):
         key, eq, val = tok.partition("=")
-        if not eq or not key.strip():
+        key = key.strip()
+        if not eq or not key:
             raise ConfigurationError(f"invalid weight parameter token '{tok}'")
-        out[key.strip()] = val.strip()
+        if key in out:
+            raise ConfigurationError(f"repeated weight parameter '{key}' in '{full}'")
+        out[key] = val.strip()
     return out
 
 
@@ -344,8 +348,6 @@ class RadialEquilibrium:
 
         The outer rule has n_quad >= 64 points, the inner min(n_quad, 128).
         """
-        from .quadrature import gauss_legendre_on  # quadrature imports this module
-
         n_quad = require_integer(n_quad, "n_quad", 64)
         t, vt = gauss_legendre_on(n_quad, 0.0, self.droplet_radius)
         mu_t = 2.0 * t * self.weight.delta_q(t)

@@ -98,14 +98,12 @@ def test_criterion_2_bianalytic_fock_collapse(spaces):
            time.monotonic() - t0, 30.0)
 
 
-def test_criterion_3_bulk_blowup_rate(spaces):
+def test_criterion_3_bulk_blowup_rate():
     t0 = time.monotonic()
     weight = pk.parse_weight("power:p=2")
     z0 = 0.6 * pk.droplet_radius(weight)
     ms = [40.0, 80.0, 160.0]
-    report = pk.blowup_ladder(
-        weight, 2, z0, ms, grid_radius=2.0, grid_n=17,
-        space_builder=lambda m, n: spaces("power:p=2", 2, n, m))
+    report = pk.blowup_ladder(weight, 2, z0, ms, grid_radius=2.0, grid_n=17)
     ok = report.slope <= -0.4
     _check(3, "bulk blow-up error decays with log-log slope <= -0.4", ok,
            f"slope {report.slope:.3f}, sup errors "
@@ -145,16 +143,14 @@ def test_criterion_4_bulk_berezin_profile(spaces):
            time.monotonic() - t0, 120.0)
 
 
-def test_criterion_5_offdiagonal_decay(spaces):
+def test_criterion_5_offdiagonal_decay():
     t0 = time.monotonic()
     ms = [40.0, 80.0, 160.0]
     details = []
     ok = True
     for wtext, z0 in (("ginibre", 0.0),
                       ("power:p=2", 0.6 * pk.droplet_radius(pk.parse_weight("power:p=2")))):
-        report = pk.decay_ladder(
-            pk.parse_weight(wtext), 2, z0, ms,
-            space_builder=lambda m, n, wt=wtext: spaces(wt, 2, n, m))
+        report = pk.decay_ladder(pk.parse_weight(wtext), 2, z0, ms)
         ratios = [s.beta_over_sqrt_m for s in report.scans]
         ok = ok and all(r < 0.0 for r in ratios) and report.stability < 0.30
         details.append(f"{wtext}: beta/sqrt(m) "

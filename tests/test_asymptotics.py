@@ -26,6 +26,16 @@ def test_rate_fit_synthetic():
         pk.rate_fit([40.0], [0.1])
     with pytest.raises(ConfigurationError, match="distinct m"):
         pk.rate_fit([40.0, 40.0], [0.1, 0.2])
+    # before, a bad m raised LinAlgError after LAPACK wrote to stderr, a nan or
+    # negative error gave (nan, ""), and mismatched lengths a bare TypeError
+    for ms in ([-40.0, 80.0], [math.inf, 80.0], [True, 80.0]):
+        with pytest.raises(ConfigurationError, match="m must be"):
+            pk.rate_fit(ms, [0.1, 0.2])
+    for errs in ([math.nan, 0.1], [-0.1, 0.1], [math.inf, 0.1]):
+        with pytest.raises(ConfigurationError, match="sup errors must be finite and >= 0"):
+            pk.rate_fit([40.0, 80.0], errs)
+    with pytest.raises(ConfigurationError, match="one sup error per m"):
+        pk.rate_fit([40.0, 80.0, 160.0], [0.1, 0.2])
 
 
 def test_bulk_limit_profile_values():
@@ -79,8 +89,10 @@ def test_harness_integer_inputs_are_refused(spaces, call, name):
 
 @pytest.mark.parametrize("ms, ns, blowup, decay, match", [
     ([20.0], None, {}, {}, "2 distinct"), ([20.0, 20.0], None, {}, {}, "2 distinct"),
-    ([-1.0, 20.0], None, {}, {}, "finite m > 0"),
-    ([float("nan"), 20.0], None, {}, {}, "finite m > 0"),
+    ([-1.0, 20.0], None, {}, {}, "m must be finite and > 0"),
+    ([float("nan"), 20.0], None, {}, {}, "m must be finite and > 0"),
+    ([True, 20.0], None, {}, {}, "m must be a real number"),
+    (["40", "80"], None, {}, {}, "m must be a real number"),
     ([20.0, 30.0], [20], {}, None, "one n per m"),
     ([20.0, 30.0], [20, 0], {}, None, "n must be an integer"),
     ([20.0, 30.0], None, {"grid_n": 0}, None, "grid_n must be an integer"),
@@ -91,26 +103,28 @@ def test_harness_integer_inputs_are_refused(spaces, call, name):
     ([20.0, 30.0], None, {"grid_radius": float("inf")}, None, "grid_radius must be finite"),
     ([20.0, 30.0], None, {"grid_radius": 0.0}, None, "grid_radius must be finite"),
     ([20.0, 30.0], None, {"grid_radius": -1.0}, None, "grid_radius must be finite"),
-], ids=["one-m", "repeated-m", "negative-m", "nan-m", "short-n", "n-zero", "grid-n-zero",
-        "directions-zero", "separations-one", "z0-outside", "grid-radius-nan",
-        "grid-radius-inf", "grid-radius-zero", "grid-radius-negative"])
-def test_ladders_refuse_before_any_build(spaces, ms, ns, blowup, decay, match):
+], ids=["one-m", "repeated-m", "negative-m", "nan-m", "bool-m", "string-m", "short-n",
+        "n-zero", "grid-n-zero", "directions-zero", "separations-one", "z0-outside",
+        "grid-radius-nan", "grid-radius-inf", "grid-radius-zero", "grid-radius-negative"])
+def test_ladders_refuse_before_any_build(monkeypatch, ms, ns, blowup, decay, match):
     # a ladder is checked whole, with its grid and z0, before its first rung is
     # built; before, a repeated m built every rung and then failed in rate_fit,
-    # and a bad grid_n or z0 failed only after the first build
+    # a bad grid_n or z0 failed only after the first build, a bool m built a
+    # space and a string m died with a bare TypeError
+    real_init = pk.kernel.GramFactorization.__init__
     built = []
 
-    def builder(m, n):
-        built.append((m, n))
-        return spaces("ginibre", 2, n, m)
+    def init(self, weight, spec):
+        built.append(spec)
+        real_init(self, weight, spec)
 
+    monkeypatch.setattr(pk.kernel.GramFactorization, "__init__", init)
     if blowup is not None:
         with pytest.raises(ConfigurationError, match=match):
-            pk.blowup_ladder(GINIBRE, 2, ms=ms, ns=ns, space_builder=builder,
-                             **{"z0": 0.3, "grid_n": 5, **blowup})
+            pk.blowup_ladder(GINIBRE, 2, ms=ms, ns=ns, **{"z0": 0.3, "grid_n": 5, **blowup})
     if decay is not None:
         with pytest.raises(ConfigurationError, match=match):
-            pk.decay_ladder(GINIBRE, 2, ms=ms, space_builder=builder, **{"z0": 0.0, **decay})
+            pk.decay_ladder(GINIBRE, 2, ms=ms, **{"z0": 0.0, **decay})
     assert built == []
 
 
@@ -136,30 +150,34 @@ def test_one_term_ladders_make_one_build(monkeypatch, weight, builds):
     assert len(calls) == builds
 
 
-def _direct(weight):
-    return lambda m, n: pk.build_space(weight, pk.SpaceSpec(2, n, m))
+def _direct(monkeypatch):
+    # every rung a build of its own: re-basing builds the rung it is asked for
+    monkeypatch.setattr(pk.kernel.GramFactorization, "_rebased",
+                        lambda self, spec: pk.GramFactorization(self.weight, spec))
 
 
 @pytest.mark.parametrize("weight, z0, ms, ns", [
     ("power:p=2", 0.5, [40.0, 80.0, 160.0], None),
     ("power:p=2", 0.5, [80.0, 40.0, 20.0], [60, 70, 20]),
     ("power:p=3", 0.4, [30.0, 20.0], [24, 24])], ids=["readme", "top-first", "tie"])
-def test_shared_blowup_ladders_match_direct_builds(weight, z0, ms, ns):
+def test_shared_blowup_ladders_match_direct_builds(monkeypatch, weight, z0, ms, ns):
     # re-based rungs move the sup errors and the slope by rounding only (ginibre
     # is left out: its sup errors are rounding themselves)
     w = pk.parse_weight(weight)
     shared = pk.blowup_ladder(w, 2, z0, ms, ns)
-    own = pk.blowup_ladder(w, 2, z0, ms, ns, space_builder=_direct(w))
+    _direct(monkeypatch)
+    own = pk.blowup_ladder(w, 2, z0, ms, ns)
     assert own.ns == shared.ns
     np.testing.assert_allclose(shared.sup_errors, own.sup_errors, rtol=1e-14, atol=0.0)
     assert shared.slope == pytest.approx(own.slope, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("weight, z0", [("ginibre", 0.0), ("power:p=2", 0.5)])
-def test_shared_decay_ladders_match_direct_builds(weight, z0):
+def test_shared_decay_ladders_match_direct_builds(monkeypatch, weight, z0):
     w = pk.parse_weight(weight)
     shared = pk.decay_ladder(w, 2, z0, [40, 80, 160])
-    own = pk.decay_ladder(w, 2, z0, [40, 80, 160], space_builder=_direct(w))
+    _direct(monkeypatch)
+    own = pk.decay_ladder(w, 2, z0, [40, 80, 160])
     np.testing.assert_allclose([s.beta_over_sqrt_m for s in shared.scans],
                                [s.beta_over_sqrt_m for s in own.scans], rtol=1e-14, atol=0.0)
 

@@ -41,6 +41,14 @@ def test_spacespec_guards():
         pk.SpaceSpec(2, True, 1.0)
     with pytest.raises(ConfigurationError, match="n must be an integer"):
         pk.SpaceSpec(2, 4.0, 1.0)
+    # before, a bool m built a space and a string m died with a bare TypeError
+    with pytest.raises(ConfigurationError, match="m must be a real number"):
+        pk.SpaceSpec(2, 5, True)
+    with pytest.raises(ConfigurationError, match="m must be a real number"):
+        pk.SpaceSpec(2, 5, "5")
+    # before, an integer past double range raised OverflowError
+    with pytest.raises(ConfigurationError, match="m must be finite and > 0"):
+        pk.SpaceSpec(2, 5, 10**400)
 
 
 def test_block_structure_q1(spaces):

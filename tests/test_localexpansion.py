@@ -286,6 +286,21 @@ def test_vanishing_b_raises():
         pk.local_kernel_q2(POWER2, 1.0, 0.0, 0.5, terms=3)
 
 
+@pytest.mark.parametrize("m", [-5.0, 0.0, math.nan, math.inf, True, "5"],
+                         ids=["negative", "zero", "nan", "inf", "bool", "string"])
+@pytest.mark.parametrize("call", [
+    lambda m: pk.local_kernel_q1(GINIBRE, m, 0.1, 0.2),
+    lambda m: pk.local_kernel_q2(GINIBRE, m, 0.1, 0.2),
+    lambda m: pk.local_kernel_leading(GINIBRE, 2, m, 0.1, 0.2),
+    lambda m: pk.r_qm_density(GINIBRE, 2, m, 0.1, 0.2),
+], ids=["q1", "q2", "leading", "density"])
+def test_local_expansions_refuse_bad_m(call, m):
+    # before, q2 at m = -5 gave -3.568+0j, leading at m = 0 gave 0j and the
+    # density at m = nan gave nan+nanj, all without an error
+    with pytest.raises(ConfigurationError, match="m must be"):
+        call(m)
+
+
 def test_terms_guards():
     with pytest.raises(ConfigurationError):
         pk.local_kernel_q1(GINIBRE, 1.0, 0.1, 0.2, terms=3)

@@ -237,6 +237,9 @@ def test_polar_grid_guards():
     for r_max in (math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="r_max"):
             pk.integrate_polar_grid(lambda z: z, r_max, 32, 32)
+    # before, True integrated over the unit disk
+    with pytest.raises(ConfigurationError, match="r_max must be a real number"):
+        pk.integrate_polar_grid(lambda z: z, True, 32, 32)
     for n_r, n_phi, name in ((20.5, 32, "n_r"), (True, 32, "n_r"), (32, 8, "n_phi"),
                              (32, 20.5, "n_phi")):
         with pytest.raises(ConfigurationError, match=name):

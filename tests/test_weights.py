@@ -39,6 +39,13 @@ def test_parse_rejects_with_token(bad, token):
     assert token.split("=")[0] in str(err.value)
 
 
+@pytest.mark.parametrize("text, key", [("radialpoly:c=1;c=2", "c"), ("power:p=2; p=3", "p")])
+def test_parse_refuses_a_repeated_parameter(text, key):
+    # before, the last token won: radialpoly:c=1;c=2 was radialpoly:c=2
+    with pytest.raises(ConfigurationError, match=f"repeated weight parameter '{key}'"):
+        pk.parse_weight(text)
+
+
 @pytest.mark.parametrize("p", [0, True, 1.5, "2"])
 def test_power_weight_needs_an_integer_p(p):
     with pytest.raises(ConfigurationError, match="power weight p must be an integer"):
