@@ -17,7 +17,7 @@ import numpy as np
 from . import asymptotics as asym
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .kernel import SpaceSpec, build_space, export_kernel_grid_csv
-from .localexpansion import local_kernel_leading, local_kernel_q1, local_kernel_q2
+from .localexpansion import ORDERS, _local_kernel
 from .quadrature import integrate_polar_grid
 from .reporting import atomic_write_text, format_float, json_dumps, write_csv
 from .sampling import empirical_intensity, export_configuration, sample_batch
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--z0", type=_point, default="0.5")
     p.add_argument("--terms", type=int, default=None,
-                   help="expansion orders: up to 2 for q=1, 3 for q=2, 1 for "
-                   "q>=3 (default: 2, or 1 for q>=3)")
+                   help=f"expansion orders (powers of m) by q, {ORDERS}, and 1 for "
+                   "any other q (default: at most 2)")
     p.add_argument("--grid-radius", type=_positive, default=0.2)
     p.add_argument("--grid-n", type=_count, default=17)
     p.add_argument("--weighted", action="store_true")
@@ -318,26 +318,14 @@ def cmd_offdroplet(args) -> int:
 
 def cmd_local(args) -> int:
     weight = parse_weight(args.weight)
-    z0 = args.z0
-    grid = _square_grid(z0, args.grid_radius, args.grid_n).ravel()
-    # expansion orders known per q; the default is 2 where there are two
-    max_terms = {1: 2, 2: 3}.get(args.q, 1)
+    grid = _square_grid(args.z0, args.grid_radius, args.grid_n).ravel()
+    max_terms = ORDERS.get(args.q, 1)
     terms = min(2, max_terms) if args.terms is None else args.terms
     if not 1 <= terms <= max_terms:
-        raise ConfigurationError(
-            f"--terms {terms} is out of range for q={args.q}: at most {max_terms} known terms"
-        )
-    if args.q == 1:
-        vals = local_kernel_q1(weight, args.m, np.full_like(grid, z0), grid,
-                               terms=terms, weighted=args.weighted)
-    elif args.q == 2:
-        vals = local_kernel_q2(weight, args.m, np.full_like(grid, z0), grid,
-                               terms=terms, weighted=args.weighted)
-    else:
-        vals = local_kernel_leading(weight, args.q, args.m,
-                                    np.full_like(grid, z0), grid,
-                                    weighted=args.weighted)
-    vals = np.atleast_1d(vals)
+        raise ConfigurationError(f"--terms {terms} is out of range for q={args.q}: "
+                                 f"at most {max_terms} known terms")
+    vals = np.atleast_1d(_local_kernel(weight, args.q, args.m, np.full_like(grid, args.z0),
+                                       grid, terms, args.weighted))
     write_csv(args.out, ["re_w", "im_w", "re_value", "im_value", "abs_value"],
               zip(grid.real, grid.imag, vals.real, vals.imag, np.abs(vals)))
     print(f"wrote {grid.size} local-expansion rows to {args.out}")

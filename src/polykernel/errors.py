@@ -10,6 +10,8 @@ order q and degree count n of a space, a power weight's p, Laguerre degrees)
 passes one check, require_integer, which refuses bools, non-integers and
 values outside a range, and names the parameter; every real that must be
 finite and > 0 (m, a grid radius, r_max) passes one too, require_positive.
+An unweighted value formed from a log-scale (e^{mQ(z, w)}, K(z, w)) passes
+require_finite, which names the log-scale that left double range.
 """
 
 import sys
@@ -58,3 +60,11 @@ def require_positive(value, name: str):
     if not 0 < value <= sys.float_info.max:
         raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
     return value
+
+
+def require_finite(value, log_scale, what: str, m) -> None:
+    """A NumericalDegeneracyError naming ``what``, its largest ``log_scale``
+    and m, unless every entry of ``value`` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise NumericalDegeneracyError(f"{what} reaches {np.max(log_scale):.4g} at m={m}: "
+                                       "the unweighted value is past double range")

@@ -57,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDegeneracyError, require_integer, require_positive
+from .errors import (ConfigurationError, NumericalDegeneracyError, require_finite,
+                     require_integer, require_positive)
 from .quadrature import (MIN_NODES, RULE_STEP, TAIL_BOUND, MomentRule,
                          gauss_legendre_on, log_moment_table)
 from .reporting import write_csv
@@ -576,9 +577,11 @@ class KernelEvaluator:
     # -- public evaluation --------------------------------------------------
 
     def kernel(self, z, w):
-        """Plain kernel value; may overflow doubles for large m Q."""
+        """Plain kernel value; refuses past double range (large m Q)."""
         scale, mant = self._pair_eval(z, w, 0.0)
-        out = mant * np.exp(scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mant * np.exp(scale)
+        require_finite(out, scale, "log-scale of K(z, w)", self.spec.m)
         return out if out.shape else complex(out)
 
     def weighted_kernel(self, z, w):

@@ -19,8 +19,11 @@ Proposals are uniform on a bin's annulus, bins drawn in proportion to their
 envelope mass, and accepted with probability diagonal / envelope.  The
 envelope, this law and the block sizes below are one table, _ProposalLaw,
 tabulated once per evaluator.  A proposal whose gamma exceeds its bin's
-envelope raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5; the
-mass outside it decays exponentially and is far below 1e-8 at desk scale.
+envelope raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5.
+Simpson's rule on the envelope's probes gives the mass of gamma inside it, and
+a disk that misses more than DISK_MASS_TOL nq of the nq points raises
+SamplerError: it does when n is well above m, whose points fill a droplet
+wider than R.
 
 Because the envelope does not change from draw to draw, proposals are drawn
 ahead in blocks.  With envelope mass M, draw t takes M / (nq - t) proposals
@@ -66,6 +69,7 @@ from .reporting import atomic_write_text, json_dumps, write_csv
 ENVELOPE_BINS = 256
 ENVELOPE_MARGIN = 1.02
 MAX_PROPOSALS = 10**6
+DISK_MASS_TOL = 1e-6  # largest mass of gamma outside the sampling disk, per point
 
 
 @dataclass(frozen=True)
@@ -99,15 +103,25 @@ class _ProposalLaw:
 
     ``edges`` are the bin edges of the sampling disk, and ``envelope`` bounds
     gamma per bin: ENVELOPE_MARGIN times the largest gamma at the bin's edges
-    and midpoint.
+    and midpoint.  A disk that misses more than DISK_MASS_TOL nq of gamma's
+    mass raises SamplerError; ``space`` names the space in every such error.
     """
 
     def __init__(self, K: KernelEvaluator):
-        r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(K.spec.m) + 0.5
+        spec = K.spec
+        r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(spec.m) + 0.5
         edges = self.edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
         probes = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
         gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
         at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
+        self.space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
+        # Simpson's rule on 2 rho gamma per bin: the mass of gamma inside the disk
+        f_edges, f_mid = 2.0 * edges * at_edges, 2.0 * probes[edges.size:] * at_mid
+        missing = spec.dim - np.sum(np.diff(edges) / 6.0
+                                    * (f_edges[:-1] + 4.0 * f_mid + f_edges[1:]))
+        if missing > DISK_MASS_TOL * spec.dim:
+            raise SamplerError(f"the sampling disk of radius {r_max:.6g} misses mass "
+                               f"{missing:.4g} of {spec.dim} ({self.space})")
         self.envelope = ENVELOPE_MARGIN * np.maximum(
             np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
         self.area = edges[1:] ** 2 - edges[:-1] ** 2
@@ -120,7 +134,7 @@ class _ProposalLaw:
         # at most cap
         self.block = [1]
         harmonic = 0.0
-        for r in range(1, K.spec.dim + 1):
+        for r in range(1, spec.dim + 1):
             harmonic += 1.0 / r
             self.block.append(max(1, min(math.ceil(mass * harmonic), self.cap)))
 
@@ -152,13 +166,12 @@ def _sample_group(K: KernelEvaluator, law: _ProposalLaw,
     spec = K.spec
     nq, count = spec.dim, len(seeds)
     rngs = [np.random.Generator(np.random.Philox(key=np.uint64(s))) for s in seeds]
-    space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
     # columns opened at a time: PAIR_CHUNK / 8 feature entries across the
     # group (256 kB), so that a small group opens its blocks whole at once
     step = max(1, PAIR_CHUNK // 8 // (count * nq))
 
     def fail(g: int, message: str):
-        raise SamplerError(f"{message} ({space}, seed {seeds[g]})")
+        raise SamplerError(f"{message} ({law.space}, seed {seeds[g]})")
 
     def propose(group, t: int):
         """Fresh blocks for the configurations in ``group`` at draw t: their

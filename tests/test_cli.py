@@ -136,6 +136,22 @@ def test_numerical_degeneracy_exit_code(tmp_path, capsys):
     assert "degenerac" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["local", "--weight", "ginibre", "--q", "2", "--m", "1000", "--z0", "0.9"],
+    ["kernel", "--weight", "ginibre", "--q", "2", "--n", "1000", "--m", "1000",
+     "--center", "0.9", "--w0", "0.9", "--grid-n", "5", "--grid-radius", "0.05"],
+], ids=["local", "kernel"])
+def test_unweighted_values_past_double_range_exit_2(tmp_path, capsys, argv):
+    # before, local wrote 221 of 289 rows as inf or NaN and kernel wrote
+    # +-Infinity on all 25 rows, both exiting 0
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical degeneracy:") and "at m=1000.0" in err
+    assert "past double range" in err
+    assert not out.exists()
+
+
 def test_kernel_csv(tmp_path, capsys):
     out = tmp_path / "k.csv"
     assert run(["kernel", "--weight", "ginibre", "--q", "1", "--n", "4",

@@ -334,6 +334,18 @@ def test_kernel_eval_examples(spaces):
     assert K.kernel(0.3 + 1j, -0.2) == pytest.approx(7.0, rel=1e-12)
 
 
+def test_plain_kernel_past_double_range_is_refused():
+    # K(0.9, 0.9) ~ 2m e^{0.81 m}; before, it came back inf with only a
+    # RuntimeWarning.  The weighted kernel cannot overflow and stays finite
+    K = pk.build_space(GINIBRE, pk.SpaceSpec(2, 1000, 1000.0))
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"log-scale of K\(z, w\) reaches 81\d\.?\d* at m=1000\.0"):
+        K.kernel(0.9, 0.9)
+    with pytest.raises(NumericalDegeneracyError, match="past double range"):
+        K.kernel(np.array([0.1, 0.9]), 0.9)
+    assert K.weighted_kernel(0.9, 0.9) == pytest.approx(2000.0, rel=1e-8)
+
+
 def _ginibre_q1_oracle(m: float, n: int, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
     term = np.ones_like(u)

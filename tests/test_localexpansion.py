@@ -7,7 +7,8 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 import polykernel as pk
-from polykernel.errors import ConfigurationError, SingularExpansionError
+from polykernel.errors import ConfigurationError, NumericalDegeneracyError, SingularExpansionError
+from polykernel.localexpansion import ORDERS, _laguerre1, _order_one_correction
 
 from conftest import disk_points
 
@@ -106,6 +107,10 @@ def test_r_qm_diagonal_any_weight():
 def test_r_qm_unsupported_q():
     with pytest.raises(ConfigurationError):
         pk.r_qm_density(GINIBRE, 3, 1.0, 0.0, 0.1)
+    # q is checked as an integer first: a list is refused by name, not hashed
+    for q in ([2], True, 1.5):
+        with pytest.raises(ConfigurationError, match="q must be an integer"):
+            pk.r_qm_density(GINIBRE, q, 1.0, 0.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,6 @@ def test_q2_off_diagonal_coefficients_fd_oracle():
     log_11 = dw(dz(logb))(z0, w0)
     log_12 = dw(dw(dz(logb)))(z0, w0)
     log_21 = dw(dz(dz(logb)))(z0, w0)
-    from polykernel.localexpansion import _order_one_correction
     b = w.hermitian_b(z0, w0, 0, 0)
     d = {(i, j): w.hermitian_b(z0, w0, i, j) for i in range(3) for j in range(3)}
     sep = z0 - w0
@@ -308,3 +312,79 @@ def test_terms_guards():
         pk.local_kernel_q2(GINIBRE, 1.0, 0.1, 0.2, terms=4)
     with pytest.raises(ConfigurationError):
         pk.local_kernel_leading(GINIBRE, 0, 1.0, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("call, weighted_value", [
+    (lambda weighted: pk.local_kernel_q1(GINIBRE, 1000.0, 0.9, 0.9, weighted=weighted), 1000.0),
+    (lambda weighted: pk.local_kernel_q2(GINIBRE, 1000.0, 0.9, 0.9, weighted=weighted), 2000.0),
+    (lambda weighted: pk.local_kernel_leading(GINIBRE, 3, 1000.0, 0.9, 0.9, weighted=weighted),
+     3000.0),
+], ids=["q1", "q2", "leading"])
+def test_unweighted_values_past_double_range_are_refused(call, weighted_value):
+    # e^{m Q(z, w)} = e^{810}; before, each returned inf+nanj with only a
+    # RuntimeWarning.  The weighted value is (q m) e^0 and stays
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"m Re Q\(z, w\) reaches 810 at m=1000\.0"):
+        call(False)
+    assert call(True) == pytest.approx(weighted_value, rel=1e-12)
+
+
+def _reference_local(w, q, m, z, wc, terms, weighted):
+    """The q = 1, q = 2 and leading-term formulas written out apart, each
+    with b typed as hermitian_b returns it or as a complex array."""
+    z = np.asarray(z, dtype=complex)
+    wc = np.asarray(wc, dtype=complex)
+    b = w.hermitian_b(z, wc, 0, 0)
+    d = {(i, j): w.hermitian_b(z, wc, i, j) for i in range(3) for j in range(3)}
+    h = z - wc
+    sep2 = np.abs(h) ** 2
+    if terms is None:
+        ba = np.asarray(b, dtype=complex)
+        pref = m * ba * _laguerre1(q - 1, m * ba * np.abs(z - wc) ** 2)
+    elif q == 1:
+        pref = m * np.asarray(b, dtype=complex)
+        if terms >= 2:
+            pref = pref + 0.5 * (d[1, 1] / b - d[1, 0] * d[0, 1] / (b * b))
+    else:
+        b2, b3 = b * b, b * b * b
+        log_11 = d[1, 1] / b - d[1, 0] * d[0, 1] / b2
+        log_12 = (d[1, 2] / b - 2.0 * d[1, 1] * d[0, 1] / b2
+                  - d[1, 0] * d[0, 2] / b2 + 2.0 * d[1, 0] * d[0, 1] ** 2 / b3)
+        log_21 = (d[2, 1] / b - 2.0 * d[1, 0] * d[1, 1] / b2
+                  - d[2, 0] * d[0, 1] / b2 + 2.0 * d[1, 0] ** 2 * d[0, 1] / b3)
+        pref = m * m * (-sep2 * b * b)
+        if terms >= 2:
+            pref = pref + m * (2.0 * b + h * d[1, 0] - np.conjugate(h) * d[0, 1]
+                               + sep2 * (-1.5 * d[1, 1] + d[1, 0] * d[0, 1] / b))
+        if terms >= 3:
+            pref = pref + (2.0 * log_11 - np.conjugate(h) * log_12 + h * log_21
+                           + sep2 * _order_one_correction(b, d))
+    e = m * w.polarize(z, wc)
+    if weighted:
+        e = e - 0.5 * m * (w.eval_weight(z) + w.eval_weight(wc))
+    out = pref * np.exp(e)
+    return out if np.asarray(out).shape else complex(out)
+
+
+@pytest.mark.parametrize("weight", ["ginibre", "power:p=2", "power:p=3", "radialpoly:c=1,1",
+                                    "radialpoly:c=0.5,0,0.25"])
+def test_local_path_matches_separate_formulas_bitwise(weight):
+    # every expansion order of ORDERS and the leading term at four q, at
+    # array and at scalar inputs: one path gives the separate formulas' bits
+    w = pk.parse_weight(weight)
+    rng = np.random.default_rng(38)
+    z = 0.3 + 0.5 * (rng.random(12) + 1j * rng.random(12))
+    v = z + 0.05 * (rng.random(12) - 0.5 + 1j * (rng.random(12) - 0.5))
+    calls = [(q, terms) for q, top in ORDERS.items() for terms in range(1, top + 1)]
+    calls += [(q, None) for q in (1, 2, 3, 7)]
+    public = {1: pk.local_kernel_q1, 2: pk.local_kernel_q2}
+    for m in (7.0, 60.0):
+        for weighted in (False, True):
+            for q, terms in calls:
+                for a, c in [(z, v), (z, z)] + [(complex(z[i]), complex(v[i])) for i in range(3)]:
+                    got = (pk.local_kernel_leading(w, q, m, a, c, weighted=weighted)
+                           if terms is None else
+                           public[q](w, m, a, c, terms=terms, weighted=weighted))
+                    ref = _reference_local(w, q, m, a, c, terms, weighted)
+                    assert type(got) is type(ref)
+                    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()

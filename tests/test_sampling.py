@@ -1,9 +1,12 @@
 """Exact determinantal sampler: determinism, marginals, repulsion, rings."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import gammainc
 
 import polykernel as pk
 from polykernel import sampling
@@ -414,3 +417,66 @@ def test_configuration_export(tmp_path, spaces):
     assert lines[0] == "re,im" and len(lines) == 17
     meta = sidecar.read_text()
     assert '"seed": 77' in meta and '"weight": "ginibre"' in meta
+
+
+@pytest.mark.parametrize("q, n, m, radius, missing", [
+    (1, 200, 20.0, r"2\.84164", r"38\.5\d"),
+    (2, 400, 40.0, r"2\.44868", r"320\.\d"),
+], ids=["q1-n200-m20", "q2-n400-m40"])
+def test_a_disk_that_misses_mass_is_refused(tmp_path, q, n, m, radius, missing):
+    # n = 10 m fills a droplet of radius sqrt(10) R, past the sampling disk;
+    # before, (1, 200, 20) returned 200 points all inside the disk, exit 0
+    K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(q, n, m))
+    with pytest.raises(SamplerError, match=rf"sampling disk of radius {radius} misses mass "
+                                           rf"{missing}\d* of {q * n} \(weight ginibre, q={q}"):
+        pk.sample_configuration(K, 0)
+    argv = ["sample", "--weight", "ginibre", "--q", str(q), "--n", str(n), "--m", str(m),
+            "--count", "1", "--seed", "7", "--outdir", str(tmp_path / "out")]
+    assert run(argv) == 2
+
+
+# For a radial weight at q = 1 the squared moduli of the points are independent
+# (Kostlan; Hough-Krishnapur-Peres-Virag, Thm 4.7.1), the j-th with density
+# proportional to t^j e^{-mQ} dt in t = |z|^2.  So N(r), the number of points
+# in |z| < r, is Poisson-binomial over the F_j(r) = P(|z_j| <= r), and
+# P(max |z| <= r) is the product of the F_j(r).  Each test below rejects the
+# sampler at significance EXACT_ALPHA, on one fixed batch per weight.
+EXACT_ALPHA = 1e-3
+EXACT_CDFS = {
+    # Q = |z|^2: m t is Gamma(j + 1); Q = |z|^4: m t^2 is Gamma((j + 1) / 2)
+    "ginibre": lambda j, m, r: gammainc(j + 1, m * r ** 2),
+    "power:p=2": lambda j, m, r: gammainc((j + 1) / 2, m * r ** 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _q1_batch(weight: str):
+    K = pk.build_space(pk.parse_weight(weight), pk.SpaceSpec(1, 40, 40.0))
+    return K, pk.sample_batch(K, 2000, 11)
+
+
+@pytest.mark.parametrize("weight", sorted(EXACT_CDFS))
+def test_q1_count_in_disk_follows_its_exact_law(weight):
+    K, batch = _q1_batch(weight)
+    r = 0.7 * K.equilibrium.droplet_radius
+    pmf = np.ones(1)
+    for p in EXACT_CDFS[weight](np.arange(K.spec.n), K.spec.m, r):
+        pmf = np.convolve(pmf, [1.0 - p, p])
+    observed = np.bincount([np.sum(np.abs(c.points) < r) for c in batch], minlength=pmf.size)
+    expected = len(batch) * pmf
+    # chi-squared over the counts expected >= 5 times, each tail merged into its edge
+    keep = np.flatnonzero(expected >= 5.0)
+    lo, hi = keep[0], keep[-1]
+    merge = lambda x: np.concatenate([[x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]])
+    obs, exp = merge(observed), merge(expected)
+    chi2 = np.sum((obs - exp) ** 2 / exp)
+    assert stats.chi2.sf(chi2, obs.size - 1) > EXACT_ALPHA, (chi2, obs.size - 1)
+
+
+@pytest.mark.parametrize("weight", sorted(EXACT_CDFS))
+def test_q1_largest_modulus_follows_its_exact_law(weight):
+    # the outer edge: a disk cut short, or a wrong frame, moves max |z|
+    K, batch = _q1_batch(weight)
+    top = np.array([np.abs(c.points).max() for c in batch])
+    u = np.prod(EXACT_CDFS[weight](np.arange(K.spec.n)[:, None], K.spec.m, top), axis=0)
+    assert stats.kstest(u, "uniform").pvalue > EXACT_ALPHA
