@@ -381,9 +381,8 @@ def _hermitian_ok(K) -> bool:
 
 
 def _berezin_mass_ok(K) -> bool:
-    r_max = K.equilibrium.droplet_radius + 12.0 / math.sqrt(K.spec.m)
     mass = integrate_polar_grid(lambda zz: K.berezin_density(0.2 + 0.1j, zz),
-                                r_max, 320, 64)
+                                K._disk_radius, 320, 64)
     return abs(mass - 1.0) < 1e-6
 
 

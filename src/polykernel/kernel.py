@@ -520,6 +520,7 @@ class KernelEvaluator:
         self.weight = factorization.weight
         self.spec = factorization.spec
         self.equilibrium = RadialEquilibrium.solve(self.weight)
+        self._disk_radius = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
         self._features = _FeatureMap(factorization)
         # tables that other modules derive from the space alone (the sampler's
         # proposal law), filled on first use
@@ -659,30 +660,43 @@ class KernelEvaluator:
         out = np.exp(2.0 * np.asarray(log_k) - log_gamma)
         return out if out.shape else float(out)
 
-    def _reproduced_monomials(self, z: complex, n_r: int | None = None) -> np.ndarray:
-        """(q, n) table of int conj(w)^r w^j K(z,w) e^{-mQ(w)} dA(w), w on a disk.
+    def _radial_rule(self, least: int, n_r: int | None = None):
+        """Gauss-Legendre radii and weights of n_r nodes on gamma's disk [0, R + 12 m^{-1/2}].
 
-        The disk has radius R + 10 m^{-1/2}.  In polar coordinates the block
-        d part of K(z,w) carries the phase e^{i d (arg z - arg w)} and the
-        monomial the phase e^{i (j-r) arg w}, so the angular integral keeps
-        block d = j - r alone and is exact.  A polar grid gives the same
-        numbers: the integrand's Fourier modes in arg w lie in
-        [-(n+q-2), n+q-2], and the trapezoid rule on n_phi > n+q-2 angles
-        integrates each of them exactly (Trefethen and Weideman, SIAM
-        Review 56 (2014)).  What is left is one radial integral per basis
-        monomial, on n_r Gauss-Legendre radii on the positive real axis:
+        gamma is e^{-mQ} times a polynomial of degree 2(n+q-2) in rho, which
+        needs 3(n+q) radii.  For a weight of degree K in |z|^2 the edge of
+        gamma also steepens with K and carries more ripples as q grows: over
+        power:p=2..8, q = 2..40 and n = m in {60, 115}, the least count (in
+        steps of 25) for a trace within 1e-12 nq, where above 200, was 20.6
+        to 29.1 times K + sqrt(K q).  So n_r is by default
+        max(least, 3(n+q), 28(K + sqrt(K q))); a given one must be an integer >= 16.
+        """
+        q, k = self.spec.q, self.weight.degree
+        if n_r is None:
+            n_r = max(least, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
+        return gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, self._disk_radius)
+
+    def _reproduced_monomials(self, z: complex, n_r: int | None = None) -> np.ndarray:
+        """(q, n) table of int conj(w)^r w^j K(z,w) e^{-mQ(w)} dA(w), w on gamma's disk.
+
+        In polar coordinates the block d part of K(z,w) carries the phase
+        e^{i d (arg z - arg w)} and the monomial the phase e^{i (j-r) arg w},
+        so the angular integral keeps block d = j - r alone and is exact.  A
+        polar grid gives the same numbers: the integrand's Fourier modes in
+        arg w lie in [-(n+q-2), n+q-2], and the trapezoid rule on
+        n_phi > n+q-2 angles integrates each of them exactly (Trefethen and
+        Weideman, SIAM Review 56 (2014)).  What is left is one radial
+        integral per basis monomial, on the radii of ``_radial_rule`` (at
+        least 128) on the positive real axis:
 
             e^{i d arg z} sum_k 2 w_k rho_k rho_k^{2r+d}
                           sum_s e_s(z) e_s(rho_k) e^{-mQ(rho_k)},
 
         contracted in the log domain over the features of block d.
         """
-        q, n, m = self.spec.q, self.spec.n, self.spec.m
+        q, n = self.spec.q, self.spec.n
         fm = self._features
-        if n_r is None:
-            n_r = max(128, 3 * (n + q))
-        r_max = self.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
-        rho, w_rho = gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, r_max)
+        rho, w_rho = self._radial_rule(128, n_r)
         sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, "w")
         sr, ar, _ = fm(rho.astype(complex), 1.0, "z")
         mant = np.einsum("sb,sbk->bk", az[:, :, 0], ar)
@@ -706,9 +720,8 @@ class KernelEvaluator:
 
         max over basis monomials phi of
         | int phi(w) K(z,w) e^{-mQ(w)} dA(w) - phi(z) | / (1 + |phi(z)|),
-        with the integrals of ``_reproduced_monomials``: exact in the angle,
-        n_r = max(128, 3(n+q)) Gauss-Legendre radii on the disk of radius
-        R + 10 m^{-1/2}.  A given n_r must be an integer >= 16.
+        with the integrals of ``_reproduced_monomials``: exact in the angle, on
+        the n_r = max(128, 3(n+q), 28(K + sqrt(K q))) radii of ``_radial_rule``.
         """
         q, n = self.spec.q, self.spec.n
         vals = self._reproduced_monomials(z, n_r)
@@ -718,22 +731,10 @@ class KernelEvaluator:
     def total_intensity(self, n_r: int | None = None) -> float:
         """Quadrature of the one-point intensity; equals nq by orthonormality.
 
-        gamma is radial, so this is int 2 rho gamma(rho) d rho on n_r
-        Gauss-Legendre radii in [0, R + 12 m^{-1/2}].  gamma is e^{-mQ} times
-        a polynomial of degree 2(n+q-2) in rho, which needs 3(n+q) radii, as
-        in ``reproducing_residual``.  For a weight of degree K in |z|^2 the
-        edge of gamma also steepens with K and carries more ripples as q
-        grows: over power:p=2..8, q = 2..40 and n = m in {60, 115}, the least
-        count (in steps of 25) for a trace within 1e-12 nq, where above 200,
-        was 20.6 to 29.1 times K + sqrt(K q).  So n_r is by default
-        max(400, 3(n+q), 28(K + sqrt(K q))); a given n_r must be an integer
-        >= 16.
+        gamma is radial, so this is int 2 rho gamma(rho) d rho on the radii of
+        ``_radial_rule``, at least 400.  The sampler's disk check reads it.
         """
-        q, k = self.spec.q, self.weight.degree
-        if n_r is None:
-            n_r = max(400, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
-        r_max = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
-        rho, w_rho = gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, r_max)
+        rho, w_rho = self._radial_rule(400, n_r)
         return float(np.sum(2.0 * w_rho * rho * self.one_point_intensity(rho.astype(complex))))
 
 

@@ -28,12 +28,13 @@ raises NumericalDegeneracyError.  Integrands are evaluated relative to the
 peak as (p+1) x - sum_k a_k expm1(k x), with x = u - u*_p and
 a_k = m c_k e^(k u*_p), so no large logs cancel.
 
-Every other radial integral of the package (the trace and the reproducing
-residual of a kernel, the binned intensities of the sampler's validation, the
-equilibrium energy, and integrate_polar_grid) is one Gauss-Legendre rule:
-gauss_legendre(n), computed once per n, mapped to its interval by
-gauss_legendre_on.  Every node count a caller may choose, like p_max, passes
-the package's one integer check, errors.require_integer.
+Every other radial integral of the package (the trace of a kernel, which is
+also the sampler's mass check, and its reproducing residual, on the one disk
+and node count of KernelEvaluator._radial_rule; the binned intensities of the
+sampler's validation, the equilibrium energy, and integrate_polar_grid) is
+one Gauss-Legendre rule: gauss_legendre(n), computed once per n, mapped to
+its interval by gauss_legendre_on.  Every node count a caller may choose,
+like p_max, passes the package's one integer check, errors.require_integer.
 """
 
 from __future__ import annotations

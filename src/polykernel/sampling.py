@@ -19,11 +19,10 @@ Proposals are uniform on a bin's annulus, bins drawn in proportion to their
 envelope mass, and accepted with probability diagonal / envelope.  The
 envelope, this law and the block sizes below are one table, _ProposalLaw,
 tabulated once per evaluator.  A proposal whose gamma exceeds its bin's
-envelope raises SamplerError.  The sampling disk has radius R + 6 m^{-1/2} + 0.5.
-Simpson's rule on the envelope's probes gives the mass of gamma inside it, and
-a disk that misses more than DISK_MASS_TOL nq of the nq points raises
-SamplerError: it does when n is well above m, whose points fill a droplet
-wider than R.
+envelope raises SamplerError.  The sampling disk is the disk of the
+evaluator's trace, of radius R + 12 m^{-1/2}, so the trace is gamma's mass
+inside it, and a trace more than DISK_MASS_TOL nq off nq raises SamplerError:
+it is when n is well above m, whose points fill a droplet wider than the disk.
 
 Because the envelope does not change from draw to draw, proposals are drawn
 ahead in blocks.  With envelope mass M, draw t takes M / (nq - t) proposals
@@ -101,27 +100,23 @@ class _ProposalLaw:
     """The radial envelope, its proposal law and block sizes, shared by a
     space's draws.
 
-    ``edges`` are the bin edges of the sampling disk, and ``envelope`` bounds
-    gamma per bin: ENVELOPE_MARGIN times the largest gamma at the bin's edges
-    and midpoint.  A disk that misses more than DISK_MASS_TOL nq of gamma's
-    mass raises SamplerError; ``space`` names the space in every such error.
+    ``edges`` are the bin edges of K's disk, and ``envelope`` bounds gamma
+    per bin: ENVELOPE_MARGIN times the largest gamma at the bin's edges and
+    midpoint.  A trace more than DISK_MASS_TOL nq off nq raises
+    SamplerError; ``space`` names the space in every such error.
     """
 
     def __init__(self, K: KernelEvaluator):
         spec = K.spec
-        r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(spec.m) + 0.5
-        edges = self.edges = np.linspace(0.0, r_max, ENVELOPE_BINS + 1)
+        edges = self.edges = np.linspace(0.0, K._disk_radius, ENVELOPE_BINS + 1)
+        self.space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
+        missing = spec.dim - K.total_intensity()
+        if abs(missing) > DISK_MASS_TOL * spec.dim:
+            raise SamplerError(f"the sampling disk of radius {edges[-1]:.6g} misses mass "
+                               f"{missing:.4g} of {spec.dim} ({self.space})")
         probes = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
         gamma = np.sum(np.abs(K._features.weighted(probes)) ** 2, axis=0)
         at_edges, at_mid = gamma[:edges.size], gamma[edges.size:]
-        self.space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
-        # Simpson's rule on 2 rho gamma per bin: the mass of gamma inside the disk
-        f_edges, f_mid = 2.0 * edges * at_edges, 2.0 * probes[edges.size:] * at_mid
-        missing = spec.dim - np.sum(np.diff(edges) / 6.0
-                                    * (f_edges[:-1] + 4.0 * f_mid + f_edges[1:]))
-        if missing > DISK_MASS_TOL * spec.dim:
-            raise SamplerError(f"the sampling disk of radius {r_max:.6g} misses mass "
-                               f"{missing:.4g} of {spec.dim} ({self.space})")
         self.envelope = ENVELOPE_MARGIN * np.maximum(
             np.maximum(at_edges[:-1], at_edges[1:]), at_mid)
         self.area = edges[1:] ** 2 - edges[:-1] ** 2
@@ -307,12 +302,15 @@ def sample_batch(K: KernelEvaluator, count: int,
                  master_seed: int) -> list[PointConfiguration]:
     """Sample independent configurations with documented seed splitting.
 
-    ``count`` must be an integer >= 0 and ``master_seed`` one in [0, 2^64).
+    ``count`` must be an integer >= 0 (0 returns [] at once) and
+    ``master_seed`` one in [0, 2^64).
     Consecutive configurations are drawn together, as many as keep their
     first blocks within PAIR_CHUNK feature entries.
     """
     count = require_integer(count, "count", 0)
     master_seed = require_integer(master_seed, "master_seed", 0, 2**64)
+    if not count:
+        return []
     law = _ProposalLaw.of(K)
     group = max(1, law.cap // law.block[K.spec.dim])
     seeds = [seed_for_index(master_seed, i) for i in range(count)]

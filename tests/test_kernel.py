@@ -154,6 +154,15 @@ def test_trace_radii_scale_with_the_weight_degree(spaces):
     assert abs(K.total_intensity() - K.spec.dim) <= 1e-13 * K.spec.dim
 
 
+def test_residual_radii_scale_with_the_weight_degree(spaces):
+    # the reproducing check runs on the trace's radii: at power:p=8, q = 20,
+    # n = m = 10 a degree-blind max(128, 3(n+q)) = 128 radii read 2.6e-4, and
+    # the default 28(K + sqrt(Kq)) = 579 read 7e-14
+    K = spaces("power:p=8", 20, 10, 10.0)
+    probe = 0.3 * K.equilibrium.droplet_radius * np.exp(0.7j)
+    assert K.reproducing_residual(probe) <= 1e-12
+
+
 @pytest.mark.parametrize("q", [2, 8, 10, 12, 16])
 def test_ginibre_laguerre_oracle(spaces, q):
     # block d of the ginibre space has the orthonormal basis
@@ -535,13 +544,11 @@ def test_reproducing_residual_matches_polar_grid(spaces, weight, q, n):
     K = spaces(weight, q, n, float(n))
     m = float(n)
     z = 0.3 * K.equilibrium.droplet_radius * np.exp(0.7j)
-    n_r, n_phi = max(128, 3 * (n + q)), 2 * (n + q) + 16
-    r_max = K.equilibrium.droplet_radius + 10.0 / math.sqrt(m)
-    x, gl_w = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * r_max * (x + 1.0)
+    n_phi = 2 * (n + q) + 16
+    r, wr = K._radial_rule(128)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     grid = (r[:, None] * np.exp(1j * phi[None, :])).ravel()
-    area = np.repeat(0.5 * r_max * gl_w * r, n_phi) * (2.0 / n_phi)
+    area = np.repeat(wr * r, n_phi) * (2.0 / n_phi)
     # K(z,w) e^{-mQ(w)} from the correlation kernel K(z,w) e^{-m(Q(z)+Q(w))/2}
     half = 0.5 * m * (K.weight.eval_weight(np.array([z])) - K.weight.eval_weight(grid))
     dens = K.weighted_kernel(np.full(grid.shape, z), grid) * np.exp(half) * area

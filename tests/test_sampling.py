@@ -57,7 +57,7 @@ def test_envelope_bounds_gamma(spaces, weight, q, n):
     law = sampling._ProposalLaw.of(K)
     edges, envelope = law.edges, law.envelope
     r_max = edges[-1]
-    assert r_max == pytest.approx(K.equilibrium.droplet_radius + 6.0 / math.sqrt(n) + 0.5)
+    assert r_max == K._disk_radius
     rng = np.random.default_rng(61)
     R = K.equilibrium.droplet_radius
     z = np.concatenate([disk_points(rng, 3000, 1.2 * R), disk_points(rng, 3000, r_max)])
@@ -253,7 +253,7 @@ def test_a_configuration_takes_few_feature_calls(spaces, monkeypatch):
 
 def test_points_inside_sampling_disk(spaces):
     K = spaces("ginibre", 2, 12, 12.0)
-    r_max = K.equilibrium.droplet_radius + 6.0 / math.sqrt(12.0) + 0.5
+    r_max = K._disk_radius
     for cfg in pk.sample_batch(K, 5, 31):
         assert np.all(np.abs(cfg.points) <= r_max)
 
@@ -420,19 +420,30 @@ def test_configuration_export(tmp_path, spaces):
 
 
 @pytest.mark.parametrize("q, n, m, radius, missing", [
-    (1, 200, 20.0, r"2\.84164", r"38\.5\d"),
-    (2, 400, 40.0, r"2\.44868", r"320\.\d"),
-], ids=["q1-n200-m20", "q2-n400-m40"])
+    (1, 400, 20.0, r"3\.68328", r"128\.7"),
+    (2, 400, 40.0, r"2\.89737", r"128\.4"),
+], ids=["q1-n400-m20", "q2-n400-m40"])
 def test_a_disk_that_misses_mass_is_refused(tmp_path, q, n, m, radius, missing):
-    # n = 10 m fills a droplet of radius sqrt(10) R, past the sampling disk;
-    # before, (1, 200, 20) returned 200 points all inside the disk, exit 0
+    # n = 20 m and 10 m fill droplets of radius sqrt(20) R and sqrt(10) R,
+    # past the sampling disk R + 12 m^{-1/2}; a batch of no configurations
+    # draws nothing, so it needs no disk and tabulates no law
     K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(q, n, m))
+    assert pk.sample_batch(K, 0, 0) == [] and "proposal_law" not in K._derived
     with pytest.raises(SamplerError, match=rf"sampling disk of radius {radius} misses mass "
                                            rf"{missing}\d* of {q * n} \(weight ginibre, q={q}"):
         pk.sample_configuration(K, 0)
     argv = ["sample", "--weight", "ginibre", "--q", str(q), "--n", str(n), "--m", str(m),
             "--count", "1", "--seed", "7", "--outdir", str(tmp_path / "out")]
     assert run(argv) == 2
+
+
+def test_a_droplet_inside_the_disk_samples():
+    # n = 10 m fills a droplet of radius sqrt(10) R = 3.162, inside the disk
+    # R + 12 m^{-1/2} = 3.683, which misses 8.7e-6 of the 200 points
+    K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(1, 200, 20.0))
+    points = pk.sample_configuration(K, 0).points
+    assert points.size == 200 and np.all(np.isfinite(points))
+    assert np.any(np.abs(points) > K.equilibrium.droplet_radius)
 
 
 # For a radial weight at q = 1 the squared moduli of the points are independent
