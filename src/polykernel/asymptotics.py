@@ -23,7 +23,6 @@ and cut to its rows.  Other weights build every rung.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +34,7 @@ from .localexpansion import _laguerre1
 from .weights import RadialEquilibrium, WeightModel
 
 DECAY_U_RANGE = (0.3, 1.25)  # microscopic separations sqrt(m) s of a decay scan
+LADDER_RULE = "at least 2 distinct m, none repeated, each finite and > 0"
 
 
 def _require_bulk(eq: RadialEquilibrium, z0: complex) -> float:
@@ -158,34 +158,40 @@ class BlowupReport:
         }
 
 
-def _ladder(weight: WeightModel, q: int, z0: complex, ms, ns):
-    """The rungs (m, K) of an m ladder at the bulk point z0, in the order of ms.
-
-    A ladder needs at least two distinct m, each finite and > 0, one n per m
-    (``ns``, by default round(m)) and z0 in the bulk, or raises
-    ConfigurationError before any build.  K is from ``kernel._ladder_spaces``."""
+def _require_ladder(ms) -> list:
+    """``ms`` as a list if it is an m ladder (LADDER_RULE), else a ConfigurationError."""
     ms = [require_positive(m, "m") for m in ms]
-    if len(set(ms)) < 2:
-        raise ConfigurationError(f"a ladder needs at least 2 distinct m, got {ms}")
+    if len(ms) < 2 or len(set(ms)) < len(ms):
+        raise ConfigurationError(f"a ladder needs {LADDER_RULE}, got {ms}")
+    return ms
+
+
+def _ladder(eq: RadialEquilibrium, q: int, z0: complex, ms, ns):
+    """The rungs (m, K) of an m ladder on eq's weight at the bulk point z0, in order.
+
+    A ladder needs ``ms`` that pass ``_require_ladder``, one n per m (``ns``,
+    by default round(m)) and z0 in the bulk, or raises ConfigurationError
+    before any build.  K is from ``kernel._ladder_spaces``."""
+    ms = _require_ladder(ms)
     ns = [int(round(m)) for m in ms] if ns is None else ns
     if len(ns) != len(ms):
         raise ConfigurationError(f"a ladder needs one n per m, got {len(ns)} for {len(ms)}")
     ns = [require_integer(n, "n", 1) for n in ns]
-    _require_bulk(RadialEquilibrium.solve(weight), z0)
-    return _ladder_spaces(weight, q, ms, ns)
+    _require_bulk(eq, z0)
+    return _ladder_spaces(eq.weight, q, ms, ns)
 
 
 def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
                   grid_radius: float = 2.5, grid_n: int = 17) -> BlowupReport:
     """Blow-up comparison over an m ladder plus the fitted log-log rate.
 
-    ``ms`` holds at least two distinct m and ``ns`` one n per m (by default
+    ``ms`` is a ladder (LADDER_RULE) and ``ns`` holds one n per m (by default
     n = round(m)); ``slope_flag`` is "" or "zero-errors" (see rate_fit).
     Every argument is checked before the first build.
     """
     _require_grid(grid_radius, grid_n)
     results = [blowup_compare(K, z0, grid_radius, grid_n)
-               for _, K in _ladder(weight, q, z0, ms, ns)]
+               for _, K in _ladder(RadialEquilibrium.solve(weight), q, z0, ms, ns)]
     sup = [r.sup_error for r in results]
     slope, flag = rate_fit(ms, sup)
     return BlowupReport(weight=weight.spec_string(), q=q, z0=complex(z0),
@@ -200,14 +206,24 @@ def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
 
 
 def bulk_clearance(eq: RadialEquilibrium, z0: complex) -> float:
-    """Quarter of the distance from z0 to the complement of the bulk."""
-    R = eq.droplet_radius
-    if not abs(z0) < R:
-        raise ConfigurationError(f"z0 = {z0} is not interior to the droplet")
-    dist = R - abs(z0)
-    if eq.weight.delta_q(0.0) <= 0.0 and abs(z0) > 0.0:
+    """Quarter of the distance from z0 to the complement of the bulk: the
+    droplet's edge and, where the quarter-Laplacian vanishes at the origin,
+    the origin.  z0 must lie in the bulk (``_require_bulk``)."""
+    _require_bulk(eq, z0)
+    dist = eq.droplet_radius - abs(z0)
+    if eq.weight.delta_q(0.0) <= 0.0:
         dist = min(dist, abs(z0))
     return 0.25 * dist
+
+
+def _unit_directions(directions, name: str) -> np.ndarray:
+    """``directions`` flattened and divided by their moduli; a ConfigurationError
+    naming ``name`` unless there is one or more and each is finite and nonzero."""
+    dirs = np.asarray(directions, dtype=complex).ravel()
+    if not (dirs.size and np.all(np.isfinite(dirs) & (dirs != 0))):
+        raise ConfigurationError(
+            f"{name} must be one or more finite nonzero numbers, got {dirs.tolist()}")
+    return dirs / np.abs(dirs)
 
 
 @dataclass
@@ -230,11 +246,7 @@ def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
     >= 0), and the slope beta of its direction average against s."""
     _require_bulk(K.equilibrium, z0)
     R = K.equilibrium.droplet_radius
-    dirs = np.asarray(directions, dtype=complex).ravel()
-    if not (dirs.size and np.all(np.isfinite(dirs) & (dirs != 0))):
-        raise ConfigurationError(
-            f"directions must be one or more finite nonzero numbers, got {dirs.tolist()}")
-    dirs = dirs / np.abs(dirs)
+    dirs = _unit_directions(directions, "directions")
     seps = np.asarray(separations, dtype=float).ravel()
     if not np.all(np.isfinite(seps) & (seps >= 0)):
         raise ConfigurationError(f"separations must be finite and >= 0, got {seps.tolist()}")
@@ -282,7 +294,7 @@ def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
                  n_directions: int = 4, n_separations: int = 12) -> DecayReport:
     """Off-diagonal scans over an m ladder with microscopically scaled steps.
 
-    ``ms`` holds at least two distinct m, and n = round(m).  Separations are
+    ``ms`` is a ladder (LADDER_RULE), and n = round(m).  Separations are
     u / sqrt(m) for a fixed grid of n_separations >= 2 values u in
     DECAY_U_RANGE (capped at the bulk clearance radius), along
     n_directions >= 1 rays, so the fitted slope divided by sqrt(m) measures
@@ -291,8 +303,8 @@ def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
     """
     n_directions = require_integer(n_directions, "n_directions", 1)
     n_separations = require_integer(n_separations, "n_separations", 2)
-    rungs = _ladder(weight, q, z0, ms, None)
     eq = RadialEquilibrium.solve(weight)
+    rungs = _ladder(eq, q, z0, ms, None)
     r0 = bulk_clearance(eq, z0)
     dirs = np.exp(2j * np.pi * np.arange(n_directions) / n_directions)
     # keep every ray within the clearance radius, which lies inside the
@@ -329,11 +341,7 @@ def offdroplet_margins(K: KernelEvaluator, direction: complex, radii) -> np.ndar
         raise ConfigurationError(
             f"all radii must be finite and exceed the droplet radius {eq.droplet_radius:.6g}"
         )
-    d = complex(direction)
-    if d == 0 or not cmath.isfinite(d):
-        raise ConfigurationError(f"direction must be finite and nonzero, got {direction}")
-    d = d / abs(d)
-    z = d * radii
+    z = _unit_directions(direction, "direction") * radii
     log_gamma = np.asarray(K.log_one_point_intensity(z))
     gap = np.asarray(eq.equilibrium_gap(z))
     return log_gamma + m * gap - 2.0 * math.log(m)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import asymptotics as asym
-from .errors import ConfigurationError, NumericalDegeneracyError
+from .errors import ConfigurationError, NumericalDegeneracyError, integer_range
 from .kernel import SpaceSpec, build_space, export_kernel_grid_csv
 from .localexpansion import ORDERS, _local_kernel
 from .quadrature import integrate_polar_grid
@@ -29,52 +29,44 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _integer(low: int, high: int | None = None):
-    """argparse type: an integer >= ``low`` and, if given, < ``high`` (argparse
-    names the flag on failure)."""
-    bound = f">= {low}" if high is None else f"in [{low}, {high})"
-
-    def parse(text: str) -> int:
+def _value(parse, what: str, ok):
+    """argparse type: ``parse(text)`` if it parses and passes ``ok``; else
+    "expected {what}, got '{text}'" (argparse names the flag)."""
+    def value(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low or (high is not None and value >= high):
-            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got '{text}'")
-        return value
-    return parse
+            out = parse(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        else:
+            if ok(out):
+                return out
+        raise argparse.ArgumentTypeError(f"expected {what}, got '{text}'")
+    return value
+
+
+def _integer(low: int, high: int | None = None):
+    """argparse type: an integer >= ``low`` and, if given, < ``high``."""
+    return _value(int, integer_range(low, high),
+                  lambda v: v >= low and (high is None or v < high))
 
 
 def _finite(low: float, strict: bool):
     """argparse type: a finite float > ``low`` if ``strict``, else >= ``low``."""
-    bound = f"{'>' if strict else '>='} {low:g}"
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number {bound}, got '{text}'")
-        return value
-    return parse
+    return _value(float, f"a finite number {'>' if strict else '>='} {low:g}",
+                  lambda v: math.isfinite(v) and (v > low if strict else v >= low))
 
 
 def _complex(nonzero: bool):
     """argparse type: a finite complex number, nonzero if ``nonzero``."""
-    what = "a finite nonzero" if nonzero else "a finite"
+    return _value(lambda text: complex(text.replace(" ", "")),
+                  f"a finite {'nonzero ' if nonzero else ''}complex number",
+                  lambda v: cmath.isfinite(v) and not (nonzero and v == 0))
 
-    def parse(text: str) -> complex:
-        try:
-            value = complex(text.replace(" ", ""))
-        except ValueError:
-            value = complex(math.nan)
-        if not cmath.isfinite(value) or (nonzero and value == 0):
-            raise argparse.ArgumentTypeError(
-                f"expected {what} complex number, got '{text}'")
-        return value
-    return parse
+
+def _list_of(kind, what: str):
+    """argparse type: a non-empty comma-separated list of ``kind`` values."""
+    return _value(lambda text: [kind(tok) for tok in text.split(",") if tok],
+                  f"a comma-separated list of {what}", bool)
 
 
 _count = _integer(1)
@@ -83,27 +75,12 @@ _nonnegative = _finite(0.0, strict=False)
 _point = _complex(nonzero=False)
 
 
-def _list_of(kind, what: str):
-    """argparse type: a non-empty comma-separated list of ``kind`` values."""
-    def parse(text: str) -> list:
-        try:
-            values = [kind(tok) for tok in text.split(",") if tok]
-        except (ValueError, argparse.ArgumentTypeError):
-            values = []
-        if not values:
-            raise argparse.ArgumentTypeError(
-                f"expected a comma-separated list of {what}, got '{text}'")
-        return values
-    return parse
-
-
 def _ladder(text: str) -> list:
-    """argparse type: an m ladder, at least two distinct finite numbers > 0."""
-    values = _list_of(_positive, "finite numbers > 0")(text)
-    if len(values) < 2 or len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(
-            f"expected at least 2 values, none of them repeated, got '{text}'")
-    return values
+    """argparse type: an m ladder, under the library's rule (``asym._require_ladder``)."""
+    try:
+        return asym._require_ladder(_list_of(float, "numbers")(text))
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_space_flags(p: argparse.ArgumentParser):
@@ -163,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", type=_point, default="0")
     p.add_argument("--m", type=_ladder, required=True,
-                   help="comma-separated m ladder, at least 2 distinct values")
+                   help=f"comma-separated m ladder: {asym.LADDER_RULE}")
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
     p.add_argument("--grid-radius", type=_positive, default=2.5)
@@ -177,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--z0", type=_point, default="0")
     p.add_argument("--m", type=_ladder, required=True,
-                   help="comma-separated m ladder, at least 2 distinct values")
+                   help=f"comma-separated m ladder: {asym.LADDER_RULE}")
     p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=_integer(2), default=12)
     p.add_argument("--out", required=True)
@@ -217,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_space(args):
-    return parse_weight(args.weight), SpaceSpec(args.q, args.n, args.m)
+def _space(args):
+    """The evaluator of the space that --weight, --q, --n and --m name."""
+    return build_space(parse_weight(args.weight), SpaceSpec(args.q, args.n, args.m))
 
 
 def cmd_droplet(args) -> int:
@@ -247,8 +225,7 @@ def _square_grid(center: complex, radius: float, n: int) -> np.ndarray:
 
 
 def cmd_kernel(args) -> int:
-    weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
+    K = _space(args)
     z = _square_grid(args.center, args.grid_radius, args.grid_n).ravel()
     export_kernel_grid_csv(args.out, K, z, np.full_like(z, args.w0))
     print(f"wrote {z.size} kernel rows to {args.out}")
@@ -256,8 +233,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_berezin(args) -> int:
-    weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
+    K = _space(args)
     grid = _square_grid(args.z0, args.grid_radius, args.grid_n).ravel()
     dens = np.atleast_1d(K.berezin_density(args.z0, grid))
     write_csv(args.out, ["re_w", "im_w", "berezin"],
@@ -267,9 +243,8 @@ def cmd_berezin(args) -> int:
 
 
 def cmd_intensity(args) -> int:
-    weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
-    r_max = args.r_max or K.equilibrium.droplet_radius + 8.0 / math.sqrt(spec.m)
+    K = _space(args)
+    r_max = args.r_max or K.equilibrium.droplet_radius + 8.0 / math.sqrt(args.m)
     r = np.linspace(0.0, r_max, args.n_grid)
     gamma = np.atleast_1d(K.one_point_intensity(r.astype(complex)))
     write_csv(args.out, ["r", "gamma1"], zip(r, gamma))
@@ -307,8 +282,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_offdroplet(args) -> int:
-    weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
+    K = _space(args)
     radii = np.array(args.ratios) * K.equilibrium.droplet_radius
     margins = asym.offdroplet_margins(K, args.direction, radii)
     write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))
@@ -333,8 +307,7 @@ def cmd_local(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    weight, spec = _resolve_space(args)
-    K = build_space(weight, spec)
+    K = _space(args)
     configs = sample_batch(K, args.count, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     for i, cfg in enumerate(configs):

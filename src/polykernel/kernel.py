@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, NumericalDegeneracyError, require_finite,
-                     require_integer, require_positive)
+                     require_finite_points, require_integer, require_positive)
 from .quadrature import (MIN_NODES, RULE_STEP, TAIL_BOUND, MomentRule,
                          gauss_legendre_on, log_moment_table)
 from .reporting import write_csv
@@ -457,6 +457,7 @@ class _FeatureMap:
         the next call for that side in the thread overwrites them.  A block
         that vanishes at z (|d| > 0 at the origin) has shift -inf.
         """
+        require_finite_points(z, "evaluation points")
         t = z.real ** 2 + z.imag ** 2
         q, nb = self.center.shape[:2]
         x = _buffer(side, "x", (q, nb, z.size))
@@ -513,6 +514,8 @@ class KernelEvaluator:
     Immutable, apart from derived tables; all evaluation paths stay in the
     log domain until the final recombination, so weighted quantities survive
     separations where the plain kernel would overflow or underflow doubles.
+    Every path takes its features from ``_FeatureMap``, which refuses an
+    evaluation point that is not finite with ConfigurationError.
     """
 
     def __init__(self, factorization: GramFactorization):

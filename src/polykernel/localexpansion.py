@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigurationError, SingularExpansionError, require_finite,
-                     require_integer, require_positive)
+                     require_finite_points, require_integer, require_positive)
 from .weights import WeightModel
 
 LAGUERRE_MAX_DEGREE = 64
@@ -97,6 +97,8 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
         terms = require_integer(terms, f"terms at q={q}", 1, ORDERS.get(q, 1) + 1)
     z = np.asarray(z, dtype=complex)
     wc = np.asarray(wc, dtype=complex)
+    require_finite_points(z, "z")
+    require_finite_points(wc, "w")
     b = w.hermitian_b(z, wc, 0, 0)
     if np.any(b == 0):
         raise SingularExpansionError("b(z, w) vanishes at an evaluation point")

@@ -89,6 +89,7 @@ def test_harness_integer_inputs_are_refused(spaces, call, name):
 
 @pytest.mark.parametrize("ms, ns, blowup, decay, match", [
     ([20.0], None, {}, {}, "2 distinct"), ([20.0, 20.0], None, {}, {}, "2 distinct"),
+    ([20.0, 20.0, 30.0], None, {}, {}, "2 distinct m, none repeated"),
     ([-1.0, 20.0], None, {}, {}, "m must be finite and > 0"),
     ([float("nan"), 20.0], None, {}, {}, "m must be finite and > 0"),
     ([True, 20.0], None, {}, {}, "m must be a real number"),
@@ -103,14 +104,16 @@ def test_harness_integer_inputs_are_refused(spaces, call, name):
     ([20.0, 30.0], None, {"grid_radius": float("inf")}, None, "grid_radius must be finite"),
     ([20.0, 30.0], None, {"grid_radius": 0.0}, None, "grid_radius must be finite"),
     ([20.0, 30.0], None, {"grid_radius": -1.0}, None, "grid_radius must be finite"),
-], ids=["one-m", "repeated-m", "negative-m", "nan-m", "bool-m", "string-m", "short-n",
-        "n-zero", "grid-n-zero", "directions-zero", "separations-one", "z0-outside",
-        "grid-radius-nan", "grid-radius-inf", "grid-radius-zero", "grid-radius-negative"])
+], ids=["one-m", "repeated-m", "repeated-m-of-three", "negative-m", "nan-m", "bool-m",
+        "string-m", "short-n", "n-zero", "grid-n-zero", "directions-zero", "separations-one",
+        "z0-outside", "grid-radius-nan", "grid-radius-inf", "grid-radius-zero",
+        "grid-radius-negative"])
 def test_ladders_refuse_before_any_build(monkeypatch, ms, ns, blowup, decay, match):
     # a ladder is checked whole, with its grid and z0, before its first rung is
     # built; before, a repeated m built every rung and then failed in rate_fit,
     # a bad grid_n or z0 failed only after the first build, a bool m built a
-    # space and a string m died with a bare TypeError
+    # space and a string m died with a bare TypeError; [20, 20, 30] built
+    # m = 20 twice and fitted a slope
     real_init = pk.kernel.GramFactorization.__init__
     built = []
 
@@ -210,7 +213,7 @@ def test_bulk_clearance_geometry():
     # the quarter-Laplacian vanishes at the origin, so the origin bounds the bulk
     expect = 0.25 * min(eq2.droplet_radius - z0, z0)
     assert bulk_clearance(eq2, z0) == pytest.approx(expect)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="outside the open droplet"):
         bulk_clearance(eq, 1.2)
 
 
@@ -270,6 +273,20 @@ def test_blowup_slope_band_power2():
     rep = pk.blowup_ladder(weight, 2, z0, [40.0, 80.0, 160.0],
                            grid_radius=2.0, grid_n=9)
     assert -1.2 <= rep.slope <= -0.4
+
+
+@pytest.mark.parametrize("weight, q", [("power:p=2", 1), ("power:p=2", 2), ("power:p=2", 3),
+                                       ("power:p=2", 4), ("radialpoly:c=1,0.5", 2),
+                                       ("radialpoly:c=1,0.5", 3)])
+def test_blowup_rate_is_one_half_where_asymptotic(weight, q):
+    # the paper's bulk rate, sup error ~ m^{-1/2}, at m = 640..2560, where the
+    # fit is asymptotic: the slopes read -0.509, -0.509, -0.515, -0.505 on
+    # power:p=2 q = 1..4 and -0.521, -0.512 on radialpoly:c=1,0.5 q = 2, 3;
+    # the margin 0.03 is about 1.5 times the largest distance from -1/2
+    w = pk.parse_weight(weight)
+    rep = pk.blowup_ladder(w, q, 0.6 * pk.droplet_radius(w), [640.0, 1280.0, 2560.0],
+                           grid_radius=2.0, grid_n=17)
+    assert rep.slope == pytest.approx(-0.5, abs=0.03)
 
 
 def test_fixed_separation_sqrtm_correlation():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from polykernel import cli
+from polykernel.asymptotics import LADDER_RULE
 from polykernel.cli import run
 
 
@@ -112,6 +113,45 @@ def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and flag in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--weight", "ginibre", "--q", "0", "--n", "4", "--m", "4"],
+     "argument --q: expected an integer >= 1, got '0'"),
+    (["sample", "--weight", "ginibre", "--n", "4", "--m", "4", "--seed", "-1"],
+     "argument --seed: expected an integer in [0, 18446744073709551616), got '-1'"),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "4", "--grid-radius", "0"],
+     "argument --grid-radius: expected a finite number > 0, got '0'"),
+    (["droplet", "--weight", "ginibre", "--r-max", "-1"],
+     "argument --r-max: expected a finite number >= 0, got '-1'"),
+    (["berezin", "--weight", "ginibre", "--n", "4", "--m", "4", "--z0", "1+nanj"],
+     "argument --z0: expected a finite complex number, got '1+nanj'"),
+    (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "4", "--direction", "0"],
+     "argument --direction: expected a finite nonzero complex number, got '0'"),
+    (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "4", "--ratios", "2,0.5"],
+     "argument --ratios: expected a comma-separated list of finite numbers > 1, got '2,0.5'"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10,x"],
+     "argument --n: expected a comma-separated list of integers >= 1, got '10,x'"),
+], ids=["integer", "integer-range", "finite-strict", "finite", "complex", "complex-nonzero",
+        "list-of-finite", "list-of-integers"])
+def test_flag_refusals_read_in_full(tmp_path, capsys, argv, message):
+    # one bad value per kind of flag value, with its whole diagnostic
+    assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["blowup", "decay"])
+def test_m_ladders_follow_the_library_rule(tmp_path, capsys, command):
+    # --m refuses what blowup_ladder and decay_ladder refuse, in their words;
+    # before, the CLI refused a repeated m that the library built twice
+    assert run([command, "--weight", "ginibre", "--m", "20,20,30",
+                "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: argument --m: a ladder needs at least 2 distinct m, "
+        "none repeated, each finite and > 0, got [20.0, 20.0, 30.0]\n")
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert LADDER_RULE in " ".join(capsys.readouterr().out.split())
 
 
 def test_readme_cli_block_parses():
@@ -259,6 +299,18 @@ def test_selftest_fast(capsys):
     assert run(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["selftest", "--fast"], 0),
+    (["kernel", "--weight", "ginibre", "--n", "4", "--m", "0", "--out", "x.csv"], 1),
+], ids=["selftest", "bad-flag"])
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys, argv, code):
+    # main is the console script's entry point: it reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["polykernel"] + argv)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == code
 
 
 def test_run_builds_its_parser_once():

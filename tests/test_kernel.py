@@ -355,6 +355,26 @@ def test_plain_kernel_past_double_range_is_refused():
     assert K.weighted_kernel(0.9, 0.9) == pytest.approx(2000.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("point", [math.nan, math.inf, complex(0.1, math.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+@pytest.mark.parametrize("call", [
+    lambda K, p: K.kernel(0.1, p), lambda K, p: K.kernel(p, 0.1),
+    lambda K, p: K.weighted_kernel(p, 0.1), lambda K, p: K.log_abs_weighted_kernel(0.1, p),
+    lambda K, p: K.one_point_intensity(p), lambda K, p: K.log_one_point_intensity(p),
+    lambda K, p: K.one_point_intensity(np.array([0.1, p, 0.2])),
+    lambda K, p: K.k_point_intensity([0.1, p]), lambda K, p: K.joint_density([p] * 20),
+    lambda K, p: K.berezin_density(p, 0.1), lambda K, p: K.berezin_density(0.1, p),
+    lambda K, p: K.reproducing_residual(p),
+], ids=["kernel-w", "kernel-z", "weighted", "log-weighted", "intensity", "log-intensity",
+        "intensity-array", "k-point", "joint", "berezin-centre", "berezin-w", "residual"])
+def test_non_finite_points_are_refused_by_name(spaces, call, point):
+    # before, the intensity and the residual at nan returned nan, the joint
+    # density of 20 NaN points 0.0, the intensity at inf nan with a
+    # RuntimeWarning, and K(0.1, nan) blamed its log-scale for leaving double range
+    with pytest.raises(ConfigurationError, match="evaluation points must be finite"):
+        call(spaces("ginibre", 2, 10, 10.0), point)
+
+
 def _ginibre_q1_oracle(m: float, n: int, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
     term = np.ones_like(u)

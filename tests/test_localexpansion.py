@@ -305,6 +305,20 @@ def test_local_expansions_refuse_bad_m(call, m):
         call(m)
 
 
+@pytest.mark.parametrize("point", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, name", [
+    (lambda p: pk.local_kernel_q1(GINIBRE, 10.0, p, 0.1), "z"),
+    (lambda p: pk.local_kernel_q2(GINIBRE, 10.0, 0.1, p), "w"),
+    (lambda p: pk.local_kernel_q2(GINIBRE, 10.0, p, 0.1, weighted=True), "z"),
+    (lambda p: pk.local_kernel_leading(GINIBRE, 3, 10.0, np.array([0.1, p]), 0.1), "z"),
+], ids=["q1", "q2", "q2-weighted", "leading"])
+def test_local_expansions_refuse_non_finite_points(call, name, point):
+    # before, local_kernel_q2(ginibre, 10, nan, 0.1) blamed "m Re Q(z, w)
+    # reaches nan" for leaving double range
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+        call(point)
+
+
 def test_terms_guards():
     with pytest.raises(ConfigurationError):
         pk.local_kernel_q1(GINIBRE, 1.0, 0.1, 0.2, terms=3)
