@@ -11,14 +11,13 @@ from .errors import (ConfigurationError, NumericalDegeneracyError,
                      PolykernelError, SamplerError, SingularExpansionError)
 from .weights import RadialEquilibrium, WeightModel, droplet_radius, parse_weight
 from .quadrature import integrate_polar_grid
-from .kernel import (GramFactorization, KernelEvaluator, SpaceSpec, build_space,
-                     export_kernel_grid_csv)
+from .kernel import GramFactorization, KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import (laguerre_assoc1, local_kernel_leading,
                              local_kernel_q1, local_kernel_q2, r_qm_density)
 from .asymptotics import (BlowupReport, DecayReport, blowup_compare,
                           blowup_ladder, bulk_limit_profile, decay_ladder,
                           diagonal_bound_check, offdiagonal_scan,
-                          offdroplet_decay_check, offdroplet_margins, rate_fit)
+                          offdroplet_margins, rate_fit)
 from .sampling import (PointConfiguration, empirical_intensity,
                        sample_batch, sample_configuration)
 
@@ -31,9 +30,9 @@ __all__ = [
     "SingularExpansionError", "SpaceSpec", "WeightModel", "blowup_compare",
     "blowup_ladder", "build_space", "bulk_limit_profile", "decay_ladder",
     "diagonal_bound_check", "droplet_radius", "empirical_intensity",
-    "export_kernel_grid_csv", "integrate_polar_grid", "laguerre_assoc1",
+    "integrate_polar_grid", "laguerre_assoc1",
     "local_kernel_leading", "local_kernel_q1", "local_kernel_q2",
-    "offdiagonal_scan", "offdroplet_decay_check", "offdroplet_margins",
+    "offdiagonal_scan", "offdroplet_margins",
     "parse_weight", "r_qm_density", "rate_fit",
     "sample_batch", "sample_configuration",
 ]

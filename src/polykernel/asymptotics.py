@@ -347,14 +347,6 @@ def offdroplet_margins(K: KernelEvaluator, direction: complex, radii) -> np.ndar
     return log_gamma + m * gap - 2.0 * math.log(m)
 
 
-def offdroplet_decay_check(K: KernelEvaluator, direction: complex, radii,
-                           calibration_constant: float) -> np.ndarray:
-    """Margins minus the admissible constant, the calibrated one plus log 10
-    (must be <= 0)."""
-    bound = calibration_constant + math.log(10.0)
-    return offdroplet_margins(K, direction, radii) - bound
-
-
 def diagonal_bound_check(K: KernelEvaluator) -> float:
     """Worst ratio of the intensity to m (8 + 48 A^2) e^A over the droplet,
     on 64 radii, with A the sup of the quarter-Laplacian within distance 1 of

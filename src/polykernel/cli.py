@@ -1,5 +1,8 @@
 """Command-line front end: every computation as a subcommand emitting CSV/JSON.
 
+The files of ``kernel`` and ``sample`` are written by this module's
+exporters, export_kernel_grid_csv and export_configuration.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical degeneracy.
 """
 
@@ -16,11 +19,11 @@ import numpy as np
 
 from . import asymptotics as asym
 from .errors import ConfigurationError, NumericalDegeneracyError, integer_range
-from .kernel import SpaceSpec, build_space, export_kernel_grid_csv
+from .kernel import KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import ORDERS, _local_kernel
 from .quadrature import integrate_polar_grid
 from .reporting import atomic_write_text, format_float, json_dumps, write_csv
-from .sampling import empirical_intensity, export_configuration, sample_batch
+from .sampling import PointConfiguration, sample_batch
 from .weights import RadialEquilibrium, parse_weight
 
 
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--z0", type=_point, default="0.5")
-    p.add_argument("--terms", type=int, default=None,
+    p.add_argument("--terms", type=_count, default=None,
                    help=f"expansion orders (powers of m) by q, {ORDERS}, and 1 for "
                    "any other q (default: at most 2)")
     p.add_argument("--grid-radius", type=_positive, default=0.2)
@@ -222,6 +225,18 @@ def cmd_energy(args) -> int:
 def _square_grid(center: complex, radius: float, n: int) -> np.ndarray:
     side = np.linspace(-radius, radius, n)
     return center + side[:, None] + 1j * side[None, :]
+
+
+def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
+                           w_points) -> None:
+    """Write kernel evaluations as CSV rows in full double precision."""
+    z = np.asarray(z_points, dtype=complex).ravel()
+    w = np.asarray(w_points, dtype=complex).ravel()
+    z, w = np.broadcast_arrays(z, w)
+    plain = np.atleast_1d(evaluator.kernel(z, w))
+    wabs = np.exp(np.atleast_1d(evaluator.log_abs_weighted_kernel(z, w)))
+    write_csv(path, ["re_z", "im_z", "re_w", "im_w", "re_K", "im_K", "weighted_abs"],
+              zip(z.real, z.imag, w.real, w.imag, plain.real, plain.imag, wabs))
 
 
 def cmd_kernel(args) -> int:
@@ -304,6 +319,21 @@ def cmd_local(args) -> int:
               zip(grid.real, grid.imag, vals.real, vals.imag, np.abs(vals)))
     print(f"wrote {grid.size} local-expansion rows to {args.out}")
     return 0
+
+
+def export_configuration(path_csv: str, path_json: str,
+                         config: PointConfiguration) -> None:
+    """CSV of re,im rows plus a JSON sidecar with the run metadata."""
+    write_csv(path_csv, ["re", "im"], zip(config.points.real, config.points.imag))
+    sidecar = {
+        "seed": config.seed,
+        "q": config.q,
+        "n": config.n,
+        "m": float(config.m),
+        "weight": config.weight,
+        "proposals_used": config.proposals_used,
+    }
+    atomic_write_text(path_json, json_dumps(sidecar) + "\n")
 
 
 def cmd_sample(args) -> int:

@@ -59,9 +59,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, NumericalDegeneracyError, require_finite,
                      require_finite_points, require_integer, require_positive)
-from .quadrature import (MIN_NODES, RULE_STEP, TAIL_BOUND, MomentRule,
-                         gauss_legendre_on, log_moment_table)
-from .reporting import write_csv
+from .quadrature import RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre_on
 from .weights import RadialEquilibrium, WeightModel
 
 # Least log-drop of the integrand of a block's lowest row at the first left end
@@ -242,7 +240,7 @@ class GramFactorization:
         q, n, m = spec.q, spec.n, spec.m
         self._rule = MomentRule(weight, m, np.arange(n + q - 1))
         self._one_term = len(self._rule._mc) == 1  # whether ``_rebased`` applies
-        self.log_moments = log_moment_table(weight, m, n + q - 2, self._rule)
+        self.log_moments = self._rule.log_moments()
         self._layout()
         # measure |d| serves blocks d and -d, so it needs the larger one's rows
         a = np.abs(self.d)
@@ -287,8 +285,8 @@ class GramFactorization:
         at m' = m e^{-K shift}, every alpha and beta is this build's times
         rho = e^{shift}, and block d of n' <= n rows is a prefix of this
         build's block d; log M_p comes from this build's rule
-        (``MomentRule.log_moments``).  The conditions are those of the cut
-        blocks.
+        (``MomentRule.log_moments``, with its log-convexity check).  The
+        conditions are those of the cut blocks.
         """
         if not self._one_term or spec.q != self.spec.q or spec.n > self.spec.n:
             raise ConfigurationError(
@@ -663,23 +661,22 @@ class KernelEvaluator:
         out = np.exp(2.0 * np.asarray(log_k) - log_gamma)
         return out if out.shape else float(out)
 
-    def _radial_rule(self, least: int, n_r: int | None = None):
-        """Gauss-Legendre radii and weights of n_r nodes on gamma's disk [0, R + 12 m^{-1/2}].
+    def _radial_rule(self, least: int):
+        """Gauss-Legendre radii and weights on gamma's disk [0, R + 12 m^{-1/2}].
 
         gamma is e^{-mQ} times a polynomial of degree 2(n+q-2) in rho, which
         needs 3(n+q) radii.  For a weight of degree K in |z|^2 the edge of
         gamma also steepens with K and carries more ripples as q grows: over
         power:p=2..8, q = 2..40 and n = m in {60, 115}, the least count (in
         steps of 25) for a trace within 1e-12 nq, where above 200, was 20.6
-        to 29.1 times K + sqrt(K q).  So n_r is by default
-        max(least, 3(n+q), 28(K + sqrt(K q))); a given one must be an integer >= 16.
+        to 29.1 times K + sqrt(K q).  So the node count is
+        max(least, 3(n+q), 28(K + sqrt(K q))).
         """
         q, k = self.spec.q, self.weight.degree
-        if n_r is None:
-            n_r = max(least, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
-        return gauss_legendre_on(require_integer(n_r, "n_r", MIN_NODES), 0.0, self._disk_radius)
+        count = max(least, 3 * (self.spec.n + q), math.ceil(28 * (k + math.sqrt(k * q))))
+        return gauss_legendre_on(count, 0.0, self._disk_radius)
 
-    def _reproduced_monomials(self, z: complex, n_r: int | None = None) -> np.ndarray:
+    def _reproduced_monomials(self, z: complex) -> np.ndarray:
         """(q, n) table of int conj(w)^r w^j K(z,w) e^{-mQ(w)} dA(w), w on gamma's disk.
 
         In polar coordinates the block d part of K(z,w) carries the phase
@@ -699,7 +696,7 @@ class KernelEvaluator:
         """
         q, n = self.spec.q, self.spec.n
         fm = self._features
-        rho, w_rho = self._radial_rule(128, n_r)
+        rho, w_rho = self._radial_rule(128)
         sz, az, ang_z = fm(np.array([z], dtype=complex), 0.0, "w")
         sr, ar, _ = fm(rho.astype(complex), 1.0, "z")
         mant = np.einsum("sb,sbk->bk", az[:, :, 0], ar)
@@ -718,26 +715,26 @@ class KernelEvaluator:
         table[r[fm.mask], (r + fm.d[:, None])[fm.mask]] = vals[fm.mask]
         return table
 
-    def reproducing_residual(self, z: complex, n_r: int | None = None) -> float:
+    def reproducing_residual(self, z: complex) -> float:
         """Worst basis-monomial reproduction defect at the probe point.
 
         max over basis monomials phi of
         | int phi(w) K(z,w) e^{-mQ(w)} dA(w) - phi(z) | / (1 + |phi(z)|),
         with the integrals of ``_reproduced_monomials``: exact in the angle, on
-        the n_r = max(128, 3(n+q), 28(K + sqrt(K q))) radii of ``_radial_rule``.
+        the max(128, 3(n+q), 28(K + sqrt(K q))) radii of ``_radial_rule``.
         """
         q, n = self.spec.q, self.spec.n
-        vals = self._reproduced_monomials(z, n_r)
+        vals = self._reproduced_monomials(z)
         phi_z = np.outer(np.conjugate(z) ** np.arange(q), z ** np.arange(n))
         return float(np.max(np.abs(vals - phi_z) / (1.0 + np.abs(phi_z))))
 
-    def total_intensity(self, n_r: int | None = None) -> float:
+    def total_intensity(self) -> float:
         """Quadrature of the one-point intensity; equals nq by orthonormality.
 
         gamma is radial, so this is int 2 rho gamma(rho) d rho on the radii of
         ``_radial_rule``, at least 400.  The sampler's disk check reads it.
         """
-        rho, w_rho = self._radial_rule(400, n_r)
+        rho, w_rho = self._radial_rule(400)
         return float(np.sum(2.0 * w_rho * rho * self.one_point_intensity(rho.astype(complex))))
 
 
@@ -759,15 +756,3 @@ def _ladder_spaces(weight: WeightModel, q: int, ms, ns):
             yield m, KernelEvaluator(built._rebased(SpaceSpec(q, n, m)))
         else:
             yield m, build_space(weight, SpaceSpec(q, n, m))
-
-
-def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
-                           w_points) -> None:
-    """Write kernel evaluations as CSV rows in full double precision."""
-    z = np.asarray(z_points, dtype=complex).ravel()
-    w = np.asarray(w_points, dtype=complex).ravel()
-    z, w = np.broadcast_arrays(z, w)
-    plain = np.atleast_1d(evaluator.kernel(z, w))
-    wabs = np.exp(np.atleast_1d(evaluator.log_abs_weighted_kernel(z, w)))
-    write_csv(path, ["re_z", "im_z", "re_w", "im_w", "re_K", "im_K", "weighted_abs"],
-              zip(z.real, z.imag, w.real, w.imag, plain.real, plain.imag, wabs))

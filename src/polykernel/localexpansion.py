@@ -59,6 +59,8 @@ def r_qm_density(w: WeightModel, q: int, m: float, z, wc):
     require_positive(m, "m")
     if require_integer(q, "q", 1) not in ORDERS:
         raise ConfigurationError(f"r_qm_density supports q in {set(ORDERS)}, got {q}")
+    require_finite_points(np.asarray(z, dtype=complex), "z")
+    require_finite_points(np.asarray(wc, dtype=complex), "w")
     if q == 1:
         return m * w.dbar_theta(z, wc, 0)
     z = np.asarray(z, dtype=complex)

@@ -24,9 +24,11 @@ the left at least as far and until the integrand has fallen by e^(-LEFT_TAIL)
 (a bound from Q >= 0 places that point).  Each p has its own nodes, so a
 moment does not depend on which other moments are computed with it.  An
 integrand still above TAIL_BOUND of its peak at either end of its rule
-raises NumericalDegeneracyError.  Integrands are evaluated relative to the
-peak as (p+1) x - sum_k a_k expm1(k x), with x = u - u*_p and
-a_k = m c_k e^(k u*_p), so no large logs cancel.
+raises NumericalDegeneracyError, and so does a table of log M_p that is not
+log-convex: MomentRule.log_moments is the one path to a table, for a direct
+build and for every re-based ladder rung alike.  Integrands are evaluated
+relative to the peak as (p+1) x - sum_k a_k expm1(k x), with x = u - u*_p
+and a_k = m c_k e^(k u*_p), so no large logs cancel.
 
 Every other radial integral of the package (the trace of a kernel, which is
 also the sampler's mass check, and its reproducing residual, on the one disk
@@ -34,7 +36,8 @@ and node count of KernelEvaluator._radial_rule; the binned intensities of the
 sampler's validation, the equilibrium energy, and integrate_polar_grid) is
 one Gauss-Legendre rule: gauss_legendre(n), computed once per n, mapped to
 its interval by gauss_legendre_on.  Every node count a caller may choose,
-like p_max, passes the package's one integer check, errors.require_integer.
+like integrate_polar_grid's n_r and n_phi, passes the package's one integer
+check, errors.require_integer.
 """
 
 from __future__ import annotations
@@ -214,7 +217,13 @@ class MomentRule:
             return np.log(h * sums)
 
     def log_moments(self, shift=0) -> np.ndarray:
-        """log M_p of every row, each by its own trapezoid rule.
+        """log M_p of every row, each by its own trapezoid rule, checked for
+        log-convexity.
+
+        Every caller's exponents are 0..P or a single exponent.  Moment
+        sequences are log-convex (Cauchy-Schwarz), so the increments of log M_p
+        over 0..P must be nondecreasing; a violation indicates a quadrature
+        failure and aborts Gram assembly.
 
         For a weight of one term c t^K, f_p at m' = m e^(-K shift) is f_p at m
         moved right by ``shift``, plus (p+1) shift: the modes move by shift
@@ -237,29 +246,13 @@ class MomentRule:
             raise NumericalDegeneracyError(
                 f"degenerate radial moment p={bad}, m={self.m} "
                 f"(weight {self.weight.spec_string()})")
-        return logs
-
-
-def log_moment_table(w: WeightModel, m: float, p_max: int,
-                     rule: MomentRule | None = None) -> np.ndarray:
-    """log M_p for p = 0..p_max, checked for moment log-convexity.
-
-    ``rule``, if given, is the MomentRule of exactly these exponents.
-    Moment sequences are log-convex (Cauchy-Schwarz), so the increments of
-    log M_p must be nondecreasing; a violation indicates a quadrature failure
-    and aborts Gram assembly.
-    """
-    p_max = require_integer(p_max, "p_max", 0)
-    logs = (rule or MomentRule(w, m, np.arange(p_max + 1))).log_moments()
-    if p_max >= 2:
-        inc = np.diff(logs)
-        if np.any(np.diff(inc) < -1e-10):
-            worst = int(np.argmin(np.diff(inc)))
+        curve = np.diff(logs, 2)
+        if np.any(curve < -1e-10):
+            bad = int(self.p[np.argmin(curve) + 1])
             raise NumericalDegeneracyError(
-                f"log-moment convexity violated near p={worst + 1} "
-                f"(weight {w.spec_string()}, m={m}); aborting Gram assembly"
-            )
-    return logs
+                f"log-moment convexity violated near p={bad} "
+                f"(weight {self.weight.spec_string()}, m={self.m}); aborting Gram assembly")
+        return logs
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

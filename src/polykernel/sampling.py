@@ -63,7 +63,6 @@ import numpy as np
 from .errors import ConfigurationError, SamplerError, require_integer
 from .kernel import PAIR_CHUNK, KernelEvaluator
 from .quadrature import gauss_legendre_on
-from .reporting import atomic_write_text, json_dumps, write_csv
 
 ENVELOPE_BINS = 256
 ENVELOPE_MARGIN = 1.02
@@ -367,18 +366,3 @@ def empirical_intensity(K: KernelEvaluator, samples: list[PointConfiguration],
                                observed_std=std, predicted=predicted,
                                standardized=standardized, exterior_mean=exterior,
                                n_samples=len(samples))
-
-
-def export_configuration(path_csv: str, path_json: str,
-                         config: PointConfiguration) -> None:
-    """CSV of re,im rows plus a JSON sidecar with the run metadata."""
-    write_csv(path_csv, ["re", "im"], zip(config.points.real, config.points.imag))
-    sidecar = {
-        "seed": config.seed,
-        "q": config.q,
-        "n": config.n,
-        "m": float(config.m),
-        "weight": config.weight,
-        "proposals_used": config.proposals_used,
-    }
-    atomic_write_text(path_json, json_dumps(sidecar) + "\n")

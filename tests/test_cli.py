@@ -27,6 +27,12 @@ def test_droplet_profile_csv(tmp_path, capsys):
     assert len(lines) == 201
 
 
+def test_droplet_widens_its_bracket(capsys):
+    # Q = 0.01 |z|^2 puts R = 10 past the bisection's first bracket [1e-12, 1]
+    assert run(["droplet", "--weight", "radialpoly:c=0.01"]) == 0
+    assert capsys.readouterr().out == "R = 10.000000000000\n"
+
+
 def test_energy_ginibre(capsys):
     assert run(["energy", "--weight", "ginibre"]) == 0
     assert "I = 0.750000000" in capsys.readouterr().out
@@ -96,6 +102,8 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["decay", "--weight", "ginibre", "--m", "40"], "--m"),
     (["blowup", "--weight", "ginibre", "--m", "40"], "--m"),
     (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10"], "--n"),
+    (["droplet", "--weight", "radialpoly:c=nan"], "coefficients must be finite"),
+    (["droplet", "--weight", "radialpoly:c=1,-1"], "leading coefficient must be positive"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
         "intensity-n-grid", "offdroplet-direction", "local-terms-q3", "local-q-zero",
         "blowup-q-zero", "decay-q-zero", "intensity-n-zero", "blowup-n-zero",
@@ -108,7 +116,7 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
         "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "sample-seed-2-64",
         "energy-n-quad-small", "decay-repeated-m", "decay-single-m", "blowup-single-m",
-        "blowup-n-length"])
+        "blowup-n-length", "radialpoly-nan", "radialpoly-negative-leading"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err
@@ -132,8 +140,10 @@ def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
      "argument --ratios: expected a comma-separated list of finite numbers > 1, got '2,0.5'"),
     (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10,x"],
      "argument --n: expected a comma-separated list of integers >= 1, got '10,x'"),
+    (["local", "--weight", "ginibre", "--m", "8", "--terms", "abc"],
+     "argument --terms: expected an integer >= 1, got 'abc'"),
 ], ids=["integer", "integer-range", "finite-strict", "finite", "complex", "complex-nonzero",
-        "list-of-finite", "list-of-integers"])
+        "list-of-finite", "list-of-integers", "terms"])
 def test_flag_refusals_read_in_full(tmp_path, capsys, argv, message):
     # one bad value per kind of flag value, with its whole diagnostic
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
@@ -201,6 +211,18 @@ def test_kernel_csv(tmp_path, capsys):
     assert len(lines) == 26
 
 
+def test_berezin_readme_command(tmp_path, capsys):
+    # the README's berezin command: a 33 x 33 grid, the same bytes every run
+    outs = [tmp_path / "b1.csv", tmp_path / "b2.csv"]
+    for out in outs:
+        assert run(["berezin", "--weight", "ginibre", "--q", "3", "--n", "60", "--m", "60",
+                    "--z0", "0.3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 1089 berezin rows to {out}\n"
+    lines = outs[0].read_text().strip().split("\n")
+    assert lines[0] == "re_w,im_w,berezin" and len(lines) == 1090
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_intensity_and_local_csv(tmp_path):
     out = tmp_path / "i.csv"
     assert run(["intensity", "--weight", "ginibre", "--q", "2", "--n", "6",
@@ -237,6 +259,21 @@ def test_blowup_json_and_determinism(tmp_path, capsys):
     assert report["weight"] == "ginibre"
     assert len(report["sup_error"]) == 2
     assert "slope" in report
+
+
+def test_blowup_csv_prefix_writes_the_error_grids(tmp_path, capsys):
+    # one CSV per m, whose error column is that m's row of the JSON's errors
+    out, prefix = tmp_path / "b.json", tmp_path / "grid"
+    assert run(["blowup", "--weight", "ginibre", "--q", "2", "--z0", "0.3",
+                "--m", "10,20", "--grid-radius", "1.0", "--grid-n", "5",
+                "--out", str(out), "--csv-prefix", str(prefix)]) == 0
+    report = json.loads(out.read_text())
+    assert sorted(p.name for p in tmp_path.glob("grid-*.csv")) == ["grid-m10.csv",
+                                                                   "grid-m20.csv"]
+    for m, errors in zip(report["m"], report["errors"]):
+        lines = (tmp_path / f"grid-m{m:g}.csv").read_text().strip().split("\n")
+        assert lines[0] == "re_xi,im_xi,re_lambda,im_lambda,error"
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == errors
 
 
 def test_decay_json(tmp_path, capsys):

@@ -311,10 +311,13 @@ def test_local_expansions_refuse_bad_m(call, m):
     (lambda p: pk.local_kernel_q2(GINIBRE, 10.0, 0.1, p), "w"),
     (lambda p: pk.local_kernel_q2(GINIBRE, 10.0, p, 0.1, weighted=True), "z"),
     (lambda p: pk.local_kernel_leading(GINIBRE, 3, 10.0, np.array([0.1, p]), 0.1), "z"),
-], ids=["q1", "q2", "q2-weighted", "leading"])
+    (lambda p: pk.r_qm_density(GINIBRE, 2, 10.0, p, 0.1), "z"),
+    (lambda p: pk.r_qm_density(GINIBRE, 1, 10.0, 0.1, p), "w"),
+], ids=["q1", "q2", "q2-weighted", "leading", "density-q2", "density-q1"])
 def test_local_expansions_refuse_non_finite_points(call, name, point):
     # before, local_kernel_q2(ginibre, 10, nan, 0.1) blamed "m Re Q(z, w)
-    # reaches nan" for leaving double range
+    # reaches nan" for leaving double range, and r_qm_density returned
+    # nan+nanj (at q = 1 and w = inf with a RuntimeWarning)
     with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
         call(point)
 

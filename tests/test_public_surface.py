@@ -9,16 +9,16 @@ PUBLIC = {
     "SingularExpansionError", "SpaceSpec", "WeightModel", "blowup_compare",
     "blowup_ladder", "build_space", "bulk_limit_profile", "decay_ladder",
     "diagonal_bound_check", "droplet_radius", "empirical_intensity",
-    "export_kernel_grid_csv", "integrate_polar_grid", "laguerre_assoc1",
+    "integrate_polar_grid", "laguerre_assoc1",
     "local_kernel_leading", "local_kernel_q1", "local_kernel_q2",
-    "offdiagonal_scan", "offdroplet_decay_check", "offdroplet_margins",
+    "offdiagonal_scan", "offdroplet_margins",
     "parse_weight", "r_qm_density", "rate_fit",
     "sample_batch", "sample_configuration",
 }
 
 
 def test_public_surface_does_not_grow():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 33
     assert len(pk.__all__) == len(set(pk.__all__))
     assert set(pk.__all__) <= PUBLIC, sorted(set(pk.__all__) - PUBLIC)
     assert all(hasattr(pk, name) for name in pk.__all__)

@@ -8,11 +8,15 @@ from scipy.special import gammaln
 
 import polykernel as pk
 from polykernel.errors import ConfigurationError
-from polykernel.quadrature import (NEWTON_STEPS, RULE_STEP, MomentRule, gauss_legendre,
-                                   log_moment_table)
+from polykernel.quadrature import NEWTON_STEPS, RULE_STEP, MomentRule, gauss_legendre
 
 GINIBRE = pk.parse_weight("ginibre")
 POWER2 = pk.parse_weight("power:p=2")
+
+
+def _table(w: pk.WeightModel, m: float, p_max: int) -> np.ndarray:
+    """log M_p for p = 0..p_max, by the one table path, MomentRule.log_moments."""
+    return MomentRule(w, m, np.arange(p_max + 1)).log_moments()
 
 
 def _trapezoid_moment_oracle(w: pk.WeightModel, m: float, p: int) -> float:
@@ -126,13 +130,13 @@ def test_moment_rule_matches_reference_bits(text):
         rule, ref = MomentRule(w, m, p), _ReferenceRule(w, m, p)
         for name in ("mode", "width", "peak_weight", "terms"):
             assert np.array_equal(getattr(rule, name), getattr(ref, name)), (m, name)
-        assert np.array_equal(log_moment_table(w, m, 160), ref.log_moments(rule)), m
+        assert np.array_equal(_table(w, m, 160), ref.log_moments(rule)), m
 
 
 def test_ginibre_moment_examples():
-    assert log_moment_table(GINIBRE, 1.0, 3)[3] == pytest.approx(
+    assert _table(GINIBRE, 1.0, 3)[3] == pytest.approx(
         math.log(6.0), abs=1e-13)
-    assert log_moment_table(GINIBRE, 50.0, 0)[0] == pytest.approx(
+    assert _table(GINIBRE, 50.0, 0)[0] == pytest.approx(
         math.log(1.0 / 50.0), abs=1e-13)
 
 
@@ -140,7 +144,7 @@ def test_ginibre_moments_closed_form_sweep():
     # log M_p = lgamma(p+1) - (p+1) log m, for p <= 200 and m in {1, 50, 200}
     for m in (1.0, 50.0, 200.0):
         for p in range(0, 201, 10):
-            got = log_moment_table(GINIBRE, m, p)[p]
+            got = _table(GINIBRE, m, p)[p]
             expect = float(gammaln(p + 1) - (p + 1) * math.log(m))
             assert abs(got - expect) < 1e-12, (m, p)
 
@@ -152,7 +156,7 @@ def test_moment_table_closed_forms(text, k):
     p = np.arange(401)
     for m in (1.0, 50.0, 200.0):
         expect = gammaln((p + 1) / k) - math.log(k) - (p + 1) / k * math.log(m)
-        err = np.abs(log_moment_table(w, m, 400) - expect)
+        err = np.abs(_table(w, m, 400) - expect)
         assert np.max(err) < 1e-12, (m, int(np.argmax(err)))
 
 
@@ -161,21 +165,21 @@ def test_single_moment_matches_table_bits(text):
     # every moment has its own rule, so it does not depend on the table's size
     w = pk.parse_weight(text)
     for m in (1.0, 37.0):
-        table = log_moment_table(w, m, 300)
+        table = _table(w, m, 300)
         for p in (0, 1, 2, 17, 150, 299, 300):
-            assert log_moment_table(w, m, p)[p] == table[p], (m, p)
-        assert np.array_equal(log_moment_table(w, m, 40), table[:41])
+            assert _table(w, m, p)[p] == table[p], (m, p)
+        assert np.array_equal(_table(w, m, 40), table[:41])
 
 
 def test_ginibre_moment_ratio():
     for p in (0, 3, 17):
-        a = log_moment_table(GINIBRE, 7.0, p)[p]
-        b = log_moment_table(GINIBRE, 7.0, p + 1)[p + 1]
+        a = _table(GINIBRE, 7.0, p)[p]
+        b = _table(GINIBRE, 7.0, p + 1)[p + 1]
         assert math.exp(b - a) == pytest.approx((p + 1) / 7.0, rel=1e-12)
 
 
 def test_power2_moment_vs_trapezoid_oracle():
-    got = log_moment_table(POWER2, 10.0, 0)[0]
+    got = _table(POWER2, 10.0, 0)[0]
     oracle = _trapezoid_moment_oracle(POWER2, 10.0, 0)
     assert got == pytest.approx(oracle, abs=5e-9)
     # closed form for this case: M_0 = Gamma(3/2)/(2 ...) via u = r^4:
@@ -186,21 +190,21 @@ def test_power2_moment_vs_trapezoid_oracle():
 def test_radialpoly_moment_vs_trapezoid_oracle():
     w = pk.parse_weight("radialpoly:c=1,0.5")
     for m, p in ((5.0, 0), (20.0, 7)):
-        got = log_moment_table(w, m, p)[p]
+        got = _table(w, m, p)[p]
         assert got == pytest.approx(_trapezoid_moment_oracle(w, m, p), abs=5e-9)
 
 
 def test_moment_log_convexity():
-    logs = log_moment_table(POWER2, 30.0, 60)
+    logs = _table(POWER2, 30.0, 60)
     inc = np.diff(logs)
     assert np.all(np.diff(inc) > -1e-12)
 
 
 def test_moment_guards():
     with pytest.raises(ConfigurationError):
-        log_moment_table(GINIBRE, 0.0, 1)
-    with pytest.raises(ConfigurationError, match="p_max"):
-        log_moment_table(GINIBRE, 1.0, -1)
+        _table(GINIBRE, 0.0, 1)
+    with pytest.raises(ConfigurationError, match="p >= 0"):
+        MomentRule(GINIBRE, 1.0, [-1])
 
 
 def test_polar_grid_gaussian():

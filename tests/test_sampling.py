@@ -410,7 +410,7 @@ def test_configuration_export(tmp_path, spaces):
     cfg = pk.sample_configuration(K, 77)
     csv = tmp_path / "cfg.csv"
     sidecar = tmp_path / "cfg.json"
-    from polykernel.sampling import export_configuration
+    from polykernel.cli import export_configuration
 
     export_configuration(str(csv), str(sidecar), cfg)
     lines = csv.read_text().strip().split("\n")
