@@ -194,7 +194,7 @@ def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
                for _, K in _ladder(RadialEquilibrium.solve(weight), q, z0, ms, ns)]
     sup = [r.sup_error for r in results]
     slope, flag = rate_fit(ms, sup)
-    return BlowupReport(weight=weight.spec_string(), q=q, z0=complex(z0),
+    return BlowupReport(weight=weight.label, q=q, z0=complex(z0),
                         grid_radius=grid_radius, grid_n=grid_n,
                         ms=list(map(float, ms)), ns=[r.n for r in results],
                         sup_errors=sup, slope=slope, slope_flag=flag, results=results)
@@ -317,7 +317,7 @@ def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
     ratios = np.array([s.beta_over_sqrt_m for s in scans])
     center = np.mean(ratios)
     stability = float(np.max(np.abs(ratios - center)) / max(abs(center), 1e-300))
-    return DecayReport(weight=weight.spec_string(), q=q, z0=complex(z0),
+    return DecayReport(weight=weight.label, q=q, z0=complex(z0),
                        scans=scans, stability=stability)
 
 

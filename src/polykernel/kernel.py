@@ -271,7 +271,7 @@ class GramFactorization:
             raise NumericalDegeneracyError(
                 f"Gram block d={self.d[i]} is numerically degenerate: its recurrence has "
                 f"beta {np.array2string(self.beta[i, :self.size[i] - 1], precision=3)} "
-                f"(condition {cond[i]:.3e}; weight {self.weight.spec_string()}, "
+                f"(condition {cond[i]:.3e}; weight {self.weight.label}, "
                 f"q={self.spec.q}, n={self.spec.n}, m={self.spec.m})"
             )
         self.condition_report = dict(zip(self.d.tolist(), cond.tolist()))
@@ -291,7 +291,7 @@ class GramFactorization:
         if not self._one_term or spec.q != self.spec.q or spec.n > self.spec.n:
             raise ConfigurationError(
                 f"cannot re-base q={self.spec.q}, n={self.spec.n} of weight "
-                f"{self.weight.spec_string()} to q={spec.q}, n={spec.n}")
+                f"{self.weight.label} to q={spec.q}, n={spec.n}")
         shift = np.log(np.longdouble(self.spec.m) / np.longdouble(spec.m)) / self._rule._mc[0][0]
         rho = float(np.exp(shift))
         out = object.__new__(GramFactorization)

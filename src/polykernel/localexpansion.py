@@ -1,7 +1,21 @@
-"""Near-diagonal kernel approximations built from theta and b.
+"""Near-diagonal kernel approximations built from the polarization, b and theta.
 
-Everything here is a closed-form expression in the derivatives of
-b(z, w) = d_z dbar_w Q(z, w):
+Every catalog weight has an entire polarization,
+Q(z, w) = sum_k c_k (z conj(w))^k, analytic in z, anti-analytic in w, and
+equal to Q on the diagonal.  From it come
+
+    b(z, w)      = d_z dbar_w Q(z, w) = sum_k c_k k^2 (z conj(w))^(k-1),
+    theta(z, w)  = (Q(w) - Q(z, w)) / (w - z),
+
+and every derivative of b, like every coefficient of theta's series, is
+some d_z^a dbar_w^b Q(z, w), which one routine, _polarization, evaluates in
+closed form.  With conj(w) held fixed, Q(., w) is a polynomial of degree K,
+so theta equals its Taylor series in w - z, which stops after K terms
+(_theta): one series, exact at every separation, the diagonal included,
+with no quotient to lose digits to cancellation.  b on the diagonal is the
+quarter-Laplacian dQ of Q.
+
+Everything below is a closed-form expression in these:
 
 * the reproducing density R_{q,m} for q in {1, 2}, straight from the
   anti-holomorphic derivatives of theta;
@@ -22,6 +36,8 @@ pure and stateless.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,6 +67,48 @@ def laguerre_assoc1(degree: int, x):
     return out if out.shape else float(out)
 
 
+def _polarization(w: WeightModel, z, wc, dz: int, dw: int):
+    """d_z^dz dbar_w^dw Q(z, wc) = sum_k c_k (k)_dz (k)_dw z^(k-dz) conj(wc)^(k-dw).
+
+    (k)_d is the falling factorial ``math.perm(k, d)``, zero for k < d.
+    Horner's rule in u = z conj(wc) over k >= lo = max(dz, dw, 1) leaves
+    the factor z^(lo-dz) conj(wc)^(lo-dw): u when dz = dw = 0, else a
+    power of whichever variable was differentiated fewer times.  b and its
+    derivatives are (dz, dw) = (i + 1, j + 1).  A Python complex at scalars.
+    """
+    z = np.asarray(z, dtype=complex)
+    wb = np.conjugate(np.asarray(wc, dtype=complex))
+    u = z * wb
+    lo = max(dz, dw, 1)
+    out = np.zeros(u.shape, dtype=complex)
+    for k in range(w.degree, lo - 1, -1):
+        out = out * u + w.coeffs[k - 1] * (math.perm(k, dz) * math.perm(k, dw))
+    if dz > dw:
+        out = out * wb ** (dz - dw)
+    elif dw > dz:
+        out = out * z ** (dw - dz)
+    elif dz == 0:
+        out = out * u
+    return out if out.shape else complex(out)
+
+
+def _theta(w: WeightModel, z, wc, s: int) -> np.ndarray:
+    """dbar_w^s theta(z, wc) = sum_{j<K} h^j / (j+1)! d_z^(j+1) dbar_w^s Q(z, wc).
+
+    With conj(wc) held fixed, Q(., wc) is a polynomial of degree K, so
+    Q(wc, wc) - Q(z, wc) = sum_{j=1..K} h^j / j! d_z^j Q(z, wc) with
+    h = wc - z holds exactly; h is holomorphic in wc, so dbar_w passes
+    onto the coefficients.  Summed by Horner's rule in h, over 0-d arrays
+    at scalars; on the diagonal s = 1 gives b(z, z) bit for bit.
+    """
+    h = np.asarray(wc, dtype=complex) - np.asarray(z, dtype=complex)
+    out = np.zeros(h.shape, dtype=complex)
+    for j in range(w.degree - 1, -1, -1):
+        coeff = np.asarray(_polarization(w, z, wc, j + 1, s))
+        out = out * h + coeff / math.factorial(j + 1)
+    return out
+
+
 ORDERS = {1: 2, 2: 3}  # expansion orders (powers of m) known per q; any other q: 1
 
 
@@ -59,17 +117,14 @@ def r_qm_density(w: WeightModel, q: int, m: float, z, wc):
     require_positive(m, "m")
     if require_integer(q, "q", 1) not in ORDERS:
         raise ConfigurationError(f"r_qm_density supports q in {set(ORDERS)}, got {q}")
-    require_finite_points(np.asarray(z, dtype=complex), "z")
-    require_finite_points(np.asarray(wc, dtype=complex), "w")
-    if q == 1:
-        return m * w.dbar_theta(z, wc, 0)
     z = np.asarray(z, dtype=complex)
     wc = np.asarray(wc, dtype=complex)
-    dt = w.dbar_theta(z, wc, 0)
-    dt2 = w.dbar_theta(z, wc, 1)
-    sep2 = np.abs(z - wc) ** 2
-    out = 2.0 * m * dt - m * np.conjugate(z - wc) * dt2 - m * m * sep2 * dt * dt
-    return out if np.asarray(out).shape else complex(out)
+    require_finite_points(z, "z")
+    require_finite_points(wc, "w")
+    dt = _theta(w, z, wc, 1)
+    out = m * dt if q == 1 else (2.0 * m * dt - m * np.conjugate(z - wc) * _theta(w, z, wc, 2)
+                                 - m * m * np.abs(z - wc) ** 2 * dt * dt)
+    return out if out.shape else complex(out)
 
 
 def _order_one_correction(b, d):
@@ -91,7 +146,7 @@ def _order_one_correction(b, d):
 def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool):
     """pref e^{mQ(z,wc)} [e^{-m(Q(z) + Q(wc))/2}]: for q in ORDERS, pref keeps
     ``terms`` powers of m from the top; None, and any other q, is the leading
-    Laguerre term.  The sums keep b as hermitian_b returns it (a Python
+    Laguerre term.  The sums keep b as _polarization returns it (a Python
     complex at scalars), since a 0-d array divides with other rounding."""
     q = require_integer(q, "q", 1, LAGUERRE_MAX_DEGREE + 2)
     require_positive(m, "m")
@@ -101,7 +156,7 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
     wc = np.asarray(wc, dtype=complex)
     require_finite_points(z, "z")
     require_finite_points(wc, "w")
-    b = w.hermitian_b(z, wc, 0, 0)
+    b = _polarization(w, z, wc, 1, 1)
     if np.any(b == 0):
         raise SingularExpansionError("b(z, w) vanishes at an evaluation point")
     h = z - wc
@@ -111,7 +166,8 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
         pref = m * b * _laguerre1(q - 1, m * b * sep2)
     else:
         if terms >= 2:
-            d = {(i, j): w.hermitian_b(z, wc, i, j) for i in range(q + 1) for j in range(q + 1)}
+            d = {(i, j): _polarization(w, z, wc, i + 1, j + 1)
+                 for i in range(q + 1) for j in range(q + 1)}
             b2 = b * b
             log_11 = d[1, 1] / b - d[1, 0] * d[0, 1] / b2  # dbar d log b
         if q == 1:
@@ -134,7 +190,7 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
                 c2 = (2.0 * log_11 - hbar * log_12 + h * log_21
                       + sep2 * _order_one_correction(b, d))
                 pref = pref + c2
-    e = m * w.polarize(z, wc)
+    e = m * _polarization(w, z, wc, 0, 0)
     if weighted:
         e = e - 0.5 * m * (w.eval_weight(z) + w.eval_weight(wc))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -70,6 +70,9 @@ class MomentRule:
         self.p = np.atleast_1d(np.asarray(p))
         if self.p.size and self.p.min() < 0:
             raise ConfigurationError(f"radial moment needs p >= 0, got {self.p.min()}")
+        if np.any(np.diff(self.p) <= 0):
+            raise ConfigurationError("radial moment exponents p must be strictly "
+                                     f"increasing, got {self.p.tolist()}")
         self.weight, self.m = w, m
         # (k, m c_k) of the nonzero terms
         self._mc = [(k, m * c) for k, c in enumerate(w.coeffs, start=1) if c != 0.0]
@@ -123,7 +126,7 @@ class MomentRule:
                 step = np.where(out, 2.0 * step, step)
             raise NumericalDegeneracyError(
                 f"moment mode search found no {what} bracket "
-                f"(weight {self.weight.spec_string()}, m={self.m})")
+                f"(weight {self.weight.label}, m={self.m})")
 
         hi = bracket(guess, 1.0, "upper")
         lo = bracket(hi - 1.0, -1.0, "lower")
@@ -147,7 +150,7 @@ class MomentRule:
             rows, ua, lo, hi, goal = (rows[moving], new[moving], lo[moving],
                                       hi[moving], goal[moving])
         raise NumericalDegeneracyError(
-            f"moment mode search did not converge (weight {self.weight.spec_string()}, "
+            f"moment mode search did not converge (weight {self.weight.label}, "
             f"m={self.m})")
 
     def reach(self, rows, left_tail: float = LEFT_TAIL) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +215,7 @@ class MomentRule:
             bad = int(np.argmax(ends))
             raise NumericalDegeneracyError(
                 f"moment rule p={self.p[bad]}, m={self.m} ends at {ends[bad]:.1e} of its "
-                f"peak (weight {self.weight.spec_string()})")
+                f"peak (weight {self.weight.label})")
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(h * sums)
 
@@ -220,10 +223,10 @@ class MomentRule:
         """log M_p of every row, each by its own trapezoid rule, checked for
         log-convexity.
 
-        Every caller's exponents are 0..P or a single exponent.  Moment
-        sequences are log-convex (Cauchy-Schwarz), so the increments of log M_p
-        over 0..P must be nondecreasing; a violation indicates a quadrature
-        failure and aborts Gram assembly.
+        Moment sequences are log-convex (Cauchy-Schwarz), so the slopes of
+        log M_p between consecutive exponents, which increase strictly, must be
+        nondecreasing (on 0..P, the increments); a violation indicates a
+        quadrature failure and aborts Gram assembly.
 
         For a weight of one term c t^K, f_p at m' = m e^(-K shift) is f_p at m
         moved right by ``shift``, plus (p+1) shift: the modes move by shift
@@ -245,13 +248,13 @@ class MomentRule:
             bad = int(self.p[np.argmin(np.isfinite(logs))])
             raise NumericalDegeneracyError(
                 f"degenerate radial moment p={bad}, m={self.m} "
-                f"(weight {self.weight.spec_string()})")
-        curve = np.diff(logs, 2)
+                f"(weight {self.weight.label})")
+        curve = np.diff(np.diff(logs) / np.diff(self.p))
         if np.any(curve < -1e-10):
             bad = int(self.p[np.argmin(curve) + 1])
             raise NumericalDegeneracyError(
                 f"log-moment convexity violated near p={bad} "
-                f"(weight {self.weight.spec_string()}, m={self.m}); aborting Gram assembly")
+                f"(weight {self.weight.label}, m={self.m}); aborting Gram assembly")
         return logs
 
 

@@ -108,7 +108,7 @@ class _ProposalLaw:
     def __init__(self, K: KernelEvaluator):
         spec = K.spec
         edges = self.edges = np.linspace(0.0, K._disk_radius, ENVELOPE_BINS + 1)
-        self.space = f"weight {K.weight.spec_string()}, q={spec.q}, n={spec.n}, m={spec.m}"
+        self.space = f"weight {K.weight.label}, q={spec.q}, n={spec.n}, m={spec.m}"
         missing = spec.dim - K.total_intensity()
         if abs(missing) > DISK_MASS_TOL * spec.dim:
             raise SamplerError(f"the sampling disk of radius {edges[-1]:.6g} misses mass "
@@ -197,16 +197,9 @@ def _sample_group(K: KernelEvaluator, law: _ProposalLaw,
     split = 0
     size = [width] * count   # proposals in each configuration's block
     spent = [0] * count      # proposals of its earlier blocks
-    since = [0] * count      # the first draw its block served
-    chosen = np.empty((nq, count), dtype=np.intp)  # accepted column per draw
     frame = np.zeros((count, nq, nq), dtype=complex)  # conjugated orthonormal rows
     points = np.empty((count, nq), dtype=complex)
     at = np.arange(count)
-
-    def keep(g: int, t: int):
-        """Store configuration g's points of draws [since, t) from its block."""
-        points[g, since[g]:t] = cand[g, chosen[since[g]:t, g]]
-        since[g] = t
 
     def reach(t: int):
         """Project the next ``step`` columns on frame rows [0, t) and open them."""
@@ -221,7 +214,6 @@ def _sample_group(K: KernelEvaluator, law: _ProposalLaw,
     def refill(g: int, t: int):
         """A fresh block for configuration g at draw t, its open columns
         projected on frame rows [0, t)."""
-        keep(g, t)
         spent[g] += size[g]
         c, p, lim, gam = propose([g], t)
         s = size[g] = c.shape[1]
@@ -261,7 +253,7 @@ def _sample_group(K: KernelEvaluator, law: _ProposalLaw,
         if max(hits) == width:
             found = settle(last, t)
             hits = found.tolist()
-        chosen[t] = found
+        points[:, t] = cand[at, found]
         threshold[at, found] = np.inf
         last = hits
         lo = min(hits) + 1
@@ -281,10 +273,8 @@ def _sample_group(K: KernelEvaluator, law: _ProposalLaw,
         np.square(proj, out=proj)
         diag[:, lo:split] -= proj[:, 0, 0::2] + proj[:, 0, 1::2]
 
-    for g in range(count):
-        keep(g, nq)
     return [PointConfiguration(points=points[g], seed=seeds[g], q=spec.q, n=spec.n,
-                               m=spec.m, weight=K.weight.spec_string(),
+                               m=spec.m, weight=K.weight.label,
                                proposals_used=spent[g] + last[g] + 1)
             for g in range(count)]
 
@@ -339,7 +329,7 @@ def empirical_intensity(K: KernelEvaluator, samples: list[PointConfiguration],
         raise ConfigurationError("empirical intensity needs at least 100 samples")
     spec = K.spec
     for s in samples:
-        if (s.q, s.n, s.m, s.weight) != (spec.q, spec.n, spec.m, K.weight.spec_string()):
+        if (s.q, s.n, s.m, s.weight) != (spec.q, spec.n, spec.m, K.weight.label):
             raise ConfigurationError(
                 "sample was drawn from a different space than the evaluator"
             )

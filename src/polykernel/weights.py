@@ -1,23 +1,13 @@
-"""Radial weight catalog: Q, its polarization, b-derivatives, and droplet geometry.
+"""Radial weight catalog: Q, its radial derivatives, and droplet geometry.
 
 Every weight in the catalog is radial with an entire polarization,
 
     Q(r) = sum_k c_k r^(2k)   <->   Q(z, w) = sum_k c_k (z * conj(w))^k,
 
-so the three families (ginibre, power, radialpoly) share one coefficient
-engine.  The polarization is analytic in z, anti-analytic in w, and restricts
-to Q on the diagonal.  From it we derive
-
-    b(z, w)      = d_z dbar_w Q(z, w) = sum_k c_k k^2 (z conj(w))^(k-1),
-    theta(z, w)  = (Q(w) - Q(z, w)) / (w - z),
-
-and every derivative of b, like every coefficient of theta's series below,
-is some d_z^a dbar_w^b Q(z, w), which one routine evaluates in closed form.
-With conj(w) held fixed, Q(., w) is a polynomial of degree K, so theta
-equals its Taylor series in w - z, which stops after K terms: one series,
-exact at every separation, the diagonal included, with no quotient to lose
-digits to cancellation.  b restricted to the diagonal equals the
-quarter-Laplacian dQ of Q, which must be strictly positive on (0, r_max] for
+so the three families (ginibre, power, radialpoly) are one coefficient list
+c_1..c_K.  The polarization and the objects built from it (b and theta) live
+in ``localexpansion``, their one consumer.  The quarter-Laplacian dQ of Q,
+which is b on the diagonal, must be strictly positive on (0, r_max] for
 every catalog member: that makes the droplet a disk and every radial
 bisection monotone.
 
@@ -46,12 +36,13 @@ from .quadrature import gauss_legendre_on
 class WeightModel:
     """A catalog weight Q(r) = sum_k coeffs[k-1] * r^(2k).
 
-    ``family`` is one of "ginibre", "power", "radialpoly"; ``coeffs`` holds
-    c_1..c_K.  Every catalog weight grows at least quadratically, so the
-    growth bound Q(z) >= (1 + eps) log|z|^2 for large |z| holds with eps = 1.
+    ``coeffs`` holds c_1..c_K; ``label`` is the catalog string, which
+    ``parse_weight`` reads back to an equal weight.  Equality is by
+    coefficients alone.  Every catalog weight grows at least quadratically,
+    so the growth bound Q(z) >= (1 + eps) log|z|^2 for large |z| holds with
+    eps = 1.
     """
 
-    family: str
     coeffs: tuple[float, ...]
     label: str = field(default="", compare=False)
 
@@ -59,14 +50,14 @@ class WeightModel:
 
     @staticmethod
     def ginibre() -> "WeightModel":
-        return WeightModel("ginibre", (1.0,), label="ginibre")
+        return WeightModel((1.0,), label="ginibre")
 
     @staticmethod
     def power(p: int) -> "WeightModel":
         p = require_integer(p, "power weight p", 1)
         c = [0.0] * p
         c[p - 1] = 1.0
-        return WeightModel("power", tuple(c), label=f"power:p={p}")
+        return WeightModel(tuple(c), label=f"power:p={p}")
 
     @staticmethod
     def radialpoly(coeffs) -> "WeightModel":
@@ -79,10 +70,7 @@ class WeightModel:
             raise ConfigurationError(
                 f"radialpoly leading coefficient must be positive, got {c[-1]}"
             )
-        w = WeightModel(
-            "radialpoly", c,
-            label="radialpoly:c=" + ",".join(format(x, ".17g") for x in c),
-        )
+        w = WeightModel(c, label="radialpoly:c=" + ",".join(format(x, ".17g") for x in c))
         w._validate_subharmonicity()
         return w
 
@@ -134,83 +122,6 @@ class WeightModel:
         for k in range(self.degree, 0, -1):
             out = out * r2 + k * k * self.coeffs[k - 1]
         return out if out.shape else float(out)
-
-    # -- polarization and derived objects -----------------------------------
-
-    def polarize(self, z, wc) -> complex | np.ndarray:
-        """Q(z, wc) = sum_k c_k (z conj(wc))^k, entire in (z, conj(wc))."""
-        out = self._dpolarize(z, wc, 0, 0)
-        return out if out.shape else complex(out)
-
-    def _dpolarize(self, z, wc, dz: int, dw: int) -> np.ndarray:
-        """d_z^dz dbar_w^dw Q(z, wc) = sum_k c_k (k)_dz (k)_dw z^(k-dz) conj(wc)^(k-dw).
-
-        (k)_d is the falling factorial ``math.perm(k, d)``, zero for k < d.
-        Horner's rule in u = z conj(wc) over k >= lo = max(dz, dw, 1) leaves
-        the factor z^(lo-dz) conj(wc)^(lo-dw): u when dz = dw = 0, else a
-        power of whichever variable was differentiated fewer times.
-        """
-        z = np.asarray(z, dtype=complex)
-        wb = np.conjugate(np.asarray(wc, dtype=complex))
-        u = z * wb
-        lo = max(dz, dw, 1)
-        out = np.zeros(u.shape, dtype=complex)
-        for k in range(self.degree, lo - 1, -1):
-            out = out * u + self.coeffs[k - 1] * (math.perm(k, dz) * math.perm(k, dw))
-        if dz > dw:
-            return out * wb ** (dz - dw)
-        if dw > dz:
-            return out * z ** (dw - dz)
-        return out * u if dz == 0 else out
-
-    def hermitian_b(self, z, wc, dz: int = 0, dw: int = 0) -> complex | np.ndarray:
-        """d_z^dz dbar_w^dw of b(z, wc) = d_z dbar_w Q(z, wc); orders 0..2."""
-        if not (0 <= dz <= 2 and 0 <= dw <= 2):
-            raise ConfigurationError(
-                f"hermitian_b supports derivative orders 0..2, got ({dz}, {dw})"
-            )
-        out = self._dpolarize(z, wc, dz + 1, dw + 1)
-        return out if out.shape else complex(out)
-
-    def phase_theta(self, z, wc) -> complex | np.ndarray:
-        """theta(z, wc) = (Q(wc) - Q(z, wc)) / (wc - z), diagonal-regular.
-
-        Evaluated as theta's terminating Taylor series in wc - z (see
-        ``_theta``), exact at every separation, the diagonal included.
-        """
-        out = self._theta(z, wc, 0)
-        return out if out.shape else complex(out)
-
-    def dbar_theta(self, z, wc, order: int = 0) -> complex | np.ndarray:
-        """dbar_w^(order+1) theta(z, wc); orders 0..2.
-
-        The term-by-term anti-holomorphic derivative of theta's terminating
-        Taylor series (see ``_theta``); on the diagonal it equals
-        dbar_w^order b(z, z), bit for bit.
-        """
-        if not (0 <= order <= 2):
-            raise ConfigurationError(f"dbar_theta supports orders 0..2, got {order}")
-        out = self._theta(z, wc, order + 1)
-        return out if out.shape else complex(out)
-
-    def _theta(self, z, wc, s: int) -> np.ndarray:
-        """dbar_w^s theta(z, wc) = sum_{j<K} h^j / (j+1)! d_z^(j+1) dbar_w^s Q(z, wc).
-
-        With conj(wc) held fixed, Q(., wc) is a polynomial of degree K, so
-        Q(wc, wc) - Q(z, wc) = sum_{j=1..K} h^j / j! d_z^j Q(z, wc) with
-        h = wc - z holds exactly; h is holomorphic in wc, so dbar_w passes
-        onto the coefficients.  Summed by Horner's rule in h.
-        """
-        h = np.asarray(wc, dtype=complex) - np.asarray(z, dtype=complex)
-        out = np.zeros(h.shape, dtype=complex)
-        for j in range(self.degree - 1, -1, -1):
-            out = out * h + self._dpolarize(z, wc, j + 1, s) / math.factorial(j + 1)
-        return out
-
-    # -- misc ---------------------------------------------------------------
-
-    def spec_string(self) -> str:
-        return self.label
 
 
 def parse_weight(text: str) -> WeightModel:
@@ -303,7 +214,7 @@ def droplet_radius(w: WeightModel) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _droplet_radius_of(w: WeightModel) -> float:
-    """droplet_radius, solved once per weight: equal weights (same family and
+    """droplet_radius, solved once per weight: equal weights (same
     coefficients) share it, and every build and ladder asks for it."""
     return droplet_radius(w)
 

@@ -11,6 +11,7 @@ import pytest
 from polykernel import cli
 from polykernel.asymptotics import LADDER_RULE
 from polykernel.cli import run
+from polykernel.reporting import atomic_write_text
 
 
 def test_droplet_prints_radius(capsys):
@@ -299,6 +300,17 @@ def test_sample_outputs(tmp_path, capsys):
         assert len(rows) == 41  # header + 40 points
     sidecar = json.loads((outdir / "config-0000.json").read_text())
     assert sidecar["q"] == 2 and sidecar["n"] == 20 and sidecar["weight"] == "ginibre"
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path):
+    # the text goes to a temporary file first: a write that fails leaves
+    # the old file whole and no temporary file behind
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        atomic_write_text(str(path), 123)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_sample_determinism(tmp_path):

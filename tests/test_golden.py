@@ -149,8 +149,8 @@ def test_readme_cli_block_matches_goldens(tmp_path):
     ("a.csv", "x,y\n1,0.5\n2,0.25\n", "x,y\n1,0.5\n2,0.25000000000001\n", "row 2 column 'y'"),
     ("a.csv", "x,y\n1,0.5\n2,0.25\n", "x,y\n1,0.5\n3,0.25\n", "row 2 column 'x'"),
     ("a.csv", "x,y\n1,0.5\n", "x,z\n1,0.5\n", "row 0 column 'header'"),
-    ("a.json", '{"m": [40, 80], "e": [0.5, 1.5]}', '{"m": [40, 80], "e": [0.5, 1.5000000000000002]}',
-     None),
+    ("a.json", '{"m": [40, 80], "e": [0.5, 1.5]}',
+     '{"m": [40, 80], "e": [0.5, 1.5000000000000002]}', None),
     ("a.json", '{"m": [40, 80], "e": [0.5, 1.5]}', '{"m": [40, 81], "e": [0.5, 1.5]}',
      "row [1] column '$.m[]'"),
     ("a.stdout", "slope = -0.25 (n=3)\n", "slope = -0.25000000000000006 (n=3)\n", None),

@@ -8,7 +8,8 @@ from scipy.special import eval_genlaguerre
 
 import polykernel as pk
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError, SingularExpansionError
-from polykernel.localexpansion import ORDERS, _laguerre1, _order_one_correction
+from polykernel.localexpansion import (ORDERS, _laguerre1, _order_one_correction,
+                                       _polarization)
 
 from conftest import disk_points
 
@@ -127,10 +128,10 @@ def test_q1_second_term_fd_oracle():
     # differences for a weight with genuinely nonconstant log b
     w = RPOLY
     z0, w0 = 0.9 + 0.1j, 0.8 - 0.2j
-    ratio = lambda zz, ww: w.hermitian_b(zz, ww, 1, 0) / w.hermitian_b(zz, ww, 0, 0)
+    ratio = lambda zz, ww: _polarization(w, zz, ww, 2, 1) / _polarization(w, zz, ww, 1, 1)
     fd = 0.5 * _fd_dbar_w(ratio, z0, w0)
-    closed = pk.local_kernel_q1(w, 1.0, z0, w0, terms=2) / np.exp(w.polarize(z0, w0)) \
-        - 1.0 * w.hermitian_b(z0, w0, 0, 0)
+    closed = pk.local_kernel_q1(w, 1.0, z0, w0, terms=2) \
+        / np.exp(_polarization(w, z0, w0, 0, 0)) - 1.0 * _polarization(w, z0, w0, 1, 1)
     assert abs(closed - fd) < 1e-8
 
 
@@ -138,7 +139,8 @@ def test_q1_power2_value_from_oracle():
     # for a pure power weight d_z b / b = p / z is anti-holomorphically
     # constant, so the correction vanishes; frozen from the oracle above
     z0 = w0 = 1.0
-    ratio = lambda zz, ww: POWER2.hermitian_b(zz, ww, 1, 0) / POWER2.hermitian_b(zz, ww, 0, 0)
+    ratio = lambda zz, ww: (_polarization(POWER2, zz, ww, 2, 1)
+                            / _polarization(POWER2, zz, ww, 1, 1))
     fd = 0.5 * _fd_dbar_w(ratio, z0, w0)
     assert abs(fd) < 1e-9
     m = 3.0
@@ -183,7 +185,7 @@ def test_q2_order_one_log_derivative_fd_oracle():
     # at the diagonal the order-one coefficient reduces to 2 dbar d log b
     w = RPOLY
     z0 = 0.7 + 0.3j
-    logb = lambda zz, ww: np.log(w.hermitian_b(zz, ww, 0, 0))
+    logb = lambda zz, ww: np.log(_polarization(w, zz, ww, 1, 1))
     dz_logb = lambda zz, ww: (
         -logb(zz + 2e-4, ww) + 8 * logb(zz + 1e-4, ww)
         - 8 * logb(zz - 1e-4, ww) + logb(zz - 2e-4, ww)) / (12e-4)
@@ -203,9 +205,9 @@ def test_q2_off_diagonal_coefficients_fd_oracle():
     m = 6.0
     diff = (pk.local_kernel_q2(w, m, z0, w0, terms=3)
             - pk.local_kernel_q2(w, m, z0, w0, terms=2))
-    got = complex(diff / np.exp(m * w.polarize(z0, w0)))
+    got = complex(diff / np.exp(m * _polarization(w, z0, w0, 0, 0)))
 
-    logb = lambda zz, ww: np.log(w.hermitian_b(zz, ww, 0, 0))
+    logb = lambda zz, ww: np.log(_polarization(w, zz, ww, 1, 1))
     h = 1e-3  # third-order nesting: roundoff scales as eps/h^3
     def dz(f):
         return lambda zz, ww: (-f(zz + 2 * h, ww) + 8 * f(zz + h, ww)
@@ -216,8 +218,8 @@ def test_q2_off_diagonal_coefficients_fd_oracle():
     log_11 = dw(dz(logb))(z0, w0)
     log_12 = dw(dw(dz(logb)))(z0, w0)
     log_21 = dw(dz(dz(logb)))(z0, w0)
-    b = w.hermitian_b(z0, w0, 0, 0)
-    d = {(i, j): w.hermitian_b(z0, w0, i, j) for i in range(3) for j in range(3)}
+    b = _polarization(w, z0, w0, 1, 1)
+    d = {(i, j): _polarization(w, z0, w0, i + 1, j + 1) for i in range(3) for j in range(3)}
     sep = z0 - w0
     expect = (2.0 * log_11 - np.conj(sep) * log_12 + sep * log_21
               + abs(sep) ** 2 * _order_one_correction(b, d))
@@ -348,11 +350,11 @@ def test_unweighted_values_past_double_range_are_refused(call, weighted_value):
 
 def _reference_local(w, q, m, z, wc, terms, weighted):
     """The q = 1, q = 2 and leading-term formulas written out apart, each
-    with b typed as hermitian_b returns it or as a complex array."""
+    with b typed as _polarization returns it or as a complex array."""
     z = np.asarray(z, dtype=complex)
     wc = np.asarray(wc, dtype=complex)
-    b = w.hermitian_b(z, wc, 0, 0)
-    d = {(i, j): w.hermitian_b(z, wc, i, j) for i in range(3) for j in range(3)}
+    b = _polarization(w, z, wc, 1, 1)
+    d = {(i, j): _polarization(w, z, wc, i + 1, j + 1) for i in range(3) for j in range(3)}
     h = z - wc
     sep2 = np.abs(h) ** 2
     if terms is None:
@@ -376,7 +378,7 @@ def _reference_local(w, q, m, z, wc, terms, weighted):
         if terms >= 3:
             pref = pref + (2.0 * log_11 - np.conjugate(h) * log_12 + h * log_21
                            + sep2 * _order_one_correction(b, d))
-    e = m * w.polarize(z, wc)
+    e = m * _polarization(w, z, wc, 0, 0)
     if weighted:
         e = e - 0.5 * m * (w.eval_weight(z) + w.eval_weight(wc))
     out = pref * np.exp(e)

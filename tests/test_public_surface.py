@@ -1,5 +1,7 @@
 """The public surface in ``polykernel.__all__`` may stay the same or shrink."""
 
+import dataclasses
+
 import polykernel as pk
 
 PUBLIC = {
@@ -22,3 +24,11 @@ def test_public_surface_does_not_grow():
     assert len(pk.__all__) == len(set(pk.__all__))
     assert set(pk.__all__) <= PUBLIC, sorted(set(pk.__all__) - PUBLIC)
     assert all(hasattr(pk, name) for name in pk.__all__)
+
+
+def test_weight_model_keeps_its_coefficients():
+    # the polarization, b and theta live in localexpansion, their one consumer
+    assert [f.name for f in dataclasses.fields(pk.WeightModel)] == ["coeffs", "label"]
+    gone = {"family", "spec_string", "polarize", "hermitian_b", "phase_theta",
+            "dbar_theta", "_dpolarize", "_theta"}
+    assert not gone & set(dir(pk.WeightModel))

@@ -207,6 +207,23 @@ def test_moment_guards():
         MomentRule(GINIBRE, 1.0, [-1])
 
 
+@pytest.mark.parametrize("text", ["ginibre", "radialpoly:c=1,0.5"])
+def test_sparse_exponents_match_the_full_table(text):
+    # the convexity check reads slopes between the given exponents; before,
+    # it read second differences as if they were 0..P, and [0, 2, 4, 5]
+    # raised "log-moment convexity violated near p=4"
+    w = pk.parse_weight(text)
+    p = [0, 2, 4, 5]
+    assert np.array_equal(MomentRule(w, 1.0, p).log_moments(), _table(w, 1.0, 5)[p])
+
+
+@pytest.mark.parametrize("p", [[0, 10, 1], [3, 3]], ids=["unordered", "repeated"])
+def test_moment_exponents_must_increase(p):
+    with pytest.raises(ConfigurationError,
+                       match=r"exponents p must be strictly increasing, got \[" + str(p[0])):
+        MomentRule(GINIBRE, 1.0, p)
+
+
 def test_polar_grid_gaussian():
     val = pk.integrate_polar_grid(lambda z: np.exp(-np.abs(z) ** 2), 10.0, 200, 32)
     assert val == pytest.approx(1.0, abs=1e-10)

@@ -28,6 +28,12 @@ def test_point_count_and_determinism(spaces):
     assert not np.array_equal(a.points, c.points)
 
 
+def test_configuration_refuses_a_wrong_point_count():
+    with pytest.raises(ConfigurationError, match="configuration must hold 4 points, got 3"):
+        pk.PointConfiguration(points=np.zeros(3, dtype=complex), seed=0, q=2, n=2, m=2.0,
+                              weight="ginibre", proposals_used=3)
+
+
 @pytest.mark.parametrize("weight, q, n", [("ginibre", 2, 20), ("power:p=2", 3, 12)])
 def test_sampler_features_reproduce_the_kernel(spaces, weight, q, n):
     # the sampler peels directions off the evaluator's feature map, so

@@ -1,12 +1,15 @@
-"""Weight catalog: polarization, b-derivatives, theta branches, droplet geometry."""
+"""Weight catalog and droplet geometry, and the polarization, b and theta
+that ``localexpansion`` builds from each weight's coefficients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import polykernel as pk
 from polykernel.errors import ConfigurationError
+from polykernel.localexpansion import _polarization, _theta
 
 from conftest import disk_points
 
@@ -20,8 +23,8 @@ RPOLY = pk.parse_weight("radialpoly:c=1,0.5")
 # ---------------------------------------------------------------------------
 
 def test_parse_families():
-    assert GINIBRE.family == "ginibre"
-    assert POWER2.family == "power" and POWER2.coeffs == (0.0, 1.0)
+    assert GINIBRE.label == "ginibre" and GINIBRE.coeffs == (1.0,)
+    assert POWER2.label == "power:p=2" and POWER2.coeffs == (0.0, 1.0)
     assert RPOLY.coeffs == (1.0, 0.5)
 
 
@@ -37,6 +40,16 @@ def test_parse_rejects_with_token(bad, token):
     with pytest.raises(ConfigurationError) as err:
         pk.parse_weight(bad)
     assert token.split("=")[0] in str(err.value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: pk.parse_weight("ginibre:p=2"), "unexpected parameters for ginibre: 'p=2'"),
+    (lambda: pk.parse_weight("radialpoly:p=2"), "requires exactly 'c=<floats>'"),
+    (lambda: pk.WeightModel.radialpoly([]), "needs at least one coefficient"),
+], ids=["ginibre-parameters", "radialpoly-key", "radialpoly-empty"])
+def test_catalog_refusals_name_their_cause(make, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        make()
 
 
 @pytest.mark.parametrize("text, key", [("radialpoly:c=1;c=2", "c"), ("power:p=2; p=3", "p")])
@@ -60,7 +73,7 @@ def test_radialpoly_rejects_nonsubharmonic():
 
 def test_spec_string_roundtrip():
     for w in (GINIBRE, POWER2, RPOLY):
-        again = pk.parse_weight(w.spec_string())
+        again = pk.parse_weight(w.label)
         assert again.coeffs == w.coeffs
 
 
@@ -76,9 +89,9 @@ def test_eval_weight_examples():
 
 
 def test_polarize_examples():
-    assert GINIBRE.polarize(2.0, 3.0) == pytest.approx(6.0)
+    assert _polarization(GINIBRE, 2.0, 3.0, 0, 0) == pytest.approx(6.0)
     # direct expansion of z^2 conj(w)^2 at z = 1+i, w = 1
-    assert POWER2.polarize(1 + 1j, 1.0) == pytest.approx(2j)
+    assert _polarization(POWER2, 1 + 1j, 1.0, 0, 0) == pytest.approx(2j)
 
 
 def test_polarization_diagonal_and_hermitian():
@@ -87,9 +100,9 @@ def test_polarization_diagonal_and_hermitian():
         R = pk.droplet_radius(w)
         z = disk_points(rng, 100, 2.0 * R)
         v = disk_points(rng, 100, 2.0 * R)
-        diag = np.abs(w.polarize(z, z) - w.eval_weight(z))
+        diag = np.abs(_polarization(w, z, z, 0, 0) - w.eval_weight(z))
         assert np.max(diag) < 1e-12
-        herm = np.abs(w.polarize(z, v) - np.conj(w.polarize(v, z)))
+        herm = np.abs(_polarization(w, z, v, 0, 0) - np.conj(_polarization(w, v, z, 0, 0)))
         assert np.max(herm) < 1e-12
 
 
@@ -106,16 +119,9 @@ def test_growth_bound():
 # ---------------------------------------------------------------------------
 
 def test_hermitian_b_examples():
-    assert GINIBRE.hermitian_b(0.3 + 1j, -2.0, 0, 0) == pytest.approx(1.0)
-    assert POWER2.hermitian_b(1.0, 1.0, 0, 0) == pytest.approx(4.0)  # = dQ(1)
-    assert POWER2.hermitian_b(1.0, 1.0, 1, 0) == pytest.approx(4.0)  # d_z(4 z wbar)
-
-
-def test_hermitian_b_order_guard():
-    with pytest.raises(ConfigurationError):
-        GINIBRE.hermitian_b(1.0, 1.0, 3, 0)
-    with pytest.raises(ConfigurationError):
-        GINIBRE.hermitian_b(1.0, 1.0, 0, -1)
+    assert _polarization(GINIBRE, 0.3 + 1j, -2.0, 1, 1) == pytest.approx(1.0)
+    assert _polarization(POWER2, 1.0, 1.0, 1, 1) == pytest.approx(4.0)  # = dQ(1)
+    assert _polarization(POWER2, 1.0, 1.0, 2, 1) == pytest.approx(4.0)  # d_z(4 z wbar)
 
 
 def _laplacian_fd(w, z, h=1e-4):
@@ -138,8 +144,8 @@ def test_b_matches_fd_laplacian():
         z = disk_points(rng, 100, 2.0 * R)
         for zz in z:
             fd = _laplacian_fd(w, zz)
-            assert abs(w.hermitian_b(zz, zz, 0, 0) - fd) < 1e-6
-            assert abs(w.hermitian_b(zz, zz, 0, 0) - w.delta_q(zz)) < 1e-10
+            assert abs(_polarization(w, zz, zz, 1, 1) - fd) < 1e-6
+            assert abs(_polarization(w, zz, zz, 1, 1) - w.delta_q(zz)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_b_matches_fd_laplacian():
 def test_phase_theta_ginibre_closed_form():
     rng = np.random.default_rng(6)
     z, v = disk_points(rng, 50, 2.0), disk_points(rng, 50, 2.0)
-    assert np.max(np.abs(GINIBRE.phase_theta(z, v) - np.conj(v))) < 1e-13
+    assert np.max(np.abs(_theta(GINIBRE, z, v, 0) - np.conj(v))) < 1e-13
 
 
 def test_phase_theta_diagonal_is_weight_derivative():
@@ -157,13 +163,13 @@ def test_phase_theta_diagonal_is_weight_derivative():
     rng = np.random.default_rng(7)
     for w in (GINIBRE, POWER2, RPOLY):
         z = disk_points(rng, 40, 1.5)
-        expected = w._dpolarize(z, z, 1, 0)
-        assert np.max(np.abs(w.phase_theta(z, z) - expected)) < 1e-12
+        expected = _polarization(w, z, z, 1, 0)
+        assert np.max(np.abs(_theta(w, z, z, 0) - expected)) < 1e-12
 
 
 def test_phase_theta_power2_example():
     # (w^2 wbar^2 - z^2 wbar^2)/(w - z) = wbar^2 (w + z) -> 1 at (0, 1)
-    assert POWER2.phase_theta(0.0, 1.0) == pytest.approx(1.0)
+    assert _theta(POWER2, 0.0, 1.0, 0) == pytest.approx(1.0)
 
 
 def test_theta_branch_agreement():
@@ -173,8 +179,8 @@ def test_theta_branch_agreement():
         h = 1e-3 * np.maximum(1.0, np.abs(z))
         sep = rng.uniform(0.5, 2.0, size=100) * h
         v = z + sep * np.exp(2j * np.pi * rng.uniform(size=100))
-        series = w._theta(z, v, 0)
-        quotient = (w.eval_weight(v) - w.polarize(z, v)) / (v - z)
+        series = _theta(w, z, v, 0)
+        quotient = (w.eval_weight(v) - _polarization(w, z, v, 0, 0)) / (v - z)
         rel = np.abs(series - quotient) / np.maximum(np.abs(series), 1e-30)
         assert np.max(rel) < 1e-9
 
@@ -182,8 +188,8 @@ def test_theta_branch_agreement():
 def test_dbar_theta_examples():
     rng = np.random.default_rng(9)
     z, v = disk_points(rng, 30, 2.0), disk_points(rng, 30, 2.0)
-    assert np.max(np.abs(GINIBRE.dbar_theta(z, v, 0) - 1.0)) < 1e-13
-    assert np.max(np.abs(GINIBRE.dbar_theta(z, v, 1))) < 1e-13
+    assert np.max(np.abs(_theta(GINIBRE, z, v, 1) - 1.0)) < 1e-13
+    assert np.max(np.abs(_theta(GINIBRE, z, v, 2))) < 1e-13
 
 
 def test_dbar_theta_power2_both_branches():
@@ -192,18 +198,18 @@ def test_dbar_theta_power2_both_branches():
     # 4, and the series b + (w-z)(...) collapses to b(1,1) = dQ(1) = 4.
     direct = 2.0 * 1.0 * (1.0 + 1.0)
     series_oracle = sum(
-        (1.0 - 1.0) ** j / math.factorial(j + 1) * POWER2._dpolarize(1.0, 1.0, j + 1, 1)
+        (1.0 - 1.0) ** j / math.factorial(j + 1) * _polarization(POWER2, 1.0, 1.0, j + 1, 1)
         for j in range(2)
     )
     assert direct == pytest.approx(4.0)
     assert series_oracle == pytest.approx(4.0)
-    assert POWER2.dbar_theta(1.0, 1.0, 0) == pytest.approx(4.0)
+    assert _theta(POWER2, 1.0, 1.0, 1) == pytest.approx(4.0)
     # at a separated pair: the closed form, and the series oracle summed by
     # increasing powers of h
     z, w = 1.0, 1.3 + 0.2j
-    far = POWER2.dbar_theta(z, w, 0)
+    far = _theta(POWER2, z, w, 1)
     h = w - z
-    near = sum(h**j / math.factorial(j + 1) * POWER2._dpolarize(z, w, j + 1, 1)
+    near = sum(h**j / math.factorial(j + 1) * _polarization(POWER2, z, w, j + 1, 1)
                for j in range(2))
     assert far == pytest.approx(2.0 * np.conj(w) * (w + z), rel=1e-12)
     assert far == pytest.approx(near, rel=1e-12)
@@ -234,7 +240,7 @@ def test_theta_matches_divided_difference(spec):
     v[:20] = z[:20] + sep * np.exp(2j * np.pi * rng.uniform(size=20))
     v[20:30] = z[20:30]
     for s in range(4):
-        got = w.phase_theta(z, v) if s == 0 else w.dbar_theta(z, v, s - 1)
+        got = _theta(w, z, v, s)
         ref = _theta_divided_difference(w, z, v, s)
         assert np.all(np.abs(got - ref) <= 5e-14 * np.maximum(1.0, np.abs(ref))), s
 
@@ -243,14 +249,9 @@ def test_dbar_theta_diagonal_equals_b():
     rng = np.random.default_rng(10)
     for w in (GINIBRE, POWER2, RPOLY):
         z = disk_points(rng, 50, 1.5)
-        lhs = w.dbar_theta(z, z, 0)
-        rhs = w.hermitian_b(z, z, 0, 0)
+        lhs = _theta(w, z, z, 1)
+        rhs = _polarization(w, z, z, 1, 1)
         assert np.max(np.abs(lhs - rhs)) == 0.0
-
-
-def test_dbar_theta_order_guard():
-    with pytest.raises(ConfigurationError):
-        GINIBRE.dbar_theta(0.0, 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +281,18 @@ def test_equilibrium_solves_each_weight_once(monkeypatch):
     weights._droplet_radius_of.cache_clear()
     w = pk.parse_weight("radialpoly:c=1,0.0625,0.03125")
     first = pk.RadialEquilibrium.solve(w)
-    again = pk.RadialEquilibrium.solve(pk.parse_weight(w.spec_string()))
+    again = pk.RadialEquilibrium.solve(pk.parse_weight(w.label))
     assert first.droplet_radius == again.droplet_radius == bisect(w)
     assert len(solved) == 1
+
+
+def test_equal_weights_keep_their_own_labels():
+    # equality is by coefficients: these three share one droplet bisection,
+    # and each equilibrium still carries its own weight and label
+    texts = ["ginibre", "power:p=1", "radialpoly:c=1"]
+    weights = [pk.parse_weight(t) for t in texts]
+    assert weights[0] == weights[1] == weights[2]
+    assert [pk.RadialEquilibrium.solve(w).weight.label for w in weights] == texts
 
 
 def test_droplet_mass_is_one():
