@@ -14,18 +14,17 @@ from .quadrature import integrate_polar_grid
 from .kernel import GramFactorization, KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import (laguerre_assoc1, local_kernel_leading,
                              local_kernel_q1, local_kernel_q2, r_qm_density)
-from .asymptotics import (BlowupReport, DecayReport, blowup_compare,
-                          blowup_ladder, bulk_limit_profile, decay_ladder,
-                          diagonal_bound_check, offdiagonal_scan,
-                          offdroplet_margins, rate_fit)
+from .asymptotics import (LadderReport, blowup_compare, blowup_ladder,
+                          bulk_limit_profile, decay_ladder, diagonal_bound_check,
+                          offdiagonal_scan, offdroplet_margins, rate_fit)
 from .sampling import (PointConfiguration, empirical_intensity,
                        sample_batch, sample_configuration)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupReport", "ConfigurationError", "DecayReport", "GramFactorization",
-    "KernelEvaluator", "NumericalDegeneracyError",
+    "ConfigurationError", "GramFactorization", "KernelEvaluator", "LadderReport",
+    "NumericalDegeneracyError",
     "PointConfiguration", "PolykernelError", "RadialEquilibrium", "SamplerError",
     "SingularExpansionError", "SpaceSpec", "WeightModel", "blowup_compare",
     "blowup_ladder", "build_space", "bulk_limit_profile", "decay_ladder",

@@ -130,32 +130,19 @@ def rate_fit(ms, sup_errors) -> tuple[float, str]:
 
 
 @dataclass
-class BlowupReport:
+class LadderReport:
+    """An m ladder at the bulk point z0: ``fields``, the file's entries after
+    weight, q and z0 in write order, and ``rungs``, one observation per m."""
+
     weight: str
     q: int
     z0: complex
-    grid_radius: float
-    grid_n: int
-    ms: list[float]
-    ns: list[int]
-    sup_errors: list[float]
-    slope: float
-    slope_flag: str
-    results: list[BlowupResult] = field(repr=False, default_factory=list)
+    fields: dict
+    rungs: list = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "q": self.q,
-            "z0": [self.z0.real, self.z0.imag],
-            "grid": {"radius": self.grid_radius, "n": self.grid_n},
-            "m": list(map(float, self.ms)),
-            "n": list(map(int, self.ns)),
-            "errors": [list(map(float, r.errors)) for r in self.results],
-            "sup_error": list(map(float, self.sup_errors)),
-            "slope": self.slope,
-            "slope_flag": self.slope_flag,
-        }
+        return {"weight": self.weight, "q": self.q, "z0": [self.z0.real, self.z0.imag],
+                **self.fields}
 
 
 def _require_ladder(ms) -> list:
@@ -166,38 +153,44 @@ def _require_ladder(ms) -> list:
     return ms
 
 
-def _ladder(eq: RadialEquilibrium, q: int, z0: complex, ms, ns):
-    """The rungs (m, K) of an m ladder on eq's weight at the bulk point z0, in order.
+def _ladder(weight: WeightModel, q: int, z0: complex, ms, ns, observe) -> list:
+    """``observe(K, m)`` for each rung (m, K) of an m ladder on ``weight`` at the
+    bulk point z0, in the order of ms.
 
     A ladder needs ``ms`` that pass ``_require_ladder``, one n per m (``ns``,
     by default round(m)) and z0 in the bulk, or raises ConfigurationError
     before any build.  K is from ``kernel._ladder_spaces``."""
+    eq = RadialEquilibrium.solve(weight)
     ms = _require_ladder(ms)
     ns = [int(round(m)) for m in ms] if ns is None else ns
     if len(ns) != len(ms):
         raise ConfigurationError(f"a ladder needs one n per m, got {len(ns)} for {len(ms)}")
     ns = [require_integer(n, "n", 1) for n in ns]
     _require_bulk(eq, z0)
-    return _ladder_spaces(eq.weight, q, ms, ns)
+    return [observe(K, m) for m, K in _ladder_spaces(weight, q, ms, ns)]
 
 
 def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
-                  grid_radius: float = 2.5, grid_n: int = 17) -> BlowupReport:
+                  grid_radius: float = 2.5, grid_n: int = 17) -> LadderReport:
     """Blow-up comparison over an m ladder plus the fitted log-log rate.
 
     ``ms`` is a ladder (LADDER_RULE) and ``ns`` holds one n per m (by default
     n = round(m)); ``slope_flag`` is "" or "zero-errors" (see rate_fit).
-    Every argument is checked before the first build.
+    Every argument is checked before the first build.  Rungs: BlowupResults.
     """
     _require_grid(grid_radius, grid_n)
-    results = [blowup_compare(K, z0, grid_radius, grid_n)
-               for _, K in _ladder(RadialEquilibrium.solve(weight), q, z0, ms, ns)]
-    sup = [r.sup_error for r in results]
+    rungs = _ladder(weight, q, z0, ms, ns,
+                    lambda K, m: blowup_compare(K, z0, grid_radius, grid_n))
+    sup = [r.sup_error for r in rungs]
     slope, flag = rate_fit(ms, sup)
-    return BlowupReport(weight=weight.label, q=q, z0=complex(z0),
-                        grid_radius=grid_radius, grid_n=grid_n,
-                        ms=list(map(float, ms)), ns=[r.n for r in results],
-                        sup_errors=sup, slope=slope, slope_flag=flag, results=results)
+    return LadderReport(weight.label, q, complex(z0), {
+        "grid": {"radius": grid_radius, "n": grid_n},
+        "m": [float(r.m) for r in rungs],
+        "n": [int(r.n) for r in rungs],
+        "errors": [list(map(float, r.errors)) for r in rungs],
+        "sup_error": sup,
+        "slope": slope, "slope_flag": flag,
+    }, rungs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +259,8 @@ def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
                      beta_over_sqrt_m=beta / math.sqrt(K.spec.m))
 
 
-@dataclass
-class DecayReport:
-    weight: str
-    q: int
-    z0: complex
-    scans: list[DecayScan]
-    stability: float          # max relative spread of beta/sqrt(m) across the ladder
-
-    def to_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "q": self.q,
-            "z0": [self.z0.real, self.z0.imag],
-            "m": [s.m for s in self.scans],
-            "n": [s.n for s in self.scans],
-            "separations": [list(map(float, s.separations)) for s in self.scans],
-            "log_values": [[list(map(float, row)) for row in s.log_values]
-                           for s in self.scans],
-            "beta": [s.beta for s in self.scans],
-            "beta_over_sqrt_m": [s.beta_over_sqrt_m for s in self.scans],
-            "stability": self.stability,
-        }
-
-
 def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
-                 n_directions: int = 4, n_separations: int = 12) -> DecayReport:
+                 n_directions: int = 4, n_separations: int = 12) -> LadderReport:
     """Off-diagonal scans over an m ladder with microscopically scaled steps.
 
     ``ms`` is a ladder (LADDER_RULE), and n = round(m).  Separations are
@@ -299,26 +268,35 @@ def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
     DECAY_U_RANGE (capped at the bulk clearance radius), along
     n_directions >= 1 rays, so the fitted slope divided by sqrt(m) measures
     the decay rate in microscopic units and is comparable across m.  Every
-    argument is checked before the first build.
+    argument is checked before the first build.  The rungs are DecayScans,
+    and ``stability`` is the largest relative spread of beta/sqrt(m).
     """
     n_directions = require_integer(n_directions, "n_directions", 1)
     n_separations = require_integer(n_separations, "n_separations", 2)
-    eq = RadialEquilibrium.solve(weight)
-    rungs = _ladder(eq, q, z0, ms, None)
-    r0 = bulk_clearance(eq, z0)
     dirs = np.exp(2j * np.pi * np.arange(n_directions) / n_directions)
-    # keep every ray within the clearance radius, which lies inside the
-    # droplet, for every m on the ladder: one u grid, scaled by m^{-1/2},
-    # never clipped
-    u_hi = min(DECAY_U_RANGE[1], 0.95 * r0 * math.sqrt(min(ms)))
-    u_lo = min(DECAY_U_RANGE[0], u_hi / 3.0)
-    u = np.linspace(u_lo, u_hi, n_separations)
-    scans = [offdiagonal_scan(K, z0, dirs, u / math.sqrt(m)) for m, K in rungs]
-    ratios = np.array([s.beta_over_sqrt_m for s in scans])
+
+    def observe(K: KernelEvaluator, m) -> DecayScan:
+        # keep every ray within the clearance radius, which lies inside the
+        # droplet, for every m on the ladder: one u grid, scaled by m^{-1/2},
+        # never clipped
+        r0 = bulk_clearance(K.equilibrium, z0)
+        u_hi = min(DECAY_U_RANGE[1], 0.95 * r0 * math.sqrt(min(ms)))
+        u_lo = min(DECAY_U_RANGE[0], u_hi / 3.0)
+        u = np.linspace(u_lo, u_hi, n_separations)
+        return offdiagonal_scan(K, z0, dirs, u / math.sqrt(m))
+
+    rungs = _ladder(weight, q, z0, ms, None, observe)
+    ratios = np.array([s.beta_over_sqrt_m for s in rungs])
     center = np.mean(ratios)
-    stability = float(np.max(np.abs(ratios - center)) / max(abs(center), 1e-300))
-    return DecayReport(weight=weight.label, q=q, z0=complex(z0),
-                       scans=scans, stability=stability)
+    return LadderReport(weight.label, q, complex(z0), {
+        "m": [s.m for s in rungs],
+        "n": [s.n for s in rungs],
+        "separations": [list(map(float, s.separations)) for s in rungs],
+        "log_values": [[list(map(float, row)) for row in s.log_values] for s in rungs],
+        "beta": [s.beta for s in rungs],
+        "beta_over_sqrt_m": [s.beta_over_sqrt_m for s in rungs],
+        "stability": float(np.max(np.abs(ratios - center)) / max(abs(center), 1e-300)),
+    }, rungs)
 
 
 # ---------------------------------------------------------------------------

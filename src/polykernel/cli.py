@@ -269,19 +269,17 @@ def cmd_intensity(args) -> int:
 
 def cmd_blowup(args) -> int:
     weight = parse_weight(args.weight)
-    if args.n and len(args.n) != len(args.m):
-        raise ConfigurationError("--n list must match --m list length")
     report = asym.blowup_ladder(weight, args.q, args.z0, args.m, args.n,
                                 grid_radius=args.grid_radius, grid_n=args.grid_n)
     atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
     if args.csv_prefix:
-        for res in report.results:
+        for res in report.rungs:
             write_csv(f"{args.csv_prefix}-m{res.m:g}.csv",
                       ["re_xi", "im_xi", "re_lambda", "im_lambda", "error"],
                       zip(res.xi.real, res.xi.imag, res.lam.real, res.lam.imag,
                           res.errors))
-    print(f"slope = {report.slope:.6f} (sup errors: "
-          + ", ".join(format_float(e) for e in report.sup_errors) + ")")
+    print(f"slope = {report.fields['slope']:.6f} (sup errors: "
+          + ", ".join(format_float(e) for e in report.fields["sup_error"]) + ")")
     return 0
 
 
@@ -291,8 +289,8 @@ def cmd_decay(args) -> int:
                                n_directions=args.directions,
                                n_separations=args.separations)
     atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
-    ratios = ", ".join(format_float(s.beta_over_sqrt_m) for s in report.scans)
-    print(f"beta/sqrt(m) = [{ratios}], stability = {report.stability:.3f}")
+    ratios = ", ".join(format_float(s.beta_over_sqrt_m) for s in report.rungs)
+    print(f"beta/sqrt(m) = [{ratios}], stability = {report.fields['stability']:.3f}")
     return 0
 
 

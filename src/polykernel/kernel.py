@@ -125,7 +125,8 @@ def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
             v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done,
                            out=proj)[:, 0]
         beta[:, k] = _norm(v, prod)
-        np.divide(v, beta[:, k, None], out=basis[:, k + 1])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a beta of 0: _conditions refuses it
+            np.divide(v, beta[:, k, None], out=basis[:, k + 1])
     return alpha, beta, basis
 
 

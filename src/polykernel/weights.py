@@ -201,13 +201,13 @@ def droplet_radius(w: WeightModel) -> float:
         lo *= 0.5
         if lo < 1e-300:
             raise ConfigurationError("droplet radius bisection found no lower bracket")
-    for _ in range(200):
+    for _ in range(1100):  # about 47 + log2(1/R) halvings, and lo >= 1e-300
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
+        if hi - lo < 1e-14 * hi:
             break
     return 0.5 * (lo + hi)
 

@@ -104,10 +104,10 @@ def test_criterion_3_bulk_blowup_rate():
     z0 = 0.6 * pk.droplet_radius(weight)
     ms = [40.0, 80.0, 160.0]
     report = pk.blowup_ladder(weight, 2, z0, ms, grid_radius=2.0, grid_n=17)
-    ok = report.slope <= -0.4
+    ok = report.fields["slope"] <= -0.4
     _check(3, "bulk blow-up error decays with log-log slope <= -0.4", ok,
-           f"slope {report.slope:.3f}, sup errors "
-           + "/".join(f"{e:.3f}" for e in report.sup_errors),
+           f"slope {report.fields['slope']:.3f}, sup errors "
+           + "/".join(f"{e:.3f}" for e in report.fields["sup_error"]),
            time.monotonic() - t0, 300.0)
 
 
@@ -151,11 +151,11 @@ def test_criterion_5_offdiagonal_decay():
     for wtext, z0 in (("ginibre", 0.0),
                       ("power:p=2", 0.6 * pk.droplet_radius(pk.parse_weight("power:p=2")))):
         report = pk.decay_ladder(pk.parse_weight(wtext), 2, z0, ms)
-        ratios = [s.beta_over_sqrt_m for s in report.scans]
-        ok = ok and all(r < 0.0 for r in ratios) and report.stability < 0.30
+        ratios = [s.beta_over_sqrt_m for s in report.rungs]
+        ok = ok and all(r < 0.0 for r in ratios) and report.fields["stability"] < 0.30
         details.append(f"{wtext}: beta/sqrt(m) "
                        + "/".join(f"{r:.2f}" for r in ratios)
-                       + f", spread {report.stability * 100:.0f}%")
+                       + f", spread {report.fields['stability'] * 100:.0f}%")
     _check(5, "off-diagonal decay rate negative and stable across the ladder", ok,
            "; ".join(details), time.monotonic() - t0, 300.0)
 

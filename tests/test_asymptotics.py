@@ -170,9 +170,10 @@ def test_shared_blowup_ladders_match_direct_builds(monkeypatch, weight, z0, ms, 
     shared = pk.blowup_ladder(w, 2, z0, ms, ns)
     _direct(monkeypatch)
     own = pk.blowup_ladder(w, 2, z0, ms, ns)
-    assert own.ns == shared.ns
-    np.testing.assert_allclose(shared.sup_errors, own.sup_errors, rtol=1e-14, atol=0.0)
-    assert shared.slope == pytest.approx(own.slope, rel=1e-14, abs=0.0)
+    assert own.fields["n"] == shared.fields["n"]
+    np.testing.assert_allclose(shared.fields["sup_error"], own.fields["sup_error"],
+                               rtol=1e-14, atol=0.0)
+    assert shared.fields["slope"] == pytest.approx(own.fields["slope"], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("weight, z0", [("ginibre", 0.0), ("power:p=2", 0.5)])
@@ -181,8 +182,8 @@ def test_shared_decay_ladders_match_direct_builds(monkeypatch, weight, z0):
     shared = pk.decay_ladder(w, 2, z0, [40, 80, 160])
     _direct(monkeypatch)
     own = pk.decay_ladder(w, 2, z0, [40, 80, 160])
-    np.testing.assert_allclose([s.beta_over_sqrt_m for s in shared.scans],
-                               [s.beta_over_sqrt_m for s in own.scans], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose([s.beta_over_sqrt_m for s in shared.rungs],
+                               [s.beta_over_sqrt_m for s in own.rungs], rtol=1e-14, atol=0.0)
 
 
 def test_blowup_ginibre_exact_collapse():
@@ -272,7 +273,7 @@ def test_blowup_slope_band_power2():
     z0 = 0.6 * pk.droplet_radius(weight)
     rep = pk.blowup_ladder(weight, 2, z0, [40.0, 80.0, 160.0],
                            grid_radius=2.0, grid_n=9)
-    assert -1.2 <= rep.slope <= -0.4
+    assert -1.2 <= rep.fields["slope"] <= -0.4
 
 
 @pytest.mark.parametrize("weight, q", [("power:p=2", 1), ("power:p=2", 2), ("power:p=2", 3),
@@ -286,7 +287,7 @@ def test_blowup_rate_is_one_half_where_asymptotic(weight, q):
     w = pk.parse_weight(weight)
     rep = pk.blowup_ladder(w, q, 0.6 * pk.droplet_radius(w), [640.0, 1280.0, 2560.0],
                            grid_radius=2.0, grid_n=17)
-    assert rep.slope == pytest.approx(-0.5, abs=0.03)
+    assert rep.fields["slope"] == pytest.approx(-0.5, abs=0.03)
 
 
 def test_fixed_separation_sqrtm_correlation():
@@ -308,8 +309,8 @@ def test_fixed_separation_sqrtm_correlation():
 def test_decay_ladder_stability_small():
     rep = pk.decay_ladder(GINIBRE, 2, 0.0, [40.0, 80.0], n_directions=2,
                           n_separations=8)
-    assert all(s.beta_over_sqrt_m < 0.0 for s in rep.scans)
-    assert rep.stability < 0.3
+    assert all(s.beta_over_sqrt_m < 0.0 for s in rep.rungs)
+    assert rep.fields["stability"] < 0.3
     d = rep.to_dict()
     assert len(d["beta_over_sqrt_m"]) == 2
 
@@ -319,7 +320,7 @@ def test_decay_ladder_stability_ginibre_q2():
     # move with m, so its spread is rounding; it reads 6.1e-16, and 1.0e-15
     # when the block recurrences sum alpha_k and beta_k in double
     rep = pk.decay_ladder(GINIBRE, 2, 0.0, [40, 80, 160])
-    assert rep.stability <= 1e-15
+    assert rep.fields["stability"] <= 1e-15
 
 
 def test_offdroplet_margins_bounded(spaces):

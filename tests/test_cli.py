@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,7 +103,10 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["decay", "--weight", "ginibre", "--m", "40,40"], "--m"),
     (["decay", "--weight", "ginibre", "--m", "40"], "--m"),
     (["blowup", "--weight", "ginibre", "--m", "40"], "--m"),
-    (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10"], "--n"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--n", "10"],
+     "a ladder needs one n per m, got 1 for 2"),
+    (["blowup", "--weight", "ginibre", "--m", "20,30", "--n", "20,30,40"],
+     "a ladder needs one n per m, got 3 for 2"),
     (["droplet", "--weight", "radialpoly:c=nan"], "coefficients must be finite"),
     (["droplet", "--weight", "radialpoly:c=1,-1"], "leading coefficient must be positive"),
 ], ids=["q-zero", "blowup-n-list", "decay-empty-m", "kernel-grid-n",
@@ -117,7 +121,7 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
         "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "sample-seed-2-64",
         "energy-n-quad-small", "decay-repeated-m", "decay-single-m", "blowup-single-m",
-        "blowup-n-length", "radialpoly-nan", "radialpoly-negative-leading"])
+        "blowup-n-length", "blowup-n-long", "radialpoly-nan", "radialpoly-negative-leading"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err
@@ -176,6 +180,15 @@ def test_readme_cli_block_parses():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_python_blocks_run():
+    # every python block of the README runs as written; a missing block fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_numerical_degeneracy_exit_code(tmp_path, capsys):

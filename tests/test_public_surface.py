@@ -5,8 +5,8 @@ import dataclasses
 import polykernel as pk
 
 PUBLIC = {
-    "BlowupReport", "ConfigurationError", "DecayReport", "GramFactorization",
-    "KernelEvaluator", "NumericalDegeneracyError",
+    "ConfigurationError", "GramFactorization", "KernelEvaluator", "LadderReport",
+    "NumericalDegeneracyError",
     "PointConfiguration", "PolykernelError", "RadialEquilibrium", "SamplerError",
     "SingularExpansionError", "SpaceSpec", "WeightModel", "blowup_compare",
     "blowup_ladder", "build_space", "bulk_limit_profile", "decay_ladder",
@@ -20,7 +20,7 @@ PUBLIC = {
 
 
 def test_public_surface_does_not_grow():
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 32
     assert len(pk.__all__) == len(set(pk.__all__))
     assert set(pk.__all__) <= PUBLIC, sorted(set(pk.__all__) - PUBLIC)
     assert all(hasattr(pk, name) for name in pk.__all__)

@@ -336,6 +336,19 @@ def test_weighted_energy_ginibre_closed_form():
     assert eq.weighted_energy(64) == pytest.approx(0.75, abs=1e-6)
 
 
+@pytest.mark.parametrize("k", [-300, -100, -10, 2, 10, 30, 100, 200, 300])
+def test_droplet_laws_hold_at_every_scale(k):
+    # Q = c |z|^2 with c = 10^k: R Q'(R) / 2 = 1 and I = 3/4 + (log c) / 2.
+    # The bisection stops at a relative width of 1e-14, which moves c R^2 by
+    # at most 1e-14 plus rounding; before, it stopped at an absolute width,
+    # so c = 1e30 read R Q'(R) = 41 and c = 1e300 read I = inf with warnings
+    w = pk.parse_weight(f"radialpoly:c=1e{k}")
+    eq = pk.RadialEquilibrium.solve(w)
+    R = eq.droplet_radius
+    assert abs(R * w.q_prime(R) / 2.0 - 1.0) <= 2e-14
+    assert eq.weighted_energy() == pytest.approx(0.75 + 0.5 * k * math.log(10.0), rel=1e-12)
+
+
 def _mc_energy(w: pk.WeightModel, n_pairs: int, seed: int):
     """Monte Carlo oracle: independent pairs from the equilibrium measure."""
     eq = pk.RadialEquilibrium.solve(w)
