@@ -41,19 +41,22 @@ def _require_bulk(eq: RadialEquilibrium, z0: complex) -> float:
     """The quarter-Laplacian at z0, which must lie in the open droplet with
     a positive quarter-Laplacian."""
     R = eq.droplet_radius
-    dq = eq.weight.delta_q(z0)
     if not (abs(z0) < R):
         raise ConfigurationError(f"z0 = {z0} is outside the open droplet (R = {R:.6g})")
+    dq = eq.weight.delta_q(z0)
     if not (dq > 0.0):
         raise ConfigurationError(f"quarter-Laplacian at z0 = {z0} is not positive")
     return float(dq)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bulk_limit_profile(q: int, t):
-    """|L^1_{q-1}(t^2)| e^{-t^2/2}: modulus of the universal bulk kernel, q >= 1."""
+    """|L^1_{q-1}(t^2)| e^{-t^2/2}: modulus of the universal bulk kernel, q >= 1.
+    It is 0 where e^{-t^2/2} is, which is wherever L^1_{q-1}(t^2) overflows."""
     q = require_integer(q, "q", 1)
     t = np.asarray(t, dtype=float)
-    return np.abs(_laguerre1(q - 1, t * t)) * np.exp(-0.5 * t * t)
+    damp = np.exp(-0.5 * t * t)
+    return np.where(damp == 0.0, 0.0, np.abs(_laguerre1(q - 1, t * t)) * damp)
 
 
 @dataclass
@@ -175,14 +178,18 @@ def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
     """Blow-up comparison over an m ladder plus the fitted log-log rate.
 
     ``ms`` is a ladder (LADDER_RULE) and ``ns`` holds one n per m (by default
-    n = round(m)); ``slope_flag`` is "" or "zero-errors" (see rate_fit).
-    Every argument is checked before the first build.  Rungs: BlowupResults.
+    n = round(m)).  Every argument is checked before the first build.  A rung
+    whose errors all vanish (a grid where the kernel and the profile both
+    underflow) has no rate: ConfigurationError.  Rungs: BlowupResults.
     """
     _require_grid(grid_radius, grid_n)
     rungs = _ladder(weight, q, z0, ms, ns,
                     lambda K, m: blowup_compare(K, z0, grid_radius, grid_n))
     sup = [r.sup_error for r in rungs]
     slope, flag = rate_fit(ms, sup)
+    if flag:
+        raise ConfigurationError(f"blow-up errors vanish on the grid of radius "
+                                 f"{grid_radius:g}: sup errors {sup}")
     return LadderReport(weight.label, q, complex(z0), {
         "grid": {"radius": grid_radius, "n": grid_n},
         "m": [float(r.m) for r in rungs],
@@ -320,8 +327,10 @@ def offdroplet_margins(K: KernelEvaluator, direction: complex, radii) -> np.ndar
             f"all radii must be finite and exceed the droplet radius {eq.droplet_radius:.6g}"
         )
     z = _unit_directions(direction, "direction") * radii
-    log_gamma = np.asarray(K.log_one_point_intensity(z))
     gap = np.asarray(eq.equilibrium_gap(z))
+    if not np.all(np.isfinite(gap)):
+        raise ConfigurationError(f"Q is past double range within radius {radii.max():.6g}")
+    log_gamma = np.asarray(K.log_one_point_intensity(z))
     return log_gamma + m * gap - 2.0 * math.log(m)
 
 

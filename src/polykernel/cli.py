@@ -205,13 +205,15 @@ def _space(args):
 def cmd_droplet(args) -> int:
     weight = parse_weight(args.weight)
     eq = RadialEquilibrium.solve(weight)
-    print(f"R = {eq.droplet_radius:.12f}")
     if args.out:
         r_max = args.r_max or 2.5 * eq.droplet_radius
         r = np.linspace(0.0, r_max, args.n_grid)
+        q_r = np.atleast_1d(weight.eval_weight(r))
+        if not np.isfinite(q_r[-1]):
+            raise ConfigurationError(f"Q({r_max:.6g}) is past double range")
         write_csv(args.out, ["r", "Q", "equilibrium_potential"],
-                  zip(r, np.atleast_1d(weight.eval_weight(r)),
-                      np.atleast_1d(eq.equilibrium_potential(r))))
+                  zip(r, q_r, np.atleast_1d(eq.equilibrium_potential(r))))
+    print(f"R = {eq.droplet_radius:.12f}")
     return 0
 
 
@@ -296,7 +298,8 @@ def cmd_decay(args) -> int:
 
 def cmd_offdroplet(args) -> int:
     K = _space(args)
-    radii = np.array(args.ratios) * K.equilibrium.droplet_radius
+    with np.errstate(over="ignore"):  # offdroplet_margins refuses a radius of inf
+        radii = np.array(args.ratios) * K.equilibrium.droplet_radius
     margins = asym.offdroplet_margins(K, args.direction, radii)
     write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))
     print(f"max margin = {margins.max():.6f}")
@@ -306,11 +309,7 @@ def cmd_offdroplet(args) -> int:
 def cmd_local(args) -> int:
     weight = parse_weight(args.weight)
     grid = _square_grid(args.z0, args.grid_radius, args.grid_n).ravel()
-    max_terms = ORDERS.get(args.q, 1)
-    terms = min(2, max_terms) if args.terms is None else args.terms
-    if not 1 <= terms <= max_terms:
-        raise ConfigurationError(f"--terms {terms} is out of range for q={args.q}: "
-                                 f"at most {max_terms} known terms")
+    terms = min(2, ORDERS.get(args.q, 1)) if args.terms is None else args.terms
     vals = np.atleast_1d(_local_kernel(weight, args.q, args.m, np.full_like(grid, args.z0),
                                        grid, terms, args.weighted))
     write_csv(args.out, ["re_w", "im_w", "re_value", "im_value", "abs_value"],

@@ -116,16 +116,17 @@ def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
     proj = _buffer("lanczos", "proj", (nb, 1, size))
     np.divide(start, _norm(start, prod)[:, None], out=basis[:, 0])
     alpha, beta = np.empty((nb, steps)), np.empty((nb, steps))
-    for k in range(steps):
-        np.multiply(t, basis[:, k], out=v)
-        alpha[:, k] = np.sum(np.multiply(basis[:, k], v, out=prod), axis=-1,
-                             dtype=np.longdouble)
-        done = basis[:, :k + 1]
-        for _ in range(2):  # v -= done^T (done v), row by row
-            v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done,
-                           out=proj)[:, 0]
-        beta[:, k] = _norm(v, prod)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a beta of 0: _conditions refuses it
+    # a beta of 0 or past double range leaves inf or NaN: _conditions refuses it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(steps):
+            np.multiply(t, basis[:, k], out=v)
+            alpha[:, k] = np.sum(np.multiply(basis[:, k], v, out=prod), axis=-1,
+                                 dtype=np.longdouble)
+            done = basis[:, :k + 1]
+            for _ in range(2):  # v -= done^T (done v), row by row
+                v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done,
+                               out=proj)[:, 0]
+            beta[:, k] = _norm(v, prod)
             np.divide(v, beta[:, k, None], out=basis[:, k + 1])
     return alpha, beta, basis
 
@@ -229,8 +230,9 @@ class GramFactorization:
     Block i has degree offset d[i] and size[i] basis rows r = r0[i] + k,
     j = r + d[i], of exponents 2r + d = |d| + 2k.  Row i of alpha and beta
     holds its alpha_0 .. alpha_{s-2} and beta_1 .. beta_{s-1} for s = size[i],
-    zero past them.  Blocks d and -d take them from the one recurrence of
-    their measure, so the smaller block's row is a prefix of the larger's.
+    zero past them, in rows as wide as the widest block's, min(q, n) - 1.
+    Blocks d and -d take them from the one recurrence of their measure, so
+    the smaller block's row is a prefix of the larger's.
     A build of a weight of one term can be re-based (``_rebased``) to any m
     and any n up to its own.
     """
@@ -247,11 +249,11 @@ class GramFactorization:
         a = np.abs(self.d)
         need = np.zeros(a.max() + 1, dtype=int)
         np.maximum.at(need, a, self.size)
-        alpha, beta = np.zeros((need.size, q - 1)), np.zeros((need.size, q - 1))
+        alpha, beta = np.zeros((2, need.size, need.max() - 1))
         many = need > 1
         k = np.arange(need.max())
         p = np.flatnonzero(many)[:, None] + 2 * np.minimum(k, need[many, None] - 1)
-        alpha[many, :k.size - 1], beta[many, :k.size - 1] = _recurrences(self._rule, p)
+        alpha[many], beta[many] = _recurrences(self._rule, p)
         self._set_blocks(alpha[a], beta[a])
 
     def _layout(self) -> None:
@@ -263,7 +265,7 @@ class GramFactorization:
 
     def _set_blocks(self, alpha: np.ndarray, beta: np.ndarray) -> None:
         """Each block's rows of alpha and beta, cut to its size, and its condition."""
-        keep = np.arange(self.spec.q - 1) < self.size[:, None] - 1
+        keep = np.arange(alpha.shape[1]) < self.size[:, None] - 1
         self.alpha, self.beta = np.where(keep, alpha, 0.0), np.where(keep, beta, 0.0)
         cond = _conditions(self.alpha, self.beta, self.size)
         bad = np.flatnonzero(~np.isfinite(cond))
@@ -287,7 +289,8 @@ class GramFactorization:
         rho = e^{shift}, and block d of n' <= n rows is a prefix of this
         build's block d; log M_p comes from this build's rule
         (``MomentRule.log_moments``, with its log-convexity check).  The
-        conditions are those of the cut blocks.
+        conditions are those of the cut blocks.  The result keeps no rule, so
+        it is not re-based again.
         """
         if not self._one_term or spec.q != self.spec.q or spec.n > self.spec.n:
             raise ConfigurationError(
@@ -296,12 +299,13 @@ class GramFactorization:
         shift = np.log(np.longdouble(self.spec.m) / np.longdouble(spec.m)) / self._rule._mc[0][0]
         rho = float(np.exp(shift))
         out = object.__new__(GramFactorization)
-        out.weight, out.spec = self.weight, spec
+        out.weight, out.spec, out._one_term = self.weight, spec, False
         out.log_moments = self._rule.log_moments(shift)[:spec.n + spec.q - 1]
         out._layout()
-        # both d axes start at -(q - 1), so block i is the same d in both
-        blocks = slice(out.d.size)
-        out._set_blocks(rho * self.alpha[blocks], rho * self.beta[blocks])
+        # both d axes start at -(q - 1), so block i is the same d in both; the
+        # widest block of n' <= n holds min(q, n') rows
+        cut = (slice(out.d.size), slice(out.size.max() - 1))
+        out._set_blocks(rho * self.alpha[cut], rho * self.beta[cut])
         return out
 
 
@@ -370,9 +374,9 @@ class _Pool(threading.local):
     every evaluator that runs on the thread, so that a fresh space finds its
     working memory already paged in.  An evaluation keeps the features of
     one side of a pair ("z"), of the other side ("w") and their pairing
-    ("pair"): at most (2 + 9/q) PAIR_CHUNK doubles, 6.8 MB at q = 2 and
-    11.5 MB at q = 1.  A build's Lanczos batches ("lanczos") keep at most
-    2.5 PAIR_CHUNK doubles more, 2.6 MB."""
+    ("pair"): at most (2 + 9/r) PAIR_CHUNK doubles for blocks of at most
+    r = min(q, n) rows, 6.8 MB at r = 2 and 11.5 MB at r = 1.  A build's
+    Lanczos batches ("lanczos") keep at most 2.5 PAIR_CHUNK doubles more, 2.6 MB."""
 
     def __init__(self):
         self.arrays = {}
@@ -416,28 +420,27 @@ class _FeatureMap:
 
     def __init__(self, factorization: GramFactorization):
         f = factorization
-        q, nb = f.spec.q, f.d.size
+        rows, nb = f.alpha.shape[1] + 1, f.d.size  # rows of the widest block, min(q, n)
         self.weight, self.m = f.weight, f.spec.m
         self.d = f.d
-        self.mask = np.arange(q) < f.size[:, None]
-        self.p = np.where(self.mask, np.abs(f.d)[:, None] + 2 * np.arange(q), 0)
+        self.mask = np.arange(rows) < f.size[:, None]
+        self.p = np.where(self.mask, np.abs(f.d)[:, None] + 2 * np.arange(rows), 0)
         beta = f.beta.T
         live = beta > 0.0  # beta_{k+1} of a row k + 1 of the block
-        self.center = np.zeros((q, nb, 1))  # alpha_k
-        self.gain = np.zeros((q, nb, 1))    # 1 / beta_{k+1}
-        self.back = np.zeros((q, nb, 1))    # beta_k / beta_{k+1}
-        self.center[:q - 1, :, 0] = f.alpha.T
-        np.divide(1.0, beta, out=self.gain[:q - 1, :, 0], where=live)
-        np.divide(beta[:-1], beta[1:], out=self.back[1:q - 1, :, 0], where=live[1:])
+        self.center = np.zeros((rows, nb, 1))  # alpha_k
+        self.gain = np.zeros((rows, nb, 1))    # 1 / beta_{k+1}
+        self.back = np.zeros((rows, nb, 1))    # beta_k / beta_{k+1}
+        self.center[:rows - 1, :, 0] = f.alpha.T
+        np.divide(1.0, beta, out=self.gain[:rows - 1, :, 0], where=live)
+        np.divide(beta[:-1], beta[1:], out=self.back[1:rows - 1, :, 0], where=live[1:])
         self.low = np.abs(self.d)[:, None]
         self.half_logm = 0.5 * f.log_moments[self.low]
-        self.origin = q - 1  # the block d = 0
+        self.origin = f.spec.q - 1  # the block d = 0
         # Row k of block i is row first[i] + k of ``weighted``.  The blocks of
         # the most rows are consecutive and fill consecutive rows, written by
-        # one strided product; the others, at most 2(q - 1), by index, one
+        # one strided product; the others, at most 2(rows - 1), by index, one
         # gather per row k.
         size = f.size
-        rows = int(size.max())
         first = np.concatenate([[0], np.cumsum(size)[:-1]])
         full = np.flatnonzero(size == rows)
         self.dim = int(size.sum())
@@ -457,34 +460,39 @@ class _FeatureMap:
         that vanishes at z (|d| > 0 at the origin) has shift -inf.
         """
         require_finite_points(z, "evaluation points")
-        t = z.real ** 2 + z.imag ** 2
-        q, nb = self.center.shape[:2]
-        x = _buffer(side, "x", (q, nb, z.size))
+        rows, nb = self.center.shape[:2]
+        x = _buffer(side, "x", (rows, nb, z.size))
         work = _buffer(side, "work", (nb, z.size))
-        # pi_0 = 1, so its products are exact and left out, and its row is
-        # written only once normalized
-        for k in range(q - 1):
-            row = x[k + 1]
-            np.subtract(t, self.center[k], out=row)
-            row *= self.gain[k]
-            if k:
-                row *= x[k]
-                row -= self.back[k] if k == 1 else \
-                    np.multiply(self.back[k], x[k - 1], out=work)
         top = _buffer(side, "top", (nb, z.size))
-        top.fill(1.0)
-        for k in range(1, q):
-            np.maximum(top, np.abs(x[k], out=work), out=top)
-        np.divide(1.0, top, out=x[0])
-        x[1:] /= top
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # where t or the recurrence leaves double range, top is inf or NaN and
+        # the point is refused; where m Q does, the weight is e^{-inf} = 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = z.real ** 2 + z.imag ** 2
+            # pi_0 = 1, so its products are exact and left out, and its row is
+            # written only once normalized
+            for k in range(rows - 1):
+                row = x[k + 1]
+                np.subtract(t, self.center[k], out=row)
+                row *= self.gain[k]
+                if k:
+                    row *= x[k]
+                    row -= self.back[k] if k == 1 else \
+                        np.multiply(self.back[k], x[k - 1], out=work)
+            top.fill(1.0)
+            for k in range(1, rows):
+                np.maximum(top, np.abs(x[k], out=work), out=top)
+            if not np.isfinite(top.max()):
+                raise NumericalDegeneracyError(f"features at |z| up to {np.abs(z).max():.4g} "
+                                               f"leave double range (weight {self.weight.label})")
+            np.divide(1.0, top, out=x[0])
+            x[1:] /= top
             shift = np.multiply(self.low, np.log(np.abs(z)), out=work)
-        shift[self.origin] = 0.0  # |z|^0 = 1, also at 0
-        np.log(top, out=top)
-        top -= self.half_logm
-        shift += top
-        if weight_power:
-            shift -= weight_power * self.m * self.weight.eval_weight(z)
+            shift[self.origin] = 0.0  # |z|^0 = 1, also at 0
+            np.log(top, out=top)
+            top -= self.half_logm
+            shift += top
+            if weight_power:
+                shift -= weight_power * self.m * self.weight.eval_weight(z)
         return shift, x, np.angle(z)
 
     def weighted(self, z) -> np.ndarray:
@@ -500,7 +508,7 @@ class _FeatureMap:
         phase *= np.exp(shift, out=shift)
         out = np.empty((self.dim, ang.size), dtype=complex)
         blocks, rows, dest = self.full
-        np.multiply(x[:rows, blocks].transpose(1, 0, 2), phase[blocks, None],
+        np.multiply(x[:, blocks].transpose(1, 0, 2), phase[blocks, None],
                     out=out[dest].reshape(-1, rows, ang.size))
         for k, b, dest in self.ramps:
             out[dest] = x[k, b] * phase[b]
@@ -711,7 +719,7 @@ class KernelEvaluator:
         logs *= mant[:, None, :]
         vals = np.exp(t) * np.sum(logs, axis=2)
         vals = vals * _block_phases(fm.d, ang_z)
-        r = self.factorization.r0[:, None] + np.arange(q)
+        r = self.factorization.r0[:, None] + np.arange(fm.mask.shape[1])
         table = np.empty((q, n), dtype=complex)
         table[r[fm.mask], (r + fm.d[:, None])[fm.mask]] = vals[fm.mask]
         return table

@@ -143,6 +143,7 @@ def _order_one_correction(b, d):
             + (1.0 / 3.0) * d[0, 2] * d[2, 0] / b2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # require_finite refuses what leaves range
 def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool):
     """pref e^{mQ(z,wc)} [e^{-m(Q(z) + Q(wc))/2}]: for q in ORDERS, pref keeps
     ``terms`` powers of m from the top; None, and any other q, is the leading
@@ -193,8 +194,7 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
     e = m * _polarization(w, z, wc, 0, 0)
     if weighted:
         e = e - 0.5 * m * (w.eval_weight(z) + w.eval_weight(wc))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = pref * np.exp(e)
+    out = pref * np.exp(e)
     require_finite(out, np.real(e), "m Re[Q(z, w) - (Q(z) + Q(w))/2]" if weighted
                    else "m Re Q(z, w)", m)
     return out if np.asarray(out).shape else complex(out)

@@ -97,11 +97,12 @@ class WeightModel:
     def degree(self) -> int:
         return len(self.coeffs)
 
+    @np.errstate(over="ignore")
     def eval_weight(self, z) -> float | np.ndarray:
-        """Q(z); depends only on |z| for the radial catalog."""
+        """Q(z), inf past double range; depends only on |z| for the radial catalog."""
         r2 = np.abs(np.asarray(z)) ** 2
-        out = np.zeros_like(r2, dtype=float)
-        for k in range(self.degree, 0, -1):
+        out = np.full_like(r2, self.coeffs[-1], dtype=float)
+        for k in range(self.degree - 1, 0, -1):
             out = out * r2 + self.coeffs[k - 1]
         out = out * r2
         return out if out.shape else float(out)

@@ -42,6 +42,10 @@ def test_bulk_limit_profile_values():
     assert bulk_limit_profile(2, 0.0) == pytest.approx(2.0)  # L^1_1(0) = 2
     assert bulk_limit_profile(1, 1.3) == pytest.approx(math.exp(-0.5 * 1.69))
     assert bulk_limit_profile(2, math.sqrt(2.0)) == pytest.approx(0.0, abs=1e-14)
+    # where L^1_{q-1}(t^2) or t^2 overflows, e^{-t^2/2} is 0 and so is the
+    # profile; before, these read nan with a RuntimeWarning
+    np.testing.assert_array_equal(bulk_limit_profile(65, [1e6, 1e200]), [0.0, 0.0])
+    assert math.isnan(bulk_limit_profile(2, math.nan))
 
 
 def test_blowup_preconditions(spaces):
@@ -242,6 +246,34 @@ def test_offdiagonal_scan_preconditions(spaces):
     K = spaces("ginibre", 2, 20, 20.0)
     with pytest.raises(ConfigurationError):
         pk.offdiagonal_scan(K, 0.9, [1.0], [0.3])  # ray exits the droplet
+
+
+@pytest.mark.parametrize("m, separations", [(20.0, [0.1]), (1000.0, [0.88, 0.9])],
+                         ids=["one-separation", "all-floored"])
+def test_offdiagonal_scan_needs_two_unfloored_separations(m, separations):
+    # at q = n = 1, log |weighted K(0, s)|^2 = 2 log m - m s^2, which is below
+    # the log floor -745 past s = 0.87 at m = 1000
+    K = pk.build_space(GINIBRE, pk.SpaceSpec(1, 1, m))
+    with pytest.raises(ConfigurationError,
+                       match="^too few unfloored separations for a decay fit$"):
+        pk.offdiagonal_scan(K, 0.0, [1.0, 1j], separations)
+
+
+def test_a_blowup_grid_where_every_error_vanishes_is_refused():
+    # at microscopic radius 1e43 the kernel and the profile both underflow to
+    # 0 at every point; before, the ladder reported slope -inf with exit 0
+    with pytest.raises(ConfigurationError,
+                       match=r"^blow-up errors vanish on the grid of radius 1e\+43"):
+        pk.blowup_ladder(GINIBRE, 2, 0.3, [10.0, 20.0], grid_radius=1e43, grid_n=4)
+
+
+def test_far_points_are_refused_before_q_overflows(spaces):
+    # before, Delta Q(z0) and Q on the ray overflowed with a RuntimeWarning
+    with pytest.raises(ConfigurationError, match=r"^z0 = 1e\+200 is outside the open droplet"):
+        pk.decay_ladder(POWER2, 2, 1e200, [10.0, 20.0])
+    with pytest.raises(ConfigurationError,
+                       match=r"^Q is past double range within radius 1e\+200$"):
+        pk.offdroplet_margins(spaces("ginibre", 2, 20, 20.0), 1.0, [2.0, 1e200])
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])

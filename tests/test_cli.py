@@ -57,7 +57,7 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
     (["offdroplet", "--weight", "ginibre", "--n", "4", "--m", "1", "--direction", "0"],
      "--direction"),
     (["local", "--weight", "ginibre", "--q", "3", "--m", "8", "--terms", "3"],
-     "--terms"),
+     "terms at q=3 must be an integer in [1, 2), got 3"),
     (["local", "--weight", "ginibre", "--q", "0", "--m", "8"], "--q"),
     (["blowup", "--weight", "ginibre", "--q", "0", "--m", "10,20"], "--q"),
     (["decay", "--weight", "ginibre", "--q", "0", "--m", "10,20"], "--q"),
@@ -214,6 +214,50 @@ def test_unweighted_values_past_double_range_exit_2(tmp_path, capsys, argv):
     assert err.startswith("numerical degeneracy:") and "at m=1000.0" in err
     assert "past double range" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["droplet", "--weight", "ginibre", "--r-max=1e200"], 1,
+     "configuration error: Q(1e+200) is past double range"),
+    (["offdroplet", "--weight", "ginibre", "--q", "2", "--n", "4", "--m", "4",
+      "--ratios=2,1e200"], 1, "configuration error: Q is past double range within radius 1e+200"),
+    (["intensity", "--weight", "ginibre", "--q", "2", "--n", "4", "--m", "4",
+      "--r-max=1e200"], 2,
+     "numerical degeneracy: features at |z| up to 1e+200 leave double range (weight ginibre)"),
+    (["berezin", "--weight", "ginibre", "--n", "4", "--m", "4", "--z0=1e154"], 2,
+     "numerical degeneracy: berezin centre z=(1e+154+0j) has vanishing diagonal kernel"),
+    (["blowup", "--weight", "ginibre", "--m", "10,20", "--grid-radius=1e43", "--grid-n", "4"],
+     1, "configuration error: blow-up errors vanish on the grid of radius 1e+43: "
+        "sup errors [0.0, 0.0]"),
+    (["decay", "--weight", "power:p=2", "--z0=1e200", "--m", "10,20"], 1,
+     "configuration error: z0 = (1e+200+0j) is outside the open droplet (R = 0.840896)"),
+    (["kernel", "--weight", "radialpoly:c=1e300", "--q", "7", "--n", "55", "--m", "0.5",
+      "--grid-n", "2"], 2, "numerical degeneracy: Gram block d=-5 is numerically degenerate"),
+    (["kernel", "--weight", "radialpoly:c=1e-300", "--q", "3", "--n", "11", "--m", "0.7713",
+      "--grid-n", "2"], 2, "numerical degeneracy: Gram block d=-1 is numerically degenerate"),
+    (["local", "--weight", "radialpoly:c=1e300", "--q", "40", "--m", "1734",
+      "--z0=-0.48-0.958j", "--grid-n", "3"], 2,
+     "numerical degeneracy: m Re Q(z, w) reaches 2.49e+303 at m=1734.0"),
+], ids=["droplet-r-max", "offdroplet-ratio", "intensity-r-max", "berezin-z0", "blowup-grid",
+        "decay-z0", "lanczos-zero-beta", "lanczos-overflow", "local-laguerre"])
+def test_values_past_double_range_are_refused_by_name(tmp_path, capsys, argv, code, message):
+    # found by test_cli_sweep's box: each printed a RuntimeWarning, or wrote
+    # inf, NaN or a -inf slope with exit 0
+    out = tmp_path / "x.out"
+    assert run(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_failed_selftest_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_hermitian_ok", lambda K: False)
+    assert run(["selftest", "--fast"]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] ginibre q=1 n=m=12: hermitian" in captured.out
+    assert "[PASS] ginibre q=1 n=m=12: trace" in captured.out
+    assert "all checks passed" not in captured.out
+    assert captured.err == "numerical degeneracy: selftest: 2 checks failed\n"
 
 
 def test_kernel_csv(tmp_path, capsys):

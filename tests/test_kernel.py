@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -362,6 +363,58 @@ def test_rebase_needs_one_term_and_no_more_rows():
             built._rebased(spec)
 
 
+def test_a_rebased_build_is_not_rebased_again():
+    # a re-based factorization keeps no moment rule; before, a second re-base
+    # raised AttributeError: '_one_term'
+    (m, K), _ = pk.kernel._ladder_spaces(GINIBRE, 2, [40.0, 80.0], [40, 80])
+    with pytest.raises(ConfigurationError, match="cannot re-base q=2, n=40 of weight ginibre"):
+        K.factorization._rebased(pk.SpaceSpec(2, 20, 20.0))
+
+
+@pytest.mark.parametrize("q, n, rebase", [(40, 3, None), (3, 40, None), (5, 5, None),
+                                          (5, 20, 3), (40, 3, 2)])
+def test_every_block_array_is_min_q_n_rows_wide(spaces, q, n, rebase):
+    # block d holds at most min(q, n) rows, so alpha, beta and the feature
+    # tables are that wide, not q; a re-base to n' < q cuts them to min(q, n')
+    if rebase is None:
+        K = spaces("ginibre", q, n, 10.0)
+    else:
+        built = pk.GramFactorization(GINIBRE, pk.SpaceSpec(q, n, 10.0))
+        n = rebase
+        K = pk.KernelEvaluator(built._rebased(pk.SpaceSpec(q, n, 20.0)))
+        direct = pk.build_space(GINIBRE, pk.SpaceSpec(q, n, 20.0))
+        z = disk_points(np.random.default_rng(5), 200, 1.5)
+        np.testing.assert_allclose(K.one_point_intensity(z), direct.one_point_intensity(z),
+                                   rtol=1e-13, atol=0.0)
+    rows = min(q, n)
+    f, fm = K.factorization, K._features
+    assert f.alpha.shape == f.beta.shape == (q + n - 1, rows - 1)
+    assert fm.mask.shape == fm.p.shape == (q + n - 1, rows)
+    assert fm.center.shape == fm.gain.shape == fm.back.shape == (rows, q + n - 1, 1)
+    assert fm(np.array([0.3 + 0.1j]), 0.5)[1].shape == (rows, q + n - 1, 1)
+    assert fm.d[fm.origin] == 0
+
+
+def test_points_past_double_range_are_refused_or_weighted_to_zero(spaces):
+    # |z|^2 or the recurrence past double range: named refusal; before, the
+    # features overflowed with a RuntimeWarning.  m Q past double range: the
+    # weight e^{-m Q} is 0, so gamma is 0 and a Berezin centre there is refused
+    K = spaces("ginibre", 2, 10, 10.0)
+    for z in (1e200, np.array([0.1, -1e200j])):
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"^features at \|z\| up to 1e\+200 leave double range "
+                                 r"\(weight ginibre\)$"):
+            K.one_point_intensity(z)
+    with pytest.raises(NumericalDegeneracyError, match="leave double range"):
+        spaces("ginibre", 10, 10, 10.0).one_point_intensity(1e40)
+    L = spaces("ginibre", 1, 4, 4.0)
+    assert L.one_point_intensity(1e154) == 0.0
+    assert L.weighted_kernel(1e154, 0.1) == 0.0
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"^berezin centre z=1e\+154 has vanishing diagonal kernel$"):
+        L.berezin_density(1e154, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernel oracles
 # ---------------------------------------------------------------------------
@@ -543,6 +596,27 @@ def test_k_point_guards(spaces):
     K = spaces("ginibre", 1, 2, 1.0)
     with pytest.raises(ConfigurationError):
         K.k_point_intensity(np.zeros(3, dtype=complex))  # k > nq
+
+
+@pytest.mark.parametrize("mat, warns", [([[1.0, 1.0], [1.0, 1.0 - 1e-13]], False),
+                                        ([[1.0, 2.0], [2.0, 1.0]], True)],
+                         ids=["roundoff", "beyond-roundoff"])
+def test_a_negative_k_point_determinant_is_clamped(monkeypatch, spaces, mat, warns):
+    # a kernel matrix is positive semidefinite, so a negative determinant is
+    # roundoff (clamped to 0 in silence) unless it passes 1e-10 of the
+    # diagonal's product; no natural kernel matrix was found to pass it (the
+    # worst over 900 clustered sets read -1.3e-26), so a stub stands in
+    K = spaces("ginibre", 1, 2, 1.0)
+    monkeypatch.setattr(K, "_weighted_matrix", lambda pts: np.array(mat, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if warns:
+            with pytest.warns(UserWarning, match=r"^2-point intensity determinant -3\.000e\+00 "
+                                                 r"is negative beyond roundoff \(scale "
+                                                 r"1\.000e\+00\); clamping to 0$"):
+                assert K.k_point_intensity([0.1, 0.2]) == 0.0
+        else:
+            assert K.k_point_intensity([0.1, 0.2]) == 0.0
 
 
 def test_joint_density_q1_n1(spaces):

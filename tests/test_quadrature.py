@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 import polykernel as pk
-from polykernel.errors import ConfigurationError
+from polykernel.errors import ConfigurationError, NumericalDegeneracyError
 from polykernel.quadrature import NEWTON_STEPS, RULE_STEP, MomentRule, gauss_legendre
 
 GINIBRE = pk.parse_weight("ginibre")
@@ -278,3 +278,23 @@ def test_gauss_legendre_is_exact_on_even_powers(n):
     assert np.array_equal(x, -x[::-1]) and np.array_equal(v, v[::-1])
     worst = max(abs(math.fsum(v * x ** (2 * j)) - 2.0 / (2 * j + 1)) for j in range(n))
     assert worst <= 4 * np.finfo(float).eps
+
+
+def test_a_mode_search_that_does_not_converge_is_refused():
+    # at m = 1e40 the bracketed Newton solve for the modes of
+    # Q = t - 0.3 t^2 + 0.05 t^3 does not converge within NEWTON_STEPS steps
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"^moment mode search did not converge \(weight radialpoly:c=1,"):
+        MomentRule(pk.parse_weight("radialpoly:c=1,-0.3,0.05"), 1e40, np.arange(40))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight, m, match", [
+    ("radialpoly:c=1e300", 1e20, r"^degenerate radial moment p=0, m=1e\+20 "),
+    ("radialpoly:c=1e-300", 1e-20, r"^moment mode search found no lower bracket "),
+], ids=["degenerate-moment", "no-lower-bracket"])
+def test_moment_rules_past_double_range_are_refused(weight, m, match):
+    # m c past double range: the mode search overflows first (so a
+    # RuntimeWarning precedes the refusal; this test is about the refusal)
+    with pytest.raises(NumericalDegeneracyError, match=match):
+        MomentRule(pk.parse_weight(weight), m, np.arange(1)).log_moments()
