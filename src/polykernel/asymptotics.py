@@ -233,8 +233,7 @@ class DecayScan:
     m: float
     n: int
     separations: np.ndarray
-    log_values: np.ndarray    # (n_directions, n_separations)
-    floored: np.ndarray       # True where the value underflowed the log floor
+    log_values: np.ndarray    # (n_directions, n_separations), floored at LOG_FLOOR
     beta: float               # slope of direction-averaged log value vs s
     beta_over_sqrt_m: float
 
@@ -262,8 +261,7 @@ def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
         raise ConfigurationError("too few unfloored separations for a decay fit")
     beta = float(np.polyfit(seps[keep], mean_logs[keep], 1)[0])
     return DecayScan(m=K.spec.m, n=K.spec.n, separations=seps, log_values=logs,
-                     floored=floored, beta=beta,
-                     beta_over_sqrt_m=beta / math.sqrt(K.spec.m))
+                     beta=beta, beta_over_sqrt_m=beta / math.sqrt(K.spec.m))
 
 
 def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "determinantal point processes, and bulk-limit checks.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("droplet", parents=[], help="droplet radius R solving "
+    p = sub.add_parser("droplet", help="droplet radius R solving "
                        "R*Q'(R)=2 and the equilibrium-potential profile")
     p.add_argument("--weight", required=True)
     p.add_argument("--out", help="optional CSV of r, Q(r), equilibrium potential")
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="weighted logarithmic energy of the "
                        "equilibrium measure")
     p.add_argument("--weight", required=True)
-    p.add_argument("--n-quad", type=_integer(64), default=512)
 
     p = sub.add_parser("kernel", help="grid of kernel values around a centre, "
                        "CSV with plain and weighted magnitudes")
@@ -220,7 +219,7 @@ def cmd_droplet(args) -> int:
 def cmd_energy(args) -> int:
     weight = parse_weight(args.weight)
     eq = RadialEquilibrium.solve(weight)
-    print(f"I = {eq.weighted_energy(args.n_quad):.12f}")
+    print(f"I = {eq.weighted_energy():.12f}")
     return 0
 
 

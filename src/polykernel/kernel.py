@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, NumericalDegeneracyError, require_finite,
                      require_finite_points, require_integer, require_positive)
-from .quadrature import RULE_STEP, TAIL_BOUND, MomentRule, gauss_legendre_on
+from .quadrature import TAIL_BOUND, MomentRule, gauss_legendre_on
 from .weights import RadialEquilibrium, WeightModel
 
 # Least log-drop of the integrand of a block's lowest row at the first left end
@@ -148,7 +148,7 @@ def _recurrences(rule: MomentRule, p: np.ndarray):
     """
     nb, size = p.shape
     live = np.arange(size) < 1 + np.count_nonzero(np.diff(p, axis=1), axis=1)[:, None]
-    step = RULE_STEP * np.min(rule.width[p], axis=1)
+    step = np.min(rule.step[p], axis=1)
     left, right = rule.reach(p, GRAM_LEFT_TAIL)
     lo, hi = np.min(left, axis=1), np.max(right, axis=1)
     alpha, beta = np.empty((nb, size - 1)), np.empty((nb, size - 1))

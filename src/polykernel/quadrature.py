@@ -17,13 +17,17 @@ one term (ginibre, power) the closed-form first guess is already the root, so
 the first step lands on the bracket's edge and each row bisects a unit bracket
 for about 45 steps.  That solve is kept step for step, because the q = 2
 ladders' digits and the ginibre decay stability (bound 1e-15) sit at one or
-two ulps, and an exact root moves them.  The step is
-RULE_STEP sigma_p, where sigma_p = (m sum_k k^2 c_k e^(k u*_p))^(-1/2) is the
-width of the peak.  The rule reaches RIGHT_TAIL sigma_p to the right, and to
-the left at least as far and until the integrand has fallen by e^(-LEFT_TAIL)
-(a bound from Q >= 0 places that point).  Each p has its own nodes, so a
-moment does not depend on which other moments are computed with it.  An
-integrand still above TAIL_BOUND of its peak at either end of its rule
+two ulps, and an exact root moves them.  The step (MomentRule.step, which the
+Gram recurrences' grids read too) is RULE_STEP sigma_p min(1, 2 sqrt((p+1)/K)),
+where sigma_p = (m sum_k k^2 c_k e^(k u*_p))^(-1/2) is the width of the peak
+and K the weight's degree.  The integrand is analytic only in the strip
+|Im u| < pi / (2K), so at a step of RULE_STEP sigma_p the rule's error is
+about exp(-8 pi^2 sqrt((p+1)/K)); the factor holds it near exp(-4 pi^2), and
+it is 1 wherever K <= 4(p+1).  The rule reaches RIGHT_TAIL sigma_p to the
+right, and to the left at least as far and until the integrand has fallen by
+e^(-LEFT_TAIL) (a bound from Q >= 0 places that point).  Each p has its own
+nodes, so a moment does not depend on which other moments are computed with
+it.  An integrand still above TAIL_BOUND of its peak at either end of its rule
 raises NumericalDegeneracyError, and so does a table of log M_p that is not
 log-convex: MomentRule.log_moments is the one path to a table, for a direct
 build and for every re-based ladder rung alike.  Integrands are evaluated
@@ -33,11 +37,11 @@ and a_k = m c_k e^(k u*_p), so no large logs cancel.
 Every other radial integral of the package (the trace of a kernel, which is
 also the sampler's mass check, and its reproducing residual, on the one disk
 and node count of KernelEvaluator._radial_rule; the binned intensities of the
-sampler's validation, the equilibrium energy, and integrate_polar_grid) is
-one Gauss-Legendre rule: gauss_legendre(n), computed once per n, mapped to
-its interval by gauss_legendre_on.  Every node count a caller may choose,
-like integrate_polar_grid's n_r and n_phi, passes the package's one integer
-check, errors.require_integer.
+sampler's validation, and integrate_polar_grid) is one Gauss-Legendre rule:
+gauss_legendre(n), computed once per n, mapped to its interval by
+gauss_legendre_on.  Every node count a caller may choose, like
+integrate_polar_grid's n_r and n_phi, passes the package's one integer check,
+errors.require_integer.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ SUM_NODES = 1 << 13     # about the most nodes _log_sums evaluates at once: 64 K
 class MomentRule:
     """Peaks of the log integrands f_p for the exponents p, and their rules.
 
-    ``mode`` holds u*_p, ``width`` sigma_p and ``terms`` the (p, k) array of
-    a_k = m c_k e^(k u*_p).  Only the terms with c_k != 0 are ever summed:
-    adding a zero term is exact, so skipping it changes no finite value.
+    ``mode`` holds u*_p, ``width`` sigma_p, ``step`` the trapezoid step h_p
+    and ``terms`` the (p, k) array of a_k = m c_k e^(k u*_p).  Only the terms
+    with c_k != 0 are ever summed: adding a zero term is exact, so skipping it
+    changes no finite value.
     """
 
     def __init__(self, w: WeightModel, m: float, p):
@@ -76,13 +81,23 @@ class MomentRule:
         self.weight, self.m = w, m
         # (k, m c_k) of the nonzero terms
         self._mc = [(k, m * c) for k, c in enumerate(w.coeffs, start=1) if c != 0.0]
-        self.mode = self._solve_modes()
-        self.terms = np.zeros((self.p.size, w.degree))
-        self.peak_weight = np.zeros(self.p.size)  # m Q at the mode, sum_k a_k
-        for k, mc in self._mc:
-            self.terms[:, k - 1] = mc * np.exp(k * self.mode)
-            self.peak_weight += self.terms[:, k - 1]
-        self.width = 1.0 / np.sqrt(self._slopes(self.mode)[1])
+        # m c_k or e^(k u) past double range gives inf or NaN: a Newton step that
+        # is not finite fails the bracket test and bisects, a bracket search
+        # that runs off to inf raises "found no ... bracket", and log_moments'
+        # finiteness check ("degenerate radial moment") refuses a mode, term or
+        # width left inf or NaN
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self.mode = self._solve_modes()
+            self.terms = np.zeros((self.p.size, w.degree))
+            self.peak_weight = np.zeros(self.p.size)  # m Q at the mode, sum_k a_k
+            for k, mc in self._mc:
+                self.terms[:, k - 1] = mc * np.exp(k * self.mode)
+                self.peak_weight += self.terms[:, k - 1]
+            self.width = 1.0 / np.sqrt(self._slopes(self.mode)[1])
+        # exp(f_p) is analytic in the strip |Im u| < pi / (2K) only, so a steep
+        # weight shrinks the step below RULE_STEP sigma_p
+        self.step = self.width * (RULE_STEP * np.minimum(
+            1.0, 2.0 * np.sqrt((self.p + 1.0) / w.degree)))
 
     def _slopes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_k k a_k(u) and sum_k k^2 a_k(u), a_k(u) = m c_k e^(k u), i.e.
@@ -189,7 +204,7 @@ class MomentRule:
         one block of SUM_NODES nodes of all the rules' nodes in order, so that
         the node arrays stay small; each rule is still summed on its own nodes
         alone."""
-        h = RULE_STEP * self.width
+        h = self.step
         left, right = self.reach(slice(None))
         below = np.ceil((self.mode - left) / h).astype(int)
         above = np.ceil((right - self.mode) / h).astype(int)
@@ -216,8 +231,7 @@ class MomentRule:
             raise NumericalDegeneracyError(
                 f"moment rule p={self.p[bad]}, m={self.m} ends at {ends[bad]:.1e} of its "
                 f"peak (weight {self.weight.label})")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(h * sums)
+        return np.log(h * sums)
 
     def log_moments(self, shift=0) -> np.ndarray:
         """log M_p of every row, each by its own trapezoid rule, checked for
@@ -236,13 +250,15 @@ class MomentRule:
         would carry their rounding, about 1.4e-14 near -167, into every m'.
         """
         # f_p(u*) is a difference of terms up to ~(p+1) |u*|; summed in extended
-        # precision, log M_p is rounded once
-        mode = self.mode.astype(np.longdouble)
-        peak = (self.p + 1) * (mode + shift)
-        for k, _ in self._mc:
-            c = np.longdouble(self.weight.coeffs[k - 1])
-            peak -= np.longdouble(self.m) * c * np.exp(k * mode)
-        with np.errstate(invalid="ignore"):
+        # precision, log M_p is rounded once.  A mode, width or sum that is not
+        # finite, or a sum that underflows to 0, leaves a log M_p that is not
+        # finite, and the finiteness check below refuses it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mode = self.mode.astype(np.longdouble)
+            peak = (self.p + 1) * (mode + shift)
+            for k, _ in self._mc:
+                c = np.longdouble(self.weight.coeffs[k - 1])
+                peak -= np.longdouble(self.m) * c * np.exp(k * mode)
             logs = (peak + self._log_sums).astype(float)
         if not np.all(np.isfinite(logs)):
             bad = int(self.p[np.argmin(np.isfinite(logs))])

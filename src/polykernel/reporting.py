@@ -13,13 +13,11 @@ import tempfile
 
 
 def format_float(x: float) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
-    return repr(x)
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
 
 
 def json_dumps(obj) -> str:
@@ -44,10 +42,8 @@ def json_dumps(obj) -> str:
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(format_float, obj)) + "]"
         return "[" + ", ".join(json_dumps(v) for v in obj) + "]"
-    if hasattr(obj, "tolist"):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
         return json_dumps(obj.tolist())
-    if hasattr(obj, "item"):
-        return json_dumps(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -66,11 +62,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Rows of numbers, each cell a float at 17 significant digits."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            format_float(float(x)) if isinstance(x, (float, int)) and not isinstance(x, bool)
-            else str(x)
-            for x in row
-        ))
+        lines.append(",".join(format_float(float(x)) for x in row))
     atomic_write_text(path, "\n".join(lines) + "\n")

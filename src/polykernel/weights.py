@@ -14,7 +14,10 @@ bisection monotone.
 Droplet geometry: the equilibrium density is dQ restricted to the disk of
 radius R, where R solves R * Q'(R) = 2 (unit total mass).  The equilibrium
 potential equals Q inside the disk and Q(R) + 2 log(|z|/R) outside, matching
-C^1 across the boundary by the definition of R.
+C^1 across the boundary by the definition of R.  The disk of radius t carries
+the mass t Q'(t) / 2, a polynomial in t, so the weighted logarithmic energy
+of the equilibrium measure is a finite sum over pairs of coefficients, with
+no quadrature: this module imports nothing of the package but ``errors``.
 
 All objects here are immutable after construction and every function is pure,
 so concurrent use from multiple threads is safe.
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, require_integer
-from .quadrature import gauss_legendre_on
 
 
 @dataclass(frozen=True)
@@ -249,23 +251,29 @@ class RadialEquilibrium:
         gap = self.weight.eval_weight(r) - self.equilibrium_potential(r)
         return np.maximum(gap, 0.0)
 
-    def weighted_energy(self, n_quad: int = 512) -> float:
-        """Weighted logarithmic energy of the equilibrium measure.
+    def weighted_energy(self) -> float:
+        """Weighted logarithmic energy of the equilibrium measure, in closed form.
 
         The double planar integral reduces to a double radial integral via
         the circular mean of log|z - w|^2, which equals 2 log max(|z|, |w|):
 
-            energy = -2 int_0^R mu(t) log t [int_0^t mu(s) ds] dt
-                     + int_0^R Q(t) mu(t) dt,        mu(t) = 2 t dQ(t).
+            energy = -2 int_0^R mu(t) log t P(t) dt + int_0^R Q(t) mu(t) dt,
 
-        The outer rule has n_quad >= 64 points, the inner min(n_quad, 128).
+        with density mu(t) = 2 t dQ(t) = sum_j 2 j^2 c_j t^(2j-1) and mass
+        P(t) = int_0^t mu = t Q'(t) / 2 = sum_k k c_k t^(2k).  Every term is
+        a power of t, and int_0^R t^(2n-1) log t dt = R^(2n) (log R / (2n) -
+        1 / (4 n^2)), so with a_k = c_k R^(2k) and n = j + k
+
+            energy = sum_{j,k} 2 j^2 a_j a_k
+                         (1 / (2n) - 2k (log R / (2n) - 1 / (4 n^2))).
         """
-        n_quad = require_integer(n_quad, "n_quad", 64)
-        t, vt = gauss_legendre_on(n_quad, 0.0, self.droplet_radius)
-        mu_t = 2.0 * t * self.weight.delta_q(t)
-        # inner cumulative mass P(t) = int_0^t mu, one Gauss-Legendre rule per node
-        s, ws = gauss_legendre_on(min(n_quad, 128), 0.0, t)
-        P = np.sum(ws * 2.0 * s * self.weight.delta_q(s), axis=1)
-        log_energy = -2.0 * np.sum(vt * mu_t * np.log(t) * P)
-        field_energy = np.sum(vt * self.weight.eval_weight(t) * mu_t)
-        return float(log_energy + field_energy)
+        R = self.droplet_radius
+        log_r = math.log(R)
+        a = [c * R ** (2 * k) for k, c in enumerate(self.weight.coeffs, start=1)]
+        energy = 0.0
+        for j, aj in enumerate(a, start=1):
+            for k, ak in enumerate(a, start=1):
+                n = j + k
+                energy += 2.0 * j * j * aj * ak * (
+                    1.0 / (2 * n) - 2.0 * k * (log_r / (2 * n) - 1.0 / (4 * n * n)))
+        return energy

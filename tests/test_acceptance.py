@@ -237,7 +237,7 @@ def test_criterion_9_equilibrium(spaces):
     r_gin = abs(pk.droplet_radius(pk.parse_weight("ginibre")) - 1.0)
     r_pow = abs(pk.droplet_radius(pk.parse_weight("power:p=2")) - 2.0 ** (-0.25))
     eq = pk.RadialEquilibrium.solve(pk.parse_weight("ginibre"))
-    quad_energy = eq.weighted_energy(512)
+    quad_energy = eq.weighted_energy()
     rng = np.random.default_rng(_RNG_SEED + 9)
     n_pairs = 4_000_000
     r1 = np.sqrt(rng.uniform(size=n_pairs))

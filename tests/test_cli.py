@@ -99,7 +99,6 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
       "--outdir", "x"], "--seed"),
     (["sample", "--weight", "ginibre", "--n", "4", "--m", "4", "--seed",
       "18446744073709551616", "--outdir", "x"], "--seed"),
-    (["energy", "--weight", "ginibre", "--n-quad", "10"], "--n-quad"),
     (["decay", "--weight", "ginibre", "--m", "40,40"], "--m"),
     (["decay", "--weight", "ginibre", "--m", "40"], "--m"),
     (["blowup", "--weight", "ginibre", "--m", "40"], "--m"),
@@ -120,7 +119,7 @@ def test_bad_weight_exit_code_and_diagnostic(capsys):
         "decay-separations-negative", "decay-separations-one", "kernel-w0-nan",
         "kernel-center-nan", "kernel-center-inf", "berezin-z0-nan", "blowup-z0-nan",
         "decay-z0-inf", "local-z0-nan", "sample-seed-negative", "sample-seed-2-64",
-        "energy-n-quad-small", "decay-repeated-m", "decay-single-m", "blowup-single-m",
+        "decay-repeated-m", "decay-single-m", "blowup-single-m",
         "blowup-n-length", "blowup-n-long", "radialpoly-nan", "radialpoly-negative-leading"])
 def test_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "x.out")]) == 1

@@ -82,7 +82,7 @@ def _argv(index: int, tmp) -> list:
         if rng.uniform() < 0.5:
             args |= {"--r-max": _real(rng, 0.0, 5.0)}
     elif command == "energy":
-        args = weight | {"--n-quad": rng.integers(64, 2049)}
+        args = weight
     elif command == "kernel":
         args = _space(rng) | {"--w0": _point(rng, 1.5), "--center": _point(rng, 1.0),
                               "--grid-radius": _real(rng, 0.01, 2.0)} | grid

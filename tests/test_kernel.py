@@ -164,6 +164,17 @@ def test_residual_radii_scale_with_the_weight_degree(spaces):
     assert K.reproducing_residual(probe) <= 1e-12
 
 
+def test_steep_weight_builds_hold_the_trace(spaces):
+    # power:p=40, q = 2, n = m = 10: with the moment and Gram grids at a step
+    # of sigma_p / 8 whatever the degree, the trace read 3.0e-7 off nq and the
+    # residual 7.4e-8, with no refusal; the step that shrinks with K reads
+    # 2.6e-12 and 3.1e-14
+    K = spaces("power:p=40", 2, 10, 10.0)
+    assert abs(K.total_intensity() - K.spec.dim) <= 1e-10 * K.spec.dim
+    probe = 0.3 * K.equilibrium.droplet_radius * np.exp(0.7j)
+    assert K.reproducing_residual(probe) <= 1e-12
+
+
 @pytest.mark.parametrize("q", [2, 8, 10, 12, 16])
 def test_ginibre_laguerre_oracle(spaces, q):
     # block d of the ginibre space has the orthonormal basis

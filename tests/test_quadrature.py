@@ -288,13 +288,38 @@ def test_a_mode_search_that_does_not_converge_is_refused():
         MomentRule(pk.parse_weight("radialpoly:c=1,-0.3,0.05"), 1e40, np.arange(40))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("weight, m, match", [
     ("radialpoly:c=1e300", 1e20, r"^degenerate radial moment p=0, m=1e\+20 "),
     ("radialpoly:c=1e-300", 1e-20, r"^moment mode search found no lower bracket "),
-], ids=["degenerate-moment", "no-lower-bracket"])
+    ("radialpoly:c=1e300", 1e10, r"^degenerate radial moment p=0, m=10000000000.0 "),
+], ids=["degenerate-moment", "no-lower-bracket", "degenerate-moment-1e10"])
 def test_moment_rules_past_double_range_are_refused(weight, m, match):
-    # m c past double range: the mode search overflows first (so a
-    # RuntimeWarning precedes the refusal; this test is about the refusal)
+    # m c past double range: the mode search overflows first, silently, and
+    # the refusal names the cause; before, RuntimeWarnings preceded it
     with pytest.raises(NumericalDegeneracyError, match=match):
         MomentRule(pk.parse_weight(weight), m, np.arange(1)).log_moments()
+
+
+@pytest.mark.parametrize("K, m", [(8, 10.0), (12, 10.0), (16, 10.0), (24, 10.0),
+                                  (40, 10.0), (40, 1e-300)])
+def test_steep_weight_moments_closed_form(K, m):
+    # Q = |z|^(2K): M_p = Gamma((p+1)/K) / (K m^((p+1)/K)).  exp(f_p) is analytic
+    # in |Im u| < pi/(2K) only, so a step of RULE_STEP sigma_p missed by 1.8e-11
+    # at K = 12 and 1.5e-7 at K = 40; m = 1e-300 overflowed the mode search
+    # with RuntimeWarnings before it returned
+    p = np.arange(11)
+    expect = gammaln((p + 1) / K) - math.log(K) - (p + 1) / K * math.log(m)
+    assert np.max(np.abs(_table(pk.WeightModel.power(K), m, 10) - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("text", ["ginibre", "power:p=2", "power:p=3", "power:p=4",
+                                  "radialpoly:c=0.5,0,0.25", "power:p=8"])
+def test_rule_step_shrinks_only_for_steep_weights(text):
+    # the step is RULE_STEP sigma_p exactly wherever K <= 4(p+1), so every
+    # weight of degree <= 4 keeps its rules bit for bit
+    w = pk.parse_weight(text)
+    rule = MomentRule(w, 40.0, np.arange(60))
+    flat = 4 * (rule.p + 1) >= w.degree
+    assert np.array_equal(rule.step[flat], RULE_STEP * rule.width[flat])
+    assert np.all(rule.step[~flat] < RULE_STEP * rule.width[~flat])
+    assert flat.all() == (w.degree <= 4)

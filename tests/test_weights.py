@@ -332,8 +332,31 @@ def test_equilibrium_potential_log_growth():
 
 def test_weighted_energy_ginibre_closed_form():
     eq = pk.RadialEquilibrium.solve(GINIBRE)
-    assert eq.weighted_energy(512) == pytest.approx(0.75, abs=1e-9)
-    assert eq.weighted_energy(64) == pytest.approx(0.75, abs=1e-6)
+    assert eq.weighted_energy() == pytest.approx(0.75, abs=1e-13)
+
+
+def test_weighted_energy_power_closed_form():
+    # Q = |z|^(2p): R^(2p) = 1/p, so I = 3/(4p) - log R = (log p)/(2p) + 3/(4p)
+    for p in range(1, 41):
+        eq = pk.RadialEquilibrium.solve(pk.WeightModel.power(p))
+        assert abs(eq.weighted_energy() - (math.log(p) / (2 * p) + 3 / (4 * p))) <= 1e-13, p
+
+
+@pytest.mark.parametrize("text", ["radialpoly:c=1,0.5", "radialpoly:c=1,-0.3,0.05",
+                                  "radialpoly:c=0.5,0,0.25"])
+def test_weighted_energy_matches_nested_quadrature(text):
+    # the cross terms j != k of the closed form, against a test-side double
+    # integral: -2 int mu log t P dt + int Q mu dt, with the mass P(t) by its
+    # own Gauss-Legendre rule on [0, t] at every outer node
+    w = pk.parse_weight(text)
+    eq = pk.RadialEquilibrium.solve(w)
+    x, v = np.polynomial.legendre.leggauss(200)
+    t, vt = 0.5 * eq.droplet_radius * (x + 1.0), 0.5 * eq.droplet_radius * v
+    s, vs = 0.5 * t[:, None] * (x + 1.0), 0.5 * t[:, None] * v
+    mu_t = 2.0 * t * w.delta_q(t)
+    mass = np.sum(vs * 2.0 * s * w.delta_q(s), axis=1)
+    oracle = np.sum(vt * mu_t * (w.eval_weight(t) - 2.0 * np.log(t) * mass))
+    assert abs(eq.weighted_energy() - oracle) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [-300, -100, -10, 2, 10, 30, 100, 200, 300])
@@ -373,7 +396,7 @@ def _mc_energy(w: pk.WeightModel, n_pairs: int, seed: int):
 
 def test_weighted_energy_power2_vs_mc_oracle():
     eq = pk.RadialEquilibrium.solve(POWER2)
-    quad = eq.weighted_energy(512)
+    quad = eq.weighted_energy()
     assert math.isfinite(quad)
     mc, se = _mc_energy(POWER2, 10**6, seed=404)
     assert abs(quad - mc) < 3.0 * se
@@ -381,12 +404,5 @@ def test_weighted_energy_power2_vs_mc_oracle():
 
 def test_weighted_energy_finite_all_catalog():
     for w in (GINIBRE, POWER2, RPOLY):
-        val = pk.RadialEquilibrium.solve(w).weighted_energy(128)
+        val = pk.RadialEquilibrium.solve(w).weighted_energy()
         assert math.isfinite(val)
-
-
-def test_weighted_energy_nquad_guard():
-    with pytest.raises(ConfigurationError):
-        pk.RadialEquilibrium.solve(GINIBRE).weighted_energy(32)
-    with pytest.raises(ConfigurationError, match="n_quad"):
-        pk.RadialEquilibrium.solve(GINIBRE).weighted_energy(100.5)
