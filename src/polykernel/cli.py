@@ -1,7 +1,10 @@
 """Command-line front end: every computation as a subcommand emitting CSV/JSON.
 
-The files of ``kernel`` and ``sample`` are written by this module's
-exporters, export_kernel_grid_csv and export_configuration.
+JSON files are ``json.dumps`` output, and every float of a CSV cell or a
+summary line is ``repr(float(x))`` (see ``reporting``); every file is written
+by ``reporting.atomic_write_text``.  The files of ``kernel`` and ``sample``
+are written by this module's exporters, export_kernel_grid_csv and
+export_configuration.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical degeneracy.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import json
 import math
 import os
 import sys
@@ -22,7 +26,7 @@ from .errors import ConfigurationError, NumericalDegeneracyError, integer_range
 from .kernel import KernelEvaluator, SpaceSpec, build_space
 from .localexpansion import ORDERS, _local_kernel
 from .quadrature import integrate_polar_grid
-from .reporting import atomic_write_text, format_float, json_dumps, write_csv
+from .reporting import atomic_write_text, write_csv
 from .sampling import PointConfiguration, sample_batch
 from .weights import RadialEquilibrium, parse_weight
 
@@ -272,7 +276,7 @@ def cmd_blowup(args) -> int:
     weight = parse_weight(args.weight)
     report = asym.blowup_ladder(weight, args.q, args.z0, args.m, args.n,
                                 grid_radius=args.grid_radius, grid_n=args.grid_n)
-    atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
+    atomic_write_text(args.out, json.dumps(report.to_dict()) + "\n")
     if args.csv_prefix:
         for res in report.rungs:
             write_csv(f"{args.csv_prefix}-m{res.m:g}.csv",
@@ -280,7 +284,7 @@ def cmd_blowup(args) -> int:
                       zip(res.xi.real, res.xi.imag, res.lam.real, res.lam.imag,
                           res.errors))
     print(f"slope = {report.fields['slope']:.6f} (sup errors: "
-          + ", ".join(format_float(e) for e in report.fields["sup_error"]) + ")")
+          + ", ".join(repr(float(e)) for e in report.fields["sup_error"]) + ")")
     return 0
 
 
@@ -289,8 +293,8 @@ def cmd_decay(args) -> int:
     report = asym.decay_ladder(weight, args.q, args.z0, args.m,
                                n_directions=args.directions,
                                n_separations=args.separations)
-    atomic_write_text(args.out, json_dumps(report.to_dict()) + "\n")
-    ratios = ", ".join(format_float(s.beta_over_sqrt_m) for s in report.rungs)
+    atomic_write_text(args.out, json.dumps(report.to_dict()) + "\n")
+    ratios = ", ".join(repr(float(s.beta_over_sqrt_m)) for s in report.rungs)
     print(f"beta/sqrt(m) = [{ratios}], stability = {report.fields['stability']:.3f}")
     return 0
 
@@ -329,7 +333,7 @@ def export_configuration(path_csv: str, path_json: str,
         "weight": config.weight,
         "proposals_used": config.proposals_used,
     }
-    atomic_write_text(path_json, json_dumps(sidecar) + "\n")
+    atomic_write_text(path_json, json.dumps(sidecar) + "\n")
 
 
 def cmd_sample(args) -> int:

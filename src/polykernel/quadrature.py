@@ -56,7 +56,14 @@ RULE_STEP = 1.0 / 8.0   # trapezoid step, in units of the peak width sigma_p
 RIGHT_TAIL = 12.0       # reach of a rule beyond its mode, in units of sigma_p
 LEFT_TAIL = 40.0        # least log-drop of the integrand at the left end
 TAIL_BOUND = 1e-15      # largest integrand at either end, relative to the peak
-NEWTON_STEPS = 100
+NEWTON_STEPS = 100      # doubling moves of a bracket search
+# Newton steps of a mode solve (see _solve_modes).  A creep of 1/k0 a step
+# from the leading term's root, |log((p+1) / (K m c_K))| / K, to the lowest
+# term's, |log((p+1) / (k0 m c_k0))| / k0, takes at most the sum of the two
+# logs, under 2 * 760 while every m c_k is in double range.  Weights of up to
+# 40 terms at m = 1e-300 ... 1e300 took at most 767 slope evaluations
+# (radialpoly:c=1e300,0,...,0,1e-300 at m = 1).
+MODE_STEPS = 2000
 MIN_NODES = 16          # least Gauss-Legendre node count a caller may choose
 SUM_NODES = 1 << 13     # about the most nodes _log_sums evaluates at once: 64 KB arrays
 
@@ -124,7 +131,10 @@ class MomentRule:
         first step lands on the bracket's edge and the solve bisects a unit
         bracket, about 45 steps a row.  It is kept step for step:
         test_decay_ladder_stability_ginibre_q2 and the ladders' digits depend
-        on its last bits.
+        on its last bits.  For several terms at large m the guess, the
+        leading term's root, lies far right of the root, where the lowest
+        term k0 dominates; there each Newton step moves about 1/k0, so the
+        solve may take hundreds of steps, within MODE_STEPS.
         """
         target = self.p + 1.0
         lead = self.weight.degree
@@ -148,7 +158,7 @@ class MomentRule:
         u = hi.copy()
         # the unconverged rows: their indices, points, brackets and targets
         rows, ua, goal = np.arange(u.size), hi, target
-        for _ in range(NEWTON_STEPS):
+        for _ in range(MODE_STEPS):
             if not rows.size:
                 return u
             s1, s2 = self._slopes(ua)

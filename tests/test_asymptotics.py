@@ -1,9 +1,11 @@
 """Blow-up, decay, and bound harnesses on small deterministic instances."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import polykernel as pk
 from polykernel.asymptotics import (blowup_compare, blowup_grid, bulk_clearance,
@@ -322,6 +324,30 @@ def test_blowup_rate_is_one_half_where_asymptotic(weight, q):
     assert rep.fields["slope"] == pytest.approx(-0.5, abs=0.03)
 
 
+@pytest.mark.parametrize("tau, sup_2560", [(0.5, 3.7169413463699064e-3),
+                                           (1.0, 2.628268742494999e-3),
+                                           (2.0, 1.8584646369265156e-3)])
+def test_edge_profile_ginibre_q1(tau, sup_2560):
+    # across the edge of the droplet of mass tau = n/m, |z| = sqrt(tau), the
+    # intensity is m erfc(sqrt(2) xi) / 2 at z = sqrt(tau) + xi / sqrt(m), with
+    # a first correction (xi^2 - 1) e^(-2 xi^2) / (3 sqrt(2 pi n)): the sup error
+    # sits at xi = 0 and falls like m^(-1/2) (the slopes read -0.50002 or
+    # closer), and what the correction leaves is about 0.0123 / n
+    xi = np.linspace(-3.0, 3.0, 25)
+    ms = [160.0, 640.0, 2560.0]
+    sups = []
+    for m in ms:
+        n = int(tau * m)
+        K = pk.build_space(GINIBRE, pk.SpaceSpec(1, n, m))
+        gamma = np.asarray(K.one_point_intensity(math.sqrt(tau) + xi / math.sqrt(m) + 0j))
+        error = gamma / m - 0.5 * special.erfc(math.sqrt(2.0) * xi)
+        sups.append(float(np.max(np.abs(error))))
+        first = (xi**2 - 1.0) * np.exp(-2.0 * xi**2) / (3.0 * math.sqrt(2.0 * math.pi * n))
+        assert np.max(np.abs(error - first)) <= 0.02 / n
+    assert pk.rate_fit(ms, sups)[0] == pytest.approx(-0.5, abs=0.005)
+    assert sups[-1] == pytest.approx(sup_2560, rel=1e-8)
+
+
 def test_fixed_separation_sqrtm_correlation():
     # at the droplet centre the analytic-family kernel column is closed form,
     # so log |weighted|^2 = 2 log m - m s^2 exactly at any truncation; over a
@@ -397,21 +423,6 @@ def test_diagonal_bound(spaces):
 
 
 def test_harness_determinism():
-    from polykernel.reporting import json_dumps
-
     a = pk.blowup_ladder(GINIBRE, 2, 0.3, [20.0, 30.0], grid_radius=1.0, grid_n=5)
     b = pk.blowup_ladder(GINIBRE, 2, 0.3, [20.0, 30.0], grid_radius=1.0, grid_n=5)
-    assert json_dumps(a.to_dict()) == json_dumps(b.to_dict())
-
-
-def test_json_float_lists_match_item_by_item():
-    # a list of Python floats is written in one join; every other list item
-    # by item, and both give the same text
-    from polykernel.reporting import format_float, json_dumps
-
-    floats = [0.1, -0.0, 1e300, math.nan, math.inf, -math.inf, 2.0 / 3.0]
-    assert json_dumps(floats) == "[" + ", ".join(format_float(x) for x in floats) + "]"
-    assert json_dumps(np.array(floats)) == json_dumps(floats)
-    assert json_dumps([np.float64(0.1), 0.5]) == "[0.10000000000000001, 0.5]"
-    assert json_dumps([1, 0.5, True, None]) == "[1, 0.5, true, null]"
-    assert json_dumps([]) == "[]"
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())

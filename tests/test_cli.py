@@ -1,12 +1,14 @@
 """CLI: subcommand outputs, exit codes, and byte-identical determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polykernel import cli
@@ -316,6 +318,78 @@ def test_blowup_json_and_determinism(tmp_path, capsys):
     assert report["weight"] == "ginibre"
     assert len(report["sup_error"]) == 2
     assert "slope" in report
+
+
+def _same_leaves(parsed, memory, where="$"):
+    """Every leaf of ``parsed`` (read back from a file) is the in-memory value:
+    a float bit for bit, -0.0 included, and an int or text exactly."""
+    if isinstance(memory, dict):
+        assert list(parsed) == list(memory), where
+        for key in memory:
+            _same_leaves(parsed[key], memory[key], f"{where}.{key}")
+    elif isinstance(memory, (list, tuple)):
+        assert len(parsed) == len(memory), where
+        for i, (a, b) in enumerate(zip(parsed, memory)):
+            _same_leaves(a, b, f"{where}[{i}]")
+    elif isinstance(memory, float):
+        assert type(parsed) is float, where
+        assert np.float64(parsed).view(np.int64) == np.float64(memory).view(np.int64), where
+    else:
+        assert type(parsed) is type(memory) and parsed == memory, where
+
+
+def _csv_rows(path: Path) -> list[list[float]]:
+    return [[float(cell) for cell in line.split(",")]
+            for line in path.read_text().splitlines()[1:]]
+
+
+def test_artifacts_read_back_bit_for_bit(tmp_path, monkeypatch, capsys):
+    # blowup, decay and sample through cli.run: every JSON leaf and CSV cell
+    # parses back to the double in memory, and a second run writes the same
+    # bytes.  z0's real part is -0.0, which a file must keep.
+    memory = {}
+
+    def spy(name, call):
+        def wrapped(*args, **kwargs):
+            memory[name] = call(*args, **kwargs)
+            return memory[name]
+        return wrapped
+
+    for owner, name in ((cli.asym, "blowup_ladder"), (cli.asym, "decay_ladder"),
+                        (cli, "sample_batch")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        out.mkdir()
+        assert run(["blowup", "--weight", "power:p=2", "--q", "2", "--z0=-0.0+0.3j",
+                    "--m", "10,20", "--grid-radius", "1.0", "--grid-n", "5",
+                    "--out", str(out / "blowup.json"),
+                    "--csv-prefix", str(out / "grid")]) == 0
+        assert run(["decay", "--weight", "ginibre", "--q", "2", "--z0=-0.0+0.2j",
+                    "--m", "20,40", "--directions", "2", "--separations", "6",
+                    "--out", str(out / "decay.json")]) == 0
+        assert run(["sample", "--weight", "ginibre", "--q", "2", "--n", "6",
+                    "--m", "6", "--count", "2", "--seed", "5",
+                    "--outdir", str(out / "samples")]) == 0
+        runs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                     if p.is_file()})
+        blowup, decay = memory["blowup_ladder"], memory["decay_ladder"]
+        assert math.copysign(1.0, blowup.z0.real) == -1.0
+        _same_leaves(json.loads((out / "blowup.json").read_text()), blowup.to_dict())
+        _same_leaves(json.loads((out / "decay.json").read_text()), decay.to_dict())
+        for res in blowup.rungs:
+            _same_leaves(_csv_rows(out / f"grid-m{res.m:g}.csv"),
+                         [list(map(float, row)) for row in zip(
+                             res.xi.real, res.xi.imag, res.lam.real, res.lam.imag,
+                             res.errors)])
+        for i, cfg in enumerate(memory["sample_batch"]):
+            base = out / "samples" / f"config-{i:04d}"
+            _same_leaves(_csv_rows(base.with_suffix(".csv")),
+                         [[float(z.real), float(z.imag)] for z in cfg.points])
+            _same_leaves(json.loads(base.with_suffix(".json").read_text()),
+                         {"seed": cfg.seed, "q": cfg.q, "n": cfg.n, "m": float(cfg.m),
+                          "weight": cfg.weight, "proposals_used": cfg.proposals_used})
+    assert len(runs[0]) == 8 and runs[0] == runs[1]
 
 
 def test_blowup_csv_prefix_writes_the_error_grids(tmp_path, capsys):

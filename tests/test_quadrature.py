@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 import polykernel as pk
+from polykernel import quadrature
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError
 from polykernel.quadrature import NEWTON_STEPS, RULE_STEP, MomentRule, gauss_legendre
 
@@ -280,12 +281,26 @@ def test_gauss_legendre_is_exact_on_even_powers(n):
     assert worst <= 4 * np.finfo(float).eps
 
 
-def test_a_mode_search_that_does_not_converge_is_refused():
-    # at m = 1e40 the bracketed Newton solve for the modes of
-    # Q = t - 0.3 t^2 + 0.05 t^3 does not converge within NEWTON_STEPS steps
+def test_a_mode_search_that_does_not_converge_is_refused(monkeypatch):
+    # no catalog weight in double range needs MODE_STEPS Newton steps, so a
+    # small cap stands in: at m = 1e40 the modes of Q = t - 0.3 t^2 + 0.05 t^3
+    # take about 110 steps
+    monkeypatch.setattr(quadrature, "MODE_STEPS", NEWTON_STEPS)
     with pytest.raises(NumericalDegeneracyError,
                        match=r"^moment mode search did not converge \(weight radialpoly:c=1,"):
         MomentRule(pk.parse_weight("radialpoly:c=1,-0.3,0.05"), 1e40, np.arange(40))
+
+
+@pytest.mark.parametrize("text", ["radialpoly:c=1,-0.3,0.05", "radialpoly:c=1,0.5"])
+@pytest.mark.parametrize("m", [1e36, 1e48, 1e100, 1e300])
+def test_multi_term_moments_at_large_m_closed_form(text, m):
+    # at large m the moments see Q near 0 only, where Q = t + O(t^2):
+    # M_p = p! / m^(p+1) to O(p/m).  The mode solve creeps from the leading
+    # term's root for hundreds of steps, and was refused past NEWTON_STEPS
+    p = np.arange(40)
+    expect = gammaln(p + 1) - (p + 1) * math.log(m)
+    logs = MomentRule(pk.parse_weight(text), m, p).log_moments()
+    assert np.max(np.abs(logs - expect) / np.abs(expect)) <= 1e-14
 
 
 @pytest.mark.parametrize("weight, m, match", [
