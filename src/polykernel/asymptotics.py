@@ -71,10 +71,15 @@ class BlowupResult:
     sup_error: float
 
 
+def _square_grid(center: complex, radius: float, n: int) -> np.ndarray:
+    """center + x + iy, x (slow) and y over linspace(-radius, radius, n), flat."""
+    side = np.linspace(-radius, radius, n)
+    return (center + side[:, None] + 1j * side[None, :]).ravel()
+
+
 def blowup_grid(grid_radius: float, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Default comparison set: (xi, 0) plane plus the diagonal slice (xi, -xi)."""
-    side = np.linspace(-grid_radius, grid_radius, grid_n)
-    xi = (side[:, None] + 1j * side[None, :]).ravel()
+    xi = _square_grid(0.0, grid_radius, grid_n)
     return np.concatenate([xi, xi]), np.concatenate([np.zeros_like(xi), -xi])
 
 
@@ -117,10 +122,10 @@ def rate_fit(ms, sup_errors) -> tuple[float, str]:
     any error vanishes exactly, which happens only for degenerate synthetic
     inputs.
     """
-    ms = np.asarray([require_positive(m, "m") for m in ms], dtype=float)
-    errs = np.asarray(sup_errors, dtype=float)
-    if np.unique(ms).size < 2:
-        raise ConfigurationError(f"rate_fit needs at least 2 distinct m, got {ms.tolist()}")
+    ms = [require_positive(m, "m") for m in ms]
+    if len(set(ms)) < 2:
+        raise ConfigurationError(f"rate_fit needs at least 2 distinct m, got {ms}")
+    ms, errs = np.asarray(ms, dtype=float), np.asarray(sup_errors, dtype=float)
     if errs.shape != ms.shape:
         raise ConfigurationError(
             f"rate_fit needs one sup error per m, got {errs.size} for {ms.size}")

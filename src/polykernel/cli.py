@@ -227,11 +227,6 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def _square_grid(center: complex, radius: float, n: int) -> np.ndarray:
-    side = np.linspace(-radius, radius, n)
-    return center + side[:, None] + 1j * side[None, :]
-
-
 def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
                            w_points) -> None:
     """Write kernel evaluations as CSV rows in full double precision."""
@@ -246,7 +241,7 @@ def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
 
 def cmd_kernel(args) -> int:
     K = _space(args)
-    z = _square_grid(args.center, args.grid_radius, args.grid_n).ravel()
+    z = asym._square_grid(args.center, args.grid_radius, args.grid_n)
     export_kernel_grid_csv(args.out, K, z, np.full_like(z, args.w0))
     print(f"wrote {z.size} kernel rows to {args.out}")
     return 0
@@ -254,7 +249,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_berezin(args) -> int:
     K = _space(args)
-    grid = _square_grid(args.z0, args.grid_radius, args.grid_n).ravel()
+    grid = asym._square_grid(args.z0, args.grid_radius, args.grid_n)
     dens = np.atleast_1d(K.berezin_density(args.z0, grid))
     write_csv(args.out, ["re_w", "im_w", "berezin"],
               zip(grid.real, grid.imag, dens))
@@ -311,7 +306,7 @@ def cmd_offdroplet(args) -> int:
 
 def cmd_local(args) -> int:
     weight = parse_weight(args.weight)
-    grid = _square_grid(args.z0, args.grid_radius, args.grid_n).ravel()
+    grid = asym._square_grid(args.z0, args.grid_radius, args.grid_n)
     terms = min(2, ORDERS.get(args.q, 1)) if args.terms is None else args.terms
     vals = np.atleast_1d(_local_kernel(weight, args.q, args.m, np.full_like(grid, args.z0),
                                        grid, terms, args.weighted))

@@ -7,9 +7,11 @@ Every weight in the catalog is radial with an entire polarization,
 so the three families (ginibre, power, radialpoly) are one coefficient list
 c_1..c_K.  The polarization and the objects built from it (b and theta) live
 in ``localexpansion``, their one consumer.  The quarter-Laplacian dQ of Q,
-which is b on the diagonal, must be strictly positive on (0, r_max] for
-every catalog member: that makes the droplet a disk and every radial
-bisection monotone.
+which is b on the diagonal, must be strictly positive for every catalog
+member: that makes the droplet a disk and every radial bisection monotone.
+``radialpoly`` checks dQ finite and > 0 on 256 log-spaced radii from 1e-6 R
+to 10 R, R the droplet radius: the radii scale with the weight, so c_k s^k
+gets the verdict of c_k for every s > 0.
 
 Droplet geometry: the equilibrium density is dQ restricted to the disk of
 radius R, where R solves R * Q'(R) = 2 (unit total mass).  The equilibrium
@@ -77,21 +79,17 @@ class WeightModel:
         return w
 
     def _validate_subharmonicity(self) -> None:
-        # dQ > 0 on 256 log-spaced radii up to ten times a crude droplet
-        # radius guess; mixed-sign coefficient lists are rejected here.
-        r_guess = 1.0
-        for _ in range(200):
-            if r_guess * self.q_prime(r_guess) >= 2.0:
-                break
-            r_guess *= 1.5
-        radii = np.geomspace(1e-6, 10.0 * r_guess, 256)
-        dq = self.delta_q(radii)
+        # on the droplet's own scale (module docstring); mixed-sign lists fail here
+        with np.errstate(over="ignore", invalid="ignore"):
+            radii = _droplet_radius_of(self) * np.geomspace(1e-6, 10.0, 256)
+            dq = self.delta_q(radii)
+        if not np.all(np.isfinite(dq)):
+            raise ConfigurationError(f"radialpoly weight's quarter-Laplacian is past "
+                                     f"double range within r = {radii[-1]:.6g}")
         if np.any(dq <= 0.0):
-            bad = radii[np.argmin(dq)]
             raise ConfigurationError(
-                f"radialpoly weight is not strictly subharmonic: "
-                f"quarter-Laplacian {self.delta_q(bad):.6g} <= 0 at r = {bad:.6g}"
-            )
+                f"radialpoly weight is not strictly subharmonic: quarter-Laplacian "
+                f"{dq.min():.6g} <= 0 at r = {radii[np.argmin(dq)]:.6g}")
 
     # -- scalar weight data ------------------------------------------------
 

@@ -8,9 +8,12 @@ import pytest
 from scipy import special
 
 import polykernel as pk
+from polykernel import asymptotics as asym
 from polykernel.asymptotics import (blowup_compare, blowup_grid, bulk_clearance,
                                     bulk_limit_profile)
 from polykernel.errors import ConfigurationError
+
+from conftest import block_grams
 
 GINIBRE = pk.parse_weight("ginibre")
 POWER2 = pk.parse_weight("power:p=2")
@@ -346,6 +349,61 @@ def test_edge_profile_ginibre_q1(tau, sup_2560):
         assert np.max(np.abs(error - first)) <= 0.02 / n
     assert pk.rate_fit(ms, sups)[0] == pytest.approx(-0.5, abs=0.005)
     assert sups[-1] == pytest.approx(sup_2560, rel=1e-8)
+
+
+@pytest.mark.parametrize("q, tau, change_2560", [
+    (2, 0.5, 8.118040448010788e-3), (2, 1.0, 5.692151134777168e-3),
+    (2, 2.0, 4.001248620552067e-3), (3, 0.5, 1.672395925380199e-2),
+    (3, 1.0, 1.1826404744681884e-2), (3, 2.0, 8.362806463035888e-3)])
+def test_edge_profile_ginibre_converges_at_higher_q(q, tau, change_2560):
+    # at q >= 2 no closed form of the edge profile is claimed, so the test is
+    # Cauchy: gamma / m at z = sqrt(tau) + xi / sqrt(m) moves by a sup over xi
+    # that falls like m^(-1/2) from rung to rung (the slopes read -0.516 to
+    # -0.533 at q = 2 and -0.4993 to -0.4998 at q = 3).  Past m = 2560 those
+    # moves sum to about the last one, and gamma / m at xi = 0 sits within
+    # 0.92-0.93 (q = 2) and 1.0001 (q = 3) times it of its limit q / 2
+    xi = np.linspace(-3.0, 3.0, 25)
+    ms = [40.0, 160.0, 640.0, 2560.0]
+    profiles = asym._ladder(
+        GINIBRE, q, 0.0, ms, [int(tau * m) for m in ms],
+        lambda K, m: np.asarray(K.one_point_intensity(math.sqrt(tau) + xi / math.sqrt(m) + 0j)) / m)
+    changes = [float(np.max(np.abs(b - a))) for a, b in zip(profiles, profiles[1:])]
+    assert pk.rate_fit(ms[1:], changes)[0] == pytest.approx(-0.5, abs=0.05)
+    assert changes[-1] == pytest.approx(change_2560, rel=1e-8)
+    assert abs(profiles[-1][12] - q / 2) <= 1.05 * changes[-1]
+
+
+def _laguerre_constant(q: int) -> float:
+    """c_q = (2 / pi^2) int_0^inf L^1_{q-1}(rho^2)^2 e^(-rho^2) rho^2 d rho, by
+    q-node Gauss-Laguerre in u = rho^2 with weight u^(1/2) e^(-u), exact here."""
+    u, v = special.roots_genlaguerre(q, 0.5)
+    return float(np.sum(v * special.eval_genlaguerre(q - 1, 1, u) ** 2)) / math.pi**2
+
+
+@pytest.mark.parametrize("weight, q, gap_40", [
+    ("ginibre", 1, -3.216141898858438e-3), ("ginibre", 2, -5.245122009505887e-3),
+    ("ginibre", 3, -8.36413860007268e-3), ("power:p=2", 2, -2.572365347985961e-2),
+    ("power:p=2", 3, -3.484153475268048e-2)])
+def test_number_variance_meets_the_bulk_limit(weight, q, gap_40):
+    # Var N(r) = sum of lam (1 - lam) over the eigenvalues of the G_d(r), which
+    # is tr G - |G|_F^2, exactly and with no sampling.  The paper's bulk limit,
+    # integrated across the circle |z| = r in microscopic units, predicts
+    # 2 pi r sqrt(m dQ(r)) c_q (r sqrt(m / pi) at q = 1).  At r = 0.7 R, n = m,
+    # Var / prediction - 1 falls like 1/m: the slopes over m = 40..640 read
+    # -0.957 to -1.080, so the margin 0.1 is 1.25 times the largest distance
+    w = pk.parse_weight(weight)
+    r = 0.7 * pk.droplet_radius(w)
+
+    def gap(K, m):
+        G = block_grams(K, [r])[0]
+        variance = np.trace(G, axis1=1, axis2=2).sum() - np.sum(G * G)
+        return variance / (2.0 * math.pi * r * math.sqrt(m * w.delta_q(r))
+                           * _laguerre_constant(q)) - 1.0
+
+    ms = [40.0, 160.0, 640.0]
+    gaps = asym._ladder(w, q, r, ms, None, gap)
+    assert gaps[0] == pytest.approx(gap_40, rel=1e-9)
+    assert pk.rate_fit(ms, np.abs(gaps))[0] == pytest.approx(-1.0, abs=0.1)
 
 
 def test_fixed_separation_sqrtm_correlation():

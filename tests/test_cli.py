@@ -453,8 +453,8 @@ def test_sample_determinism(tmp_path):
 
 
 def test_runtime_imports_neither_scipy_nor_mpmath(tmp_path):
-    # a fresh interpreter: the package and two subcommands load numpy and the
-    # standard library only
+    # a fresh interpreter: the package and three subcommands load numpy and the
+    # standard library only; before, np.unique in rate_fit loaded numpy.ma too
     script = f"""
 import sys
 import polykernel, polykernel.cli
@@ -463,8 +463,10 @@ assert polykernel.cli.run(["intensity", "--weight", "ginibre", "--q", "2", "--n"
                            "--m", "6", "--out", out + "/i.csv"]) == 0
 assert polykernel.cli.run(["sample", "--weight", "ginibre", "--n", "4", "--m", "4",
                            "--outdir", out]) == 0
+assert polykernel.cli.run(["blowup", "--weight", "ginibre", "--q", "2", "--z0", "0.1",
+                           "--m", "10,20", "--out", out + "/b.json"]) == 0
 print(sorted(name for name in sys.modules
-             if name.split(".")[0] in ("scipy", "mpmath")))
+             if name.split(".")[0] in ("scipy", "mpmath") or name == "numpy.ma"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}

@@ -15,7 +15,7 @@ from polykernel.errors import ConfigurationError, SamplerError
 from polykernel.kernel import PAIR_CHUNK
 from polykernel.sampling import seed_for_index
 
-from conftest import disk_points
+from conftest import block_grams, disk_points
 
 
 def test_point_count_and_determinism(spaces):
@@ -507,31 +507,14 @@ def test_q1_largest_modulus_follows_its_exact_law(weight):
 # (Hough-Krishnapur-Peres-Virag, Thm 4.5.3).  These laws see the rows k >= 1
 # of a block, which the q = 1 laws above cannot: there every block has one row.
 # Each test rejects the sampler at EXACT_ALPHA, on one fixed batch per space.
-GRAM_PANELS, GRAM_NODES = 25, 16  # 400 Gauss-Legendre nodes on [0, r]
 BLOCK_SPACES = [("ginibre", 2, 20), ("power:p=2", 3, 12)]
-
-
-def _block_grams(K, radii) -> np.ndarray:
-    """G_d(r) of every block d at each of the increasing ``radii``, shaped
-    (radius, block, row, row), zero in the rows past a block's size: Gauss-
-    Legendre panels of GRAM_NODES nodes, GRAM_PANELS of them on [0, radii[0]]
-    and one on each later interval, summed in order."""
-    radii = np.asarray(radii, dtype=float)
-    edges = np.concatenate([np.linspace(0.0, radii[0], GRAM_PANELS + 1), radii[1:]])
-    x, v = np.polynomial.legendre.leggauss(GRAM_NODES)
-    half = 0.5 * np.diff(edges)[:, None]
-    rho = half * (x + 1.0) + edges[:-1, None]  # (panel, node)
-    shift, mantissa, _ = K._features(rho.ravel().astype(complex), 0.5)
-    phi = (np.exp(shift) * mantissa).reshape(*mantissa.shape[:2], *rho.shape)
-    panels = np.einsum("kbpj,lbpj,pj->pbkl", phi, phi, 2.0 * rho * half * v)
-    return np.cumsum(panels, axis=0)[GRAM_PANELS - 1:]
 
 
 def _count_law(K, r) -> np.ndarray:
     """P(N(r) = k) for k = 0, 1, ...: Poisson-binomial over the eigenvalues of
     the G_d(r) (a padded row adds an eigenvalue 0, which changes nothing)."""
     pmf = np.ones(1)
-    for lam in np.clip(np.linalg.eigvalsh(_block_grams(K, [r])[0]).ravel(), 0.0, 1.0):
+    for lam in np.clip(np.linalg.eigvalsh(block_grams(K, [r])[0]).ravel(), 0.0, 1.0):
         pmf = np.convolve(pmf, [1.0 - lam, lam])
     return pmf
 
@@ -549,7 +532,7 @@ def test_block_gram_oracle(spaces, weight, q, n, mean, variance):
     # nq, and at r = 0.7 R the law of N(r) has the moments measured when the
     # laws were first derived (a Poisson count of that mean has variance ~ mean)
     K = spaces(weight, q, n, float(n))
-    assert abs(np.trace(_block_grams(K, [K._disk_radius])[0], axis1=1, axis2=2).sum()
+    assert abs(np.trace(block_grams(K, [K._disk_radius])[0], axis1=1, axis2=2).sum()
                - K.spec.dim) <= 1e-12
     pmf = _count_law(K, 0.7 * K.equilibrium.droplet_radius)
     k = np.arange(pmf.size)
@@ -577,7 +560,7 @@ def test_block_count_in_disk_follows_its_exact_law(weight, q, n):
 def test_block_largest_modulus_follows_its_exact_law(weight, q, n):
     K, batch = _block_batch(weight, q, n)
     top = np.sort([np.abs(c.points).max() for c in batch])
-    grams = _block_grams(K, top)
+    grams = block_grams(K, top)
     rows = np.arange(grams.shape[-1])
     grams[..., rows, rows] += ~K._features.mask  # a padded row's determinant factor is 1
     u = np.prod(np.linalg.det(grams), axis=1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import polykernel as pk
+from polykernel.cli import run
 from polykernel.errors import ConfigurationError
 from polykernel.localexpansion import _polarization, _theta
 
@@ -69,6 +70,43 @@ def test_radialpoly_rejects_nonsubharmonic():
     # quarter-Laplacian 1 - 4 r^2 + 0.9 r^4 dips negative near r = 1
     with pytest.raises(ConfigurationError):
         pk.parse_weight("radialpoly:c=1,-1,0.1")
+
+
+def _verdict(coeffs) -> str:
+    try:
+        pk.WeightModel.radialpoly(coeffs)
+    except ConfigurationError as exc:
+        return str(exc).split(":")[0]
+    return "accepted"
+
+
+@pytest.mark.parametrize("coeffs", [(1, -3, 1), (1, -1, 0.1), (1, 0.5), (1, -0.3, 0.05),
+                                    (0.5, 0, 0.25)])
+def test_subharmonicity_verdict_is_scale_free(coeffs):
+    # c_k s^k is Q(s^(1/2) r), so it is subharmonic exactly when c_k is; the
+    # check samples dQ on the droplet's own scale.  Before, it sampled up to
+    # ten times a radius from a x1.5 scan that began at 1, and accepted
+    # c = 1,-3,1 at s <= 1e-80 and s >= 1e20: s = 1e-80 built at q = 1,
+    # n = m = 10 with no error and read its trace as 6.66
+    verdict = _verdict(coeffs)
+    assert verdict in ("accepted", "radialpoly weight is not strictly subharmonic")
+    for j in range(-100, 101, 10):
+        assert _verdict([c * 10.0 ** (j * k) for k, c in enumerate(coeffs, 1)]) == verdict, j
+
+
+@pytest.mark.parametrize("coeffs", [[0.0] * 19 + [1e300], [1e-300] + [0.0] * 38 + [1e300]],
+                         ids=["20-terms", "40-terms"])
+def test_steep_weights_parse_without_overflow(coeffs):
+    # dQ overflowed at radii far past the droplet and the infinity passed the
+    # > 0 test with a RuntimeWarning, so `droplet` died under the warning filter
+    w = pk.WeightModel.radialpoly(coeffs)
+    assert run(["droplet", "--weight", w.label]) == 0
+
+
+def test_quarter_laplacian_past_double_range_is_refused():
+    # at degree 200, dQ(10 R) = 4e4 R^398 10^398 overflows
+    with pytest.raises(ConfigurationError, match="quarter-Laplacian is past double range"):
+        pk.WeightModel.radialpoly([0.0] * 199 + [1.0])
 
 
 def test_spec_string_roundtrip():
