@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gamma as gamma_function
 
 import polykernel as pk
 from polykernel.cli import export_kernel_grid_csv, run
@@ -175,31 +176,86 @@ def test_steep_weight_builds_hold_the_trace(spaces):
     assert K.reproducing_residual(probe) <= 1e-12
 
 
-@pytest.mark.parametrize("q", [2, 8, 10, 12, 16])
-def test_ginibre_laguerre_oracle(spaces, q):
+def _ginibre_features(q, n, m, z):
     # block d of the ginibre space has the orthonormal basis
     # |z|^{|d|} e^{i d arg z} L_k^{(|d|)}(m|z|^2) sqrt(m^{|d|+1} k! / (k+|d|)!)
-    # (Haimi and Hedenmalm, J. Stat. Phys. 153 (2013))
-    n, m = 40, 40.0
-    K = spaces("ginibre", q, n, m)
-    rho = np.linspace(0.0, 1.3, 27)
-    t = rho ** 2
+    # (Haimi and Hedenmalm, J. Stat. Phys. 153 (2013)); rows in block order,
+    # weighted by e^{-m|z|^2/2}
+    t = np.abs(z) ** 2
     with np.errstate(divide="ignore"):
-        logr = np.log(rho)
-    ref = []
+        logr = np.log(np.abs(z))
+    out = []
     for d in range(1 - q, n):
         a = abs(d)
+        phase = np.exp(1j * d * np.angle(z))
         for k in range(min(q - 1, n - 1 - d) - max(0, -d) + 1):
             log_norm = 0.5 * ((a + 1) * math.log(m) + gammaln(k + 1) - gammaln(k + a + 1)
                               - m * t) + (a * logr if a else 0.0)
-            ref.append(eval_genlaguerre(k, a, m * t) * np.exp(log_norm))
-    ref = np.array(ref)
-    gamma_ref = np.sum(ref ** 2, axis=0)
+            out.append(eval_genlaguerre(k, a, m * t) * np.exp(log_norm) * phase)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q", [2, 8, 10, 12, 16])
+def test_ginibre_laguerre_oracle(spaces, q):
+    n, m = 40, 40.0
+    K = spaces("ginibre", q, n, m)
+    rho = np.linspace(0.0, 1.3, 27)
+    ref = _ginibre_features(q, n, m, rho.astype(complex))
+    gamma_ref = np.sum(np.abs(ref) ** 2, axis=0)
     gamma = K.one_point_intensity(rho.astype(complex))
     assert np.max(np.abs(gamma - gamma_ref) / gamma_ref) <= 1e-13
     phi = K._features.weighted(rho)
     assert phi.shape == ref.shape
     assert np.max(np.abs(np.abs(phi) - np.abs(ref)) / np.sqrt(gamma_ref)) <= 1e-13
+
+
+def _power2_q2_kernel(n, m, z, w):
+    # Q = |z|^4 at q = 2: block d spans |z|^{|d|} t^k e^{i d arg z}, t = |z|^2,
+    # for its rows k < 2 (one row at d = -1 and d = n - 1), with Gram entries
+    # M_{|d|+k+l}, M_p = int_0^inf t^p e^{-m t^2} dt = Gamma((p+1)/2) / (2 m^{(p+1)/2})
+    def log_moment(p):
+        return gammaln((p + 1) / 2) - math.log(2.0) - (p + 1) / 2 * math.log(m)
+
+    out = 0.0
+    for d in range(-1, n):
+        a = abs(d)
+        # u_k = |z|^a t^k e^{-m Q/2} / sqrt(M_{a+2k}): the scaled Gram block is
+        # [[1, rho], [rho, 1]], rho^2 = Gamma(x + 1/2)^2 / (Gamma(x) Gamma(x + 1))
+        u = [np.exp((a + 2 * k) * np.log(np.abs(v)) - m * np.abs(v) ** 4 / 2
+                    - log_moment(a + 2 * k) / 2 + 1j * d * np.angle(v))
+             for v in (z, w) for k in range(2)]
+        if d in (-1, n - 1):
+            out = out + u[0] * np.conj(u[2])
+            continue
+        x = (a + 1) / 2
+        rho2 = gamma_function(x + 0.5) ** 2 / (gamma_function(x) * gamma_function(x + 1))
+        rho = math.sqrt(rho2)
+        out = out + (u[0] * np.conj(u[2]) + u[1] * np.conj(u[3])
+                     - rho * (u[0] * np.conj(u[3]) + u[1] * np.conj(u[2]))) / (1 - rho2)
+    return out
+
+
+@pytest.mark.parametrize("weight,q", [("ginibre", 2), ("ginibre", 3), ("ginibre", 8),
+                                      ("power:p=2", 2)])
+def test_off_diagonal_kernel_oracle(spaces, weight, q):
+    # K(z, w) at complex pairs against closed-form block sums, relative to
+    # sqrt(gamma(z) gamma(w)): every block phase e^{i d (arg z - arg w)} is
+    # read, unlike on the diagonal
+    n, m = 40, 40.0
+    K = spaces(weight, q, n, m)
+    rng = np.random.default_rng(q)
+    radius = 1.1 * K.equilibrium.droplet_radius
+    z = disk_points(rng, 200, radius)
+    w = np.concatenate([disk_points(rng, 100, radius),
+                        z[100:] + 0.3 / math.sqrt(n) * np.exp(2j * np.pi * rng.uniform(size=100))])
+    if weight == "ginibre":
+        fz, fw = _ginibre_features(q, n, m, z), _ginibre_features(q, n, m, w)
+        ref = np.sum(fz * np.conj(fw), axis=0)
+        scale = np.sqrt(np.sum(np.abs(fz) ** 2, axis=0) * np.sum(np.abs(fw) ** 2, axis=0))
+    else:
+        ref = _power2_q2_kernel(n, m, z, w)
+        scale = np.sqrt(np.real(_power2_q2_kernel(n, m, z, z) * _power2_q2_kernel(n, m, w, w)))
+    assert np.max(np.abs(K.weighted_kernel(z, w) - ref) / scale) <= 1e-13
 
 
 @pytest.mark.parametrize("spoil", [0.0, np.nan])
@@ -761,14 +817,23 @@ def test_kernel_csv_export(tmp_path, spaces):
 # the in-place feature pass and its block phases
 # ---------------------------------------------------------------------------
 
+def _phase_angles(rng, count):
+    # angles of a whole turn, then small ones, where the bound is 8 eps
+    # absolute, then the quarter turns, where tan(d theta / 2) is 1 at d = 1
+    # and at its pole at d = 2
+    return np.concatenate([rng.uniform(-2 * np.pi, 2 * np.pi, count),
+                           [0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi],
+                           rng.uniform(-1e-3, 1e-3, 50), rng.uniform(-1e-9, 1e-9, 50),
+                           [np.pi / 2, -np.pi / 2]])
+
+
 @pytest.mark.parametrize("q", [1, 2, 8, 100])
-@pytest.mark.parametrize("nb", [1, 2, 81, 647, 2561])
+@pytest.mark.parametrize("nb", [1, 2, 21, 61, 81, 647, 2561])
 def test_block_phase_tables_match_complex_exp(nb, q):
     # the offsets of nb blocks from d = -(q - 1), so negative d is covered;
-    # np.exp carries the rounding of d theta, up to |d theta| ulp / 2
-    rng = np.random.default_rng(1000 * nb + q)
-    theta = np.concatenate([rng.uniform(-2 * np.pi, 2 * np.pi, 300),
-                            [0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi]])
+    # np.exp carries the rounding of d theta, up to |d theta| ulp / 2; nb = 21
+    # and 61 are the sample workload's spaces
+    theta = _phase_angles(np.random.default_rng(1000 * nb + q), 300)
     d = np.arange(nb) - (q - 1)
     dtheta = d[:, None] * theta[None, :]
     got = _block_phases(d, theta)
@@ -778,13 +843,12 @@ def test_block_phase_tables_match_complex_exp(nb, q):
     assert np.all(got[d == 0] == 1.0)
 
 
-@pytest.mark.parametrize("nb,q", [(1, 100), (81, 2), (647, 8), (2561, 100)])
+@pytest.mark.parametrize("nb,q", [(1, 100), (21, 2), (61, 2), (81, 2), (647, 8), (2561, 100)])
 def test_block_phases_of_negated_angles_are_conjugate(nb, q):
     # exactly equal; an exact zero, such as the imaginary part at d = 0, may
     # differ in sign
     d = np.arange(nb) - (q - 1)
-    theta = np.random.default_rng(nb + q).uniform(-2 * np.pi, 2 * np.pi, 400)
-    theta = np.concatenate([theta, [0.0, np.pi, -np.pi, 2 * np.pi]])
+    theta = _phase_angles(np.random.default_rng(nb + q), 400)
     assert np.array_equal(_block_phases(d, -theta), np.conj(_block_phases(d, theta)))
 
 
