@@ -95,13 +95,6 @@ class SpaceSpec:
         return self.q * self.n
 
 
-def _norm(x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x, summed in long double; the squares
-    go to ``work``."""
-    return np.sqrt(np.sum(np.multiply(x, x, out=work), axis=-1,
-                          dtype=np.longdouble)).astype(float)
-
-
 def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
     """alpha_k, beta_{k+1} (k < steps) of sum_i start_i^2 delta(t_i), and the basis.
 
@@ -109,29 +102,34 @@ def _lanczos(t: np.ndarray, start: np.ndarray, steps: int):
     Lanczos on diag(t), each new vector orthogonalized twice against all
     earlier ones of its row (Gragg and Harrod, Numer. Math. 44 (1984)).
     A node where start is 0 stays 0 in every vector, so rows of different
-    lengths may be padded with zeros.  alpha_k, beta_k and the start norm
-    are summed in long double.  The basis, the vector v, its products and
-    its projections live in the thread's pool (``_buffer``), so the basis
-    returned is overwritten by the next call.
+    lengths may be padded with zeros.  The start norm, and alpha_k and
+    beta_{k+1}^2 of each step, are summed in long double; the two sums of a
+    step are one reduction of their stacked products, since the
+    orthogonalization does not read alpha_k.  The basis, the vector v, its
+    products and its projections live in the thread's pool (``_buffer``), so
+    the basis returned is overwritten by the next call.
     """
     nb, size = start.shape
     basis = _buffer("lanczos", "basis", (nb, steps + 1, size))
     v = _buffer("lanczos", "v", (nb, size))
-    prod = _buffer("lanczos", "prod", (nb, size))
+    prod = _buffer("lanczos", "prod", (nb, 2, size))  # products of alpha_k, beta_{k+1}^2
     proj = _buffer("lanczos", "proj", (nb, 1, size))
-    np.divide(start, _norm(start, prod)[:, None], out=basis[:, 0])
+    norm = np.sqrt(np.sum(np.multiply(start, start, out=v), axis=-1, dtype=np.longdouble))
+    np.divide(start, norm.astype(float)[:, None], out=basis[:, 0])
     alpha, beta = np.empty((nb, steps)), np.empty((nb, steps))
-    # a beta of 0 or past double range leaves inf or NaN: _conditions refuses it
+    # a beta of 0 or past double range leaves inf or NaN: _set_blocks refuses it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(steps):
             np.multiply(t, basis[:, k], out=v)
-            alpha[:, k] = np.sum(np.multiply(basis[:, k], v, out=prod), axis=-1,
-                                 dtype=np.longdouble)
+            np.multiply(basis[:, k], v, out=prod[:, 0])
             done = basis[:, :k + 1]
             for _ in range(2):  # v -= done^T (done v), row by row
                 v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done,
                                out=proj)[:, 0]
-            beta[:, k] = _norm(v, prod)
+            np.multiply(v, v, out=prod[:, 1])
+            sums = np.sum(prod, axis=-1, dtype=np.longdouble)
+            alpha[:, k] = sums[:, 0]
+            beta[:, k] = np.sqrt(sums[:, 1])
             np.divide(v, beta[:, k, None], out=basis[:, k + 1])
     return alpha, beta, basis
 
@@ -173,7 +171,7 @@ def _recurrences(rule: MomentRule, p: np.ndarray):
             alpha[idx], beta[idx], basis = _lanczos(np.exp(u), start, size - 1)
             edge = np.where(live[idx], basis[:, :, 0] ** 2, 0.0)
             grow.append(idx[np.max(edge, axis=1) > TAIL_BOUND])
-        todo = np.concatenate(grow)  # a NaN edge stops; _conditions refuses it
+        todo = np.concatenate(grow)  # a NaN edge stops; _set_blocks refuses it
         lo[todo] -= hi[todo] - lo[todo]
     return alpha, beta
 
@@ -181,21 +179,21 @@ def _recurrences(rule: MomentRule, p: np.ndarray):
 def _conditions(alpha: np.ndarray, beta: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Condition of each block's Gram matrix scaled to unit diagonal.
 
-    Block i uses the first size[i] - 1 entries of its rows of alpha and beta.
-    On its grid the scaled monomial of row r, sqrt(exp(f_{p_0+2r}(u))), is t^r
-    times that of row 0 up to a constant, so in the Lanczos basis it is J^r e_0
-    up to scale, with J the Jacobi matrix of alpha and beta.  J has positive
-    entries, so these vectors are computed without cancellation; the condition
-    is that of their normalized stack, squared.  Each stack is padded to the
-    widest with identity rows and all run in one stacked SVD: with unit rows,
-    sigma_max >= 1 >= sigma_min, so the padding leaves the condition as it is.
-    It is inf where a coefficient is zero or not finite.
+    Block i uses the first size[i] - 1 entries of its rows of alpha and beta,
+    all finite and every beta > 0 (``GramFactorization._set_blocks`` refuses
+    any other block); no build calls this, ``condition_report`` does on its
+    first read.  On its grid the scaled monomial of row r,
+    sqrt(exp(f_{p_0+2r}(u))), is t^r times that of row 0 up to a constant, so
+    in the Lanczos basis it is J^r e_0 up to scale, with J the Jacobi matrix
+    of alpha and beta.  J has positive entries, so these vectors are computed
+    without cancellation; the condition is that of their normalized stack,
+    squared.  Each stack is padded to the widest with identity rows and all
+    run in one stacked SVD: with unit rows, sigma_max >= 1 >= sigma_min, so
+    the padding leaves the condition as it is.
     """
     nb, width = alpha.shape[0], alpha.shape[1] + 1
     live = np.arange(width - 1) < size[:, None] - 1
-    ok = np.all(~live | (np.isfinite(alpha) & np.isfinite(beta) & (beta > 0.0)), axis=1)
-    keep = ok[:, None] & live
-    a, b = np.where(keep, alpha, 1.0), np.where(keep, beta, 1.0)
+    a, b = np.where(live, alpha, 1.0), np.where(live, beta, 1.0)
     krylov = np.zeros((nb, width, width))
     krylov[:, 0, 0] = 1.0
     for r in range(1, width):
@@ -207,9 +205,7 @@ def _conditions(alpha: np.ndarray, beta: np.ndarray, size: np.ndarray) -> np.nda
     krylov[pad] = np.eye(width)[np.nonzero(pad)[1]]
     sv = np.linalg.svd(krylov, compute_uv=False)
     with np.errstate(divide="ignore"):
-        cond = (sv[:, 0] / sv[:, -1]) ** 2
-    cond[~ok] = math.inf
-    return cond
+        return (sv[:, 0] / sv[:, -1]) ** 2
 
 
 def _chunks(count: np.ndarray, size: int):
@@ -237,7 +233,10 @@ class GramFactorization:
     holds its alpha_0 .. alpha_{s-2} and beta_1 .. beta_{s-1} for s = size[i],
     zero past them, in rows as wide as the widest block's, min(q, n) - 1.
     Blocks d and -d take them from the one recurrence of their measure, so
-    the smaller block's row is a prefix of the larger's.
+    the smaller block's row is a prefix of the larger's.  A build refuses a
+    block whose coefficients are not all finite with every beta > 0
+    (``_set_blocks``); ``condition_report``, each block's scaled Gram
+    condition, is computed on its first read, not by the build.
     A build of a weight of one term can be re-based (``_rebased``) to any m
     and any n up to its own.
     """
@@ -269,20 +268,26 @@ class GramFactorization:
         self.size = np.minimum(q - 1, n - 1 - self.d) - self.r0 + 1
 
     def _set_blocks(self, alpha: np.ndarray, beta: np.ndarray) -> None:
-        """Each block's rows of alpha and beta, cut to its size, and its condition."""
+        """Each block's rows of alpha and beta, cut to its size; a block with a
+        coefficient that is not finite, or a beta <= 0, is refused."""
         keep = np.arange(alpha.shape[1]) < self.size[:, None] - 1
         self.alpha, self.beta = np.where(keep, alpha, 0.0), np.where(keep, beta, 0.0)
-        cond = _conditions(self.alpha, self.beta, self.size)
-        bad = np.flatnonzero(~np.isfinite(cond))
+        good = np.isfinite(self.alpha) & np.isfinite(self.beta) & (self.beta > 0.0)
+        bad = np.flatnonzero(~np.all(good | ~keep, axis=1))
         if bad.size:
             i = bad[0]
             raise NumericalDegeneracyError(
                 f"Gram block d={self.d[i]} is numerically degenerate: its recurrence has "
                 f"beta {np.array2string(self.beta[i, :self.size[i] - 1], precision=3)} "
-                f"(condition {cond[i]:.3e}; weight {self.weight.label}, "
+                f"(condition inf; weight {self.weight.label}, "
                 f"q={self.spec.q}, n={self.spec.n}, m={self.spec.m})"
             )
-        self.condition_report = dict(zip(self.d.tolist(), cond.tolist()))
+
+    @functools.cached_property
+    def condition_report(self) -> dict:
+        """Condition of each block's scaled Gram matrix, by d (``_conditions``),
+        computed on first read (concurrent first reads compute the same report)."""
+        return dict(zip(self.d.tolist(), _conditions(self.alpha, self.beta, self.size).tolist()))
 
     def _rebased(self, spec: SpaceSpec) -> "GramFactorization":
         """The factorization of ``spec`` (this q, n up to this n, any m) from
@@ -293,9 +298,9 @@ class GramFactorization:
         at m' = m e^{-K shift}, every alpha and beta is this build's times
         rho = e^{shift}, and block d of n' <= n rows is a prefix of this
         build's block d; log M_p comes from this build's rule
-        (``MomentRule.log_moments``, with its log-convexity check).  The
-        conditions are those of the cut blocks.  The result keeps no rule, so
-        it is not re-based again.
+        (``MomentRule.log_moments``, with its log-convexity check).  Its
+        ``condition_report`` is that of the cut blocks.  The result keeps no
+        rule, so it is not re-based again.
         """
         if not self._one_term or spec.q != self.spec.q or spec.n > self.spec.n:
             raise ConfigurationError(
@@ -395,7 +400,7 @@ class _Pool(threading.local):
     one side of a pair ("z"), of the other side ("w") and their pairing
     ("pair"): at most (2 + 9/r) PAIR_CHUNK doubles for blocks of at most
     r = min(q, n) rows, 6.8 MB at r = 2 and 11.5 MB at r = 1.  A build's
-    Lanczos batches ("lanczos") keep at most 2.5 PAIR_CHUNK doubles more, 2.6 MB."""
+    Lanczos batches ("lanczos") keep at most 3 PAIR_CHUNK doubles more, 3.1 MB."""
 
     def __init__(self):
         self.arrays = {}

@@ -111,13 +111,19 @@ class MomentRule:
         (p+1) - f_p'(u) and -f_p''(u).
 
         Summed term by term, so a point does not depend on the other points.
+        Each sum starts at its first term, not at a zero: that can change only
+        the sign of a zero sum, which no caller reads (s1 - (p+1) is the same,
+        and a Newton step over s2 = +-0 leaves the bracket either way).
         """
-        s1 = np.zeros(u.shape)
-        s2 = np.zeros(u.shape)
+        s1 = s2 = None
         for k, mc in self._mc:
-            a = mc * np.exp(k * u)
-            s1 += k * a
-            s2 += k * k * a
+            a = np.exp(k * u)
+            a *= mc
+            if s1 is None:
+                s1, s2 = k * a, k * k * a
+            else:
+                s1 += k * a
+                s2 += k * k * a
         return s1, s2
 
     def _solve_modes(self) -> np.ndarray:
@@ -158,17 +164,21 @@ class MomentRule:
         u = hi.copy()
         # the unconverged rows: their indices, points, brackets and targets
         rows, ua, goal = np.arange(u.size), hi, target
+        hi = hi.copy()  # lo and hi are updated in place, and ua starts as hi
         for _ in range(MODE_STEPS):
             if not rows.size:
                 return u
-            s1, s2 = self._slopes(ua)
-            f = s1 - goal
-            lo = np.where(f < 0.0, ua, lo)
-            hi = np.where(f > 0.0, ua, hi)
-            new = ua - f / s2
-            new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+            f, s2 = self._slopes(ua)
+            f -= goal
+            np.copyto(lo, ua, where=f < 0.0)
+            np.copyto(hi, ua, where=f > 0.0)
+            f /= s2
+            new = ua - f
+            mid = lo + hi
+            mid *= 0.5
+            new = np.where((new > lo) & (new < hi), new, mid)
             moving = np.abs(new - ua) > 1e-13 * np.maximum(1.0, np.abs(ua))
-            if moving.all():
+            if np.count_nonzero(moving) == rows.size:
                 ua = new
                 continue
             u[rows[~moving]] = new[~moving]

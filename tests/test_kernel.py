@@ -384,6 +384,71 @@ def test_padded_conditions_match_each_block_alone(weight, q, n):
     assert checked >= n
 
 
+def test_conditions_are_computed_on_first_read(monkeypatch):
+    # no build runs the stacked SVD of _conditions, direct or re-based, and no
+    # evaluation reads it; condition_report computes it on its first read
+    real_conditions = pk.kernel._conditions
+
+    def conditions(alpha, beta, size):
+        raise AssertionError("_conditions ran before condition_report was read")
+
+    monkeypatch.setattr(pk.kernel, "_conditions", conditions)
+    direct = pk.build_space(GINIBRE, pk.SpaceSpec(8, 40, 40.0))
+    ladder = [K for _, K in pk.kernel._ladder_spaces(GINIBRE, 2, [40.0, 80.0, 160.0],
+                                                      [40, 80, 160])]
+    for K in (direct, *ladder):
+        R = K.equilibrium.droplet_radius
+        assert abs(K.total_intensity() - K.spec.dim) <= 1e-8 * K.spec.dim
+        assert K.reproducing_residual(0.3 * R * np.exp(0.7j)) <= 1e-10
+        assert np.isfinite(K.weighted_kernel(0.3 * R, 0.5j * R))
+    monkeypatch.setattr(pk.kernel, "_conditions", real_conditions)
+    for K in (direct, *ladder):
+        F = K.factorization
+        cond = real_conditions(F.alpha, F.beta, F.size)
+        assert F.condition_report == dict(zip(F.d.tolist(), cond.tolist()))
+
+
+def _two_reduction_lanczos(t, start, steps):
+    # the reference: _lanczos with alpha_k and beta_{k+1}^2 summed in two
+    # long-double reductions a step, on arrays of its own
+    def norm(x):
+        return np.sqrt(np.sum(x * x, axis=-1, dtype=np.longdouble)).astype(float)
+
+    nb, size = start.shape
+    basis = np.empty((nb, steps + 1, size))
+    basis[:, 0] = start / norm(start)[:, None]
+    alpha, beta = np.empty((nb, steps)), np.empty((nb, steps))
+    for k in range(steps):
+        v = t * basis[:, k]
+        alpha[:, k] = np.sum(basis[:, k] * v, axis=-1, dtype=np.longdouble)
+        done = basis[:, :k + 1]
+        for _ in range(2):
+            v -= np.matmul(np.matmul(done, v[:, :, None]).transpose(0, 2, 1), done)[:, 0]
+        beta[:, k] = norm(v)
+        basis[:, k + 1] = v / beta[:, k, None]
+    return alpha, beta, basis
+
+
+@pytest.mark.parametrize("weight, q, n", [("ginibre", 8, 40), ("power:p=3", 8, 20)])
+def test_stacked_lanczos_sums_keep_every_bit(monkeypatch, weight, q, n):
+    # one stacked reduction of alpha_k's and beta_{k+1}^2's products per step
+    # gives the bits of two separate reductions, on every padded batch of a build
+    real_lanczos = pk.kernel._lanczos
+    batches = []
+
+    def lanczos(t, start, steps):
+        out = real_lanczos(t, start, steps)
+        batches.append((t.copy(), start.copy(), steps, *(a.copy() for a in out)))
+        return out
+
+    monkeypatch.setattr(pk.kernel, "_lanczos", lanczos)
+    pk.GramFactorization(pk.parse_weight(weight), pk.SpaceSpec(q, n, float(n)))
+    assert any((start == 0.0).any() for _, start, *_ in batches)  # padded grids
+    for t, start, steps, *got in batches:
+        for a, b in zip(got, _two_reduction_lanczos(t, start, steps)):
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("weight, q, ns, top", [("ginibre", 2, [40, 80], 160),
                                                 ("power:p=2", 2, [40, 80], 160),
                                                 ("power:p=3", 8, [20], 40)])
