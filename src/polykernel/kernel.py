@@ -46,16 +46,26 @@ range.
 
 Builds and evaluations work in one pool of buffers per thread (``_buffer``),
 shared by every space that the thread builds or evaluates, so a fresh space
-reuses the working memory of the last one and pages none in anew.  A
-KernelEvaluator is immutable after construction, apart from tables derived
-from the space on first use (concurrent first uses compute the same table),
-and safe for concurrent evaluation from many threads.
+reuses the working memory of the last one and pages none in anew.  A pair
+evaluation of two whole chunks or more deals its chunks across the usable
+CPUs (``_deal``): chunk i runs on thread i mod T, the caller being thread 0,
+each thread in its own pool.  Numpy releases the GIL inside each chunk's
+array passes, so the threads overlap.  Chunk boundaries and each chunk's
+operations are those of a serial loop, so every result is bitwise the same
+whatever the thread count.  Builds stay serial: their Lanczos steps are
+small and GIL-bound.  A KernelEvaluator is immutable after construction,
+apart from tables derived from the space on first use (concurrent first uses
+compute the same table), and safe for concurrent evaluation from many
+threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import queue
 import threading
 import warnings
 from dataclasses import dataclass
@@ -326,9 +336,9 @@ def _phase_plan(d0: int, nb: int):
     With S = ceil(sqrt(nb)), d = a S + b for 0 <= b < S (floor division),
     so d = 0 is a = b = 0.  Returns S; the b of d0 and the number of offsets
     that share its a (``head``); the number of full groups of S offsets after
-    those, and of offsets left over; the table exponents k (the b < S, then
-    a S for every a), the rows k / 2, k^2 / 2 and k^3 / 6 that scale the tables'
-    arguments, and Dekker's splitter for k.
+    those, and of offsets left over; the table exponents k as floats (the
+    b < S, then a S for every a), the rows k / 2, k^2 / 2 and k^3 / 6 that
+    scale the tables' arguments, and Dekker's splitter for k.
     """
     s = math.isqrt(nb - 1) + 1
     a0, b0 = divmod(d0, s)
@@ -337,10 +347,10 @@ def _phase_plan(d0: int, nb: int):
     k = np.concatenate([np.arange(s), s * np.arange(a0, a0 + whole + 2)])
     kf = k.astype(float)
     powers = np.stack([0.5 * kf, 0.5 * kf * kf, kf * kf * kf / 6.0])
-    for a in (k, powers):
+    for a in (kf, powers):
         a.flags.writeable = False
     split = float(2 ** int(np.max(np.abs(k))).bit_length() + 1)
-    return s, b0, head, whole, rest, k, powers, split
+    return s, b0, head, whole, rest, kf, powers, split
 
 
 def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None):
@@ -363,7 +373,7 @@ def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = Non
     zero may differ in sign), and the kernel stays exactly Hermitian.
     """
     nb = d.size
-    s, b0, head, whole, rest, k, (half, sq, cube), split = _phase_plan(int(d[0]), nb)
+    s, b0, head, whole, rest, kf, (half, sq, cube), split = _phase_plan(int(d[0]), nb)
     c = split * theta
     hi = c - (c - theta)
     lo = theta - hi
@@ -379,7 +389,7 @@ def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = Non
     tail = np.empty_like(table)
     np.multiply.outer(sq, lo * lo, out=tail.real)
     np.subtract(1.0, tail.real, out=tail.real)
-    np.multiply.outer(k, lo, out=tail.imag)
+    np.multiply.outer(kf, lo, out=tail.imag)
     tail.imag -= np.multiply.outer(cube, lo * lo * lo, out=w)
     table *= tail
     small, big = table[:s], table[s:]
@@ -399,8 +409,11 @@ class _Pool(threading.local):
     working memory already paged in.  An evaluation keeps the features of
     one side of a pair ("z"), of the other side ("w") and their pairing
     ("pair"): at most (2 + 9/r) PAIR_CHUNK doubles for blocks of at most
-    r = min(q, n) rows, 6.8 MB at r = 2 and 11.5 MB at r = 1.  A build's
-    Lanczos batches ("lanczos") keep at most 3 PAIR_CHUNK doubles more, 3.1 MB."""
+    r = min(q, n) rows, 6.8 MB at r = 2 and 11.5 MB at r = 1.  Each worker
+    thread of ``_deal`` holds a pool of its own, so a dealt evaluation
+    keeps that much once per thread: 6.8 MB more per worker at r = 2.  A
+    build's Lanczos batches ("lanczos") keep at most 3 PAIR_CHUNK doubles
+    more, 3.1 MB."""
 
     def __init__(self):
         self.arrays = {}
@@ -428,6 +441,88 @@ def _buffer(group: str | None, name: str, shape: tuple, dtype=float) -> np.ndarr
     return buf[:size].reshape(shape)
 
 
+def _workers() -> int:
+    """Threads besides the caller that ``_deal`` may use: one per usable CPU
+    (the process's affinity set where the platform has one), less the caller's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+class _DealPool:
+    """Daemon threads that run ``_deal``'s shares, fed by one queue; the
+    process has one, ``_DEAL_POOL``, shared by concurrent callers.  Not a
+    ThreadPoolExecutor: importing concurrent.futures loads logging, 5-6 ms
+    at the first dealt call."""
+
+    def __init__(self):
+        self.tasks = queue.SimpleQueue()
+        self.threads = 0
+        self.lock = threading.Lock()
+
+    def grow(self, threads: int) -> None:
+        """Start threads until the pool has ``threads``."""
+        with self.lock:
+            while self.threads < threads:
+                threading.Thread(target=self._serve, name="polykernel", daemon=True).start()
+                self.threads += 1
+
+    def _serve(self) -> None:
+        while True:
+            run, done = self.tasks.get()
+            done.put(run())
+
+
+_DEAL_POOL = _DealPool()  # no thread starts before a call is dealt
+
+
+def _forget_deal_pool() -> None:
+    """In a forked child: the parent's worker threads do not exist there, so
+    work queued to them would wait for ever; the child starts its own."""
+    global _DEAL_POOL
+    _DEAL_POOL = _DealPool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_deal_pool)
+
+
+def _deal(work, items, whole: int) -> None:
+    """work(item) for every item of the sequence, item i on thread i mod T.
+
+    ``whole`` counts the items of full size; with two or more, T is
+    min(whole, 1 + ``_workers()``), else 1 and no thread starts.  Thread 0
+    is the caller; the others come from ``_DEAL_POOL`` and run their
+    shares in copies of the caller's context, so numpy's ``errstate`` holds
+    there too.  A share stops at its first exception.  Once every share is
+    done, the exception of the first failing item in item order is raised:
+    every item before it has run, so it is the one that a serial loop would
+    raise.
+    """
+    threads = min(whole, 1 + _workers()) if whole > 1 else 1
+    if threads < 2:
+        for item in items:
+            work(item)
+        return
+
+    def share(t: int):
+        for i in range(t, len(items), threads):
+            try:
+                work(items[i])
+            except Exception as exc:
+                return i, exc
+        return None
+
+    pool, results = _DEAL_POOL, queue.SimpleQueue()
+    pool.grow(threads - 1)
+    for t in range(1, threads):
+        pool.tasks.put((functools.partial(contextvars.copy_context().run, share, t), results))
+    done = [share(0)] + [results.get() for _ in range(1, threads)]
+    failed = [outcome for outcome in done if outcome is not None]
+    if failed:
+        raise min(failed)[1]  # (item, exception) pairs of distinct items
+
+
 class _FeatureMap:
     """Weighted orthonormal features of every Gram block, batched over points.
 
@@ -448,7 +543,7 @@ class _FeatureMap:
         self.weight, self.m = f.weight, f.spec.m
         self.d = f.d
         self.mask = np.arange(rows) < f.size[:, None]
-        self.p = np.where(self.mask, np.abs(f.d)[:, None] + 2 * np.arange(rows), 0)
+        self.p = np.where(self.mask, np.abs(f.d)[:, None] + 2.0 * np.arange(rows), 0.0)
         beta = f.beta.T
         live = beta > 0.0  # beta_{k+1} of a row k + 1 of the block
         self.center = np.zeros((rows, nb, 1))  # alpha_k
@@ -457,8 +552,9 @@ class _FeatureMap:
         self.center[:rows - 1, :, 0] = f.alpha.T
         np.divide(1.0, beta, out=self.gain[:rows - 1, :, 0], where=live)
         np.divide(beta[:-1], beta[1:], out=self.back[1:rows - 1, :, 0], where=live[1:])
-        self.low = np.abs(self.d)[:, None]
-        self.half_logm = 0.5 * f.log_moments[self.low]
+        low = np.abs(self.d)[:, None]
+        self.half_logm = 0.5 * f.log_moments[low]
+        self.low = low.astype(float)  # the shift's |d|, cast once here, not per call
         self.origin = f.spec.q - 1  # the block d = 0
         # Row k of block i is row first[i] + k of ``weighted``.  The blocks of
         # the most rows are consecutive and fill consecutive rows, written by
@@ -566,8 +662,12 @@ class KernelEvaluator:
 
         Points are taken in chunks of about PAIR_CHUNK (row, block, point)
         entries, so that the working arrays stay in cache, and each chunk
-        works in place in the thread's pooled buffers.  The features
-        are computed once on the diagonal (z is w) and once for a side
+        works in place in its thread's pooled buffers.  A call of two whole
+        chunks or more deals them across min(whole chunks, usable CPUs)
+        threads (``_deal``); each chunk is computed as in a serial loop, on
+        the same boundaries, so the result does not depend on the thread
+        count, and a failing call raises what the serial loop would.  The
+        features are computed once on the diagonal (z is w) and once for a side
         holding a single point, which is then broadcast; two single points
         share one feature pass, which gives each the values of its own pass,
         since every feature operation is per point.  On the diagonal
@@ -592,7 +692,8 @@ class KernelEvaluator:
         top = np.empty(zf.size)
         mant = np.empty(zf.size, dtype=complex)
         step = max(1, PAIR_CHUNK // fm.p.size)
-        for lo in range(0, zf.size, step):
+
+        def chunk(lo: int) -> None:
             part = slice(lo, lo + step)
             sz, az, ang_z = once_z or fm(zf[part], power, "z")
             sw, aw, ang_w = (sz, az, ang_z) if same else once_w or fm(wf[part], power, "w")
@@ -614,6 +715,8 @@ class KernelEvaluator:
                 vals = phase
             vals *= logs
             mant[part] = np.sum(vals, axis=0)
+
+        _deal(chunk, range(0, zf.size, step), zf.size // step)
         return top.reshape(shape), mant.reshape(shape)
 
     # -- public evaluation --------------------------------------------------

@@ -1,7 +1,12 @@
 """Kernel evaluator against closed-form oracles and structural invariants."""
 
 import math
+import os
+import select
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +17,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from scipy.special import gamma as gamma_function
 
 import polykernel as pk
+from polykernel import kernel as kernel_module
 from polykernel.cli import export_kernel_grid_csv, run
 from polykernel.errors import ConfigurationError, NumericalDegeneracyError
 from polykernel.kernel import PAIR_CHUNK, _block_phases, _buffer
@@ -1064,3 +1070,152 @@ def test_concurrent_evaluation_matches_serial(spaces):
         sys.setswitchinterval(interval)
     for values, reference in zip(got, expect * 3):
         assert all(np.array_equal(a, b) for a, b in zip(values, reference))
+
+
+# ---------------------------------------------------------------------------
+# chunks dealt across threads
+# ---------------------------------------------------------------------------
+
+DEAL_SPACES = [("ginibre", 2, 80, 80.0), ("power:p=3", 8, 20, 20.0)]
+# point counts in chunks of ``step``: one whole chunk and a tail, two whole,
+# two and a one-point tail, three and a one-point tail, and many
+DEAL_COUNTS = {"2step-1": (2, -1), "2step": (2, 0), "2step+1": (2, 1),
+               "3step+1": (3, 1), "10000": (0, 10000)}
+
+
+def deal_points(K, label, seed=61):
+    step = PAIR_CHUNK // K._features.p.size
+    whole, extra = DEAL_COUNTS[label]
+    return disk_points(np.random.default_rng(seed), whole * step + extra,
+                       1.1 * K.equilibrium.droplet_radius), step
+
+
+def deal_results(K, z):
+    w = z[::-1].copy()
+    return [K.one_point_intensity(z), K.log_one_point_intensity(z), K.weighted_kernel(z, w),
+            K.weighted_kernel(z, w[0]), K.weighted_kernel(w[:1], z),
+            K.log_abs_weighted_kernel(z, w), K.kernel(z, w)]
+
+
+@pytest.fixture
+def feature_calls(monkeypatch):
+    """(thread, np.geterr()) of every feature-map call, as it starts."""
+    seen = []
+    call = kernel_module._FeatureMap.__call__
+
+    def spy(self, *args, **kwargs):
+        seen.append((threading.get_ident(), np.geterr()))
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_module._FeatureMap, "__call__", spy)
+    return seen
+
+
+@pytest.mark.parametrize("label", list(DEAL_COUNTS))
+@pytest.mark.parametrize("space", DEAL_SPACES, ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+def test_dealt_chunks_match_the_serial_loop(spaces, monkeypatch, feature_calls, space, label):
+    # the same chunks, on the same boundaries, give the same bytes on one
+    # thread, on two, and on up to four; a one-point tail chunk is summed
+    # pairwise, as serially
+    K = spaces(*space)
+    z, step = deal_points(K, label)
+    runs = {}
+    for workers in (0, 1, 3):
+        monkeypatch.setattr(kernel_module, "_workers", lambda workers=workers: workers)
+        feature_calls.clear()
+        runs[workers] = [a.tobytes() for a in deal_results(K, z)]
+        # with two whole chunks or more, some run on the pool's workers
+        threads = len({ident for ident, _ in feature_calls})
+        assert (threads > 1) == (workers > 0 and z.size >= 2 * step)
+    assert runs[1] == runs[0] and runs[3] == runs[0]
+
+
+def test_a_dealt_call_raises_what_the_serial_loop_raises(spaces, monkeypatch):
+    # bad points in chunks 1 and 3: the error names chunk 1's, whichever
+    # thread runs it, whichever side holds it and whichever fails first
+    K = spaces("ginibre", 2, 80, 80.0)
+    step = PAIR_CHUNK // K._features.p.size
+    z = disk_points(np.random.default_rng(67), 5 * step, K.equilibrium.droplet_radius)
+    w = z[::-1].copy()
+    z[3 * step + 7] = complex(2.0, np.inf)
+    w[step + 5] = complex(np.inf, 1.0)
+    call = kernel_module._FeatureMap.__call__
+    for slow in (z[3 * step + 7], w[step + 5]):
+        def late(self, points, *args, slow=slow, **kwargs):
+            if slow in points:
+                time.sleep(0.05)
+            return call(self, points, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_module._FeatureMap, "__call__", late)
+        for workers in (0, 1, 3):
+            monkeypatch.setattr(kernel_module, "_workers", lambda workers=workers: workers)
+            with pytest.raises(ConfigurationError, match=r"got \(2\+infj\)"):
+                K.one_point_intensity(z)
+            with pytest.raises(ConfigurationError, match=r"got \(inf\+1j\)"):
+                K.weighted_kernel(z, w)
+
+
+def test_dealt_chunks_see_the_callers_errstate(spaces, monkeypatch, feature_calls):
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, _ = deal_points(K, "10000")
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 3)
+    with np.errstate(over="raise"):
+        caller = np.geterr()
+        K.one_point_intensity(z)
+    assert len({ident for ident, _ in feature_calls}) > 1
+    assert all(state == caller for _, state in feature_calls)
+    assert caller != np.geterr()
+
+
+def test_one_usable_cpu_starts_no_thread(spaces, monkeypatch):
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, step = deal_points(K, "10000")
+    monkeypatch.setattr(kernel_module, "_DEAL_POOL", kernel_module._DealPool())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    before = threading.active_count()
+    K.one_point_intensity(z)
+    # nor does a call of one whole chunk, however many CPUs
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 3)
+    K.one_point_intensity(z[:2 * step - 1])
+    assert kernel_module._DEAL_POOL.threads == 0 and threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_deals_its_own_chunks(spaces, monkeypatch):
+    # the parent's worker threads do not exist in a forked child, so the
+    # child starts a pool of its own rather than wait on the parent's
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, step = deal_points(K, "3step+1")
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 1)
+    want = K.one_point_intensity(z).tobytes()  # the parent's pool is running
+    assert kernel_module._DEAL_POOL.threads > 0
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn that a fork of a threaded process may
+        # deadlock in the child, which is what this test looks for
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            got = K.one_point_intensity(z).tobytes()
+            with os.fdopen(write, "wb") as out:
+                out.write(got)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    got, deadline = b"", time.monotonic() + 30.0
+    with os.fdopen(read, "rb", buffering=0) as pipe:
+        while time.monotonic() < deadline:
+            if select.select([pipe], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                part = pipe.read(1 << 16)
+                if not part:
+                    break
+                got += part
+        else:
+            os.kill(pid, signal.SIGKILL)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == want
