@@ -6,7 +6,9 @@ by ``reporting.atomic_write_text``.  The files of ``kernel`` and ``sample``
 are written by this module's exporters, export_kernel_grid_csv and
 export_configuration.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical degeneracy.
+Each subparser's ``handler`` default is its cmd_ function, which returns
+nothing; ``run`` calls it and owns the exit codes: 0 success, 1 configuration
+error, 2 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -98,74 +100,81 @@ def _add_space_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=_positive, required=True, help="scaling parameter")
 
 
+def _add_ladder_flags(p: argparse.ArgumentParser):
+    p.add_argument("--weight", required=True)
+    p.add_argument("--q", type=_count, default=2)
+    p.add_argument("--z0", type=_point, default="0")
+    p.add_argument("--m", type=_ladder, required=True,
+                   help=f"comma-separated m ladder: {asym.LADDER_RULE}")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser, radius: float, n: int):
+    p.add_argument("--grid-radius", type=_positive, default=radius)
+    p.add_argument("--grid-n", type=_count, default=n)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="polykernel",
                   description="Weighted polyanalytic polynomial kernels, their "
                               "determinantal point processes, and bulk-limit checks.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("droplet", help="droplet radius R solving "
-                       "R*Q'(R)=2 and the equilibrium-potential profile")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("droplet", cmd_droplet, "droplet radius R solving "
+                "R*Q'(R)=2 and the equilibrium-potential profile")
     p.add_argument("--weight", required=True)
     p.add_argument("--out", help="optional CSV of r, Q(r), equilibrium potential")
     p.add_argument("--r-max", type=_nonnegative, default=0.0,
                    help="largest radius (default 0: automatic)")
     p.add_argument("--n-grid", type=_count, default=200)
 
-    p = sub.add_parser("energy", help="weighted logarithmic energy of the "
-                       "equilibrium measure")
+    p = command("energy", cmd_energy, "weighted logarithmic energy of the "
+                "equilibrium measure")
     p.add_argument("--weight", required=True)
 
-    p = sub.add_parser("kernel", help="grid of kernel values around a centre, "
-                       "CSV with plain and weighted magnitudes")
+    p = command("kernel", cmd_kernel, "grid of kernel values around a centre, "
+                "CSV with plain and weighted magnitudes")
     _add_space_flags(p)
     p.add_argument("--w0", type=_point, default="0", help="fixed second argument (complex)")
     p.add_argument("--center", type=_point, default="0", help="grid centre (complex)")
-    p.add_argument("--grid-radius", type=_positive, default=1.0)
-    p.add_argument("--grid-n", type=_count, default=17)
+    _add_grid_flags(p, 1.0, 17)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("berezin", help="normalized squared weighted kernel "
-                       "density around a centre")
+    p = command("berezin", cmd_berezin, "normalized squared weighted kernel "
+                "density around a centre")
     _add_space_flags(p)
     p.add_argument("--z0", type=_point, default="0", help="centre (complex)")
-    p.add_argument("--grid-radius", type=_positive, default=1.0)
-    p.add_argument("--grid-n", type=_count, default=33)
+    _add_grid_flags(p, 1.0, 33)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("intensity", help="radial profile of the one-point intensity")
+    p = command("intensity", cmd_intensity, "radial profile of the one-point intensity")
     _add_space_flags(p)
     p.add_argument("--r-max", type=_nonnegative, default=0.0,
                    help="largest radius (default 0: automatic)")
     p.add_argument("--n-grid", type=_count, default=200)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("blowup", help="rescaled bulk kernel against the "
-                       "Laguerre profile over an m ladder, with rate fit")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--q", type=_count, default=2)
-    p.add_argument("--z0", type=_point, default="0")
-    p.add_argument("--m", type=_ladder, required=True,
-                   help=f"comma-separated m ladder: {asym.LADDER_RULE}")
+    p = command("blowup", cmd_blowup, "rescaled bulk kernel against the "
+                "Laguerre profile over an m ladder, with rate fit")
+    _add_ladder_flags(p)
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
-    p.add_argument("--grid-radius", type=_positive, default=2.5)
-    p.add_argument("--grid-n", type=_count, default=17)
+    _add_grid_flags(p, 2.5, 17)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-prefix", default="", help="optional per-m error-grid CSVs")
 
-    p = sub.add_parser("decay", help="off-diagonal decay scans of the weighted "
-                       "kernel over an m ladder")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--q", type=_count, default=2)
-    p.add_argument("--z0", type=_point, default="0")
-    p.add_argument("--m", type=_ladder, required=True,
-                   help=f"comma-separated m ladder: {asym.LADDER_RULE}")
+    p = command("decay", cmd_decay, "off-diagonal decay scans of the weighted "
+                "kernel over an m ladder")
+    _add_ladder_flags(p)
     p.add_argument("--directions", type=_count, default=4)
     p.add_argument("--separations", type=_integer(2), default=12)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("offdroplet", help="outside-droplet decay margins along a ray")
+    p = command("offdroplet", cmd_offdroplet, "outside-droplet decay margins along a ray")
     _add_space_flags(p)
     p.add_argument("--ratios", type=_list_of(_finite(1.0, strict=True), "finite numbers > 1"),
                    default="1.1,1.2,1.35,1.5,1.75,2.0",
@@ -173,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", type=_complex(nonzero=True), default="1")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("local", help="near-diagonal expansion values on a grid")
+    p = command("local", cmd_local, "near-diagonal expansion values on a grid")
     p.add_argument("--weight", required=True)
     p.add_argument("--q", type=_count, default=2)
     p.add_argument("--m", type=_positive, required=True)
@@ -181,20 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=_count, default=None,
                    help=f"expansion orders (powers of m) by q, {ORDERS}, and 1 for "
                    "any other q (default: at most 2)")
-    p.add_argument("--grid-radius", type=_positive, default=0.2)
-    p.add_argument("--grid-n", type=_count, default=17)
+    _add_grid_flags(p, 0.2, 17)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sample", help="exact determinantal configurations, "
-                       "CSV per configuration plus JSON sidecar")
+    p = command("sample", cmd_sample, "exact determinantal configurations, "
+                "CSV per configuration plus JSON sidecar")
     _add_space_flags(p)
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=_integer(0, 2**64), default=0)
     p.add_argument("--outdir", required=True)
 
-    p = sub.add_parser("selftest", help="run the structural invariant suite "
-                       "on a small space matrix")
+    p = command("selftest", cmd_selftest, "run the structural invariant suite "
+                "on a small space matrix")
     p.add_argument("--fast", action="store_true")
 
     return top
@@ -205,7 +213,7 @@ def _space(args):
     return build_space(parse_weight(args.weight), SpaceSpec(args.q, args.n, args.m))
 
 
-def cmd_droplet(args) -> int:
+def cmd_droplet(args) -> None:
     weight = parse_weight(args.weight)
     eq = RadialEquilibrium.solve(weight)
     if args.out:
@@ -217,14 +225,12 @@ def cmd_droplet(args) -> int:
         write_csv(args.out, ["r", "Q", "equilibrium_potential"],
                   zip(r, q_r, np.atleast_1d(eq.equilibrium_potential(r))))
     print(f"R = {eq.droplet_radius:.12f}")
-    return 0
 
 
-def cmd_energy(args) -> int:
+def cmd_energy(args) -> None:
     weight = parse_weight(args.weight)
     eq = RadialEquilibrium.solve(weight)
     print(f"I = {eq.weighted_energy():.12f}")
-    return 0
 
 
 def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
@@ -239,35 +245,32 @@ def export_kernel_grid_csv(path: str, evaluator: KernelEvaluator, z_points,
               zip(z.real, z.imag, w.real, w.imag, plain.real, plain.imag, wabs))
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> None:
     K = _space(args)
     z = asym._square_grid(args.center, args.grid_radius, args.grid_n)
     export_kernel_grid_csv(args.out, K, z, np.full_like(z, args.w0))
     print(f"wrote {z.size} kernel rows to {args.out}")
-    return 0
 
 
-def cmd_berezin(args) -> int:
+def cmd_berezin(args) -> None:
     K = _space(args)
     grid = asym._square_grid(args.z0, args.grid_radius, args.grid_n)
     dens = np.atleast_1d(K.berezin_density(args.z0, grid))
     write_csv(args.out, ["re_w", "im_w", "berezin"],
               zip(grid.real, grid.imag, dens))
     print(f"wrote {grid.size} berezin rows to {args.out}")
-    return 0
 
 
-def cmd_intensity(args) -> int:
+def cmd_intensity(args) -> None:
     K = _space(args)
     r_max = args.r_max or K.equilibrium.droplet_radius + 8.0 / math.sqrt(args.m)
     r = np.linspace(0.0, r_max, args.n_grid)
     gamma = np.atleast_1d(K.one_point_intensity(r.astype(complex)))
     write_csv(args.out, ["r", "gamma1"], zip(r, gamma))
     print(f"wrote {r.size} intensity rows to {args.out}")
-    return 0
 
 
-def cmd_blowup(args) -> int:
+def cmd_blowup(args) -> None:
     weight = parse_weight(args.weight)
     report = asym.blowup_ladder(weight, args.q, args.z0, args.m, args.n,
                                 grid_radius=args.grid_radius, grid_n=args.grid_n)
@@ -280,10 +283,9 @@ def cmd_blowup(args) -> int:
                           res.errors))
     print(f"slope = {report.fields['slope']:.6f} (sup errors: "
           + ", ".join(repr(float(e)) for e in report.fields["sup_error"]) + ")")
-    return 0
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> None:
     weight = parse_weight(args.weight)
     report = asym.decay_ladder(weight, args.q, args.z0, args.m,
                                n_directions=args.directions,
@@ -291,20 +293,18 @@ def cmd_decay(args) -> int:
     atomic_write_text(args.out, json.dumps(report.to_dict()) + "\n")
     ratios = ", ".join(repr(float(s.beta_over_sqrt_m)) for s in report.rungs)
     print(f"beta/sqrt(m) = [{ratios}], stability = {report.fields['stability']:.3f}")
-    return 0
 
 
-def cmd_offdroplet(args) -> int:
+def cmd_offdroplet(args) -> None:
     K = _space(args)
     with np.errstate(over="ignore"):  # offdroplet_margins refuses a radius of inf
         radii = np.array(args.ratios) * K.equilibrium.droplet_radius
     margins = asym.offdroplet_margins(K, args.direction, radii)
     write_csv(args.out, ["r", "r_over_R", "margin"], zip(radii, args.ratios, margins))
     print(f"max margin = {margins.max():.6f}")
-    return 0
 
 
-def cmd_local(args) -> int:
+def cmd_local(args) -> None:
     weight = parse_weight(args.weight)
     grid = asym._square_grid(args.z0, args.grid_radius, args.grid_n)
     terms = min(2, ORDERS.get(args.q, 1)) if args.terms is None else args.terms
@@ -313,7 +313,6 @@ def cmd_local(args) -> int:
     write_csv(args.out, ["re_w", "im_w", "re_value", "im_value", "abs_value"],
               zip(grid.real, grid.imag, vals.real, vals.imag, np.abs(vals)))
     print(f"wrote {grid.size} local-expansion rows to {args.out}")
-    return 0
 
 
 def export_configuration(path_csv: str, path_json: str,
@@ -331,7 +330,7 @@ def export_configuration(path_csv: str, path_json: str,
     atomic_write_text(path_json, json.dumps(sidecar) + "\n")
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     K = _space(args)
     configs = sample_batch(K, args.count, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
@@ -339,10 +338,9 @@ def cmd_sample(args) -> int:
         base = os.path.join(args.outdir, f"config-{i:04d}")
         export_configuration(base + ".csv", base + ".json", cfg)
     print(f"wrote {len(configs)} configurations to {args.outdir}")
-    return 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> None:
     specs = [("ginibre", 1), ("ginibre", 2)] if args.fast else \
         [("ginibre", 1), ("ginibre", 2), ("power:p=2", 1), ("power:p=2", 2)]
     nm = 12 if args.fast else 20
@@ -365,7 +363,6 @@ def cmd_selftest(args) -> int:
     if failures:
         raise NumericalDegeneracyError(f"selftest: {failures} checks failed")
     print("selftest: all checks passed")
-    return 0
 
 
 def _hermitian_ok(K) -> bool:
@@ -384,21 +381,6 @@ def _berezin_mass_ok(K) -> bool:
     return abs(mass - 1.0) < 1e-6
 
 
-_DISPATCH = {
-    "droplet": cmd_droplet,
-    "energy": cmd_energy,
-    "kernel": cmd_kernel,
-    "berezin": cmd_berezin,
-    "intensity": cmd_intensity,
-    "blowup": cmd_blowup,
-    "decay": cmd_decay,
-    "offdroplet": cmd_offdroplet,
-    "local": cmd_local,
-    "sample": cmd_sample,
-    "selftest": cmd_selftest,
-}
-
-
 @functools.lru_cache(maxsize=1)
 def _run_parser() -> argparse.ArgumentParser:
     """The parser of ``run``, built once per process: parsing never changes it."""
@@ -408,7 +390,8 @@ def _run_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = _run_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        args.handler(args)
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

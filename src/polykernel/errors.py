@@ -2,7 +2,7 @@
 
 Two failure categories matter operationally: configuration problems
 (bad flags, weight strings, preconditions) and numerical degeneracy
-(a singular Gram block, vanishing denominators, sampler stalls).  The CLI
+(a singular Gram block, vanishing denominators, a failed exact draw).  The CLI
 maps them to exit codes 1 and 2 respectively.
 
 Every integer a caller may choose (node counts, seeds, sample counts, the
@@ -38,7 +38,9 @@ class SingularExpansionError(NumericalDegeneracyError):
 
 
 class SamplerError(NumericalDegeneracyError):
-    """Rejection sampling stalled; carries diagnostics in the message."""
+    """An exact draw is impossible: the rejection search stalled, a proposal
+    broke its envelope, the sampling disk misses mass or a frame update
+    degenerated.  Carries diagnostics in the message."""
 
 
 def integer_range(low: int, high: int | None = None) -> str:

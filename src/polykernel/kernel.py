@@ -53,10 +53,8 @@ each thread in its own pool.  Numpy releases the GIL inside each chunk's
 array passes, so the threads overlap.  Chunk boundaries and each chunk's
 operations are those of a serial loop, so every result is bitwise the same
 whatever the thread count.  Builds stay serial: their Lanczos steps are
-small and GIL-bound.  A KernelEvaluator is immutable after construction,
-apart from tables derived from the space on first use (concurrent first uses
-compute the same table), and safe for concurrent evaluation from many
-threads.
+small and GIL-bound.  A KernelEvaluator is immutable after construction
+and safe for concurrent evaluation from many threads.
 """
 
 from __future__ import annotations
@@ -638,8 +636,8 @@ class _FeatureMap:
 class KernelEvaluator:
     """Evaluates the reproducing kernel and derived statistical quantities.
 
-    Immutable, apart from derived tables; all evaluation paths stay in the
-    log domain until the final recombination, so weighted quantities survive
+    Immutable after construction; all evaluation paths stay in the log
+    domain until the final recombination, so weighted quantities survive
     separations where the plain kernel would overflow or underflow doubles.
     Every path takes its features from ``_FeatureMap``, which refuses an
     evaluation point that is not finite with ConfigurationError.
@@ -652,9 +650,6 @@ class KernelEvaluator:
         self.equilibrium = RadialEquilibrium.solve(self.weight)
         self._disk_radius = self.equilibrium.droplet_radius + 12.0 / math.sqrt(self.spec.m)
         self._features = _FeatureMap(factorization)
-        # tables that other modules derive from the space alone (the sampler's
-        # proposal law), filled on first use
-        self._derived: dict = {}
 
     def _pair_eval(self, z, w, power: float):
         """Pairwise kernel values as (log_scale, complex mantissa) arrays, each

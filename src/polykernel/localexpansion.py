@@ -41,8 +41,9 @@ import math
 
 import numpy as np
 
-from .errors import (ConfigurationError, SingularExpansionError, require_finite,
-                     require_finite_points, require_integer, require_positive)
+from .errors import (ConfigurationError, NumericalDegeneracyError, SingularExpansionError,
+                     require_finite, require_finite_points, require_integer,
+                     require_positive)
 from .weights import WeightModel
 
 LAGUERRE_MAX_DEGREE = 64
@@ -61,9 +62,16 @@ def _laguerre1(degree: int, x):
 
 
 def laguerre_assoc1(degree: int, x):
-    """L^1_degree(x); L^1_k(0) = k + 1, for degrees 0..LAGUERRE_MAX_DEGREE."""
+    """L^1_degree(x); L^1_k(0) = k + 1, for degrees 0..LAGUERRE_MAX_DEGREE and
+    finite x.  A value past double range raises NumericalDegeneracyError."""
     degree = require_integer(degree, "degree", 0, LAGUERRE_MAX_DEGREE + 1)
-    out = _laguerre1(degree, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    require_finite_points(x, "x")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _laguerre1(degree, x)
+    if not np.all(np.isfinite(out)):
+        raise NumericalDegeneracyError(f"L^1_{degree}(x) is past double range at |x| up "
+                                       f"to {np.max(np.abs(x)):.4g}")
     return out if out.shape else float(out)
 
 
@@ -112,8 +120,10 @@ def _theta(w: WeightModel, z, wc, s: int) -> np.ndarray:
 ORDERS = {1: 2, 2: 3}  # expansion orders (powers of m) known per q; any other q: 1
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # require_finite refuses
 def r_qm_density(w: WeightModel, q: int, m: float, z, wc):
-    """Reproducing density R_{q,m}(z, wc) for q in {1, 2} and m finite and > 0."""
+    """Reproducing density R_{q,m}(z, wc) for q in {1, 2} and m finite and > 0;
+    a value past double range raises NumericalDegeneracyError."""
     require_positive(m, "m")
     if require_integer(q, "q", 1) not in ORDERS:
         raise ConfigurationError(f"r_qm_density supports q in {set(ORDERS)}, got {q}")
@@ -124,6 +134,7 @@ def r_qm_density(w: WeightModel, q: int, m: float, z, wc):
     dt = _theta(w, z, wc, 1)
     out = m * dt if q == 1 else (2.0 * m * dt - m * np.conjugate(z - wc) * _theta(w, z, wc, 2)
                                  - m * m * np.abs(z - wc) ** 2 * dt * dt)
+    require_finite(out, np.log(np.abs(z)) + np.log(np.abs(wc)), "log|z w|", m)
     return out if out.shape else complex(out)
 
 

@@ -17,12 +17,13 @@ every draw and every configuration: per radial bin, ENVELOPE_MARGIN times the
 largest gamma at the bin's two edges and midpoint, over ENVELOPE_BINS bins.
 Proposals are uniform on a bin's annulus, bins drawn in proportion to their
 envelope mass, and accepted with probability diagonal / envelope.  The
-envelope, this law and the block sizes below are one table, _ProposalLaw,
-tabulated once per evaluator.  A proposal whose gamma exceeds its bin's
-envelope raises SamplerError.  The sampling disk is the disk of the
-evaluator's trace, of radius R + 12 m^{-1/2}, so the trace is gamma's mass
-inside it, and a trace more than DISK_MASS_TOL nq off nq raises SamplerError:
-it is when n is well above m, whose points fill a droplet wider than the disk.
+envelope, this law and the block and group sizes below are one table,
+_ProposalLaw, tabulated once per evaluator and freed with it.  A proposal
+whose gamma exceeds its bin's envelope raises SamplerError.  The sampling
+disk is the disk of the evaluator's trace, of radius R + 12 m^{-1/2}, so the
+trace is gamma's mass inside it, and a trace more than DISK_MASS_TOL nq off
+nq raises SamplerError: it is when n is well above m, whose points fill a
+droplet wider than the disk.
 
 Because the envelope does not change from draw to draw, proposals are drawn
 ahead in blocks.  With envelope mass M, draw t takes M / (nq - t) proposals
@@ -56,6 +57,7 @@ grouped.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +70,7 @@ ENVELOPE_BINS = 256
 ENVELOPE_MARGIN = 1.02
 MAX_PROPOSALS = 10**6
 DISK_MASS_TOL = 1e-6  # largest mass of gamma outside the sampling disk, per point
+_LAWS = weakref.WeakKeyDictionary()  # K -> its _ProposalLaw, which holds no reference to K
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,8 @@ def seed_for_index(master_seed: int, index: int) -> int:
 
 
 class _ProposalLaw:
-    """The radial envelope, its proposal law and block sizes, shared by a
-    space's draws.
+    """The radial envelope, its proposal law and block and group sizes,
+    shared by a space's draws.
 
     ``edges`` are the bin edges of K's disk, and ``envelope`` bounds gamma
     per bin: ENVELOPE_MARGIN times the largest gamma at the bin's edges and
@@ -131,14 +134,15 @@ class _ProposalLaw:
         for r in range(1, spec.dim + 1):
             harmonic += 1.0 / r
             self.block.append(max(1, min(math.ceil(mass * harmonic), self.cap)))
+        self.group = max(1, self.cap // self.block[spec.dim])  # configurations per group
 
     @staticmethod
     def of(K: KernelEvaluator) -> "_ProposalLaw":
-        """K's law, tabulated once per evaluator.  Concurrent first calls may
-        tabulate it twice, with identical results."""
-        law = K._derived.get("proposal_law")
+        """K's law, tabulated once per evaluator and freed with it.
+        Concurrent first calls may tabulate it twice, with identical results."""
+        law = _LAWS.get(K)
         if law is None:
-            law = K._derived["proposal_law"] = _ProposalLaw(K)
+            law = _LAWS[K] = _ProposalLaw(K)
         return law
 
 
@@ -301,10 +305,9 @@ def sample_batch(K: KernelEvaluator, count: int,
     if not count:
         return []
     law = _ProposalLaw.of(K)
-    group = max(1, law.cap // law.block[K.spec.dim])
     seeds = [seed_for_index(master_seed, i) for i in range(count)]
-    return [cfg for lo in range(0, count, group)
-            for cfg in _sample_group(K, law, seeds[lo:lo + group])]
+    return [cfg for lo in range(0, count, law.group)
+            for cfg in _sample_group(K, law, seeds[lo:lo + law.group])]
 
 
 @dataclass

@@ -81,7 +81,7 @@ class WeightModel:
     def _validate_subharmonicity(self) -> None:
         # on the droplet's own scale (module docstring); mixed-sign lists fail here
         with np.errstate(over="ignore", invalid="ignore"):
-            radii = _droplet_radius_of(self) * np.geomspace(1e-6, 10.0, 256)
+            radii = droplet_radius(self) * np.geomspace(1e-6, 10.0, 256)
             dq = self.delta_q(radii)
         if not np.all(np.isfinite(dq)):
             raise ConfigurationError(f"radialpoly weight's quarter-Laplacian is past "
@@ -181,6 +181,7 @@ def _parse_params(rest: str, full: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def droplet_radius(w: WeightModel) -> float:
     """Radius R of the droplet disk, solving R Q'(R) = 2 by bisection.
 
@@ -188,7 +189,7 @@ def droplet_radius(w: WeightModel) -> float:
     so the root is unique.  Equivalent statement: the equilibrium measure
     dQ 1_{|z|<=R} dA has total mass R Q'(R) / 2 = 1.  The bracket [1e-12, 1]
     is widened until it holds the root, then bisected to a relative width
-    of 1e-14.
+    of 1e-14, once per weight: equal weights (same coefficients) share it.
     """
     def g(r):
         return r * w.q_prime(r) - 2.0
@@ -213,13 +214,6 @@ def droplet_radius(w: WeightModel) -> float:
     return 0.5 * (lo + hi)
 
 
-@functools.lru_cache(maxsize=64)
-def _droplet_radius_of(w: WeightModel) -> float:
-    """droplet_radius, solved once per weight: equal weights (same
-    coefficients) share it, and every build and ladder asks for it."""
-    return droplet_radius(w)
-
-
 @dataclass(frozen=True)
 class RadialEquilibrium:
     """Droplet radius plus the equilibrium potential of a radial weight."""
@@ -229,7 +223,7 @@ class RadialEquilibrium:
 
     @staticmethod
     def solve(w: WeightModel) -> "RadialEquilibrium":
-        return RadialEquilibrium(w, _droplet_radius_of(w))
+        return RadialEquilibrium(w, droplet_radius(w))
 
     def equilibrium_potential(self, z) -> float | np.ndarray:
         """Q(z) inside the droplet, Q(R) + 2 log(|z|/R) outside; C^1 at R."""

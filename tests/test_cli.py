@@ -172,15 +172,17 @@ def test_m_ladders_follow_the_library_rule(tmp_path, capsys, command):
 
 def test_readme_cli_block_parses():
     # every command of the README's CLI block parses under the current flags,
-    # and the block shows every subcommand; a missing block fails, not passes
+    # and the block shows every subcommand, each parsed to a handler of its
+    # own; a missing block fails, not passes
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command-line interface", 1)[1].split("```")[1]
     commands = [line.split()[1:] for line in block.splitlines()
                 if line.startswith("polykernel ")]
-    assert {argv[0] for argv in commands} == set(cli._DISPATCH)
     parser = cli.build_parser()
-    for argv in commands:
-        parser.parse_args(argv)
+    handlers = {argv[0]: parser.parse_args(argv).handler for argv in commands}
+    assert set(handlers.values()) == {f for name, f in vars(cli).items()
+                                      if name.startswith("cmd_")}
+    assert len(set(handlers.values())) == len(handlers)
 
 
 def test_readme_python_blocks_run():

@@ -1180,6 +1180,29 @@ def test_one_usable_cpu_starts_no_thread(spaces, monkeypatch):
     assert kernel_module._DEAL_POOL.threads == 0 and threading.active_count() == before
 
 
+@pytest.mark.parametrize("cpus, workers", [(4, 3), (1, 0), (None, 0)])
+def test_workers_fall_back_to_the_cpu_count(monkeypatch, cpus, workers):
+    # without an affinity set (macOS, Windows) the usable CPUs are
+    # os.cpu_count(), and one when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert kernel_module._workers() == workers
+
+
+def test_the_cpu_count_fallback_deals_the_serial_bytes(spaces, monkeypatch, feature_calls):
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, _ = deal_points(K, "10000")
+    workers = kernel_module._workers
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 0)
+    serial = K.one_point_intensity(z).tobytes()
+    monkeypatch.setattr(kernel_module, "_workers", workers)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    feature_calls.clear()
+    assert K.one_point_intensity(z).tobytes() == serial
+    assert len({ident for ident, _ in feature_calls}) == 3
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_deals_its_own_chunks(spaces, monkeypatch):
     # the parent's worker threads do not exist in a forked child, so the

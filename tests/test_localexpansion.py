@@ -1,6 +1,7 @@
 """Near-diagonal expansions: Laguerre, density, and local kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def test_laguerre_degree_guard():
         pk.laguerre_assoc1(True, 1.0)
 
 
+@pytest.mark.parametrize("degree, x", [(5, 1e200), (64, 1e10), (5, 1e70)])
+def test_laguerre_past_double_range_is_refused(degree, x):
+    # before, (5, 1e200) and (64, 1e10) returned nan and (5, 1e70) -inf, each
+    # after RuntimeWarnings, which fail any test here
+    words = re.escape(f"L^1_{degree}(x) is past double range at |x| up to {x:.4g}")
+    for point in (x, np.array([0.5, -x])):
+        with pytest.raises(NumericalDegeneracyError, match=f"^{words}$"):
+            pk.laguerre_assoc1(degree, point)
+    with pytest.raises(ConfigurationError, match="^x must be finite, got nan"):
+        pk.laguerre_assoc1(degree, [1.0, math.nan])
+
+
 @pytest.mark.parametrize("q", [0, 2.5, True, 66])
 def test_leading_term_q_guard(q):
     with pytest.raises(ConfigurationError, match="q must be an integer"):
@@ -112,6 +125,15 @@ def test_r_qm_unsupported_q():
     for q in ([2], True, 1.5):
         with pytest.raises(ConfigurationError, match="q must be an integer"):
             pk.r_qm_density(GINIBRE, q, 1.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("q, point, reach", [(2, 1e100, "460.5"), (1, 1e200, "921")])
+def test_r_qm_past_double_range_is_refused(q, point, reach):
+    # b = 9 |z|^4 overflows at |z| = 1e100, and z conj(w) at |z| = 1e200;
+    # before, both returned nan+nanj after RuntimeWarnings
+    with pytest.raises(NumericalDegeneracyError,
+                       match=rf"^log\|z w\| reaches {reach} at m=10\.0: the unweighted"):
+        pk.r_qm_density(pk.parse_weight("power:p=3"), q, 10.0, point, point)
 
 
 # ---------------------------------------------------------------------------

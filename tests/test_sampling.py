@@ -1,7 +1,9 @@
 """Exact determinantal sampler: determinism, marginals, repulsion, rings."""
 
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -185,7 +187,7 @@ def test_batch_groups_match_each_configuration_alone(spaces, weight, q, n, count
     # is bitwise the one drawn alone and the one drawn a proposal at a time
     K = spaces(weight, q, n, float(n))
     law = sampling._ProposalLaw.of(K)
-    assert max(1, law.cap // law.block[K.spec.dim]) == group
+    assert law.group == group
     assert count > group or K.spec.dim == 1  # two groups, the last one short
     for i, cfg in enumerate(pk.sample_batch(K, count, 31)):
         seed = seed_for_index(31, i)
@@ -242,6 +244,30 @@ def test_groups_respect_the_entry_bound(spaces, monkeypatch):
     assert max(sizes) * entries <= PAIR_CHUNK
     assert sizes[0] == group * first and (20 - group) * first in sizes
     assert all(s <= first for s in sizes if s not in (group * first, (20 - group) * first))
+
+
+def test_a_law_lives_as_long_as_its_evaluator(monkeypatch):
+    # tabulated once per evaluator, shared by its draws, not by an equal
+    # space's evaluator, for no batch of no configurations, and freed with
+    # the evaluator: a law holds no reference back to it
+    monkeypatch.setattr(sampling, "_LAWS", weakref.WeakKeyDictionary())
+    tabulated = []
+    init = sampling._ProposalLaw.__init__
+    monkeypatch.setattr(sampling._ProposalLaw, "__init__",
+                        lambda law, K: tabulated.append(K.spec) or init(law, K))
+    weight, spec = pk.parse_weight("ginibre"), pk.SpaceSpec(2, 8, 8.0)
+    K = pk.build_space(weight, spec)
+    assert pk.sample_batch(K, 0, 0) == [] and not tabulated and not sampling._LAWS
+    pk.sample_batch(K, 20, 3)
+    pk.sample_configuration(K, 4)
+    law = sampling._ProposalLaw.of(K)
+    assert tabulated == [spec] and sampling._LAWS[K] is law
+    twin = pk.build_space(weight, spec)
+    assert sampling._ProposalLaw.of(twin) is not law and tabulated == [spec, spec]
+    alive = weakref.ref(K), weakref.ref(twin)
+    del K, twin
+    gc.collect()
+    assert alive[0]() is None and alive[1]() is None and not sampling._LAWS
 
 
 def test_a_configuration_takes_few_feature_calls(spaces, monkeypatch):
@@ -434,7 +460,7 @@ def test_a_disk_that_misses_mass_is_refused(tmp_path, q, n, m, radius, missing):
     # past the sampling disk R + 12 m^{-1/2}; a batch of no configurations
     # draws nothing, so it needs no disk and tabulates no law
     K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(q, n, m))
-    assert pk.sample_batch(K, 0, 0) == [] and "proposal_law" not in K._derived
+    assert pk.sample_batch(K, 0, 0) == [] and K not in sampling._LAWS
     with pytest.raises(SamplerError, match=rf"sampling disk of radius {radius} misses mass "
                                            rf"{missing}\d* of {q * n} \(weight ginibre, q={q}"):
         pk.sample_configuration(K, 0)

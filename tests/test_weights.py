@@ -310,18 +310,20 @@ def test_droplet_radius_defining_equation():
 
 def test_equilibrium_solves_each_weight_once(monkeypatch):
     # every build and ladder asks for its weight's droplet: equal weights
-    # share one bisection, and the radius is bitwise droplet_radius's
+    # share one bisection, and the radius is bitwise the bisection's
     from polykernel import weights
 
-    solved = []
-    bisect = weights.droplet_radius
-    monkeypatch.setattr(weights, "droplet_radius", lambda w: solved.append(w) or bisect(w))
-    weights._droplet_radius_of.cache_clear()
-    w = pk.parse_weight("radialpoly:c=1,0.0625,0.03125")
+    solved = []  # the bisection's Q' calls; nothing else of a solve calls Q'
+    q_prime = weights.WeightModel.q_prime
+    monkeypatch.setattr(weights.WeightModel, "q_prime",
+                        lambda w, r: solved.append(r) or q_prime(w, r))
+    weights.droplet_radius.cache_clear()
+    w = pk.parse_weight("radialpoly:c=1,0.0625,0.03125")  # its subharmonicity check solves
+    bisection = len(solved)
     first = pk.RadialEquilibrium.solve(w)
     again = pk.RadialEquilibrium.solve(pk.parse_weight(w.label))
-    assert first.droplet_radius == again.droplet_radius == bisect(w)
-    assert len(solved) == 1
+    assert bisection > 0 and len(solved) == bisection
+    assert first.droplet_radius == again.droplet_radius == weights.droplet_radius.__wrapped__(w)
 
 
 def test_equal_weights_keep_their_own_labels():
