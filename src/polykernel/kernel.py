@@ -36,25 +36,28 @@ place, one chunk of points at a time.
 Block d carries the phase e^{i d (arg z - arg w)}; it is one complex product
 of entries from two tables of about sqrt(blocks) entries per point, not one
 complex exp per (block, point), and each entry comes from one half-angle
-tangent (``_block_phases``).  Float64 ufunc costs per element, numpy 2.4.6
+tangent (``_block_phases``).  Float64 ufunc costs per element, numpy 2.4.6,
 on an AMD EPYC with AVX-512: np.cos 13 ns and np.sin 14 ns (scalar libm),
 np.tan 0.8 ns, np.arctan2 1.3 ns, np.exp and np.log 0.5 ns, a product
-0.25 ns.  So np.cos and np.sin stay out of every per-point path.  Pair
-evaluation recombines the blocks under
-a global running scale, so the log-moment table keeps m ~ 200 inside double
-range.
+0.25 ns; on (81, 809) arrays on an Intel Xeon with AVX512_SPR (2 shared
+cores): np.cos 13-20 ns and np.sin 13 ns, np.tan 1.6-1.7 ns, np.arctan2
+2.3 ns, np.exp 0.7-1.1 ns, np.log 0.9-1.4 ns, a product 0.5-0.6 ns.  So
+np.cos and np.sin stay out of every per-point path.  Pair evaluation
+recombines the blocks under a global running scale, so the log-moment table
+keeps m ~ 200 inside double range.
 
 Builds and evaluations work in one pool of buffers per thread (``_buffer``),
 shared by every space that the thread builds or evaluates, so a fresh space
 reuses the working memory of the last one and pages none in anew.  A pair
-evaluation of two whole chunks or more deals its chunks across the usable
-CPUs (``_deal``): chunk i runs on thread i mod T, the caller being thread 0,
-each thread in its own pool.  Numpy releases the GIL inside each chunk's
-array passes, so the threads overlap.  Chunk boundaries and each chunk's
-operations are those of a serial loop, so every result is bitwise the same
-whatever the thread count.  Builds stay serial: their Lanczos steps are
-small and GIL-bound.  A KernelEvaluator is immutable after construction
-and safe for concurrent evaluation from many threads.
+evaluation whose points fit in one chunk takes one feature pass and no loop.
+One of two whole chunks or more deals
+its chunks across the usable CPUs (``_deal``): chunk i runs on thread i mod
+T, the caller being thread 0, each thread in its own pool.  Numpy releases
+the GIL inside each chunk's array passes, so the threads overlap.  Chunk
+boundaries and each chunk's operations are those of a serial loop, so every
+result is bitwise the same whatever the thread count.  Builds stay serial:
+their Lanczos steps are small and GIL-bound.  A KernelEvaluator is immutable
+after construction and safe for concurrent evaluation from many threads.
 """
 
 from __future__ import annotations
@@ -335,8 +338,8 @@ def _phase_plan(d0: int, nb: int):
     so d = 0 is a = b = 0.  Returns S; the b of d0 and the number of offsets
     that share its a (``head``); the number of full groups of S offsets after
     those, and of offsets left over; the table exponents k as floats (the
-    b < S, then a S for every a), the rows k / 2, k^2 / 2 and k^3 / 6 that
-    scale the tables' arguments, and Dekker's splitter for k.
+    b < S, then a S for every a), the rows k / 2 and k^2 / 2 that scale the
+    tables' arguments, and Dekker's splitter for k.
     """
     s = math.isqrt(nb - 1) + 1
     a0, b0 = divmod(d0, s)
@@ -344,7 +347,7 @@ def _phase_plan(d0: int, nb: int):
     whole, rest = divmod(nb - head, s)
     k = np.concatenate([np.arange(s), s * np.arange(a0, a0 + whole + 2)])
     kf = k.astype(float)
-    powers = np.stack([0.5 * kf, 0.5 * kf * kf, kf * kf * kf / 6.0])
+    powers = np.stack([0.5 * kf, 0.5 * kf * kf])
     for a in (kf, powers):
         a.flags.writeable = False
     split = float(2 ** int(np.max(np.abs(k))).bit_length() + 1)
@@ -359,19 +362,21 @@ def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = Non
     table entries per angle, in place of one complex exp per (block, angle),
     and e^{i 0 theta} = 1 exactly.  An entry e^{i k theta} is
     e^{i k hi} e^{i k lo} for theta = hi + lo split (Dekker) so that every
-    k hi is exact, with e^{i y} = 1 - y^2/2 + i (y - y^3/6) at the tiny
-    y = k lo.  The first factor is e^{i x} = (1 - u^2 + 2 i u) / (1 + u^2)
-    with u = tan(x / 2): np.tan is a vectorized loop, where np.cos and
-    np.sin are scalar and took three quarters of this table's time (costs
-    in the module docstring).  An entry is within about two ulp of
-    e^{i k theta} however large k theta is (at most 2.2 eps max(1, |k theta|)
-    over the tests' angles), where np.exp(1j * k * theta) carries the
-    rounding of k theta.  The split and the tangent are odd in theta, so the
-    table at -theta is exactly the conjugate of the table at theta (an exact
-    zero may differ in sign), and the kernel stays exactly Hermitian.
+    k hi is exact, with e^{i y} = 1 - y^2/2 + i y at the tiny y = k lo:
+    |y| < 2^{2b-53} |theta| for |k| < 2^b, so y^3/6 is below half an ulp of
+    y for |k| < 4096 and |theta| <= 2 pi.  The first factor is
+    e^{i x} = (1 - u^2 + 2 i u) / (1 + u^2) with u = tan(x / 2): np.tan is a
+    vectorized loop, where np.cos and np.sin are scalar and took three
+    quarters of this table's time (costs in the module docstring).  An entry
+    is within about two ulp of e^{i k theta} however large k theta is (at
+    most 2.2 eps max(1, |k theta|) over the tests' angles), where
+    np.exp(1j * k * theta) carries the rounding of k theta.  The split and
+    the tangent are odd in theta, so the table at -theta is exactly the
+    conjugate of the table at theta (an exact zero may differ in sign), and
+    the kernel stays exactly Hermitian.
     """
     nb = d.size
-    s, b0, head, whole, rest, kf, (half, sq, cube), split = _phase_plan(int(d[0]), nb)
+    s, b0, head, whole, rest, kf, (half, sq), split = _phase_plan(int(d[0]), nb)
     c = split * theta
     hi = c - (c - theta)
     lo = theta - hi
@@ -388,7 +393,6 @@ def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = Non
     np.multiply.outer(sq, lo * lo, out=tail.real)
     np.subtract(1.0, tail.real, out=tail.real)
     np.multiply.outer(kf, lo, out=tail.imag)
-    tail.imag -= np.multiply.outer(cube, lo * lo * lo, out=w)
     table *= tail
     small, big = table[:s], table[s:]
     if out is None:
@@ -431,11 +435,12 @@ def _buffer(group: str | None, name: str, shape: tuple, dtype=float) -> np.ndarr
         return np.empty(shape, dtype)
     size = math.prod(shape)
     key = (group, name, np.dtype(dtype))
-    buf = _POOL.arrays.get(key)
+    pool = _POOL.arrays
+    buf = pool[key] if key in pool else None  # not dict.get: a call less per buffer, seven per scalar pair
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype)
         if size <= PAIR_CHUNK:
-            _POOL.arrays[key] = buf
+            pool[key] = buf
     return buf[:size].reshape(shape)
 
 
@@ -596,10 +601,16 @@ class _FeatureMap:
                     row *= x[k]
                     row -= self.back[k] if k == 1 else \
                         np.multiply(self.back[k], x[k - 1], out=work)
-            top.fill(1.0)
-            for k in range(1, rows):
-                np.maximum(top, np.abs(x[k], out=work), out=top)
-            if not np.isfinite(top.max()):
+            # top = max(1, |pi_1|, ..., |pi_{rows-1}|), clamped at 1 last: max is
+            # exact, so the order leaves every value as it is
+            if rows > 1:
+                np.abs(x[1], out=top)
+                for k in range(2, rows):
+                    np.maximum(top, np.abs(x[k], out=work), out=top)
+                np.maximum(top, 1.0, out=top)
+            else:
+                top.fill(1.0)
+            if not np.isfinite(np.maximum.reduce(top, axis=None)):
                 raise NumericalDegeneracyError(f"features at |z| up to {np.abs(z).max():.4g} "
                                                f"leave double range (weight {self.weight.label})")
             np.divide(1.0, top, out=x[0])
@@ -611,7 +622,7 @@ class _FeatureMap:
             shift += top
             if weight_power:
                 shift -= weight_power * self.m * self.weight.eval_weight(z)
-        return shift, x, np.angle(z)
+        return shift, x, np.arctan2(z.imag, z.real)  # np.angle's arithmetic
 
     def weighted(self, z) -> np.ndarray:
         """(dim, N) correlation-kernel features Phi(z), rows in block order.
@@ -655,64 +666,85 @@ class KernelEvaluator:
         """Pairwise kernel values as (log_scale, complex mantissa) arrays, each
         side's features carrying the weight factor e^{-power m Q}.
 
-        Points are taken in chunks of about PAIR_CHUNK (row, block, point)
-        entries, so that the working arrays stay in cache, and each chunk
-        works in place in its thread's pooled buffers.  A call of two whole
-        chunks or more deals them across min(whole chunks, usable CPUs)
-        threads (``_deal``); each chunk is computed as in a serial loop, on
-        the same boundaries, so the result does not depend on the thread
-        count, and a failing call raises what the serial loop would.  The
-        features are computed once on the diagonal (z is w) and once for a side
-        holding a single point, which is then broadcast; two single points
-        share one feature pass, which gives each the values of its own pass,
-        since every feature operation is per point.  On the diagonal
-        every block phase is e^0 = 1, so the blocks are summed as reals;
-        elsewhere the phases e^{i d (arg z - arg w)} come from
-        ``_block_phases``.
+        A call whose points, both sides counted, fit in one chunk of about
+        PAIR_CHUNK (row, block, point) entries is paired straight from one
+        feature pass over them all: the diagonal (z is w), two sides of one
+        shape, or a side of one point against any other.  Any other call is
+        taken in chunks; a call of two whole chunks or more deals
+        them across min(whole chunks, usable CPUs) threads (``_deal``).  Each
+        chunk is computed as in a serial loop, on the same boundaries, so the
+        result does not depend on the thread count, and a failing call raises
+        what the serial loop would.  Both paths pair a slab with ``_pair``,
+        in the thread's pooled buffers (``_buffer``).
+        Every feature operation is per point, so a point's features have the
+        same bits in any pass that holds it; a side of one point is computed
+        once and broadcast.  A slab of one point stays (blocks, 1): numpy
+        sums it over the blocks pairwise, and a wider slab in block order, so
+        a scalar pair and the same pair inside a longer call may differ in
+        their last bits.
         """
         fm = self._features
         same = z is w
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        if z.size == w.size == 1 and not same:
-            shift, x, ang = fm(np.concatenate([z.ravel(), w.ravel()]), power)
-            once_z = shift[:, :1], x[:, :, :1], ang[:1]
-            once_w = shift[:, 1:], x[:, :, 1:], ang[1:]
-        else:
-            once_z = z.size == 1 and fm(z.ravel(), power)
-            once_w = w.size == 1 and not same and fm(w.ravel(), power)
+        step = max(1, PAIR_CHUNK // fm.p.size)
+        count = z.size if same else z.size + w.size
+        if z.size and w.size and count <= step and (
+                same or z.shape == w.shape or z.size == 1 or w.size == 1):
+            if same:
+                fz = fw = fm(z.ravel(), power, "z")
+                shape = z.shape
+            else:
+                shift, x, ang = fm(np.concatenate((z, w), axis=None), power, "z")
+                k = z.size
+                fz = shift[:, :k], x[:, :, :k], ang[:k]
+                fw = shift[:, k:], x[:, :, k:], ang[k:]
+                shape = z.shape if z.shape == w.shape else np.broadcast_shapes(z.shape, w.shape)
+            top, mant = self._pair(fz, fw)
+            return top.reshape(shape), (mant.astype(complex) if same else mant).reshape(shape)
+        once_z = z.size == 1 and fm(z.ravel(), power)
+        once_w = w.size == 1 and not same and fm(w.ravel(), power)
         z, w = np.broadcast_arrays(z, w)
         shape = z.shape
         zf, wf = z.ravel(), w.ravel()
         top = np.empty(zf.size)
         mant = np.empty(zf.size, dtype=complex)
-        step = max(1, PAIR_CHUNK // fm.p.size)
 
         def chunk(lo: int) -> None:
             part = slice(lo, lo + step)
-            sz, az, ang_z = once_z or fm(zf[part], power, "z")
-            sw, aw, ang_w = (sz, az, ang_z) if same else once_w or fm(wf[part], power, "w")
-            slab = np.broadcast_shapes(sz.shape, sw.shape)
-            logs = np.add(sz, sw, out=_buffer("pair", "logs", slab))
-            vals = np.multiply(az[0], aw[0], out=_buffer("pair", "vals", slab))
-            work = _buffer("pair", "work", slab)
-            for r in range(1, len(az)):
-                vals += np.multiply(az[r], aw[r], out=work)
-            t = np.max(logs, axis=0)
-            t = np.where(np.isfinite(t), t, 0.0)
-            top[part] = t
-            logs -= t
-            np.exp(logs, out=logs)
-            if not same:
-                phase = _block_phases(fm.d, ang_z - ang_w,
-                                      _buffer("pair", "phase", slab, complex))
-                phase *= vals
-                vals = phase
-            vals *= logs
-            mant[part] = np.sum(vals, axis=0)
+            fz = once_z or fm(zf[part], power, "z")
+            fw = fz if same else once_w or fm(wf[part], power, "w")
+            top[part], mant[part] = self._pair(fz, fw)
 
         _deal(chunk, range(0, zf.size, step), zf.size // step)
         return top.reshape(shape), mant.reshape(shape)
+
+    def _pair(self, fz, fw):
+        """(log scale, mantissa) over one slab of paired features: per column,
+        the largest block log-scale t of e^{sz + sw}, and the sum over blocks
+        of e^{sz + sw - t} (az . aw) times the block's phase.  A side of one
+        column is broadcast against the other.  On the diagonal (fz is fw)
+        every phase is e^0 = 1 and the sum is real; elsewhere the phases
+        e^{i d (arg z - arg w)} come from ``_block_phases``.  The working
+        arrays are the thread's pooled ones of group "pair" (``_buffer``)."""
+        (sz, az, ang_z), (sw, aw, ang_w) = fz, fw
+        slab = sz.shape if sw.shape[1] == 1 else sw.shape
+        logs = np.add(sz, sw, out=_buffer("pair", "logs", slab))
+        vals = np.multiply(az[0], aw[0], out=_buffer("pair", "vals", slab))
+        work = _buffer("pair", "work", slab)
+        for r in range(1, az.shape[0]):
+            vals += np.multiply(az[r], aw[r], out=work)
+        top = np.maximum.reduce(logs, axis=0)
+        top[~np.isfinite(top)] = 0.0
+        logs -= top
+        np.exp(logs, out=logs)
+        if fz is not fw:
+            phase = _block_phases(self._features.d, ang_z - ang_w,
+                                  _buffer("pair", "phase", slab, complex))
+            phase *= vals
+            vals = phase
+        vals *= logs
+        return top, np.add.reduce(vals, axis=0)
 
     # -- public evaluation --------------------------------------------------
 

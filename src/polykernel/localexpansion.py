@@ -27,7 +27,9 @@ Everything below is a closed-form expression in these:
 
 The three local kernels are one path, _local_kernel, with one order table,
 ORDERS, and one tail e^{mQ(z, w)}; an unweighted value past double range
-raises NumericalDegeneracyError instead of returning inf or NaN.
+raises NumericalDegeneracyError instead of returning inf or NaN, naming
+log|z w| where b, its derivatives or Q(z, w) leave double range, and the
+exponent where e^{mQ(z, w)}, or its product with finite coefficients, does.
 
 Mixed derivatives of log b are expanded as rational combinations of b
 derivatives (e.g. dbar d log b = dbar d b / b - d b dbar b / b^2) so no
@@ -194,20 +196,31 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
                       + sep2 * (-1.5 * d[1, 1] + d[1, 0] * d[0, 1] / b))
                 pref = pref + m * c1
             if terms >= 3:
-                b3 = b2 * b
-                log_12 = (d[1, 2] / b - 2.0 * d[1, 1] * d[0, 1] / b2
-                          - d[1, 0] * d[0, 2] / b2 + 2.0 * d[1, 0] * d[0, 1] ** 2 / b3)
-                log_21 = (d[2, 1] / b - 2.0 * d[1, 0] * d[1, 1] / b2
-                          - d[2, 0] * d[0, 1] / b2 + 2.0 * d[1, 0] ** 2 * d[0, 1] / b3)
-                c2 = (2.0 * log_11 - hbar * log_12 + h * log_21
-                      + sep2 * _order_one_correction(b, d))
-                pref = pref + c2
+                try:
+                    b3 = b2 * b
+                    log_12 = (d[1, 2] / b - 2.0 * d[1, 1] * d[0, 1] / b2
+                              - d[1, 0] * d[0, 2] / b2 + 2.0 * d[1, 0] * d[0, 1] ** 2 / b3)
+                    log_21 = (d[2, 1] / b - 2.0 * d[1, 0] * d[1, 1] / b2
+                              - d[2, 0] * d[0, 1] / b2 + 2.0 * d[1, 0] ** 2 * d[0, 1] / b3)
+                    c2 = (2.0 * log_11 - hbar * log_12 + h * log_21
+                          + sep2 * _order_one_correction(b, d))
+                    pref = pref + c2
+                except OverflowError:  # Python complex ** at scalars, where numpy's is inf
+                    pref = math.nan
     e = m * _polarization(w, z, wc, 0, 0)
     if weighted:
         e = e - 0.5 * m * (w.eval_weight(z) + w.eval_weight(wc))
-    out = pref * np.exp(e)
-    require_finite(out, np.real(e), "m Re[Q(z, w) - (Q(z) + Q(w))/2]" if weighted
-                   else "m Re Q(z, w)", m)
+    tail = np.exp(e)
+    out = pref * tail
+    if not np.all(np.isfinite(out)):
+        # b, its derivatives and Q(z, w) are polynomials in z conj(w): where one
+        # left double range and e^e did not overflow by itself, log|z w| names
+        # the cause; elsewhere the exponent does
+        if not np.all(np.isfinite(e) & (np.isfinite(pref) | ~np.isfinite(tail))):
+            with np.errstate(divide="ignore"):
+                require_finite(out, np.log(np.abs(z)) + np.log(np.abs(wc)), "log|z w|", m)
+        require_finite(out, np.real(e), "m Re[Q(z, w) - (Q(z) + Q(w))/2]" if weighted
+                       else "m Re Q(z, w)", m)
     return out if np.asarray(out).shape else complex(out)
 
 

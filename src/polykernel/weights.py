@@ -101,7 +101,7 @@ class WeightModel:
     def eval_weight(self, z) -> float | np.ndarray:
         """Q(z), inf past double range; depends only on |z| for the radial catalog."""
         r2 = np.abs(np.asarray(z)) ** 2
-        out = np.full_like(r2, self.coeffs[-1], dtype=float)
+        out = self.coeffs[-1]  # Horner's rule, from a float: no filled array
         for k in range(self.degree - 1, 0, -1):
             out = out * r2 + self.coeffs[k - 1]
         out = out * r2

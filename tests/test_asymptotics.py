@@ -248,9 +248,12 @@ def test_offdiagonal_scan_gaussian_oracle():
 
 
 def test_offdiagonal_scan_preconditions(spaces):
+    # two separations, so that only the droplet check can refuse: with one,
+    # "too few unfloored separations" would refuse the scan as well
     K = spaces("ginibre", 2, 20, 20.0)
-    with pytest.raises(ConfigurationError):
-        pk.offdiagonal_scan(K, 0.9, [1.0], [0.3])  # ray exits the droplet
+    with pytest.raises(ConfigurationError,
+                       match=r"^a scan point z0 \+ s\*dir leaves the droplet$"):
+        pk.offdiagonal_scan(K, 0.9, [1.0], [0.05, 0.3])  # ray exits the droplet
 
 
 @pytest.mark.parametrize("m, separations", [(20.0, [0.1]), (1000.0, [0.88, 0.9])],

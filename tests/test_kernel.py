@@ -751,8 +751,10 @@ def test_a_negative_k_point_determinant_is_clamped(monkeypatch, spaces, mat, war
         if warns:
             with pytest.warns(UserWarning, match=r"^2-point intensity determinant -3\.000e\+00 "
                                                  r"is negative beyond roundoff \(scale "
-                                                 r"1\.000e\+00\); clamping to 0$"):
+                                                 r"1\.000e\+00\); clamping to 0$") as record:
                 assert K.k_point_intensity([0.1, 0.2]) == 0.0
+            # the warning names the caller of k_point_intensity, this file
+            assert [w.filename for w in record] == [__file__]
         else:
             assert K.k_point_intensity([0.1, 0.2]) == 0.0
 
@@ -912,6 +914,58 @@ def test_block_phase_tables_match_complex_exp(nb, q):
     err = np.abs(got - np.exp(1j * dtheta))
     assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(dtheta)))
     assert np.all(got[d == 0] == 1.0)
+
+
+def _block_phases_with_cubic_term(d, theta):
+    """The tables of ``_block_phases`` with e^{i y} = 1 - y^2/2 + i (y - y^3/6)
+    at y = k lo, each step as the tables once took it, from a plan of its own."""
+    nb = d.size
+    s = math.isqrt(nb - 1) + 1
+    a0, b0 = divmod(int(d[0]), s)
+    whole = (nb - min(nb, s - b0)) // s
+    k = np.concatenate([np.arange(s), s * np.arange(a0, a0 + whole + 2)])
+    kf = k.astype(float)
+    split = float(2 ** int(np.max(np.abs(k))).bit_length() + 1)
+    c = split * theta
+    hi = c - (c - theta)
+    lo = theta - hi
+    u = np.tan(np.multiply.outer(0.5 * kf, hi))
+    w = np.multiply(u, u)
+    table = np.empty(u.shape, dtype=complex)
+    table.real = 1.0 - w
+    w += 1.0
+    table.real /= w
+    table.imag = (u + u) / w
+    tail = np.empty_like(table)
+    tail.real = 1.0 - np.multiply.outer(0.5 * kf * kf, lo * lo)
+    tail.imag = np.multiply.outer(kf, lo) - np.multiply.outer(kf * kf * kf / 6.0, lo * lo * lo)
+    table *= tail
+    a, b = np.divmod(d, s)
+    return table[s + a - a0] * table[b]  # e^{i a S theta} e^{i b theta}
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 100])
+@pytest.mark.parametrize("nb", [1, 2, 21, 61, 81, 647, 1001, 2561])
+def test_block_phases_drop_a_term_below_half_an_ulp(nb, q):
+    # y^3/6 is below half an ulp of y = k lo up to the most offsets the tests
+    # build (nb = 2561), also at angles where a component of e^{i d theta} is
+    # within 1e-12 of 0; only the sign of an exact zero may differ (the
+    # term's x - x turned -0 into +0), which no pair, feature or reproduced
+    # monomial reads, since each multiplies the table by a real array
+    rng = np.random.default_rng(2000 * nb + q)
+    base = _phase_angles(rng, 200)
+    d = np.arange(nb) - (q - 1)
+    k = rng.choice(d[d != 0], 300) if nb > 1 else np.ones(300, dtype=int)
+    near = (rng.integers(-4, 5, k.size) * np.pi / 2 + rng.uniform(-1e-12, 1e-12, k.size)) / k
+    theta = np.concatenate([base, near, -near])
+    got, ref = _block_phases(d, theta), _block_phases_with_cubic_term(d, theta)
+    assert np.array_equal(got, ref)
+    assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()  # + 0.0 makes every zero +0
+    if nb > 1:
+        rows = np.searchsorted(d, k)
+        cols = base.size + np.arange(k.size)
+        small = np.minimum(np.abs(ref[rows, cols].real), np.abs(ref[rows, cols].imag))
+        assert np.all(small < 1e-11)
 
 
 @pytest.mark.parametrize("nb,q", [(1, 100), (21, 2), (61, 2), (81, 2), (647, 8), (2561, 100)])
@@ -1128,6 +1182,54 @@ def test_dealt_chunks_match_the_serial_loop(spaces, monkeypatch, feature_calls, 
         threads = len({ident for ident, _ in feature_calls})
         assert (threads > 1) == (workers > 0 and z.size >= 2 * step)
     assert runs[1] == runs[0] and runs[3] == runs[0]
+
+
+@pytest.mark.parametrize("space", [("ginibre", 2, 80, 80.0), ("power:p=2", 3, 60, 60.0),
+                                   ("ginibre", 8, 40, 40.0)], ids=lambda s: f"{s[0]}-{s[1]}")
+def test_scalar_calls_are_one_point_calls(spaces, space):
+    # a scalar pair is the one-point array call bit for bit: both sum a
+    # (blocks, 1) slab pairwise.  Inside a 200-pair call the same pair is
+    # summed in block order: within 4 eps sqrt(gamma(z) gamma(w)) (1.05 eps
+    # at most on these spaces), and the intensity within 8 eps gamma(z)
+    # (4.6 eps at most: its blocks add up without cancellation)
+    K = spaces(*space)
+    rng = np.random.default_rng(83)
+    a, b = (disk_points(rng, 200, K.equilibrium.droplet_radius) for _ in range(2))
+    pairs, ga, gb = K.weighted_kernel(a, b), K.one_point_intensity(a), K.one_point_intensity(b)
+    eps = np.finfo(float).eps
+    for i in range(a.size):
+        z, w = complex(a[i]), complex(b[i])
+        value, gamma = K.weighted_kernel(z, w), K.one_point_intensity(z)
+        assert type(value) is complex and type(gamma) is float
+        assert np.complex128(value).tobytes() == K.weighted_kernel([z], [w])[0].tobytes()
+        assert np.float64(gamma).tobytes() == K.one_point_intensity([z])[0].tobytes()
+        assert abs(value - pairs[i]) <= 4 * eps * math.sqrt(ga[i] * gb[i])
+        assert abs(gamma - ga[i]) <= 8 * eps * ga[i]
+
+
+def test_a_call_that_fits_one_chunk_takes_one_feature_pass(spaces, monkeypatch, feature_calls):
+    # both sides counted, the points of one chunk: one feature pass, no deal;
+    # one point more, and the chunked loop takes a pass per side
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, step = deal_points(K, "2step")
+    z = z[:step // 2]
+    w = z[::-1].copy()
+    deals = []
+    deal = kernel_module._deal
+    monkeypatch.setattr(kernel_module, "_deal", lambda *args: deals.append(1) or deal(*args))
+    calls = [lambda: K.weighted_kernel(z, w), lambda: K.weighted_kernel(z, w[0]),
+             lambda: K.weighted_kernel(w[:1], z), lambda: K.one_point_intensity(z),
+             lambda: K.kernel(complex(z[0]), complex(w[0])),
+             lambda: K.weighted_kernel(z[:4].reshape(2, 2), w[:1].reshape(1, 1))]
+    for call in calls:
+        feature_calls.clear()
+        call()
+        assert len(feature_calls) == 1
+    assert not deals
+    longer = np.append(z, 0.1)
+    feature_calls.clear()
+    K.weighted_kernel(longer, longer[::-1].copy())
+    assert len(feature_calls) == 2 and deals == [1]
 
 
 def test_a_dealt_call_raises_what_the_serial_loop_raises(spaces, monkeypatch):

@@ -370,6 +370,37 @@ def test_unweighted_values_past_double_range_are_refused(call, weighted_value):
     assert call(True) == pytest.approx(weighted_value, rel=1e-12)
 
 
+POWER3 = pk.parse_weight("power:p=3")
+
+
+@pytest.mark.parametrize("call, point, reach", [
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z, weighted=True), 1e60, "276.3"),
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z), 1e60, "276.3"),
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z, weighted=True), [1e60], "276.3"),
+    (lambda z: pk.local_kernel_q1(POWER3, 10.0, z, z, weighted=True), 1e60, "276.3"),
+    (lambda z: pk.local_kernel_leading(POWER3, 3, 10.0, z, z, weighted=True), 1e60, "276.3"),
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z, weighted=True), 1e30, "138.2"),
+], ids=["q2-weighted", "q2", "q2-array", "q1-weighted", "leading-weighted", "q2-b-powers"])
+def test_local_kernels_past_double_range_name_log_zw(call, point, reach):
+    # at |z| = 1e60 Q = |z|^6 overflows, and so do products of b-derivatives:
+    # before, local_kernel_q2 raised a bare OverflowError (Python complex ** at
+    # scalars), and the other calls said "... reaches nan at m=10.0"; at
+    # |z| = 1e30 b^3 = 729 |z|^12 overflows in the weighted q = 2 term, whose
+    # exponent is 0, and the refusal said "... reaches 0"
+    with pytest.raises(NumericalDegeneracyError,
+                       match=rf"^log\|z w\| reaches {reach} at m=10\.0: the unweighted"):
+        call(point)
+
+
+def test_an_exponent_below_the_overflow_bound_still_names_itself():
+    # m Q(z, w) = 709.6 is below log(largest double) = 709.78, but the
+    # prefactor m b = 1000 carries the product past double range: b and Q
+    # are finite, so the exponent is the cause named, not log|z w|
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"^m Re Q\(z, w\) reaches 709\.6 at m=1000\.0: the unweighted"):
+        pk.local_kernel_q1(GINIBRE, 1000.0, 0.8424, 0.8424)
+
+
 def _reference_local(w, q, m, z, wc, terms, weighted):
     """The q = 1, q = 2 and leading-term formulas written out apart, each
     with b typed as _polarization returns it or as a complex array."""
