@@ -34,6 +34,8 @@ from .localexpansion import _laguerre1
 from .weights import RadialEquilibrium, WeightModel
 
 DECAY_U_RANGE = (0.3, 1.25)  # microscopic separations sqrt(m) s of a decay scan
+BLOWUP_GRID = (2.5, 17)  # default (grid_radius, grid_n) of a blow-up comparison
+DECAY_SCAN = (4, 12)  # default (n_directions, n_separations) of a decay ladder
 LADDER_RULE = "at least 2 distinct m, none repeated, each finite and > 0"
 
 
@@ -90,8 +92,8 @@ def _require_grid(grid_radius: float, grid_n: int) -> None:
     require_integer(grid_n, "grid_n", 1)
 
 
-def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = 2.5,
-                   grid_n: int = 17) -> BlowupResult:
+def blowup_compare(K: KernelEvaluator, z0: complex, grid_radius: float = BLOWUP_GRID[0],
+                   grid_n: int = BLOWUP_GRID[1]) -> BlowupResult:
     """Rescaled weighted kernel modulus versus the Laguerre bulk profile on
     ``blowup_grid(grid_radius, grid_n)``, grid_radius finite and > 0 and
     grid_n >= 1."""
@@ -179,7 +181,8 @@ def _ladder(weight: WeightModel, q: int, z0: complex, ms, ns, observe) -> list:
 
 
 def blowup_ladder(weight: WeightModel, q: int, z0: complex, ms, ns=None,
-                  grid_radius: float = 2.5, grid_n: int = 17) -> LadderReport:
+                  grid_radius: float = BLOWUP_GRID[0],
+                  grid_n: int = BLOWUP_GRID[1]) -> LadderReport:
     """Blow-up comparison over an m ladder plus the fitted log-log rate.
 
     ``ms`` is a ladder (LADDER_RULE) and ``ns`` holds one n per m (by default
@@ -270,7 +273,8 @@ def offdiagonal_scan(K: KernelEvaluator, z0: complex, directions,
 
 
 def decay_ladder(weight: WeightModel, q: int, z0: complex, ms,
-                 n_directions: int = 4, n_separations: int = 12) -> LadderReport:
+                 n_directions: int = DECAY_SCAN[0],
+                 n_separations: int = DECAY_SCAN[1]) -> LadderReport:
     """Off-diagonal scans over an m ladder with microscopically scaled steps.
 
     ``ms`` is a ladder (LADDER_RULE), and n = round(m).  Separations are

@@ -163,15 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ladder_flags(p)
     p.add_argument("--n", type=_list_of(_count, "integers >= 1"),
                    help="optional comma-separated n per m (default n=m)")
-    _add_grid_flags(p, 2.5, 17)
+    _add_grid_flags(p, *asym.BLOWUP_GRID)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-prefix", default="", help="optional per-m error-grid CSVs")
 
     p = command("decay", cmd_decay, "off-diagonal decay scans of the weighted "
                 "kernel over an m ladder")
     _add_ladder_flags(p)
-    p.add_argument("--directions", type=_count, default=4)
-    p.add_argument("--separations", type=_integer(2), default=12)
+    p.add_argument("--directions", type=_count, default=asym.DECAY_SCAN[0])
+    p.add_argument("--separations", type=_integer(2), default=asym.DECAY_SCAN[1])
     p.add_argument("--out", required=True)
 
     p = command("offdroplet", cmd_offdroplet, "outside-droplet decay margins along a ray")

@@ -49,8 +49,10 @@ keeps m ~ 200 inside double range.
 Builds and evaluations work in one pool of buffers per thread (``_buffer``),
 shared by every space that the thread builds or evaluates, so a fresh space
 reuses the working memory of the last one and pages none in anew.  A pair
-evaluation whose points fit in one chunk takes one feature pass and no loop.
-One of two whole chunks or more deals
+evaluation is cut into slabs of one chunk of points a side, and each slab
+takes one feature pass over both sides' points (``_pair``); a side of one
+point is broadcast, not cut.  A call of one chunk a side is one slab, with
+no loop; one of two whole chunks or more deals
 its chunks across the usable CPUs (``_deal``): chunk i runs on thread i mod
 T, the caller being thread 0, each thread in its own pool.  Numpy releases
 the GIL inside each chunk's array passes, so the threads overlap.  Chunk
@@ -408,14 +410,17 @@ def _block_phases(d: np.ndarray, theta: np.ndarray, out: np.ndarray | None = Non
 class _Pool(threading.local):
     """One thread's working arrays (``_buffer``), shared by every build and
     every evaluator that runs on the thread, so that a fresh space finds its
-    working memory already paged in.  An evaluation keeps the features of
-    one side of a pair ("z"), of the other side ("w") and their pairing
-    ("pair"): at most (2 + 9/r) PAIR_CHUNK doubles for blocks of at most
-    r = min(q, n) rows, 6.8 MB at r = 2 and 11.5 MB at r = 1.  Each worker
-    thread of ``_deal`` holds a pool of its own, so a dealt evaluation
-    keeps that much once per thread: 6.8 MB more per worker at r = 2.  A
-    build's Lanczos batches ("lanczos") keep at most 3 PAIR_CHUNK doubles
-    more, 3.1 MB."""
+    working memory already paged in.  A pair evaluation keeps the features
+    of a slab's two sides, one pass of up to 2 step points ("z"), and their
+    pairing ("pair"): at most (2 + 9/r) PAIR_CHUNK doubles for blocks of at
+    most r = min(q, n) rows, 6.8 MB at r = 2 and 11.5 MB at r = 1.  Each
+    worker thread of ``_deal`` holds a pool of its own, so a dealt
+    evaluation keeps that much once per thread: 6.8 MB more per worker at
+    r = 2.  A build's Lanczos batches ("lanczos") keep at most 3 PAIR_CHUNK
+    doubles more, 3.1 MB.  A batch holds one block at least, and the basis
+    of a block of W vectors that passes PAIR_CHUNK entries on its own is
+    pooled up to 2 PAIR_CHUNK entries, so that batch keeps at most
+    (2 + 8/W) PAIR_CHUNK doubles, 6.3 MB at W = 2."""
 
     def __init__(self):
         self.arrays = {}
@@ -424,22 +429,18 @@ class _Pool(threading.local):
 _POOL = _Pool()
 
 
-def _buffer(group: str | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An uninitialized array of ``shape`` and ``dtype``.
-
-    With a ``group`` it is a view of this thread's pooled array (group, name,
-    dtype) if that is large enough; otherwise it is new, and pooled if it
-    holds at most PAIR_CHUNK entries.  So the next request of that key in
-    the thread overwrites it.  Without a group it is a new array."""
-    if group is None:
-        return np.empty(shape, dtype)
+def _buffer(group: str, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array of ``shape`` and ``dtype``: a view of this
+    thread's pooled array (group, name, dtype) if that is large enough;
+    otherwise a new one, pooled if it holds at most 2 PAIR_CHUNK entries.  So
+    the next request of that key in the thread overwrites it."""
     size = math.prod(shape)
     key = (group, name, np.dtype(dtype))
     pool = _POOL.arrays
     buf = pool[key] if key in pool else None  # not dict.get: a call less per buffer, seven per scalar pair
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype)
-        if size <= PAIR_CHUNK:
+        if size <= 2 * PAIR_CHUNK:
             pool[key] = buf
     return buf[:size].reshape(shape)
 
@@ -559,6 +560,7 @@ class _FeatureMap:
         self.half_logm = 0.5 * f.log_moments[low]
         self.low = low.astype(float)  # the shift's |d|, cast once here, not per call
         self.origin = f.spec.q - 1  # the block d = 0
+        self.step = max(1, PAIR_CHUNK // self.p.size)  # points a side of a pair slab
         # Row k of block i is row first[i] + k of ``weighted``.  The blocks of
         # the most rows are consecutive and fill consecutive rows, written by
         # one strided product; the others, at most 2(rows - 1), by index, one
@@ -574,12 +576,12 @@ class _FeatureMap:
             b = np.flatnonzero((size > k) & (size < rows))
             self.ramps.append((k, b, first[b] + k))
 
-    def __call__(self, z: np.ndarray, weight_power: float, side: str | None = None):
+    def __call__(self, z: np.ndarray, weight_power: float, side: str):
         """(shift, mantissa, angles) at flat points z, weighted by e^{-power mQ}.
 
         shift is (block, point) and mantissa (row, block, point).  Both live
-        in the thread's pool under ``side`` if one is given (``_buffer``), so
-        the next call for that side in the thread overwrites them.  A block
+        in the thread's pool under ``side`` (``_buffer``), so the next call
+        for that side in the thread overwrites them.  A block
         that vanishes at z (|d| > 0 at the origin) has shift -inf.
         """
         require_finite_points(z, "evaluation points")
@@ -666,68 +668,62 @@ class KernelEvaluator:
         """Pairwise kernel values as (log_scale, complex mantissa) arrays, each
         side's features carrying the weight factor e^{-power m Q}.
 
-        A call whose points, both sides counted, fit in one chunk of about
-        PAIR_CHUNK (row, block, point) entries is paired straight from one
-        feature pass over them all: the diagonal (z is w), two sides of one
-        shape, or a side of one point against any other.  Any other call is
-        taken in chunks; a call of two whole chunks or more deals
-        them across min(whole chunks, usable CPUs) threads (``_deal``).  Each
-        chunk is computed as in a serial loop, on the same boundaries, so the
-        result does not depend on the thread count, and a failing call raises
-        what the serial loop would.  Both paths pair a slab with ``_pair``,
-        in the thread's pooled buffers (``_buffer``).
-        Every feature operation is per point, so a point's features have the
-        same bits in any pass that holds it; a side of one point is computed
-        once and broadcast.  A slab of one point stays (blocks, 1): numpy
-        sums it over the blocks pairwise, and a wider slab in block order, so
-        a scalar pair and the same pair inside a longer call may differ in
-        their last bits.
+        The sides broadcast against each other, a side of one point whole in
+        every slab; on the diagonal (z is w) one array is both sides.  Other
+        sides are cut into chunks of step = PAIR_CHUNK // (blocks x rows)
+        points, one ``_pair`` slab each.  A call of at most step points a side
+        is one slab, paired inline; a longer one deals its chunks across
+        min(whole chunks, usable CPUs) threads (``_deal``), each computed as
+        in a serial loop, on the same boundaries, so the result does not
+        depend on the thread count, and a failing call raises what the serial
+        loop would.  A slab of one point stays (blocks, 1): numpy sums it over
+        the blocks pairwise, and a wider slab in block order, so a scalar pair
+        and the same pair inside a longer call may differ in their last bits.
         """
-        fm = self._features
         same = z is w
         z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        step = max(1, PAIR_CHUNK // fm.p.size)
-        count = z.size if same else z.size + w.size
-        if z.size and w.size and count <= step and (
-                same or z.shape == w.shape or z.size == 1 or w.size == 1):
-            if same:
-                fz = fw = fm(z.ravel(), power, "z")
-                shape = z.shape
-            else:
-                shift, x, ang = fm(np.concatenate((z, w), axis=None), power, "z")
-                k = z.size
-                fz = shift[:, :k], x[:, :, :k], ang[:k]
-                fw = shift[:, k:], x[:, :, k:], ang[k:]
-                shape = z.shape if z.shape == w.shape else np.broadcast_shapes(z.shape, w.shape)
-            top, mant = self._pair(fz, fw)
-            return top.reshape(shape), (mant.astype(complex) if same else mant).reshape(shape)
-        once_z = z.size == 1 and fm(z.ravel(), power)
-        once_w = w.size == 1 and not same and fm(w.ravel(), power)
-        z, w = np.broadcast_arrays(z, w)
+        w = z if same else np.asarray(w, dtype=complex)
         shape = z.shape
+        if z.shape != w.shape:
+            shape = np.broadcast_shapes(z.shape, w.shape)
+            z, w = (a if a.size == 1 else np.broadcast_to(a, shape) for a in (z, w))
+        count = w.size if z.size == 1 else z.size
+        step = self._features.step
+        if 0 < count <= step:
+            top, mant = self._pair(z, w, power)
+            return top.reshape(shape), mant.reshape(shape)
         zf, wf = z.ravel(), w.ravel()
-        top = np.empty(zf.size)
-        mant = np.empty(zf.size, dtype=complex)
+        top = np.empty(count)
+        mant = np.empty(count, dtype=complex)
 
         def chunk(lo: int) -> None:
             part = slice(lo, lo + step)
-            fz = once_z or fm(zf[part], power, "z")
-            fw = fz if same else once_w or fm(wf[part], power, "w")
-            top[part], mant[part] = self._pair(fz, fw)
+            zs = zf if zf.size == 1 else zf[part]
+            ws = zs if same else wf if wf.size == 1 else wf[part]
+            top[part], mant[part] = self._pair(zs, ws, power)
 
-        _deal(chunk, range(0, zf.size, step), zf.size // step)
+        _deal(chunk, range(0, count, step), count // step)
         return top.reshape(shape), mant.reshape(shape)
 
-    def _pair(self, fz, fw):
-        """(log scale, mantissa) over one slab of paired features: per column,
-        the largest block log-scale t of e^{sz + sw}, and the sum over blocks
-        of e^{sz + sw - t} (az . aw) times the block's phase.  A side of one
-        column is broadcast against the other.  On the diagonal (fz is fw)
-        every phase is e^0 = 1 and the sum is real; elsewhere the phases
-        e^{i d (arg z - arg w)} come from ``_block_phases``.  The working
-        arrays are the thread's pooled ones of group "pair" (``_buffer``)."""
-        (sz, az, ang_z), (sw, aw, ang_w) = fz, fw
+    def _pair(self, z, w, power: float):
+        """(log scale, complex mantissa) of one slab: per column, the largest
+        block log-scale t of e^{sz + sw}, and the sum over blocks of
+        e^{sz + sw - t} (az . aw) times the block's phase.  A side is a chunk
+        of points or one point, broadcast against the other.  Both sides'
+        features come from one ``_FeatureMap`` pass over their points, in the
+        thread's pool side "z"; a point's features have the same bits in any
+        pass that holds it.  On the diagonal (z is w) the pass is over z
+        alone, every phase is e^0 = 1 and the sum is real; elsewhere the
+        phases e^{i d (arg z - arg w)} come from ``_block_phases``.  The
+        pairing works in the pooled arrays of group "pair" (``_buffer``)."""
+        fm = self._features
+        if z is w:
+            sz, az, ang_z = sw, aw, ang_w = fm(z.ravel(), power, "z")
+        else:
+            shift, x, ang = fm(np.concatenate((z, w), axis=None), power, "z")
+            k = z.size
+            sz, az, ang_z = shift[:, :k], x[:, :, :k], ang[:k]
+            sw, aw, ang_w = shift[:, k:], x[:, :, k:], ang[k:]
         slab = sz.shape if sw.shape[1] == 1 else sw.shape
         logs = np.add(sz, sw, out=_buffer("pair", "logs", slab))
         vals = np.multiply(az[0], aw[0], out=_buffer("pair", "vals", slab))
@@ -738,13 +734,13 @@ class KernelEvaluator:
         top[~np.isfinite(top)] = 0.0
         logs -= top
         np.exp(logs, out=logs)
-        if fz is not fw:
-            phase = _block_phases(self._features.d, ang_z - ang_w,
-                                  _buffer("pair", "phase", slab, complex))
-            phase *= vals
-            vals = phase
-        vals *= logs
-        return top, np.add.reduce(vals, axis=0)
+        if z is w:
+            vals *= logs
+            return top, np.add.reduce(vals, axis=0).astype(complex)
+        phase = _block_phases(fm.d, ang_z - ang_w, _buffer("pair", "phase", slab, complex))
+        phase *= vals
+        phase *= logs
+        return top, np.add.reduce(phase, axis=0)
 
     # -- public evaluation --------------------------------------------------
 

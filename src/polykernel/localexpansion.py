@@ -120,6 +120,8 @@ def _theta(w: WeightModel, z, wc, s: int) -> np.ndarray:
 
 
 ORDERS = {1: 2, 2: 3}  # expansion orders (powers of m) known per q; any other q: 1
+# the highest power of b that each (q, terms) divides by; the others divide by none
+DIVISORS = {(1, 2): 2, (2, 2): 1, (2, 3): 4}
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # require_finite refuses
@@ -156,12 +158,14 @@ def _order_one_correction(b, d):
             + (1.0 / 3.0) * d[0, 2] * d[2, 0] / b2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # require_finite refuses what leaves range
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below
 def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool):
     """pref e^{mQ(z,wc)} [e^{-m(Q(z) + Q(wc))/2}]: for q in ORDERS, pref keeps
     ``terms`` powers of m from the top; None, and any other q, is the leading
     Laguerre term.  The sums keep b as _polarization returns it (a Python
-    complex at scalars), since a 0-d array divides with other rounding."""
+    complex at scalars), since a 0-d array divides with other rounding.  A
+    value that is not finite where the power of b that the terms divide by
+    underflows raises SingularExpansionError."""
     q = require_integer(q, "q", 1, LAGUERRE_MAX_DEGREE + 2)
     require_positive(m, "m")
     if terms is not None:
@@ -182,21 +186,23 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
         if terms >= 2:
             d = {(i, j): _polarization(w, z, wc, i + 1, j + 1)
                  for i in range(q + 1) for j in range(q + 1)}
-            b2 = b * b
-            log_11 = d[1, 1] / b - d[1, 0] * d[0, 1] / b2  # dbar d log b
-        if q == 1:
-            pref = m * np.asarray(b, dtype=complex)
-            if terms >= 2:
-                pref = pref + 0.5 * log_11
-        else:
-            hbar = np.conjugate(h)
-            pref = m * m * (-sep2 * b * b)
-            if terms >= 2:
-                c1 = (2.0 * b + h * d[1, 0] - hbar * d[0, 1]
-                      + sep2 * (-1.5 * d[1, 1] + d[1, 0] * d[0, 1] / b))
-                pref = pref + m * c1
-            if terms >= 3:
-                try:
+        # Python complex ** and / at scalars raise where numpy's give inf or nan
+        try:
+            if terms > q:
+                b2 = b * b
+                log_11 = d[1, 1] / b - d[1, 0] * d[0, 1] / b2  # dbar d log b
+            if q == 1:
+                pref = m * np.asarray(b, dtype=complex)
+                if terms >= 2:
+                    pref = pref + 0.5 * log_11
+            else:
+                hbar = np.conjugate(h)
+                pref = m * m * (-sep2 * b * b)
+                if terms >= 2:
+                    c1 = (2.0 * b + h * d[1, 0] - hbar * d[0, 1]
+                          + sep2 * (-1.5 * d[1, 1] + d[1, 0] * d[0, 1] / b))
+                    pref = pref + m * c1
+                if terms >= 3:
                     b3 = b2 * b
                     log_12 = (d[1, 2] / b - 2.0 * d[1, 1] * d[0, 1] / b2
                               - d[1, 0] * d[0, 2] / b2 + 2.0 * d[1, 0] * d[0, 1] ** 2 / b3)
@@ -205,20 +211,25 @@ def _local_kernel(w: WeightModel, q: int, m: float, z, wc, terms, weighted: bool
                     c2 = (2.0 * log_11 - hbar * log_12 + h * log_21
                           + sep2 * _order_one_correction(b, d))
                     pref = pref + c2
-                except OverflowError:  # Python complex ** at scalars, where numpy's is inf
-                    pref = math.nan
+        except (OverflowError, ZeroDivisionError):
+            pref = math.nan
     e = m * _polarization(w, z, wc, 0, 0)
     if weighted:
         e = e - 0.5 * m * (w.eval_weight(z) + w.eval_weight(wc))
     tail = np.exp(e)
     out = pref * tail
     if not np.all(np.isfinite(out)):
+        power = DIVISORS.get((q, terms), 0)
+        small = np.abs(b) ** power < np.finfo(float).tiny
+        if np.any(small & ~np.isfinite(out)):
+            raise SingularExpansionError(
+                f"b(z, w)^{power} underflows at |b| = {np.min(np.abs(b)):.4g}: the "
+                f"q={q} expansion of {terms} terms divides by it")
         # b, its derivatives and Q(z, w) are polynomials in z conj(w): where one
         # left double range and e^e did not overflow by itself, log|z w| names
         # the cause; elsewhere the exponent does
         if not np.all(np.isfinite(e) & (np.isfinite(pref) | ~np.isfinite(tail))):
-            with np.errstate(divide="ignore"):
-                require_finite(out, np.log(np.abs(z)) + np.log(np.abs(wc)), "log|z w|", m)
+            require_finite(out, np.log(np.abs(z)) + np.log(np.abs(wc)), "log|z w|", m)
         require_finite(out, np.real(e), "m Re[Q(z, w) - (Q(z) + Q(w))/2]" if weighted
                        else "m Re Q(z, w)", m)
     return out if np.asarray(out).shape else complex(out)

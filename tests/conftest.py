@@ -41,7 +41,7 @@ def block_grams(K: pk.KernelEvaluator, radii) -> np.ndarray:
     x, v = np.polynomial.legendre.leggauss(GRAM_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     rho = half * (x + 1.0) + edges[:-1, None]  # (panel, node)
-    shift, mantissa, _ = K._features(rho.ravel().astype(complex), 0.5)
+    shift, mantissa, _ = K._features(rho.ravel().astype(complex), 0.5, "z")
     phi = (np.exp(shift) * mantissa).reshape(*mantissa.shape[:2], *rho.shape)
     panels = np.einsum("kbpj,lbpj,pj->pbkl", phi, phi, 2.0 * rho * half * v)
     return np.cumsum(panels, axis=0)[GRAM_PANELS - 1:]

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
@@ -529,7 +530,7 @@ def test_every_block_array_is_min_q_n_rows_wide(spaces, q, n, rebase):
     assert f.alpha.shape == f.beta.shape == (q + n - 1, rows - 1)
     assert fm.mask.shape == fm.p.shape == (q + n - 1, rows)
     assert fm.center.shape == fm.gain.shape == fm.back.shape == (rows, q + n - 1, 1)
-    assert fm(np.array([0.3 + 0.1j]), 0.5)[1].shape == (rows, q + n - 1, 1)
+    assert fm(np.array([0.3 + 0.1j]), 0.5, "z")[1].shape == (rows, q + n - 1, 1)
     assert fm.d[fm.origin] == 0
 
 
@@ -968,6 +969,24 @@ def test_block_phases_drop_a_term_below_half_an_ulp(nb, q):
         assert np.all(small < 1e-11)
 
 
+def test_block_phases_keep_the_square_term_at_many_offsets():
+    # y = k lo passes 1e-8 from about 4096 offsets on, so y^2/2 passes half
+    # an ulp of 1: 20000 offsets against a 120-bit e^{i k theta} of the same
+    # double theta, at 100 k per angle, the top 40 among them.  The tables
+    # read within 1.7 eps; with the term halved, 87 eps
+    rng = np.random.default_rng(4096)
+    nb = 20000
+    theta = np.concatenate([rng.uniform(-2 * np.pi, 2 * np.pi, 24), [np.pi / 3, -1.0, 2.5]])
+    table = _block_phases(np.arange(nb), theta)
+    mpmath.mp.prec = 120
+    worst = 0.0
+    for j, angle in enumerate(theta):
+        for k in np.concatenate([rng.choice(nb - 40, 60, replace=False), np.arange(nb - 40, nb)]):
+            exact = mpmath.expj(int(k) * mpmath.mpf(float(angle)))
+            worst = max(worst, float(abs(mpmath.mpc(complex(table[k, j])) - exact)))
+    assert worst <= 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("nb,q", [(1, 100), (21, 2), (61, 2), (81, 2), (647, 8), (2561, 100)])
 def test_block_phases_of_negated_angles_are_conjugate(nb, q):
     # exactly equal; an exact zero, such as the imaginary part at d = 0, may
@@ -998,7 +1017,7 @@ def test_weighted_rows_follow_block_order(spaces, weight, q, n):
     fm = K._features
     rng = np.random.default_rng(41)
     z = np.concatenate([[0.0], disk_points(rng, 60, 1.2 * K.equilibrium.droplet_radius)])
-    shift, x, ang = fm(z, 0.5)
+    shift, x, ang = fm(z, 0.5, "z")
     phase = np.exp(shift + 1j * fm.d[:, None] * ang[None, :])
     ref = (x.transpose(1, 0, 2) * phase[:, None, :])[fm.mask]
     got = fm.weighted(z)
@@ -1038,7 +1057,7 @@ def test_pooled_buffers_keep_their_dtype():
         again = _buffer("test", "a", (3,))
         assert again.dtype == np.float64 and np.shares_memory(again, real)
         assert _buffer("test", "a", (1,), complex).base is cplx.base
-        assert not np.shares_memory(_buffer(None, "a", (3,)), real)
+        assert not np.shares_memory(_buffer("other", "a", (3,)), real)
 
     in_fresh_thread(check)
 
@@ -1208,28 +1227,77 @@ def test_scalar_calls_are_one_point_calls(spaces, space):
 
 
 def test_a_call_that_fits_one_chunk_takes_one_feature_pass(spaces, monkeypatch, feature_calls):
-    # both sides counted, the points of one chunk: one feature pass, no deal;
-    # one point more, and the chunked loop takes a pass per side
+    # step points a side, whichever the other side: one feature pass over
+    # both sides' points, no deal and no thread; one point more a side, and
+    # the call takes a pass per chunk
     K = spaces("ginibre", 2, 80, 80.0)
     z, step = deal_points(K, "2step")
-    z = z[:step // 2]
+    z = z[:step]
     w = z[::-1].copy()
     deals = []
     deal = kernel_module._deal
     monkeypatch.setattr(kernel_module, "_deal", lambda *args: deals.append(1) or deal(*args))
+    monkeypatch.setattr(kernel_module, "_DEAL_POOL", kernel_module._DealPool())
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 3)
     calls = [lambda: K.weighted_kernel(z, w), lambda: K.weighted_kernel(z, w[0]),
              lambda: K.weighted_kernel(w[:1], z), lambda: K.one_point_intensity(z),
              lambda: K.kernel(complex(z[0]), complex(w[0])),
-             lambda: K.weighted_kernel(z[:4].reshape(2, 2), w[:1].reshape(1, 1))]
+             lambda: K.weighted_kernel(z[:4].reshape(2, 2), w[:1].reshape(1, 1)),
+             lambda: K.weighted_kernel(z[:4].reshape(2, 2), w[:2])]
     for call in calls:
         feature_calls.clear()
         call()
-        assert len(feature_calls) == 1
-    assert not deals
+        assert [ident for ident, _ in feature_calls] == [threading.get_ident()]
+    assert not deals and kernel_module._DEAL_POOL.threads == 0
     longer = np.append(z, 0.1)
-    feature_calls.clear()
-    K.weighted_kernel(longer, longer[::-1].copy())
-    assert len(feature_calls) == 2 and deals == [1]
+    for call in [lambda: K.weighted_kernel(longer, longer[::-1].copy()),
+                 lambda: K.weighted_kernel(longer, w[0]), lambda: K.one_point_intensity(longer)]:
+        feature_calls.clear()
+        call()
+        assert len(feature_calls) == 2
+    assert deals == [1, 1, 1]
+
+
+@pytest.mark.parametrize("label", ["2step", "3step+1"])
+def test_a_dealt_call_takes_one_feature_pass_per_chunk(spaces, monkeypatch, feature_calls, label):
+    # each chunk's slab computes both sides' features in one pass, on
+    # whichever thread runs it; the diagonal and a one-point side too
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, step = deal_points(K, label)
+    chunks = -(-z.size // step)
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 1)
+    for call in [lambda: K.weighted_kernel(z, z[::-1].copy()), lambda: K.one_point_intensity(z),
+                 lambda: K.weighted_kernel(z[0], z)]:
+        feature_calls.clear()
+        call()
+        assert len(feature_calls) == chunks
+        assert len({ident for ident, _ in feature_calls}) == 2
+
+
+def test_each_public_call_enters_pair_eval_once(spaces, monkeypatch):
+    # a dealt call runs its chunks below _pair_eval, which a benchmark
+    # tracer wraps: no chunk enters it again, on any thread
+    K = spaces("ginibre", 2, 80, 80.0)
+    z, step = deal_points(K, "3step+1")
+    w = z[::-1].copy()
+    entered = []
+    pair_eval = pk.KernelEvaluator._pair_eval
+
+    def spy(self, *args):
+        entered.append(threading.get_ident())
+        return pair_eval(self, *args)
+
+    monkeypatch.setattr(pk.KernelEvaluator, "_pair_eval", spy)
+    monkeypatch.setattr(kernel_module, "_workers", lambda: 3)
+    for points in (z[:2], z[:step], z):
+        for call in (K.weighted_kernel, K.kernel, K.log_abs_weighted_kernel):
+            entered.clear()
+            call(points, w[:points.size])
+            assert entered == [threading.get_ident()]
+        for call in (K.one_point_intensity, K.log_one_point_intensity):
+            entered.clear()
+            call(points)
+            assert entered == [threading.get_ident()]
 
 
 def test_a_dealt_call_raises_what_the_serial_loop_raises(spaces, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,32 @@ def test_an_exponent_below_the_overflow_bound_still_names_itself():
     with pytest.raises(NumericalDegeneracyError,
                        match=r"^m Re Q\(z, w\) reaches 709\.6 at m=1000\.0: the unweighted"):
         pk.local_kernel_q1(GINIBRE, 1000.0, 0.8424, 0.8424)
+
+
+@pytest.mark.parametrize("call, point, power", [
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z, weighted=True), 1e-30, 4),
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z, weighted=True), [1e-30], 4),
+    (lambda z: pk.local_kernel_q2(POWER3, 10.0, z, z), 1e-60, 4),
+    (lambda z: pk.local_kernel_q1(POWER3, 10.0, z, z), 1e-60, 2),
+    (lambda z: pk.local_kernel_q1(POWER3, 10.0, z, z, weighted=True), [1e-60], 2),
+], ids=["q2-weighted", "q2-array", "q2", "q1", "q1-array"])
+def test_local_kernels_name_an_underflowing_power_of_b(call, point, power):
+    # at |z| = 1e-30, b^3 = 729 |z|^12 is 0 in double; before, a scalar
+    # call raised a bare ZeroDivisionError, and an array call printed
+    # "divide by zero" RuntimeWarnings and said "log|z w| reaches -138.2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularExpansionError,
+                           match=rf"^b\(z, w\)\^{power} underflows at \|b\| = 9e-"):
+            call(point)
+
+
+def test_a_term_that_needs_no_small_power_of_b_is_computed():
+    # two q = 2 terms divide by b alone: b^2 = 0 at |z| = 1e-60 raised a bare
+    # ZeroDivisionError at scalars, and the array call gave the value
+    value = pk.local_kernel_q2(POWER3, 10.0, 1e-60, 1e-60, terms=2)
+    array = pk.local_kernel_q2(POWER3, 10.0, [1e-60], [1e-60], terms=2)
+    assert type(value) is complex and value == array[0] and value != 0
 
 
 def _reference_local(w, q, m, z, wc, terms, weighted):

@@ -170,12 +170,14 @@ def test_block_sampler_matches_one_proposal_at_a_time(spaces, weight, q, n):
 
 def test_stalled_draw_names_its_seed(monkeypatch):
     # with blocks of one proposal every rejection exhausts a block, so a
-    # limit of 0 proposals per draw stalls at the first rejection
+    # limit of 0 proposals per draw stalls at the first rejection: the
+    # first configuration's, at its third draw, after its one proposal there
     K = pk.build_space(pk.parse_weight("ginibre"), pk.SpaceSpec(2, 8, 8.0))
     monkeypatch.setattr(sampling, "PAIR_CHUNK", 1)
     monkeypatch.setattr(sampling, "MAX_PROPOSALS", 0)
     seed = seed_for_index(5, 0)
-    with pytest.raises(SamplerError, match=rf"stalled at draw \d+/16: 1 proposals .*seed {seed}\)"):
+    with pytest.raises(SamplerError, match=r"^rejection sampling stalled at draw 3/16: 1 proposals "
+                       rf"without acceptance \(weight ginibre, q=2, n=8, m=8\.0, seed {seed}\)$"):
         pk.sample_batch(K, 2, 5)
 
 
